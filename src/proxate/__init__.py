@@ -2,7 +2,7 @@
 observational samples, using proxy variables to absorb latent
 confounding."""
 
-from .basis import BasisSpec, FittedBasis, eval_basis, fit_basis
+from .basis import BasisSpec, FittedBasis, fit_basis
 from .baselines import (
     DiagnosticReport,
     RegressionFit,
@@ -13,7 +13,6 @@ from .baselines import (
 from .bridges import (
     BridgeFunction,
     MomentDiagnostics,
-    eval_bridge,
     solve_outcome_bridge,
     solve_surrogate_bridge,
 )
@@ -21,12 +20,9 @@ from .data import (
     CombinedDataset,
     CsvSchema,
     FullyObservedSample,
-    SampleShare,
     SampleView,
-    UnitRecord,
     load_csv,
     load_unmasked_csv,
-    sample_share,
     split_by_sample,
     write_csv,
     write_unmasked_csv,
@@ -47,13 +43,8 @@ from .estimators import (
     NuisanceSet,
     confidence_interval,
     estimate_all,
-    estimate_mr,
-    estimate_ob_ipw,
-    estimate_ob_or,
-    estimate_sb,
     fit_fold_nuisances,
     make_folds,
-    mr_variance,
 )
 from .harness import (
     MaskDesign,
@@ -67,8 +58,6 @@ from .harness import (
 from .nuisance import (
     HBarModel,
     PropensityModel,
-    eval_hbar,
-    eval_propensity,
     fit_hbar,
     fit_propensity,
 )

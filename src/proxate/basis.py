@@ -3,8 +3,8 @@
 Every solver and regression in the package consumes the same basis
 machinery: a ``BasisSpec`` names which variable roles enter, the
 polynomial degree, and the flags; ``fit_basis`` freezes standardization
-statistics from a training view, after which evaluation is a pure
-function of the record.
+statistics from a training view, after which ``FittedBasis.transform``
+is a pure row-wise function of any view.
 
 Column layout (fixed, so coefficient vectors are interpretable):
 intercept first (if requested), then per role in spec order, per
@@ -15,11 +15,11 @@ leading non-interaction block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RoleUnavailableError, ValidationError
+from .errors import ValidationError
 
 VALID_ROLES = ("w", "z", "s", "x", "a")
 MAX_DEGREE = 3
@@ -142,22 +142,6 @@ class FittedBasis:
         )
 
 
-class _RecordSource:
-    """Adapter presenting a single record as a 1-row role-matrix source."""
-
-    def __init__(self, record):
-        self._record = record
-
-    def role_matrix(self, role: str) -> np.ndarray:
-        value = getattr(self._record, role, None)
-        if value is None:
-            raise RoleUnavailableError(
-                f"role {role!r} absent on this record (sample {self._record.g})"
-            )
-        arr = np.atleast_1d(np.asarray(value, dtype=float))
-        return arr.reshape(1, -1)
-
-
 def fit_basis(spec: BasisSpec, view) -> FittedBasis:
     """Freeze a basis on a training view.
 
@@ -176,8 +160,3 @@ def fit_basis(spec: BasisSpec, view) -> FittedBasis:
         # Constant columns get unit scale so evaluation stays finite.
         scales = np.where(scales < 1e-12, 1.0, scales)
     return FittedBasis(spec=spec, out_dim=feats.shape[1], centers=centers, scales=scales)
-
-
-def eval_basis(fb: FittedBasis, record) -> np.ndarray:
-    """Evaluate a fitted basis on one record; pure and deterministic."""
-    return fb.transform(_RecordSource(record))[0]

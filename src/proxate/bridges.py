@@ -22,11 +22,11 @@ identification.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FittedBasis, eval_basis, fit_basis
+from .basis import BasisSpec, FittedBasis, fit_basis
 from .errors import (
     SingularSystemError,
     UnderIdentifiedError,
@@ -103,11 +103,6 @@ class MomentDiagnostics:
         }
 
 
-def eval_bridge(bf: BridgeFunction, record) -> float:
-    """Evaluate a bridge function on one record; pure."""
-    return float(eval_basis(bf.basis, record) @ bf.coeffs)
-
-
 def _orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of col(mat), robust to collinear columns."""
     u, sv, _ = np.linalg.svd(mat, full_matrices=False)
@@ -118,7 +113,7 @@ def _orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
 
 
 def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
-                 allow_min_norm: bool, context: str) -> np.ndarray:
+                 context: str) -> np.ndarray:
     """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq."""
     p = design.shape[1]
     if penalty < 0:
@@ -126,10 +121,10 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
     if penalty == 0.0:
         sv = np.linalg.svd(design, compute_uv=False)
         rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
-        if rank < p and not allow_min_norm:
+        if rank < p:
             raise SingularSystemError(
                 f"{context}: rank-deficient system (rank {rank} < {p} parameters) "
-                "with ridge 0; pass ridge > 0 or allow_min_norm=True"
+                "with ridge 0; pass ridge > 0"
             )
         coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
         return coef
@@ -160,8 +155,6 @@ def solve_outcome_bridge(
     psi: BasisSpec,
     b: BasisSpec,
     ridge: float = DEFAULT_RIDGE,
-    *,
-    allow_min_norm: bool = False,
 ) -> tuple[BridgeFunction, MomentDiagnostics]:
     """Solve the outcome-bridge moment system on an observational view.
 
@@ -185,7 +178,7 @@ def solve_outcome_bridge(
     q_basis = _orthonormal_column_basis(instruments)
     proj_feats = q_basis.T @ feats
     proj_y = q_basis.T @ y
-    coeffs = _ridge_solve(proj_feats, proj_y, n * ridge, allow_min_norm, "outcome bridge")
+    coeffs = _ridge_solve(proj_feats, proj_y, n * ridge, "outcome bridge")
 
     fitted = feats @ coeffs
     if not np.isfinite(fitted).all():
@@ -212,8 +205,6 @@ def solve_surrogate_bridge(
     g: BasisSpec,
     propensity,
     ridge: float = DEFAULT_RIDGE,
-    *,
-    allow_min_norm: bool = False,
 ) -> tuple[BridgeFunction, MomentDiagnostics]:
     """Solve the arm-``a`` surrogate-bridge moment system.
 
@@ -242,7 +233,7 @@ def solve_surrogate_bridge(
     indicator = (e_view.a == a).astype(float)
     rhs = g_e.T @ (indicator / e_arm) / e_view.n
     lhs = g_o.T @ feats_o / n_o
-    coeffs = _ridge_solve(lhs, rhs, ridge, allow_min_norm, "surrogate bridge")
+    coeffs = _ridge_solve(lhs, rhs, ridge, "surrogate bridge")
 
     fitted = feats_o @ coeffs
     if not np.isfinite(fitted).all():

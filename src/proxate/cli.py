@@ -170,7 +170,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         cfg.seed = args.seed
     if args.alpha is not None:
         cfg.estimation = EstimatorConfig.from_dict(
-            {**_estimation_dict(cfg.estimation), "alpha": args.alpha}
+            {**cfg.estimation.to_dict(), "alpha": args.alpha}
         )
     data = load_csv(args.data, cfg.schema)
 
@@ -215,22 +215,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         ]
         Path(args.dump_nuisances).write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n")
     return 0
-
-
-def _estimation_dict(cfg: EstimatorConfig) -> dict:
-    return {
-        "psi": cfg.psi.to_dict(),
-        "b": cfg.b.to_dict(),
-        "phi": cfg.phi.to_dict(),
-        "g": cfg.g.to_dict(),
-        "e_basis": cfg.e_basis.to_dict(),
-        "hbar_basis": cfg.hbar_basis.to_dict(),
-        "ridge_h": cfg.ridge_h,
-        "ridge_q": cfg.ridge_q,
-        "clip_eps": cfg.clip_eps,
-        "known_propensity": cfg.known_propensity,
-        "alpha": cfg.alpha,
-    }
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

@@ -34,31 +34,6 @@ class RoleDims:
     s: int
     x: int
 
-    def of(self, role: str) -> int:
-        if role in ("w", "z", "s", "x"):
-            return getattr(self, role)
-        if role in ("a", "y"):
-            return 1
-        raise ValidationError(f"unknown role {role!r}")
-
-
-@dataclass(frozen=True)
-class UnitRecord:
-    """One unit, with masked fields set to None."""
-
-    g: str
-    w: np.ndarray
-    s: np.ndarray
-    x: np.ndarray
-    y: float | None = None
-    z: np.ndarray | None = None
-    a: int | None = None
-
-
-@dataclass(frozen=True)
-class SampleShare:
-    pi_hat: float
-
 
 @dataclass(frozen=True)
 class CombinedDataset:
@@ -129,18 +104,6 @@ class CombinedDataset:
         if not np.isin(a_e, (0.0, 1.0)).all():
             raise ValidationError("treatment must be binary 0/1")
 
-    def record(self, i: int) -> UnitRecord:
-        if self.is_e[i]:
-            return UnitRecord(
-                g="E", w=self.w[i], s=self.s[i], x=self.x[i], a=int(self.a[i])
-            )
-        return UnitRecord(
-            g="O", w=self.w[i], s=self.s[i], x=self.x[i], y=float(self.y[i]), z=self.z[i]
-        )
-
-    def records(self):
-        return (self.record(i) for i in range(self.n))
-
 
 # Roles observable per sample label (Table-1 masking pattern).
 _SAMPLE_ROLES = {
@@ -184,10 +147,6 @@ def split_by_sample(data: CombinedDataset) -> tuple[SampleView, SampleView]:
         SampleView(data, idx[data.is_e], "E"),
         SampleView(data, idx[~data.is_e], "O"),
     )
-
-
-def sample_share(data: CombinedDataset) -> SampleShare:
-    return SampleShare(pi_hat=data.n_e / data.n)
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ Philox stream, so one seed pins the whole dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .basis import BasisSpec, fit_basis
-from .data import CombinedDataset, FullyObservedSample, SampleView, split_by_sample
+from .data import CombinedDataset, FullyObservedSample
 from .errors import ValidationError
 from .stats import normal_quantile
 
@@ -157,11 +157,6 @@ def _structural_draw(cfg: DGPConfig, n: int, rng: np.random.Generator):
     kappa = _O_ASSIGNMENT_LOADING if cfg.confound_treatment_in_O else 0.0
     cut = normal_quantile(cfg.p_treat) * np.sqrt(1.0 + kappa * kappa)
     a_o = (cut + kappa * u > rng.standard_normal(n)).astype(float)
-    # Debug-only sanity: the latent assignment really is skill-dependent
-    # before it is discarded (the emitted schema is unchanged).
-    assert n < 1000 or not cfg.confound_treatment_in_O or (
-        abs(float(np.corrcoef(u, a_o)[0, 1])) > 0.1
-    )
     eps_s = rng.standard_normal((n, cfg.dim_s)) * cfg.noise_sd_s
     eps_y = rng.standard_normal(n) * cfg.noise_sd_y
     eps_w = rng.standard_normal(n) * cfg.noise_sd_w

@@ -41,8 +41,7 @@ class NumericalError(ProxateError):
 
 
 class SingularSystemError(NumericalError):
-    """Rank-deficient solve with no regularization; pass ridge > 0 or
-    allow_min_norm=True."""
+    """Rank-deficient solve with no regularization; pass ridge > 0."""
 
 
 class DegenerateTreatmentError(NumericalError):

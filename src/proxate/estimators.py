@@ -28,7 +28,7 @@ asymptotically negligible difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .bridges import (
     solve_surrogate_bridge,
 )
 from .data import CombinedDataset, SampleView
-from .errors import DegenerateTreatmentError, ValidationError
+from .errors import DegenerateTreatmentError, NumericalError, ValidationError
 from .nuisance import (
     DEFAULT_CLIP_EPS,
     HBarModel,
@@ -130,19 +130,23 @@ class EstimatorConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
 
+    def to_dict(self) -> dict:
+        """Plain-JSON form; the inverse of ``from_dict``."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.to_dict() if isinstance(value, BasisSpec) else value
+        return out
+
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
-        known = {
-            "psi", "b", "phi", "g", "e_basis", "hbar_basis",
-            "ridge_h", "ridge_q", "clip_eps", "known_propensity", "alpha",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown estimation keys: {sorted(unknown)}")
         kw = dict(d)
-        for name in ("psi", "b", "phi", "g", "e_basis", "hbar_basis"):
-            if name in kw:
-                kw[name] = BasisSpec.from_dict(kw[name])
+        for f in fields(cls):
+            if isinstance(f.default, BasisSpec) and f.name in kw:
+                kw[f.name] = BasisSpec.from_dict(kw[f.name])
         return cls(**kw)
 
 
@@ -277,6 +281,13 @@ class EstimateReport:
     per_fold_diagnostics: list[MomentDiagnostics] = field(default_factory=list)
 
     def __post_init__(self):
+        if not np.isfinite(self.tau_hat) or (
+            self.variance_hat is not None and not np.isfinite(self.variance_hat)
+        ):
+            raise NumericalError(
+                f"{self.estimator}: non-finite estimate "
+                f"(tau_hat={self.tau_hat}, variance_hat={self.variance_hat})"
+            )
         if (self.variance_hat is None) != (self.ci is None):
             raise ValidationError("ci must be present exactly when variance_hat is")
         if self.ci is not None:
@@ -327,31 +338,17 @@ def _mr_variance_from_evals(evals: _UnitEvals, tau_hat: float, n: int) -> float:
     return n / n_e**2 * e_term + n / n_o**2 * o_term
 
 
-def mr_variance(
-    data: CombinedDataset,
-    folds: FoldAssignment,
-    nuisance_sets: list[NuisanceSet],
-    tau_hat: float,
-) -> float:
-    """Plug-in variance of the multiply robust estimator."""
-    evals = evaluate_nuisances(data, folds, nuisance_sets)
-    return _mr_variance_from_evals(evals, tau_hat, data.n)
-
-
 def estimate_all(
     data: CombinedDataset,
     folds: FoldAssignment,
     config: EstimatorConfig,
     estimators: tuple[str, ...] = ESTIMATOR_NAMES,
-    nuisance_transform=None,
     nuisance_sets: list[NuisanceSet] | None = None,
 ) -> dict[str, EstimateReport]:
     """Fit nuisances once and evaluate any subset of the four estimators.
 
-    ``nuisance_transform`` (NuisanceSet -> NuisanceSet), when given, is
-    applied to each fold's fitted nuisances before evaluation; the
-    misspecification harness uses it to install corrupted components.
-    Pre-fitted per-fold ``nuisance_sets`` skip the fitting pass.
+    Pre-fitted per-fold ``nuisance_sets`` skip the fitting pass; the
+    misspecification harness passes corrupted ones this way.
     """
     for name in estimators:
         if name not in ESTIMATOR_NAMES:
@@ -360,8 +357,6 @@ def estimate_all(
         nuisance_sets = fit_all_nuisances(data, folds, config)
     elif len(nuisance_sets) != folds.k_folds:
         raise ValidationError("need one nuisance set per fold")
-    if nuisance_transform is not None:
-        nuisance_sets = [nuisance_transform(nus) for nus in nuisance_sets]
     evals = evaluate_nuisances(data, folds, nuisance_sets)
     diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
 
@@ -396,23 +391,3 @@ def estimate_all(
         var = _mr_variance_from_evals(evals, tau, data.n)
         out["MR"] = report("MR", tau, var)
     return out
-
-
-def estimate_ob_or(data, folds, config) -> EstimateReport:
-    """Outcome-bridge, outcome-regression form."""
-    return estimate_all(data, folds, config, estimators=("OB-OR",))["OB-OR"]
-
-
-def estimate_ob_ipw(data, folds, config) -> EstimateReport:
-    """Outcome-bridge, inverse-propensity form."""
-    return estimate_all(data, folds, config, estimators=("OB-IPW",))["OB-IPW"]
-
-
-def estimate_sb(data, folds, config) -> EstimateReport:
-    """Surrogate-bridge reweighting form."""
-    return estimate_all(data, folds, config, estimators=("SB",))["SB"]
-
-
-def estimate_mr(data, folds, config) -> EstimateReport:
-    """Multiply robust combination; the one estimator with inference."""
-    return estimate_all(data, folds, config, estimators=("MR",))["MR"]

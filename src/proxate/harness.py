@@ -18,7 +18,7 @@ functions, not noise, so regime runs stay deterministic given seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +39,16 @@ from .nuisance import HBarModel, PropensityModel
 
 REGIME_NAMES = ("all_correct", "case1", "case2", "case3", "case4", "all_wrong")
 HARNESS_ESTIMATORS = ESTIMATOR_NAMES + ("SI", "SI-PROX")
+
+# Fixed wrong nuisances installed by the misspecification regimes. The
+# bridge corruption is data-bound instead (``MisspecRegime.h_const``).
+CORRUPT_E = 0.8
+CORRUPT_Q = 1.0
+CORRUPT_HBAR_ARM1 = 1.0
+CORRUPT_HBAR_ARM0 = -1.0
+# Share of requested Monte Carlo replications allowed to fail before the
+# study aborts instead of reporting on a biased subset.
+MAX_FAILURE_FRACTION = 0.02
 
 # Which nuisances each regime corrupts. case4 additionally replaces the
 # pseudo-outcome regression with the exact refit against the corrupted
@@ -86,20 +96,9 @@ def split_and_mask(source: FullyObservedSample, design: MaskDesign) -> CombinedD
 
 
 @dataclass(frozen=True)
-class Corruption:
-    """Fixed wrong nuisances installed by the misspecification regimes."""
-
-    e_const: float = 0.8
-    h_const: float = 0.0  # set to the observational outcome mean at bind time
-    q_const: float = 1.0
-    hbar_arm1: float = 1.0
-    hbar_arm0: float = -1.0
-
-
-@dataclass(frozen=True)
 class MisspecRegime:
     name: str
-    corruption: Corruption = field(default_factory=Corruption)
+    h_const: float = 0.0  # corrupted bridge value, bound to the data by make_regime
 
     def __post_init__(self):
         if self.name not in REGIME_NAMES:
@@ -117,7 +116,7 @@ def make_regime(name: str, data: CombinedDataset | None = None) -> MisspecRegime
     h_const = 0.0
     if data is not None:
         h_const = float(data.y[~data.is_e].mean())
-    return MisspecRegime(name=name, corruption=Corruption(h_const=h_const))
+    return MisspecRegime(name=name, h_const=h_const)
 
 
 def apply_misspec(nuisances: NuisanceSet, regime: MisspecRegime) -> NuisanceSet:
@@ -127,25 +126,24 @@ def apply_misspec(nuisances: NuisanceSet, regime: MisspecRegime) -> NuisanceSet:
     """
     if not any(regime.corrupts(c) for c in ("e", "h", "hbar", "q")):
         return nuisances
-    cor = regime.corruption
     e = nuisances.e
     h = nuisances.h
     hbar = nuisances.hbar
     q0, q1 = nuisances.q0, nuisances.q1
     if regime.corrupts("e"):
-        e = PropensityModel.known(cor.e_const, nuisances.e.clip_eps)
+        e = PropensityModel.known(CORRUPT_E, nuisances.e.clip_eps)
     if regime.corrupts("h"):
-        h = constant_bridge(nuisances.h, cor.h_const)
+        h = constant_bridge(nuisances.h, regime.h_const)
     if regime.corrupts("q"):
-        q0 = constant_bridge(nuisances.q0, cor.q_const)
-        q1 = constant_bridge(nuisances.q1, cor.q_const)
+        q0 = constant_bridge(nuisances.q0, CORRUPT_Q)
+        q1 = constant_bridge(nuisances.q1, CORRUPT_Q)
     if regime.corrupts("hbar"):
-        hbar = HBarModel.constant(nuisances.hbar.basis, cor.hbar_arm0, cor.hbar_arm1)
+        hbar = HBarModel.constant(nuisances.hbar.basis, CORRUPT_HBAR_ARM0, CORRUPT_HBAR_ARM1)
     elif regime.name == "case4":
         # Keep the pseudo-outcome regression aligned with the corrupted
         # bridge: regressing a constant pseudo-outcome on (a, x) returns
         # that constant exactly, so the refit is available in closed form.
-        hbar = HBarModel.constant(nuisances.hbar.basis, cor.h_const, cor.h_const)
+        hbar = HBarModel.constant(nuisances.hbar.basis, regime.h_const, regime.h_const)
     return NuisanceSet(
         e=e, h=h, hbar=hbar, q0=q0, q1=q1, diagnostics=list(nuisances.diagnostics)
     )
@@ -237,17 +235,17 @@ def run_monte_carlo(
     base_seed: int,
     config: EstimatorConfig | None = None,
     k_folds: int = 5,
-    max_failure_fraction: float = 0.02,
 ) -> MCReport:
     """Replicate synthetic estimation runs against the known truth.
 
     Replication r uses seed base_seed + r for both the draw and the
     folds; each is independent of execution order. Replications that
     fail (for example a degenerate fold) are recorded and excluded from
-    the aggregates, but once failures exceed ``max_failure_fraction``
-    of the requested runs the study aborts rather than silently
-    reporting on a biased subset. Coverage is tracked for MR only, the
-    one estimator with an interval.
+    the aggregates as a whole: a replication's draws count only once
+    every regime has succeeded. Once failures exceed
+    ``MAX_FAILURE_FRACTION`` of the requested runs the study aborts
+    rather than silently reporting on a biased subset. Coverage is
+    tracked for MR only, the one estimator with an interval.
     """
     if replications < 2:
         raise ValidationError("replications must be >= 2")
@@ -262,7 +260,7 @@ def run_monte_carlo(
     config = config or EstimatorConfig()
     proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
     naive = tuple(e for e in estimators if e not in ESTIMATOR_NAMES)
-    max_failures = int(np.floor(max_failure_fraction * replications))
+    max_failures = int(np.floor(MAX_FAILURE_FRACTION * replications))
 
     true_ate = None
     draws: dict[str, dict[str, list[float]]] = {
@@ -273,9 +271,12 @@ def run_monte_carlo(
 
     for r in range(replications):
         seed = base_seed + r
+        # Stage this replication's draws; commit them only once every
+        # regime has succeeded, so all regimes average the same runs.
+        rep_draws: dict[str, dict[str, float]] = {rg: {} for rg in regimes}
+        rep_covered: dict[str, bool] = {}
         try:
             data, oracle = generate(dgp, n, pi, seed)
-            true_ate = oracle.true_ate
             folds = make_folds(data, k_folds, seed)
             nuisance_cache: list[NuisanceSet] | None = None
             naive_cache: dict[str, float] = {}
@@ -297,12 +298,12 @@ def run_monte_carlo(
                         nuisance_sets=transformed,
                     )
                     for est in proximal:
-                        draws[rg][est].append(reports[est].tau_hat)
+                        rep_draws[rg][est] = reports[est].tau_hat
                     if "MR" in proximal:
                         lo, hi = reports["MR"].ci
-                        covered[rg].append(lo <= oracle.true_ate <= hi)
+                        rep_covered[rg] = lo <= oracle.true_ate <= hi
                 for est in naive:
-                    draws[rg][est].append(naive_cache[est])
+                    rep_draws[rg][est] = naive_cache[est]
         except ProxateError as exc:
             n_failed += 1
             if n_failed > max_failures:
@@ -310,6 +311,13 @@ def run_monte_carlo(
                     f"{n_failed} of {replications} replications failed "
                     f"(cap {max_failures}); last error: {exc}"
                 ) from exc
+            continue
+        true_ate = oracle.true_ate
+        for rg in regimes:
+            for est in estimators:
+                draws[rg][est].append(rep_draws[rg][est])
+            if rg in rep_covered:
+                covered[rg].append(rep_covered[rg])
 
     if true_ate is None:
         raise ValidationError("every replication failed")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FittedBasis, eval_basis, fit_basis
+from .basis import BasisSpec, FittedBasis, fit_basis
 from .bridges import BridgeFunction
 from .errors import DegenerateTreatmentError, NumericalError, ValidationError
 from .stats import ols
@@ -92,13 +92,6 @@ class PropensityModel:
         if not 0.0 < rate < 1.0:
             raise ValidationError("known assignment rate must be in (0, 1)")
         return cls(basis=None, coeffs=None, clip_eps=clip_eps, fixed_rate=rate)
-
-
-def eval_propensity(model: PropensityModel, record) -> float:
-    if model.fixed_rate is not None:
-        return float(np.clip(model.fixed_rate, model.clip_eps, 1.0 - model.clip_eps))
-    t = float(eval_basis(model.basis, record) @ model.coeffs)
-    return float(np.clip(_sigmoid(np.array([t]))[0], model.clip_eps, 1.0 - model.clip_eps))
 
 
 def _irls(design: np.ndarray, a: np.ndarray, penalty: float) -> tuple[np.ndarray, bool]:
@@ -210,8 +203,3 @@ def fit_hbar(e_view, h: BridgeFunction, basis: BasisSpec) -> HBarModel:
     c1 = ols(design[treated], pseudo[treated], require_full_rank=False)
     c0 = ols(design[~treated], pseudo[~treated], require_full_rank=False)
     return HBarModel(basis=fb, arm0_coeffs=c0, arm1_coeffs=c1)
-
-
-def eval_hbar(model: HBarModel, a: int, record) -> float:
-    coeffs = model.arm1_coeffs if a == 1 else model.arm0_coeffs
-    return float(eval_basis(model.basis, record) @ coeffs)

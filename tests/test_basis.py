@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proxate as px
-from proxate.basis import BasisSpec, eval_basis, fit_basis
+from proxate.basis import BasisSpec, fit_basis
 from proxate.errors import RoleUnavailableError, ValidationError
 
 
@@ -49,44 +49,42 @@ def test_spec_validation():
 
 def test_eval_examples(views):
     _, o_view = views
-    rec = o_view.data.record(int(o_view.indices[0]))
+    one = px.SampleView(o_view.data, o_view.indices[:1], "O")
+    s_row = one.role_matrix("s")[0]
 
     intercept_only = fit_basis(BasisSpec(roles=("s",), include_intercept=False), o_view)
     # degree-1 role read-off, no intercept
-    np.testing.assert_allclose(eval_basis(intercept_only, rec), rec.s)
+    np.testing.assert_allclose(intercept_only.transform(one)[0], s_row)
 
     fb = fit_basis(BasisSpec(roles=("s",)), o_view)
-    np.testing.assert_allclose(eval_basis(fb, rec), np.concatenate([[1.0], rec.s]))
+    np.testing.assert_allclose(fb.transform(one)[0], np.concatenate([[1.0], s_row]))
+    # A unit evaluated alone equals its row of the batched evaluation.
+    np.testing.assert_array_equal(fb.transform(one)[0], fb.transform(o_view)[0])
+
+
+class _Rows:
+    """Role-matrix source over fixed arrays, one row per unit."""
+
+    def __init__(self, **roles):
+        self._roles = roles
+        self.n = next(iter(roles.values())).shape[0]
+
+    def role_matrix(self, role):
+        return self._roles[role]
 
 
 def test_intercept_only_basis():
     # A zero-width role leaves just the intercept column.
-    class View:
-        def role_matrix(self, role):
-            return np.zeros((4, 0))
-
-    class Rec:
-        g = "E"
-        x = np.zeros(0)
-
-    fb = fit_basis(BasisSpec(roles=("x",)), View())
+    fb = fit_basis(BasisSpec(roles=("x",)), _Rows(x=np.zeros((4, 0))))
     assert fb.out_dim == 1
-    np.testing.assert_array_equal(eval_basis(fb, Rec()), [1.0])
+    np.testing.assert_array_equal(fb.transform(_Rows(x=np.zeros((1, 0)))), [[1.0]])
 
 
 def test_direct_readoff():
-    class Rec:
-        g = "O"
-        s = np.array([2.0, -1.0])
-
-    class View:
-        n = 3
-
-        def role_matrix(self, role):
-            return np.array([[2.0, -1.0], [0.0, 1.0], [1.0, 1.0]])
-
-    fb = fit_basis(BasisSpec(roles=("s",)), View())
-    np.testing.assert_allclose(eval_basis(fb, Rec()), [1.0, 2.0, -1.0])
+    view = _Rows(s=np.array([[2.0, -1.0], [0.0, 1.0], [1.0, 1.0]]))
+    fb = fit_basis(BasisSpec(roles=("s",)), view)
+    one = _Rows(s=np.array([[2.0, -1.0]]))
+    np.testing.assert_allclose(fb.transform(one), [[1.0, 2.0, -1.0]])
 
 
 def test_standardization_invariant(views):
@@ -105,11 +103,14 @@ def test_standardized_eval_at_training_mean(views):
     _, o_view = views
     fb = fit_basis(BasisSpec(roles=("s",), standardize=True), o_view)
 
-    class MeanRec:
-        g = "O"
-        s = o_view.role_matrix("s").mean(axis=0)
-
-    out = eval_basis(fb, MeanRec())
+    # A 1-row O view of a two-unit dataset whose O unit sits at the mean.
+    mean_s = o_view.role_matrix("s").mean(axis=0)
+    at_mean = px.CombinedDataset.from_arrays(
+        y=[np.nan, 0.0], w=np.zeros((2, 1)), z=[[np.nan], [0.0]],
+        s=np.vstack([mean_s, mean_s]), a=[1.0, np.nan], x=np.zeros((2, 1)),
+        is_e=[True, False],
+    )
+    out = fb.transform(px.SampleView(at_mean, np.array([1]), "O"))[0]
     assert out[0] == 1.0
     assert np.abs(out[1:]).max() < 1e-12
 
@@ -127,11 +128,11 @@ def test_prefix_stability(views):
 def test_purity_bit_identical(views):
     _, o_view = views
     fb = fit_basis(BasisSpec(roles=("w", "s", "x"), degree=3, standardize=True), o_view)
-    rec = o_view.data.record(int(o_view.indices[3]))
-    first = eval_basis(fb, rec)
-    second = eval_basis(fb, rec)
+    one = px.SampleView(o_view.data, o_view.indices[3:4], "O")
+    first = fb.transform(one)
+    second = fb.transform(one)
     assert np.array_equal(first, second)
-    assert first.shape == (fb.out_dim,)
+    assert first.shape == (1, fb.out_dim)
 
 
 @settings(max_examples=30, deadline=None)

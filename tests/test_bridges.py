@@ -100,7 +100,7 @@ def test_under_identified_error(small_data):
         px.solve_outcome_bridge(o_view, rich, lean, ridge=0.0)
 
 
-def test_singular_system_error_and_min_norm(small_data):
+def test_singular_system_error_and_ridge(small_data):
     data, _ = small_data
     # Duplicate the surrogate column so psi is collinear.
     s_dup = np.column_stack([data.s, data.s[:, 0]])
@@ -113,12 +113,9 @@ def test_singular_system_error_and_min_norm(small_data):
     o_view = px.split_by_sample(collinear)[1]
     psi = BasisSpec(roles=("w", "s", "x"), standardize=True)
     b = BasisSpec(roles=("z", "s", "x"), standardize=True)
-    with pytest.raises(SingularSystemError):
+    with pytest.raises(SingularSystemError, match="pass ridge > 0"):
         px.solve_outcome_bridge(o_view, psi, b, ridge=0.0)
-    # Degenerate corners stay usable: warn on conditioning, never error.
-    with pytest.warns(RuntimeWarning, match="condition number"):
-        h, _ = px.solve_outcome_bridge(o_view, psi, b, ridge=0.0, allow_min_norm=True)
-    assert np.isfinite(h.coeffs).all()
+    # With a ridge the degenerate corner stays usable: warn on conditioning, never error.
     with pytest.warns(RuntimeWarning, match="condition number"):
         h2, diag2 = px.solve_outcome_bridge(o_view, psi, b, ridge=1e-6)
     assert np.isfinite(h2.coeffs).all()
@@ -131,12 +128,11 @@ def test_eval_bridge_examples(small_data):
     h, _ = px.solve_outcome_bridge(o_view, PSI, B, ridge=1e-6)
     const3 = constant_bridge(h, 3.0)
     zero = constant_bridge(h, 0.0)
-    rec = data.record(int(np.flatnonzero(~data.is_e)[0]))
-    assert px.eval_bridge(const3, rec) == pytest.approx(3.0)
-    assert px.eval_bridge(zero, rec) == 0.0
-    # Evaluation agrees between the record and batched paths.
-    batch = h.evaluate(o_view)
-    assert px.eval_bridge(h, rec) == pytest.approx(batch[0])
+    one = px.SampleView(data, o_view.indices[:1], "O")
+    assert const3.evaluate(one)[0] == pytest.approx(3.0)
+    assert zero.evaluate(one)[0] == 0.0
+    # A unit evaluated alone equals its row of the batched evaluation.
+    assert h.evaluate(one)[0] == pytest.approx(h.evaluate(o_view)[0])
 
 
 def test_surrogate_bridge_normalization_exact(small_data):

@@ -262,3 +262,21 @@ def test_estimate_baseline_estimator(data_csv, tmp_path):
     assert rc == 0
     rep = json.loads(out.read_text())["result"]["SI"]
     assert rep["ci"] is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_estimate_non_finite_variance_exit_2(tmp_path, capsys):
+    # A huge but finite proxy value on one E row overflows the MR variance;
+    # the run must fail numerically instead of writing inf into the report.
+    data, _ = px.generate(px.confounded_config(), 2000, 0.5, seed=7)
+    w = data.w.copy()
+    w[int(np.flatnonzero(data.is_e)[0]), 0] = 1e154
+    bad = px.CombinedDataset.from_arrays(
+        y=data.y, w=w, z=data.z, s=data.s, a=data.a, x=data.x, is_e=data.is_e
+    )
+    path, out = tmp_path / "huge_w.csv", tmp_path / "rep.json"
+    px.write_csv(bad, path, px.CsvSchema())
+    rc = run(["estimate", "--data", str(path), "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "non-finite estimate" in capsys.readouterr().err

@@ -164,26 +164,6 @@ def test_round_trip_random(tmp_path_factory, n_e, n_o, seed):
         np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
 
 
-def test_sample_share():
-    def share(n_e, n_o):
-        is_e = np.concatenate([np.ones(n_e, bool), np.zeros(n_o, bool)])
-        n = n_e + n_o
-        data = px.CombinedDataset.from_arrays(
-            y=np.where(is_e, np.nan, 1.0),
-            w=np.zeros((n, 1)),
-            z=np.where(is_e[:, None], np.nan, 0.0),
-            s=np.zeros((n, 1)),
-            a=np.where(is_e, 1.0, np.nan),
-            x=np.zeros((n, 0)),
-            is_e=is_e,
-        )
-        return px.sample_share(data).pi_hat
-
-    assert share(50, 150) == pytest.approx(0.25)
-    assert share(10, 10) == pytest.approx(0.5)
-    assert share(1, 999) == pytest.approx(0.001)
-
-
 def test_split_by_sample(small_data):
     data, _ = small_data
     e_view, o_view = px.split_by_sample(data)
@@ -217,9 +197,12 @@ def test_empty_stratum_rejected():
 
 def test_records_expose_masking(small_data):
     data, _ = small_data
-    e_idx = int(np.flatnonzero(data.is_e)[0])
-    o_idx = int(np.flatnonzero(~data.is_e)[0])
-    rec_e = data.record(e_idx)
-    rec_o = data.record(o_idx)
-    assert rec_e.g == "E" and rec_e.y is None and rec_e.z is None and rec_e.a in (0, 1)
-    assert rec_o.g == "O" and rec_o.a is None and rec_o.y is not None
+    one_e = px.SampleView(data, np.flatnonzero(data.is_e)[:1], "E")
+    one_o = px.SampleView(data, np.flatnonzero(~data.is_e)[:1], "O")
+    for role in ("y", "z"):
+        with pytest.raises(RoleUnavailableError):
+            one_e.role_matrix(role)
+    with pytest.raises(RoleUnavailableError):
+        one_o.role_matrix("a")
+    assert one_e.a[0] in (0.0, 1.0)
+    assert np.isfinite(one_o.y[0]) and np.isfinite(one_o.role_matrix("z")).all()

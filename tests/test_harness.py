@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import proxate as px
-from proxate.errors import ValidationError
+from proxate import harness
+from proxate.errors import NumericalError, ValidationError
 from proxate.estimators import fit_all_nuisances
-from proxate.harness import REGIME_NAMES, Corruption, MisspecRegime
+from proxate.harness import REGIME_NAMES, MisspecRegime
 
 CFG = px.EstimatorConfig()
 
@@ -155,9 +156,33 @@ def test_mc_failure_cap(confounded_cfg):
 
 
 def test_corruption_dataclass_defaults():
-    c = Corruption(h_const=0.5)
-    assert c.e_const == 0.8 and c.q_const == 1.0
-    assert c.hbar_arm1 == 1.0 and c.hbar_arm0 == -1.0
+    assert harness.CORRUPT_E == 0.8 and harness.CORRUPT_Q == 1.0
+    assert harness.CORRUPT_HBAR_ARM1 == 1.0 and harness.CORRUPT_HBAR_ARM0 == -1.0
+    assert harness.MAX_FAILURE_FRACTION == 0.02
+    assert px.make_regime("case3").h_const == 0.0
     assert set(REGIME_NAMES) == {
         "all_correct", "case1", "case2", "case3", "case4", "all_wrong"
     }
+
+
+def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
+    # Replication 1 fails in its third regime; the first two regimes must
+    # not keep a draw from it.
+    calls = {"n": 0}
+    real = harness.estimate_all
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 6 + 3:
+            raise NumericalError("injected failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "estimate_all", flaky)
+    monkeypatch.setattr(harness, "MAX_FAILURE_FRACTION", 0.5)
+    report = px.run_monte_carlo(
+        confounded_cfg, n=1500, pi=0.5, estimators=("OB-OR", "MR", "SI"),
+        regimes=REGIME_NAMES, replications=3, base_seed=40,
+    )
+    assert report.n_failed == 1
+    counts = {st.n_replications for table in report.regimes.values() for st in table.values()}
+    assert counts == {2}

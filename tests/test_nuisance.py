@@ -113,10 +113,10 @@ def test_eval_propensity_record(small_data):
     data, _ = small_data
     e_view = px.split_by_sample(data)[0]
     model = px.fit_propensity(e_view, XB, clip_eps=0.01)
-    rec = data.record(int(e_view.indices[0]))
-    assert px.eval_propensity(model, rec) == pytest.approx(model.evaluate(e_view)[0])
+    one = px.SampleView(data, e_view.indices[:1], "E")
+    assert model.evaluate(one)[0] == pytest.approx(model.evaluate(e_view)[0])
     const = px.PropensityModel.known(0.5)
-    assert px.eval_propensity(const, rec) == 0.5
+    assert const.evaluate(one)[0] == 0.5
 
 
 def test_zero_coefficients_give_half():
@@ -125,8 +125,8 @@ def test_zero_coefficients_give_half():
 
     fb = fit_basis(XB, view)
     model = px.PropensityModel(basis=fb, coeffs=np.zeros(fb.out_dim), clip_eps=0.01)
-    rec = view.data.record(int(view.indices[0]))
-    assert px.eval_propensity(model, rec) == 0.5
+    one = px.SampleView(view.data, view.indices[:1], "E")
+    assert model.evaluate(one)[0] == 0.5
     np.testing.assert_allclose(model.evaluate(view), 0.5)
 
 
@@ -205,9 +205,9 @@ def test_hbar_contrast_recovers_effect_without_covariates():
 def test_eval_hbar_record(small_data):
     h, e_view = _h_and_view(small_data)
     model = px.fit_hbar(e_view, h, XB)
-    rec = e_view.data.record(int(e_view.indices[2]))
-    assert px.eval_hbar(model, 1, rec) == pytest.approx(model.evaluate(1, e_view)[2])
-    assert px.eval_hbar(model, 0, rec) == pytest.approx(model.evaluate(0, e_view)[2])
+    one = px.SampleView(e_view.data, e_view.indices[2:3], "E")
+    assert model.evaluate(1, one)[0] == pytest.approx(model.evaluate(1, e_view)[2])
+    assert model.evaluate(0, one)[0] == pytest.approx(model.evaluate(0, e_view)[2])
 
 
 def test_hbar_serialization(small_data):

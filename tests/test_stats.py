@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proxate.errors import NumericalError, ValidationError
-from proxate.stats import hc0_cov, model_cov, normal_cdf, normal_quantile, ols, two_sided_p
+from proxate.stats import hc0_cov, normal_cdf, normal_quantile, ols, two_sided_p
 
 # High-precision reference quantiles.
 QUANTILE_REFS = [
@@ -20,6 +20,19 @@ QUANTILE_REFS = [
 @pytest.mark.parametrize("p,ref", QUANTILE_REFS)
 def test_quantile_reference_points(p, ref):
     assert abs(normal_quantile(p) - ref) < 1e-9
+
+
+# 17-digit references from 50-digit arithmetic, one per approximation
+# region plus the region boundary.
+@pytest.mark.parametrize("p,ref", [
+    (0.75, 0.67448975019608174),
+    (0.975, 1.9599639845400539),
+    (0.995, 2.5758293035489005),
+    (1e-10, -6.3613409024040562),
+    (0.02425, -1.9729610513118848),
+])
+def test_quantile_relative_error_below_1e15(p, ref):
+    assert abs(normal_quantile(p) - ref) <= 1e-15 * abs(ref)
 
 
 def test_quantile_symmetry_and_median():
@@ -74,5 +87,7 @@ def test_hc0_matches_model_cov_under_homoskedasticity():
     coef = ols(design, y)
     resid = y - design @ coef
     se_hc0 = np.sqrt(np.diag(hc0_cov(design, resid)))
-    se_model = np.sqrt(np.diag(model_cov(design, resid)))
+    # Classical homoskedastic reference sigma^2 (X'X)^-1.
+    sigma2 = float(resid @ resid) / (n - design.shape[1])
+    se_model = np.sqrt(np.diag(sigma2 * np.linalg.inv(design.T @ design)))
     assert np.all(np.abs(se_hc0 / se_model - 1.0) < 0.10)
