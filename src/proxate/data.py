@@ -1,4 +1,4 @@
-"""Two-sample dataset model, missingness contract, and CSV ingestion.
+"""Two-sample dataset model, missingness contract, and the CSV codec.
 
 The combined dataset holds one row per unit with a sample label: "E"
 rows (experimental) observe (a, s, w, x) and mask (y, z); "O" rows
@@ -7,12 +7,20 @@ stored as NaN internally and as "NA" (or an empty cell) in CSV form.
 Rows whose missingness departs from this pattern are rejected, never
 imputed, because every estimator formula downstream assumes exactly
 this pattern.
+
+One reader and one writer hold the CSV format for both files: the
+combined file, with a g column of sample labels, and the unmasked
+experimental file, without one. Data rows are numbered from 1 after
+the header; parse errors, unknown labels and masking or finiteness
+violations name the first offending row by that number.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import math
+from array import array
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +33,8 @@ from .errors import (
 )
 
 MISSING_TOKEN = "NA"
+# Numeric roles in CSV column order; the g column follows "a".
+_ROLES = ("y", "a", "w", "z", "s", "x")
 
 
 @dataclass(frozen=True)
@@ -85,24 +95,28 @@ class CombinedDataset:
                 f"both samples must be nonempty (n_e={self.n_e}, n_o={self.n_o})"
             )
         e, o = self.is_e, ~self.is_e
-        if np.isfinite(self.y[e]).any():
-            raise SchemaViolationError("y present on an E row")
-        if np.isfinite(self.z[e]).any():
-            raise SchemaViolationError("z present on an E row")
-        if np.isfinite(self.a[o]).any():
-            raise SchemaViolationError("a present on an O row")
-        if not np.isfinite(self.y[o]).all():
-            raise SchemaViolationError("y missing on an O row")
-        if not np.isfinite(self.z[o]).all():
-            raise SchemaViolationError("z missing on an O row")
-        if not np.isfinite(self.a[e]).all():
-            raise SchemaViolationError("a missing on an E row")
+        ez, oz = e[:, None], o[:, None]  # broadcast over the columns of z
+        _reject_first(e & np.isfinite(self.y), SchemaViolationError, "y present on an E row")
+        _reject_first(ez & np.isfinite(self.z), SchemaViolationError, "z present on an E row")
+        _reject_first(o & np.isfinite(self.a), SchemaViolationError, "a present on an O row")
+        _reject_first(o & ~np.isfinite(self.y), SchemaViolationError, "y missing on an O row")
+        _reject_first(oz & ~np.isfinite(self.z), SchemaViolationError, "z missing on an O row")
+        _reject_first(e & ~np.isfinite(self.a), SchemaViolationError, "a missing on an E row")
         for name in ("w", "s", "x"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise SchemaViolationError(f"{name} must be present and finite on every row")
-        a_e = self.a[e]
-        if not np.isin(a_e, (0.0, 1.0)).all():
-            raise ValidationError("treatment must be binary 0/1")
+            _reject_first(
+                ~np.isfinite(getattr(self, name)), SchemaViolationError,
+                f"{name} must be present and finite on every row",
+            )
+        _reject_first(
+            e & ~np.isin(self.a, (0.0, 1.0)), ValidationError, "treatment must be binary 0/1"
+        )
+
+
+def _reject_first(bad: np.ndarray, error: type[ValidationError], message: str) -> None:
+    """Raise ``error`` naming the first 1-based data row where a cell of ``bad`` is set."""
+    rows = np.nonzero(bad)[0]  # row indices in row-major order, so rows[0] is the first
+    if rows.size:
+        raise error(f"row {rows[0] + 1}: {message}")
 
 
 # Roles observable per sample label (Table-1 masking pattern).
@@ -180,10 +194,11 @@ class FullyObservedSample:
         if a.shape[0] != n:
             raise ValidationError("column lengths disagree")
         for name, arr in (("y", y), ("a", a), ("s", s), ("x", x), ("w", w), ("z", z)):
-            if not np.isfinite(arr).all():
-                raise ValidationError(f"{name} must be finite everywhere in an unmasked sample")
-        if not np.isin(a, (0.0, 1.0)).all():
-            raise ValidationError("treatment must be binary 0/1")
+            _reject_first(
+                ~np.isfinite(arr), ValidationError,
+                f"{name} must be finite everywhere in an unmasked sample",
+            )
+        _reject_first(~np.isin(a, (0.0, 1.0)), ValidationError, "treatment must be binary 0/1")
         return cls(y=y, a=a, s=s, x=x, w=w, z=z)
 
 
@@ -217,8 +232,7 @@ class CsvSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CsvSchema":
-        known = {"y", "a", "g", "w", "z", "s", "x", "e_label", "o_label"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown schema keys: {sorted(unknown)}")
         kw = dict(d)
@@ -272,9 +286,77 @@ def _parse_cell(raw: str, row_idx: int, col: str) -> float:
         value = float(text)
     except ValueError:
         raise ParseError(row_idx, f"column {col!r}: cannot parse {raw!r} as a number")
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ParseError(row_idx, f"column {col!r}: non-finite value {raw!r}")
     return value
+
+
+def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[str, np.ndarray]:
+    """Stream a CSV once into one array per role (plus ``is_e`` with g)."""
+    path = Path(path)
+    try:
+        fh = path.open(newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}")
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file")
+        cols = _resolve_columns(schema, header, with_g=with_g)
+        # Cells are parsed in role order, so the first bad cell of a row
+        # is the one reported.
+        numeric = [(header.index(c), c) for role in _ROLES for c in cols[role]]
+        g_pos = header.index(schema.g) if with_g else None
+        values, is_e = array("d"), bytearray()
+        for row_idx, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
+            if with_g:
+                label = row[g_pos].strip()
+                if label not in (schema.e_label, schema.o_label):
+                    raise SchemaViolationError(
+                        f"row {row_idx}: sample label {label!r} is neither "
+                        f"{schema.e_label!r} nor {schema.o_label!r}"
+                    )
+                is_e.append(label == schema.e_label)
+            values.extend([_parse_cell(row[i], row_idx, c) for i, c in numeric])
+    if not values:
+        raise ValidationError(f"{path}: no data rows")
+    table = np.frombuffer(values, dtype=float).reshape(-1, len(numeric))
+    out, lo = {}, 0
+    for role in _ROLES:
+        hi = lo + len(cols[role])
+        out[role] = np.ascontiguousarray(table[:, lo:hi])
+        lo = hi
+    if with_g:
+        out["is_e"] = np.frombuffer(is_e, dtype=bool)
+    return out
+
+
+def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> None:
+    """Write the six roles of ``data`` (and its g labels) as one CSV."""
+    header, columns = [], []
+    for role in _ROLES:
+        arr = getattr(data, role)
+        if arr.ndim == 1:
+            header.append(getattr(schema, role))
+            columns.append(map(_fmt, arr))
+        else:
+            header += _column_names(getattr(schema, role), arr.shape[1])
+            columns += [map(_fmt, arr[:, j]) for j in range(arr.shape[1])]
+        if role == "a" and with_g:
+            header.append(schema.g)
+            columns.append(schema.e_label if e else schema.o_label for e in data.is_e)
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+def _fmt(value: float) -> str:
+    return repr(float(value)) if math.isfinite(value) else MISSING_TOKEN
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> CombinedDataset:
@@ -284,144 +366,22 @@ def load_csv(path: str | Path, schema: CsvSchema) -> CombinedDataset:
     fields must be "NA" or empty; any other missingness pattern is a
     schema violation carrying the row index.
     """
-    path = Path(path)
-    try:
-        fh = path.open(newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}")
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        cols = _resolve_columns(schema, header, with_g=True)
-        pos = {c: header.index(c) for cs in cols.values() for c in cs}
-
-        rows: dict[str, list] = {r: [] for r in ("y", "a", "g", "w", "z", "s", "x")}
-        for row_idx, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
-            g_raw = row[pos[cols["g"][0]]].strip()
-            if g_raw == schema.e_label:
-                is_e = True
-            elif g_raw == schema.o_label:
-                is_e = False
-            else:
-                raise SchemaViolationError(
-                    f"row {row_idx}: sample label {g_raw!r} is neither "
-                    f"{schema.e_label!r} nor {schema.o_label!r}"
-                )
-            rows["g"].append(is_e)
-            for role in ("y", "a"):
-                c = cols[role][0]
-                rows[role].append(_parse_cell(row[pos[c]], row_idx, c))
-            for role in ("w", "z", "s", "x"):
-                vec = [_parse_cell(row[pos[c]], row_idx, c) for c in cols[role]]
-                rows[role].append(vec)
-
-    if not rows["g"]:
-        raise ValidationError(f"{path}: no data rows")
-    n = len(rows["g"])
-    return CombinedDataset.from_arrays(
-        y=np.array(rows["y"]),
-        w=np.array(rows["w"], dtype=float).reshape(n, len(cols["w"])),
-        z=np.array(rows["z"], dtype=float).reshape(n, len(cols["z"])),
-        s=np.array(rows["s"], dtype=float).reshape(n, len(cols["s"])),
-        a=np.array(rows["a"]),
-        x=np.array(rows["x"], dtype=float).reshape(n, len(cols["x"])),
-        is_e=np.array(rows["g"]),
-    )
-
-
-def _fmt(value: float) -> str:
-    return MISSING_TOKEN if not np.isfinite(value) else repr(float(value))
-
-
-def write_csv(data: CombinedDataset, path: str | Path, schema: CsvSchema) -> None:
-    """Write a dataset in the load_csv format (absent fields as NA)."""
-    path = Path(path)
-    names = {
-        "y": [schema.y],
-        "a": [schema.a],
-        "w": _column_names(schema.w, data.dims.w),
-        "z": _column_names(schema.z, data.dims.z),
-        "s": _column_names(schema.s, data.dims.s),
-        "x": _column_names(schema.x, data.dims.x),
-    }
-    header = names["y"] + names["a"] + [schema.g] + names["w"] + names["z"] + names["s"] + names["x"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(data.n):
-            label = schema.e_label if data.is_e[i] else schema.o_label
-            row = [_fmt(data.y[i]), _fmt(data.a[i]), label]
-            row += [_fmt(v) for v in data.w[i]]
-            row += [_fmt(v) for v in data.z[i]]
-            row += [_fmt(v) for v in data.s[i]]
-            row += [_fmt(v) for v in data.x[i]]
-            writer.writerow(row)
-
-
-def write_unmasked_csv(sample: FullyObservedSample, path: str | Path, schema: CsvSchema) -> None:
-    """Write a fully observed experimental sample (no g column)."""
-    path = Path(path)
-    names = {
-        "w": _column_names(schema.w, sample.w.shape[1]),
-        "z": _column_names(schema.z, sample.z.shape[1]),
-        "s": _column_names(schema.s, sample.s.shape[1]),
-        "x": _column_names(schema.x, sample.x.shape[1]),
-    }
-    header = [schema.y, schema.a] + names["w"] + names["z"] + names["s"] + names["x"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(sample.n):
-            row = [_fmt(sample.y[i]), _fmt(sample.a[i])]
-            row += [_fmt(v) for v in sample.w[i]]
-            row += [_fmt(v) for v in sample.z[i]]
-            row += [_fmt(v) for v in sample.s[i]]
-            row += [_fmt(v) for v in sample.x[i]]
-            writer.writerow(row)
+    return CombinedDataset.from_arrays(**_read_table(path, schema, with_g=True))
 
 
 def load_unmasked_csv(path: str | Path, schema: CsvSchema) -> FullyObservedSample:
     """Read a fully observed experimental CSV (all roles present, no g)."""
-    path = Path(path)
-    try:
-        fh = path.open(newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}")
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        cols = _resolve_columns(schema, header, with_g=False)
-        pos = {c: header.index(c) for cs in cols.values() for c in cs}
-        rows: dict[str, list] = {r: [] for r in ("y", "a", "w", "z", "s", "x")}
-        for row_idx, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
-            for role in ("y", "a"):
-                c = cols[role][0]
-                rows[role].append(_parse_cell(row[pos[c]], row_idx, c))
-            for role in ("w", "z", "s", "x"):
-                rows[role].append([_parse_cell(row[pos[c]], row_idx, c) for c in cols[role]])
-    if not rows["y"]:
-        raise ValidationError(f"{path}: no data rows")
-    n = len(rows["y"])
-    return FullyObservedSample.from_arrays(
-        y=np.array(rows["y"]),
-        a=np.array(rows["a"]),
-        s=np.array(rows["s"], dtype=float).reshape(n, len(cols["s"])),
-        x=np.array(rows["x"], dtype=float).reshape(n, len(cols["x"])),
-        w=np.array(rows["w"], dtype=float).reshape(n, len(cols["w"])),
-        z=np.array(rows["z"], dtype=float).reshape(n, len(cols["z"])),
-    )
+    return FullyObservedSample.from_arrays(**_read_table(path, schema, with_g=False))
+
+
+def write_csv(data: CombinedDataset, path: str | Path, schema: CsvSchema) -> None:
+    """Write a dataset in the load_csv format (absent fields as NA)."""
+    _write_table(data, path, schema, with_g=True)
+
+
+def write_unmasked_csv(sample: FullyObservedSample, path: str | Path, schema: CsvSchema) -> None:
+    """Write a fully observed experimental sample (no g column)."""
+    _write_table(sample, path, schema, with_g=False)
 
 
 def _column_names(decl: tuple[str, ...] | str, dim: int) -> list[str]:

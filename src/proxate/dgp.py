@@ -19,7 +19,7 @@ Philox stream, so one seed pins the whole dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,33 +89,9 @@ class DGPConfig:
                 "alpha_w must be nonzero when gamma_u is nonzero (no bridge exists otherwise)"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_a": self.beta_a.tolist(),
-            "beta_u": self.beta_u.tolist(),
-            "beta_x": self.beta_x.tolist(),
-            "gamma_s": self.gamma_s.tolist(),
-            "gamma_u": self.gamma_u,
-            "gamma_x": self.gamma_x.tolist(),
-            "alpha_w": self.alpha_w,
-            "alpha_z": self.alpha_z,
-            "dim_x": self.dim_x,
-            "noise_sd_s": self.noise_sd_s,
-            "noise_sd_y": self.noise_sd_y,
-            "noise_sd_w": self.noise_sd_w,
-            "noise_sd_z": self.noise_sd_z,
-            "p_treat": self.p_treat,
-            "confound_treatment_in_O": self.confound_treatment_in_O,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "DGPConfig":
-        known = {
-            "beta_a", "beta_u", "beta_x", "gamma_s", "gamma_u", "gamma_x",
-            "alpha_w", "alpha_z", "dim_x", "noise_sd_s", "noise_sd_y",
-            "noise_sd_w", "noise_sd_z", "p_treat", "confound_treatment_in_O",
-        }
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown dgp keys: {sorted(unknown)}")
         return cls(**d)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,15 @@ NA,0,E,0.2,NA,1.5,2.5,0.4
 3.0,NA,O,0.3,0.9,1.1,2.1,0.5
 4.0,NA,O,0.4,1.0,1.2,2.2,0.6
 """
+
+UNMASKED = """y,a,w1,z1,s1,s2,x1
+1.0,1,0.1,0.5,1.0,2.0,0.3
+2.0,0,0.2,0.6,1.5,2.5,0.4
+3.0,1,0.3,0.9,1.1,2.1,0.5
+4.0,0,0.4,1.0,1.2,2.2,0.6
+"""
+
+READERS = {"masked": (px.load_csv, MINIMAL), "unmasked": (px.load_unmasked_csv, UNMASKED)}
 
 
 def test_load_minimal(tmp_path):
@@ -72,6 +83,54 @@ def test_malformed_cell_carries_row_index(tmp_path):
     with pytest.raises(ParseError) as err:
         px.load_csv(_write(tmp_path, text), SCHEMA)
     assert err.value.row == 2
+
+
+def _third_row_ragged(text):
+    lines = text.splitlines(keepends=True)
+    lines[3] = lines[3].rstrip("\n") + ",9\n"
+    return "".join(lines)
+
+
+MALFORMED = {
+    "ragged": (_third_row_ragged, ParseError, 3, "expected {width} cells, got {extra}"),
+    "bad_cell": (lambda t: t.replace("0.2,", "oops,", 1), ParseError, 2,
+                 "column 'w1': cannot parse 'oops' as a number"),
+    "trailing_blank": (lambda t: t + "\n", ParseError, 5, "expected {width} cells, got 0"),
+    "empty": (lambda t: "", ValidationError, None, "empty file"),
+    "header_only": (lambda t: t.splitlines(keepends=True)[0], ValidationError, None, "no data rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_malformed_file_rejected(tmp_path, reader, case):
+    load, text = READERS[reader]
+    edit, error, row, fragment = MALFORMED[case]
+    width = text.splitlines()[0].count(",") + 1
+    fragment = fragment.format(width=width, extra=width + 1)
+    with pytest.raises(error) as err:
+        load(_write(tmp_path, edit(text)), SCHEMA)
+    assert type(err.value) is error
+    message = str(err.value)
+    if row is None:  # whole-file errors carry no row
+        assert not message.startswith("row") and message.endswith(fragment)
+    else:
+        assert err.value.row == row and message == f"row {row}: {fragment}"
+
+
+@pytest.mark.parametrize("load,text,error,message", [
+    pytest.param(px.load_csv, MINIMAL.replace("4.0,NA,O", "4.0,1,O"), SchemaViolationError,
+                 "row 4: a present on an O row", id="a_on_o_row"),
+    pytest.param(px.load_csv, MINIMAL.replace("NA,0,E", "NA,2,E"), ValidationError,
+                 "row 2: treatment must be binary 0/1", id="nonbinary_a"),
+    pytest.param(px.load_unmasked_csv, UNMASKED.replace("3.0,1,0.3,0.9", "3.0,1,0.3,NA"),
+                 ValidationError, "row 3: z must be finite everywhere in an unmasked sample",
+                 id="unmasked_na"),
+])
+def test_violation_names_first_offending_row(tmp_path, load, text, error, message):
+    with pytest.raises(error) as err:
+        load(_write(tmp_path, text), SCHEMA)
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_unknown_sample_label_rejected(tmp_path):
@@ -160,8 +219,39 @@ def test_round_trip_random(tmp_path_factory, n_e, n_o, seed):
     path = tmp_path_factory.mktemp("rt") / "d.csv"
     px.write_csv(data, path, SCHEMA)
     back = px.load_csv(path, SCHEMA)
+    np.testing.assert_array_equal(back.is_e, data.is_e)
     for name in ("y", "a", "w", "z", "s", "x"):
         np.testing.assert_array_equal(getattr(back, name), getattr(data, name))
+
+    full = px.FullyObservedSample.from_arrays(
+        y=rng.normal(size=n),
+        a=(rng.random(n) < 0.5).astype(float),
+        s=rng.normal(size=(n, 2)),
+        x=rng.normal(size=(n, 1)),
+        w=rng.normal(size=(n, 1)),
+        z=rng.normal(size=(n, 1)),
+    )
+    px.write_unmasked_csv(full, path, SCHEMA)
+    back_full = px.load_unmasked_csv(path, SCHEMA)
+    for name in ("y", "a", "w", "z", "s", "x"):
+        np.testing.assert_array_equal(getattr(back_full, name), getattr(full, name))
+
+
+# sha256 of both files for fixed draws. Round trips compare values only;
+# these pin the bytes users get (number format, column order, NA, line ends).
+GOLDEN_SHA256 = {
+    "masked": "c393ae9d6d30b79fa5e1b6df1cb862d62f0eaa3cc6a2b30e2b7ebdcacc709e8d",
+    "unmasked": "e7fb98bf7e74c986994930ee44f235b7fadbdbcb8dd7f3bdede00dcf499f34cd",
+}
+
+
+def test_written_bytes_golden(tmp_path, confounded_cfg):
+    data, _ = px.generate(confounded_cfg, 20, 0.5, seed=3)
+    px.write_csv(data, tmp_path / "masked.csv", px.CsvSchema())
+    full = px.generate_full(confounded_cfg, 20, seed=3)
+    px.write_unmasked_csv(full, tmp_path / "unmasked.csv", px.CsvSchema())
+    for name, digest in GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == digest
 
 
 def test_split_by_sample(small_data):
