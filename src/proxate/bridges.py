@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FittedBasis, fit_basis
+from .basis import FittedBasis
 from .errors import (
     SingularSystemError,
     UnderIdentifiedError,
@@ -114,7 +114,7 @@ def _orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
 
 def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
                  context: str) -> np.ndarray:
-    """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq."""
+    """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq, per target column."""
     p = design.shape[1]
     if penalty < 0:
         raise ValidationError("ridge penalty must be >= 0")
@@ -129,7 +129,7 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
         coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
         return coef
     aug = np.vstack([design, np.sqrt(penalty) * np.eye(p)])
-    tgt = np.concatenate([target, np.zeros(p)])
+    tgt = np.concatenate([target, np.zeros((p,) + target.shape[1:])])
     coef, _, _, _ = np.linalg.lstsq(aug, tgt, rcond=None)
     return coef
 
@@ -151,25 +151,23 @@ def _warn_if_ill_conditioned(cond: float, context: str) -> None:
 
 
 def solve_outcome_bridge(
-    o_view,
-    psi: BasisSpec,
-    b: BasisSpec,
+    basis: FittedBasis,
+    feats: np.ndarray,
+    instruments: np.ndarray,
+    y: np.ndarray,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[BridgeFunction, MomentDiagnostics]:
-    """Solve the outcome-bridge moment system on an observational view.
+    """Solve the outcome-bridge moment system on observational rows.
 
-    Minimum-distance form: with P_B the projection onto the instrument
-    columns, a_hat = (Psi' P_B Psi + n*ridge*I)^-1 Psi' P_B y, which
-    collapses to OLS of y on psi when b spans the same functions.
+    ``feats`` and ``instruments`` are the psi (``basis``) and b designs
+    of the rows with outcomes ``y``. Minimum-distance form: with P_B the
+    projection onto the instrument columns, a_hat = (Psi' P_B Psi +
+    n*ridge*I)^-1 Psi' P_B y, which collapses to OLS of y on psi when b
+    spans the same functions.
     """
-    if o_view.n == 0:
-        raise ValidationError("observational view is empty")
-    psi_fb = fit_basis(psi, o_view)
-    b_fb = fit_basis(b, o_view)
-    feats = psi_fb.transform(o_view)
-    instruments = b_fb.transform(o_view)
-    y = o_view.y
     n, p = feats.shape
+    if n == 0:
+        raise ValidationError("outcome bridge: no observational rows")
     m = instruments.shape[1]
     if m < p:
         raise UnderIdentifiedError(
@@ -193,64 +191,60 @@ def solve_outcome_bridge(
         n_params=p,
         label="h",
     )
-    bf = BridgeFunction(kind="outcome", basis=psi_fb, coeffs=coeffs, ridge=ridge)
+    bf = BridgeFunction(kind="outcome", basis=basis, coeffs=coeffs, ridge=ridge)
     return bf, diag
 
 
 def solve_surrogate_bridge(
-    o_view,
-    e_view,
-    a: int,
-    phi: BasisSpec,
-    g: BasisSpec,
-    propensity,
+    basis: FittedBasis,
+    feats_o: np.ndarray,
+    g_o: np.ndarray,
+    g_e: np.ndarray,
+    a_e: np.ndarray,
+    e_hat: np.ndarray,
+    n_clipped: int,
     ridge: float = DEFAULT_RIDGE,
-) -> tuple[BridgeFunction, MomentDiagnostics]:
-    """Solve the arm-``a`` surrogate-bridge moment system.
+) -> tuple[tuple[BridgeFunction, MomentDiagnostics], tuple[BridgeFunction, MomentDiagnostics]]:
+    """Solve both arms' systems as one, with a right-hand column per arm.
 
-    The test-function basis g is fitted (standardization included) on
-    the observational view and evaluated as the same function on both
-    samples. Propensity evaluations outside the clip range are clipped
-    and counted in the diagnostics.
+    ``feats_o`` is the phi (``basis``) design on O rows; ``g_o`` and
+    ``g_e`` are the test functions on O and E rows; ``a_e``, ``e_hat``
+    and ``n_clipped`` are the E treatments, their clipped propensities
+    and the clip count. Returns ``(q0, diag0), (q1, diag1)``.
     """
-    if a not in (0, 1):
-        raise ValidationError("treatment arm must be 0 or 1")
-    if o_view.n == 0 or e_view.n == 0:
-        raise ValidationError("both views must be nonempty")
-    phi_fb = fit_basis(phi, o_view)
-    g_fb = fit_basis(g, o_view)
-    feats_o = phi_fb.transform(o_view)
-    g_o = g_fb.transform(o_view)
-    g_e = g_fb.transform(e_view)
     n_o, p = feats_o.shape
+    n_e = g_e.shape[0]
+    if n_o == 0 or n_e == 0:
+        raise ValidationError("surrogate bridge: both samples must be nonempty")
     m = g_o.shape[1]
     if m < p:
         raise UnderIdentifiedError(
             f"surrogate bridge: {m} test functions < {p} parameters; enrich g"
         )
-    e_hat, n_clipped = propensity.evaluate_counting(e_view)
-    e_arm = e_hat if a == 1 else 1.0 - e_hat
-    indicator = (e_view.a == a).astype(float)
-    rhs = g_e.T @ (indicator / e_arm) / e_view.n
+    # One matrix-vector product per arm: one product over both columns rounds differently.
+    e_arm = (1.0 - e_hat, e_hat)
+    rhs = [g_e.T @ ((a_e == a).astype(float) / e_arm[a]) / n_e for a in (0, 1)]
     lhs = g_o.T @ feats_o / n_o
-    coeffs = _ridge_solve(lhs, rhs, ridge, "surrogate bridge")
+    coeffs = _ridge_solve(lhs, np.column_stack(rhs), ridge, "surrogate bridge")
 
-    fitted = feats_o @ coeffs
-    if not np.isfinite(fitted).all():
+    if not np.isfinite(feats_o @ coeffs).all():
         raise SingularSystemError("surrogate bridge: non-finite fit on training records")
-    moments = lhs @ coeffs - rhs
     cond = _gram_condition(lhs)
     _warn_if_ill_conditioned(cond, "surrogate bridge")
-    diag = MomentDiagnostics(
-        max_abs_moment=float(np.max(np.abs(moments))),
-        gram_condition=cond,
-        n_instruments=m,
-        n_params=p,
-        n_clipped=n_clipped,
-        label=f"q{a}",
-    )
-    bf = BridgeFunction(kind="surrogate", basis=phi_fb, coeffs=coeffs, ridge=ridge, arm=a)
-    return bf, diag
+
+    def arm(a: int) -> tuple[BridgeFunction, MomentDiagnostics]:
+        arm_coeffs = np.ascontiguousarray(coeffs[:, a])
+        diag = MomentDiagnostics(
+            max_abs_moment=float(np.max(np.abs(lhs @ arm_coeffs - rhs[a]))),
+            gram_condition=cond,
+            n_instruments=m,
+            n_params=p,
+            n_clipped=n_clipped,
+            label=f"q{a}",
+        )
+        return BridgeFunction("surrogate", basis, arm_coeffs, ridge, arm=a), diag
+
+    return arm(0), arm(1)
 
 
 def linear_coefficients(bf: BridgeFunction) -> np.ndarray:

@@ -216,8 +216,9 @@ class CsvSchema:
     """Column-role mapping for CSV files.
 
     Multi-column roles take either an explicit tuple of column names or
-    a single string treated as a header-name prefix (expanded in header
-    order), so files stay loadable after column reordering.
+    a single string prefix, which claims only the columns named prefix +
+    ASCII digits (w1, w2, ..., as the writers name them), in header
+    order, so files stay loadable after column reordering.
     """
 
     y: str = "y"
@@ -247,7 +248,8 @@ class CsvSchema:
     def columns_for(self, role: str, header: list[str]) -> list[str]:
         decl = getattr(self, role)
         if isinstance(decl, str):
-            cols = [h for h in header if h.startswith(decl)]
+            rests = [(h, h[len(decl):]) for h in header if h.startswith(decl)]
+            cols = [h for h, rest in rests if rest.isascii() and rest.isdigit()]
             if not cols and role != "x":
                 raise ValidationError(f"no header column matches prefix {decl!r} for role {role!r}")
             return cols
@@ -258,6 +260,9 @@ class CsvSchema:
 
 
 def _resolve_columns(schema: CsvSchema, header: list[str], *, with_g: bool) -> dict[str, list[str]]:
+    if not with_g and schema.g in header:
+        raise ValidationError(f"column {schema.g!r} holds sample labels: this is a combined "
+                              "two-sample CSV, which `estimate` reads, not an unmasked sample")
     scalar_roles = ["y", "a"] + (["g"] if with_g else [])
     out: dict[str, list[str]] = {}
     for role in scalar_roles:

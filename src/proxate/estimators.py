@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .basis import BasisSpec
+from .basis import BasisSpec, fit_basis
 from .bridges import (
     DEFAULT_RIDGE,
     BridgeFunction,
@@ -156,24 +156,43 @@ def fit_fold_nuisances(
     k: int,
     config: EstimatorConfig,
 ) -> NuisanceSet:
-    """Fit every nuisance for fold ``k`` on the fold's complement only."""
+    """Fit every nuisance for fold ``k`` on the fold's complement only.
+
+    The one place that fits bases: each distinct spec is fitted once per
+    training sample (``e_basis`` and ``hbar_basis`` on E, ``psi``, ``b``,
+    ``phi`` and ``g`` on O), so a spec shared by two nuisances is one
+    function and g is the same function on both samples. Each O design
+    and psi on E are built once; q0 and q1 are one solve.
+    """
     if not 0 <= k < folds.k_folds:
         raise ValidationError(f"fold index {k} out of range")
     e_train = SampleView(data, folds.train_indices(data, k, "E"), "E")
     o_train = SampleView(data, folds.train_indices(data, k, "O"), "O")
     if e_train.n == 0 or o_train.n == 0:
         raise ValidationError(f"fold {k}: empty training complement")
+    known = config.known_propensity is not None
+    e_specs = (config.hbar_basis,) if known else (config.e_basis, config.hbar_basis)
+    e_bases = {spec: fit_basis(spec, e_train) for spec in dict.fromkeys(e_specs)}
+    o_specs = (config.psi, config.b, config.phi, config.g)
+    o_bases = {spec: fit_basis(spec, o_train) for spec in dict.fromkeys(o_specs)}
     try:
-        e_model = fit_propensity(
-            e_train, config.e_basis, config.clip_eps, known_rate=config.known_propensity
+        if known:
+            e_model = PropensityModel.known(config.known_propensity, config.clip_eps)
+        else:
+            e_fb = e_bases[config.e_basis]
+            e_model = fit_propensity(e_fb, e_fb.transform(e_train), e_train.a, config.clip_eps)
+        o_designs = {spec: basis.transform(o_train) for spec, basis in o_bases.items()}
+        psi_fb = o_bases[config.psi]
+        h, h_diag = solve_outcome_bridge(
+            psi_fb, o_designs[config.psi], o_designs[config.b], o_train.y, config.ridge_h
         )
-        h, h_diag = solve_outcome_bridge(o_train, config.psi, config.b, config.ridge_h)
-        hbar = fit_hbar(e_train, h, config.hbar_basis)
-        q0, q0_diag = solve_surrogate_bridge(
-            o_train, e_train, 0, config.phi, config.g, e_model, config.ridge_q
-        )
-        q1, q1_diag = solve_surrogate_bridge(
-            o_train, e_train, 1, config.phi, config.g, e_model, config.ridge_q
+        psi_e = psi_fb.transform(e_train)
+        hbar_fb = e_bases[config.hbar_basis]
+        hbar = fit_hbar(hbar_fb, hbar_fb.transform(e_train), e_train.a, psi_e @ h.coeffs)
+        g_e = psi_e if config.g == config.psi else o_bases[config.g].transform(e_train)
+        (q0, q0_diag), (q1, q1_diag) = solve_surrogate_bridge(
+            o_bases[config.phi], o_designs[config.phi], o_designs[config.g], g_e,
+            e_train.a, *e_model.evaluate_counting(e_train), config.ridge_q,
         )
     except DegenerateTreatmentError as exc:
         raise DegenerateTreatmentError(f"fold {k}: {exc}") from exc

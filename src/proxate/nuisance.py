@@ -7,12 +7,9 @@ and the fit falls back to a small ridge penalty, flagged on the model.
 Predictions are always clipped into [clip_eps, 1 - clip_eps], the
 overlap guard.
 
-The pseudo-outcome regression evaluates a bridge function on the
-experimental units and regresses it on the covariate basis separately
-per treatment arm, which keeps the two arm curves exactly decoupled.
-
-Randomized designs with a known assignment rate can skip fitting
-entirely via ``known_rate``.
+The pseudo-outcome regression regresses a bridge function's values on
+the experimental units on the covariate basis separately per treatment
+arm, which keeps the two arm curves exactly decoupled.
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, FittedBasis, fit_basis
-from .bridges import BridgeFunction
+from .basis import FittedBasis
 from .errors import DegenerateTreatmentError, NumericalError, ValidationError
 from .stats import ols
 
@@ -118,28 +114,20 @@ def _irls(design: np.ndarray, a: np.ndarray, penalty: float) -> tuple[np.ndarray
     return beta, False
 
 
-def fit_propensity(
-    e_view,
-    basis: BasisSpec,
-    clip_eps: float = DEFAULT_CLIP_EPS,
-    *,
-    known_rate: float | None = None,
-) -> PropensityModel:
-    """Fit the treatment propensity on an experimental view.
-
-    With ``known_rate`` set (a known randomization probability) no
-    fitting happens and the model is the clipped constant.
-    """
-    if known_rate is not None:
-        return PropensityModel.known(known_rate, clip_eps)
-    a = e_view.a
+def _require_both_arms(a: np.ndarray, fit: str) -> None:
     n1 = int(a.sum())
     if n1 == 0 or n1 == a.shape[0]:
-        raise DegenerateTreatmentError(
-            f"propensity fit needs both arms; saw {n1} treated of {a.shape[0]}"
-        )
-    fb = fit_basis(basis, e_view)
-    design = fb.transform(e_view)
+        raise DegenerateTreatmentError(f"{fit} needs both arms; saw {n1} treated of {a.shape[0]}")
+
+
+def fit_propensity(
+    basis: FittedBasis,
+    design: np.ndarray,
+    a: np.ndarray,
+    clip_eps: float = DEFAULT_CLIP_EPS,
+) -> PropensityModel:
+    """Fit the treatment propensity of ``a`` on the ``basis`` design matrix."""
+    _require_both_arms(a, "propensity fit")
     coeffs, converged = _irls(design, a, penalty=0.0)
     ridged = False
     if not converged:
@@ -147,7 +135,7 @@ def fit_propensity(
         ridged = True
         if not converged:
             raise NumericalError("propensity IRLS failed even with ridge fallback")
-    return PropensityModel(basis=fb, coeffs=coeffs, clip_eps=clip_eps, ridged=ridged)
+    return PropensityModel(basis=basis, coeffs=coeffs, clip_eps=clip_eps, ridged=ridged)
 
 
 @dataclass(frozen=True)
@@ -188,18 +176,11 @@ class HBarModel:
         return cls(basis=basis, arm0_coeffs=c0, arm1_coeffs=c1)
 
 
-def fit_hbar(e_view, h: BridgeFunction, basis: BasisSpec) -> HBarModel:
-    """Regress the bridge pseudo-outcome on covariates, one fit per arm."""
-    a = e_view.a
-    n1 = int(a.sum())
-    if n1 == 0 or n1 == a.shape[0]:
-        raise DegenerateTreatmentError(
-            f"pseudo-outcome regression needs both arms; saw {n1} treated of {a.shape[0]}"
-        )
-    pseudo = h.evaluate(e_view)
-    fb = fit_basis(basis, e_view)
-    design = fb.transform(e_view)
+def fit_hbar(basis: FittedBasis, design: np.ndarray, a: np.ndarray,
+             pseudo: np.ndarray) -> HBarModel:
+    """Regress the pseudo-outcome on the ``basis`` design, one fit per arm."""
+    _require_both_arms(a, "pseudo-outcome regression")
     treated = a == 1.0
     c1 = ols(design[treated], pseudo[treated], require_full_rank=False)
     c0 = ols(design[~treated], pseudo[~treated], require_full_rank=False)
-    return HBarModel(basis=fb, arm0_coeffs=c0, arm1_coeffs=c1)
+    return HBarModel(basis=basis, arm0_coeffs=c0, arm1_coeffs=c1)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import proxate as px
+from proxate.basis import fit_basis
 
 
 @pytest.fixture(scope="session")
@@ -52,3 +53,9 @@ def mc200(confounded_cfg) -> px.MCReport:
 def mc_se(stats) -> float:
     """Monte Carlo standard error of a replication mean."""
     return stats.sd / np.sqrt(stats.n_replications)
+
+
+def fit_design(spec, view):
+    """Fit ``spec`` on ``view``; return the fitted basis and its design on ``view``."""
+    fb = fit_basis(spec, view)
+    return fb, fb.transform(view)

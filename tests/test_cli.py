@@ -181,6 +181,12 @@ def test_diagnose(unmasked_csv, tmp_path, capsys):
     assert "OLS" in text and "IV" in text
 
 
+def test_diagnose_combined_file_exit_1(data_csv, capsys):
+    assert run(["diagnose", "--data", str(data_csv)]) == 1
+    err = capsys.readouterr().err
+    assert "column 'g'" in err and "combined two-sample CSV" in err
+
+
 def test_diagnose_weak_instrument_exit_2(tmp_path, confounded_cfg):
     sample = px.generate_full(confounded_cfg, 400, seed=4)
     silent = px.FullyObservedSample.from_arrays(

@@ -172,6 +172,27 @@ def test_custom_labels_and_prefix_roles(tmp_path):
     assert data.n_e == 2 and data.dims.s == 2
 
 
+def test_prefix_claims_only_indexed_columns(tmp_path):
+    # Prefix "s" claims s1, not an unrelated "sex" column.
+    text = "\n".join(
+        [
+            "y,a,g,w1,z1,s1,x1,sex",
+            "NA,1,E,0.1,NA,1.0,0.3,0",
+            "NA,0,E,0.2,NA,1.5,0.4,1",
+            "3.0,NA,O,0.3,0.9,1.1,0.5,1",
+            "4.0,NA,O,0.4,1.0,1.2,0.6,0",
+        ]
+    )
+    data = px.load_csv(_write(tmp_path, text), px.CsvSchema())
+    assert data.dims.s == 1
+    assert data.dims == px.data.RoleDims(w=1, z=1, s=1, x=1)
+
+
+def test_unmasked_reader_rejects_combined_file(tmp_path):
+    with pytest.raises(ValidationError, match="column 'g'.*combined two-sample CSV"):
+        px.load_unmasked_csv(_write(tmp_path, MINIMAL), SCHEMA)
+
+
 def test_column_order_free(tmp_path):
     reordered = "\n".join(
         [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from proxate.bridges import constant_bridge
 from proxate.errors import DegenerateTreatmentError, ValidationError
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import HBarModel, PropensityModel
+
+from conftest import fit_design
 
 CFG = px.EstimatorConfig()
 
@@ -139,6 +142,72 @@ def test_single_arm_complement_raises_with_fold_index():
     assert f"fold {treated_fold}" in str(err.value)
 
 
+# Every nuisance on its own basis: psi != g, b != phi, e_basis != hbar_basis.
+DISTINCT_CFG = px.EstimatorConfig(
+    psi=px.BasisSpec(roles=("w", "s", "x"), standardize=True),
+    b=px.BasisSpec(roles=("z", "s", "x"), degree=2, standardize=True),
+    phi=px.BasisSpec(roles=("z", "s", "x"), standardize=True),
+    g=px.BasisSpec(roles=("w", "s", "x"), degree=2, standardize=True),
+    e_basis=px.BasisSpec(roles=("x",)),
+    hbar_basis=px.BasisSpec(roles=("x",), standardize=True),
+)
+
+
+@pytest.mark.parametrize("cfg, n_fits, max_transforms", [(CFG, 3, 6), (DISTINCT_CFG, 6, 9)])
+def test_fold_fits_each_distinct_basis_once(small_data, monkeypatch, cfg, n_fits,
+                                            max_transforms):
+    data, _ = small_data
+    folds = px.make_folds(data, 3, seed=4)
+    counts = {"fit": 0, "transform": 0}
+    fit_basis, transform = px.basis.fit_basis, px.FittedBasis.transform
+
+    def counting_fit(spec, view):
+        counts["fit"] += 1
+        return fit_basis(spec, view)
+
+    def counting_transform(self, source):
+        counts["transform"] += 1
+        return transform(self, source)
+
+    for module in (px.basis, px.bridges, px.nuisance, px.estimators):
+        if hasattr(module, "fit_basis"):
+            monkeypatch.setattr(module, "fit_basis", counting_fit)
+    monkeypatch.setattr(px.FittedBasis, "transform", counting_transform)
+    px.fit_fold_nuisances(data, folds, 1, cfg)
+    assert counts["fit"] == n_fits
+    assert counts["transform"] <= max_transforms
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG, DISTINCT_CFG, replace(DISTINCT_CFG, known_propensity=0.5, ridge_q=0.0),
+])
+def test_fold_matches_one_basis_fit_per_nuisance(small_data, cfg):
+    # Sharing fits inside the fold never crosses distinct specs: each
+    # nuisance equals the one fitted from its own fit_basis calls.
+    data, _ = small_data
+    folds = px.make_folds(data, 3, seed=4)
+    e = px.SampleView(data, folds.train_indices(data, 1, "E"), "E")
+    o = px.SampleView(data, folds.train_indices(data, 1, "O"), "O")
+    if cfg.known_propensity is None:
+        e_model = px.fit_propensity(*fit_design(cfg.e_basis, e), e.a, cfg.clip_eps)
+    else:
+        e_model = PropensityModel.known(cfg.known_propensity, cfg.clip_eps)
+    h, _ = px.solve_outcome_bridge(*fit_design(cfg.psi, o), fit_design(cfg.b, o)[1], o.y,
+                                   cfg.ridge_h)
+    hbar = px.fit_hbar(*fit_design(cfg.hbar_basis, e), e.a, h.evaluate(e))
+    g_fb, g_o = fit_design(cfg.g, o)
+    (q0, _), (q1, _) = px.solve_surrogate_bridge(
+        *fit_design(cfg.phi, o), g_o, g_fb.transform(e), e.a, *e_model.evaluate_counting(e),
+        cfg.ridge_q,
+    )
+    nus = px.fit_fold_nuisances(data, folds, 1, cfg)
+    assert nus.e.to_dict() == e_model.to_dict()
+    assert nus.h.to_dict() == h.to_dict()
+    assert nus.hbar.to_dict() == hbar.to_dict()
+    assert nus.q0.to_dict() == q0.to_dict()
+    assert nus.q1.to_dict() == q1.to_dict()
+
+
 # ------------------------------------------------- estimator reductions
 
 
@@ -161,11 +230,12 @@ def test_ob_or_zero_when_h_constant(small_data):
     folds = px.make_folds(data, 2, seed=5)
     nus = fit_all_nuisances(data, folds, CFG)
 
+    e_view = px.SampleView(data, np.flatnonzero(data.is_e), "E")
+
     def refit_hbar(n):
         return px.fit_hbar(
-            px.SampleView(data, np.flatnonzero(data.is_e), "E"),
-            constant_bridge(n.h, 7.0),
-            CFG.hbar_basis,
+            *fit_design(CFG.hbar_basis, e_view), e_view.a,
+            constant_bridge(n.h, 7.0).evaluate(e_view),
         )
 
     transform = _force(h=lambda n: constant_bridge(n.h, 7.0), hbar=refit_hbar)
@@ -268,18 +338,22 @@ def test_mr_reduces_to_sb_when_h_and_hbar_zero(small_data):
     assert reps["MR"].tau_hat == reps["SB"].tau_hat
 
 
-def test_fold_label_permutation_bit_identical(small_data):
+@settings(max_examples=10, deadline=None)
+@given(draw=st.data(), k=st.integers(min_value=2, max_value=5),
+       seed=st.integers(min_value=0, max_value=999))
+def test_fold_label_permutation_bit_identical(small_data, draw, k, seed):
     data, _ = small_data
-    folds = px.make_folds(data, 4, seed=13)
-    perm = np.array([2, 0, 3, 1])
+    folds = px.make_folds(data, k, seed=seed)
+    perm = np.array(draw.draw(st.permutations(range(k))))
     permuted = px.FoldAssignment(
-        k_folds=4, fold_of=perm[folds.fold_of], seed=folds.seed
+        k_folds=k, fold_of=perm[folds.fold_of], seed=folds.seed
     )
     r1 = px.estimate_all(data, folds, CFG)
     r2 = px.estimate_all(data, permuted, CFG)
     for name in r1:
         assert r1[name].tau_hat == r2[name].tau_hat
     assert r1["MR"].variance_hat == r2["MR"].variance_hat
+    assert r1["MR"].ci == r2["MR"].ci
 
 
 def test_record_order_invariance(small_data):

@@ -8,6 +8,8 @@ from proxate.basis import BasisSpec, fit_basis
 from proxate.bridges import constant_bridge
 from proxate.errors import DegenerateTreatmentError, ValidationError
 
+from conftest import fit_design
+
 XB = BasisSpec(roles=("x",))
 
 
@@ -36,7 +38,7 @@ def test_mean_prediction_matches_treated_share():
     # The intercept score equation pins the average prediction to the share.
     a = np.concatenate([np.ones(40), np.zeros(60)])
     view = _e_view_with_a(a)
-    model = px.fit_propensity(view, XB, clip_eps=0.01)
+    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.01)
     assert model.evaluate(view).mean() == pytest.approx(0.4, abs=1e-6)
 
 
@@ -56,23 +58,22 @@ def test_intercept_only_exact_share():
         is_e=is_e,
     )
     view = px.split_by_sample(data)[0]
-    model = px.fit_propensity(view, XB, clip_eps=0.01)
+    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.01)
     np.testing.assert_allclose(model.evaluate(view), 0.4, atol=1e-8)
 
 
 def test_randomized_design_flat_propensity(confounded_cfg):
     data, _ = px.generate(confounded_cfg, 2 * 10**4, 0.5, seed=77)
     e_view = px.split_by_sample(data)[0]
-    model = px.fit_propensity(e_view, XB, clip_eps=0.01)
+    model = px.fit_propensity(*fit_design(XB, e_view), e_view.a, clip_eps=0.01)
     assert np.abs(model.evaluate(e_view) - 0.5).max() < 0.05
     assert not model.ridged
 
 
 def test_single_arm_errors():
-    with pytest.raises(DegenerateTreatmentError):
-        px.fit_propensity(_e_view_with_a(np.ones(30)), XB)
-    with pytest.raises(DegenerateTreatmentError):
-        px.fit_propensity(_e_view_with_a(np.zeros(30)), XB)
+    for view in (_e_view_with_a(np.ones(30)), _e_view_with_a(np.zeros(30))):
+        with pytest.raises(DegenerateTreatmentError):
+            px.fit_propensity(*fit_design(XB, view), view.a)
 
 
 def test_score_equation_at_convergence():
@@ -82,7 +83,7 @@ def test_score_equation_at_convergence():
     p = 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * x)))
     a = (rng.random(n) < p).astype(float)
     view = _e_view_with_a(a, x_values=np.concatenate([x, rng.normal(size=4)]), seed=10)
-    model = px.fit_propensity(view, XB, clip_eps=0.001)
+    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.001)
     design = model.basis.transform(view)
     raw = model._raw(view)
     score = design.T @ (view.a - raw)
@@ -103,7 +104,7 @@ def test_separation_falls_back_to_ridge():
     x = np.concatenate([np.full(20, -2.0), np.full(20, 2.0), np.zeros(4)])
     a = np.concatenate([np.zeros(20), np.ones(20)])
     view = _e_view_with_a(a, x_values=x, seed=4)
-    model = px.fit_propensity(view, XB, clip_eps=0.01)
+    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.01)
     assert model.ridged
     vals = model.evaluate(view)
     assert np.all((vals >= 0.01) & (vals <= 0.99))
@@ -112,7 +113,7 @@ def test_separation_falls_back_to_ridge():
 def test_eval_propensity_record(small_data):
     data, _ = small_data
     e_view = px.split_by_sample(data)[0]
-    model = px.fit_propensity(e_view, XB, clip_eps=0.01)
+    model = px.fit_propensity(*fit_design(XB, e_view), e_view.a, clip_eps=0.01)
     one = px.SampleView(data, e_view.indices[:1], "E")
     assert model.evaluate(one)[0] == pytest.approx(model.evaluate(e_view)[0])
     const = px.PropensityModel.known(0.5)
@@ -141,9 +142,9 @@ def _h_and_view(small_data):
     data, _ = small_data
     e_view, o_view = px.split_by_sample(data)
     h, _ = px.solve_outcome_bridge(
-        o_view,
-        BasisSpec(roles=("w", "s", "x"), standardize=True),
-        BasisSpec(roles=("z", "s", "x"), standardize=True),
+        *fit_design(BasisSpec(roles=("w", "s", "x"), standardize=True), o_view),
+        fit_design(BasisSpec(roles=("z", "s", "x"), standardize=True), o_view)[1],
+        o_view.y,
         ridge=1e-6,
     )
     return h, e_view
@@ -152,7 +153,7 @@ def _h_and_view(small_data):
 def test_hbar_of_constant_is_constant(small_data):
     h, e_view = _h_and_view(small_data)
     const = constant_bridge(h, 4.25)
-    model = px.fit_hbar(e_view, const, XB)
+    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, const.evaluate(e_view))
     np.testing.assert_allclose(model.evaluate(1, e_view), 4.25, atol=1e-8)
     np.testing.assert_allclose(model.evaluate(0, e_view), 4.25, atol=1e-8)
 
@@ -165,9 +166,9 @@ def test_hbar_linearity(small_data):
         coeffs=2.0 * h.coeffs + 3.0 * constant_bridge(h, 1.0).coeffs,
         ridge=h.ridge,
     )
-    m1 = px.fit_hbar(e_view, h, XB)
-    m2 = px.fit_hbar(e_view, h2, XB)
-    mc = px.fit_hbar(e_view, combo, XB)
+    m1 = px.fit_hbar(*fit_design(XB, e_view), e_view.a, h.evaluate(e_view))
+    m2 = px.fit_hbar(*fit_design(XB, e_view), e_view.a, h2.evaluate(e_view))
+    mc = px.fit_hbar(*fit_design(XB, e_view), e_view.a, combo.evaluate(e_view))
     np.testing.assert_allclose(
         mc.arm1_coeffs, 2.0 * m1.arm1_coeffs + 3.0 * m2.arm1_coeffs, atol=1e-8
     )
@@ -180,7 +181,7 @@ def test_hbar_single_arm_errors(small_data):
     h, _ = _h_and_view(small_data)
     view = _e_view_with_a(np.ones(30))
     with pytest.raises(DegenerateTreatmentError):
-        px.fit_hbar(view, constant_bridge(h, 1.0), XB)
+        px.fit_hbar(*fit_design(XB, view), view.a, constant_bridge(h, 1.0).evaluate(view))
 
 
 def test_hbar_contrast_recovers_effect_without_covariates():
@@ -194,8 +195,9 @@ def test_hbar_contrast_recovers_effect_without_covariates():
     e_view, o_view = px.split_by_sample(data)
     psi = BasisSpec(roles=("w", "s"), standardize=True)
     b = BasisSpec(roles=("z", "s"), standardize=True)
-    h, _ = px.solve_outcome_bridge(o_view, psi, b, ridge=1e-6)
-    model = px.fit_hbar(e_view, h, XB)
+    h, _ = px.solve_outcome_bridge(*fit_design(psi, o_view), fit_design(b, o_view)[1], o_view.y,
+                                   ridge=1e-6)
+    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, h.evaluate(e_view))
     contrast = model.evaluate(1, e_view) - model.evaluate(0, e_view)
     # MC standard error of the contrast mean at n_e ~ 1e4.
     se = (h.evaluate(e_view).std() / np.sqrt(e_view.n)) * 2.0
@@ -204,7 +206,7 @@ def test_hbar_contrast_recovers_effect_without_covariates():
 
 def test_eval_hbar_record(small_data):
     h, e_view = _h_and_view(small_data)
-    model = px.fit_hbar(e_view, h, XB)
+    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, h.evaluate(e_view))
     one = px.SampleView(e_view.data, e_view.indices[2:3], "E")
     assert model.evaluate(1, one)[0] == pytest.approx(model.evaluate(1, e_view)[2])
     assert model.evaluate(0, one)[0] == pytest.approx(model.evaluate(0, e_view)[2])
@@ -212,9 +214,9 @@ def test_eval_hbar_record(small_data):
 
 def test_hbar_serialization(small_data):
     h, e_view = _h_and_view(small_data)
-    model = px.fit_hbar(e_view, h, XB)
+    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, h.evaluate(e_view))
     back = px.HBarModel.from_dict(model.to_dict())
     np.testing.assert_array_equal(back.evaluate(1, e_view), model.evaluate(1, e_view))
-    pm = px.fit_propensity(e_view, XB)
+    pm = px.fit_propensity(*fit_design(XB, e_view), e_view.a)
     back_pm = px.PropensityModel.from_dict(pm.to_dict())
     np.testing.assert_array_equal(back_pm.evaluate(e_view), pm.evaluate(e_view))
