@@ -184,15 +184,9 @@ def solve_outcome_bridge(
     moments = instruments.T @ (y - fitted) / n
     cond = _gram_condition(proj_feats)
     _warn_if_ill_conditioned(cond, "outcome bridge")
-    diag = MomentDiagnostics(
-        max_abs_moment=float(np.max(np.abs(moments))),
-        gram_condition=cond,
-        n_instruments=m,
-        n_params=p,
-        label="h",
-    )
-    bf = BridgeFunction(kind="outcome", basis=basis, coeffs=coeffs, ridge=ridge)
-    return bf, diag
+    diag = MomentDiagnostics(max_abs_moment=float(np.max(np.abs(moments))), gram_condition=cond,
+                             n_instruments=m, n_params=p, label="h")
+    return BridgeFunction("outcome", basis, coeffs, ridge), diag
 
 
 def solve_surrogate_bridge(
@@ -218,9 +212,8 @@ def solve_surrogate_bridge(
         raise ValidationError("surrogate bridge: both samples must be nonempty")
     m = g_o.shape[1]
     if m < p:
-        raise UnderIdentifiedError(
-            f"surrogate bridge: {m} test functions < {p} parameters; enrich g"
-        )
+        raise UnderIdentifiedError(f"surrogate bridge: {m} test functions < {p} parameters; "
+                                   "enrich g")
     # One matrix-vector product per arm: one product over both columns rounds differently.
     e_arm = (1.0 - e_hat, e_hat)
     rhs = [g_e.T @ ((a_e == a).astype(float) / e_arm[a]) / n_e for a in (0, 1)]
@@ -272,6 +265,4 @@ def constant_bridge(like: BridgeFunction, value: float) -> BridgeFunction:
         raise ValidationError("constant bridge needs an intercept in the basis")
     coeffs = np.zeros(like.basis.out_dim)
     coeffs[0] = value
-    return BridgeFunction(
-        kind=like.kind, basis=like.basis, coeffs=coeffs, ridge=like.ridge, arm=like.arm
-    )
+    return BridgeFunction(like.kind, like.basis, coeffs, like.ridge, arm=like.arm)

@@ -216,9 +216,10 @@ class CsvSchema:
     """Column-role mapping for CSV files.
 
     Multi-column roles take either an explicit tuple of column names or
-    a single string prefix, which claims only the columns named prefix +
-    ASCII digits (w1, w2, ..., as the writers name them), in header
-    order, so files stay loadable after column reordering.
+    a single string prefix, which claims the columns named prefix or
+    prefix + ASCII digits (w, w1, w2, ...) in header order, so files stay
+    loadable after column reordering; claiming none of the columns that
+    start with it is an error.
     """
 
     y: str = "y"
@@ -248,8 +249,11 @@ class CsvSchema:
     def columns_for(self, role: str, header: list[str]) -> list[str]:
         decl = getattr(self, role)
         if isinstance(decl, str):
-            rests = [(h, h[len(decl):]) for h in header if h.startswith(decl)]
-            cols = [h for h, rest in rests if rest.isascii() and rest.isdigit()]
+            near = [h for h in header if h.startswith(decl)]
+            cols = [h for h in near if not h[len(decl):].strip("0123456789")]
+            if not cols and near:
+                raise ValidationError(f"prefix {decl!r} claims only {decl!r} + digits; list {near} "
+                                      f"explicitly in the schema for role {role!r}")
             if not cols and role != "x":
                 raise ValidationError(f"no header column matches prefix {decl!r} for role {role!r}")
             return cols

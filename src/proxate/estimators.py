@@ -48,6 +48,7 @@ from .nuisance import (
     PropensityModel,
     fit_hbar,
     fit_propensity,
+    require_both_arms,
 )
 from .stats import normal_quantile
 
@@ -171,11 +172,12 @@ def fit_fold_nuisances(
     if e_train.n == 0 or o_train.n == 0:
         raise ValidationError(f"fold {k}: empty training complement")
     known = config.known_propensity is not None
-    e_specs = (config.hbar_basis,) if known else (config.e_basis, config.hbar_basis)
-    e_bases = {spec: fit_basis(spec, e_train) for spec in dict.fromkeys(e_specs)}
-    o_specs = (config.psi, config.b, config.phi, config.g)
-    o_bases = {spec: fit_basis(spec, o_train) for spec in dict.fromkeys(o_specs)}
     try:
+        require_both_arms(e_train.a, "pseudo-outcome regression" if known else "propensity fit")
+        e_specs = (config.hbar_basis,) if known else (config.e_basis, config.hbar_basis)
+        e_bases = {spec: fit_basis(spec, e_train) for spec in dict.fromkeys(e_specs)}
+        o_specs = (config.psi, config.b, config.phi, config.g)
+        o_bases = {spec: fit_basis(spec, o_train) for spec in dict.fromkeys(o_specs)}
         if known:
             e_model = PropensityModel.known(config.known_propensity, config.clip_eps)
         else:

@@ -114,7 +114,7 @@ def _irls(design: np.ndarray, a: np.ndarray, penalty: float) -> tuple[np.ndarray
     return beta, False
 
 
-def _require_both_arms(a: np.ndarray, fit: str) -> None:
+def require_both_arms(a: np.ndarray, fit: str) -> None:
     n1 = int(a.sum())
     if n1 == 0 or n1 == a.shape[0]:
         raise DegenerateTreatmentError(f"{fit} needs both arms; saw {n1} treated of {a.shape[0]}")
@@ -127,7 +127,7 @@ def fit_propensity(
     clip_eps: float = DEFAULT_CLIP_EPS,
 ) -> PropensityModel:
     """Fit the treatment propensity of ``a`` on the ``basis`` design matrix."""
-    _require_both_arms(a, "propensity fit")
+    require_both_arms(a, "propensity fit")
     coeffs, converged = _irls(design, a, penalty=0.0)
     ridged = False
     if not converged:
@@ -179,7 +179,7 @@ class HBarModel:
 def fit_hbar(basis: FittedBasis, design: np.ndarray, a: np.ndarray,
              pseudo: np.ndarray) -> HBarModel:
     """Regress the pseudo-outcome on the ``basis`` design, one fit per arm."""
-    _require_both_arms(a, "pseudo-outcome regression")
+    require_both_arms(a, "pseudo-outcome regression")
     treated = a == 1.0
     c1 = ols(design[treated], pseudo[treated], require_full_rank=False)
     c0 = ols(design[~treated], pseudo[~treated], require_full_rank=False)

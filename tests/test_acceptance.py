@@ -22,7 +22,7 @@ from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import HBarModel
 from proxate.stats import normal_quantile, ols
 
-from conftest import fit_design, mc_se
+from conftest import mc_se, solve_h
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -37,9 +37,7 @@ def test_criterion_01_bridge_exactness(confounded_cfg):
     psi = BasisSpec(roles=("w", "s", "x"), standardize=True)
     b = BasisSpec(roles=("z", "s", "x"), standardize=True)
     start = time.perf_counter()
-    _, diag = px.solve_outcome_bridge(
-        *fit_design(psi, o_view), fit_design(b, o_view)[1], o_view.y, ridge=0.0
-    )
+    _, diag = solve_h(o_view, psi, b, ridge=0.0)
     elapsed = time.perf_counter() - start
     ok = diag.max_abs_moment <= 1e-10 and diag.n_instruments == diag.n_params
     ok = ok and elapsed < 1.0
@@ -51,8 +49,7 @@ def test_criterion_02_reduction_to_ols(confounded_cfg):
     data, _ = px.generate(confounded_cfg, 5000, 0.5, seed=102)
     o_view = px.split_by_sample(data)[1]
     spec = BasisSpec(roles=("s", "x"), standardize=True)
-    h, _ = px.solve_outcome_bridge(*fit_design(spec, o_view), fit_design(spec, o_view)[1],
-                                   o_view.y, ridge=0.0)
+    h, _ = solve_h(o_view, spec, spec, ridge=0.0)
     beta = ols(fit_basis(spec, o_view).transform(o_view), o_view.y)
     gap = float(np.abs(h.coeffs - beta).max())
     _report(2, "same-instrument solve equals OLS", gap < 1e-8, f"max gap {gap:.2e}")

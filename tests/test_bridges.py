@@ -11,7 +11,7 @@ from proxate.bridges import constant_bridge, linear_coefficients
 from proxate.errors import SingularSystemError, UnderIdentifiedError, ValidationError
 from proxate.stats import ols
 
-from conftest import fit_design
+from conftest import solve_h, solve_q
 
 PSI = BasisSpec(roles=("w", "s", "x"), standardize=True)
 B = BasisSpec(roles=("z", "s", "x"), standardize=True)
@@ -26,22 +26,6 @@ def med_views(medium_data):
     return data, oracle, e_view, o_view
 
 
-def _solve_h(o_view, psi, b, ridge):
-    """The outcome bridge, with psi and b fitted on ``o_view``."""
-    return px.solve_outcome_bridge(
-        *fit_design(psi, o_view), fit_design(b, o_view)[1], o_view.y, ridge=ridge
-    )
-
-
-def _solve_q(o_view, e_view, phi, g, prop, ridge):
-    """Both arms' surrogate bridges, with phi and g fitted on ``o_view``."""
-    g_fb, g_o = fit_design(g, o_view)
-    return px.solve_surrogate_bridge(
-        *fit_design(phi, o_view), g_o, g_fb.transform(e_view), e_view.a,
-        *prop.evaluate_counting(e_view), ridge=ridge,
-    )
-
-
 def _constant_y_view(small_data, value=5.0):
     data, _ = small_data
     y = np.where(data.is_e, np.nan, value)
@@ -53,7 +37,7 @@ def _constant_y_view(small_data, value=5.0):
 
 def test_constant_outcome_identity(small_data):
     o_view = _constant_y_view(small_data)
-    h, diag = _solve_h(o_view, PSI, B, ridge=0.0)
+    h, diag = solve_h(o_view, PSI, B, ridge=0.0)
     assert abs(h.coeffs[0] - 5.0) < 1e-8
     assert np.abs(h.coeffs[1:]).max() < 1e-8
     assert diag.max_abs_moment < 1e-8
@@ -65,7 +49,7 @@ def test_b1_reduction_to_ols(small_data):
     data, _ = small_data
     o_view = px.split_by_sample(data)[1]
     spec = BasisSpec(roles=("s", "x"), standardize=True)
-    h, _ = _solve_h(o_view, spec, spec, ridge=0.0)
+    h, _ = solve_h(o_view, spec, spec, ridge=0.0)
     design = fit_basis(spec, o_view).transform(o_view)
     beta = ols(design, o_view.y)
     np.testing.assert_allclose(h.coeffs, beta, atol=1e-8)
@@ -73,7 +57,7 @@ def test_b1_reduction_to_ols(small_data):
 
 def test_oracle_coefficient_recovery(med_views):
     _, oracle, _, o_view = med_views
-    h, diag = _solve_h(o_view, PSI, B, ridge=1e-6)
+    h, diag = solve_h(o_view, PSI, B, ridge=1e-6)
     raw = linear_coefficients(h)
     np.testing.assert_allclose(raw, oracle.true_h_coeffs, atol=0.05)
     assert diag.n_instruments >= diag.n_params
@@ -82,7 +66,7 @@ def test_oracle_coefficient_recovery(med_views):
 def test_just_identified_moments_vanish(small_data):
     data, _ = small_data
     o_view = px.split_by_sample(data)[1]
-    h, diag = _solve_h(o_view, PSI, B, ridge=0.0)
+    h, diag = solve_h(o_view, PSI, B, ridge=0.0)
     assert diag.max_abs_moment < 1e-10
     assert diag.n_instruments == diag.n_params
 
@@ -92,7 +76,7 @@ def test_monotone_regularization(small_data):
     o_view = px.split_by_sample(data)[1]
     norms = []
     for lam in (0.0, 1e-4, 1e-2, 1.0):
-        h, _ = _solve_h(o_view, PSI, B, ridge=lam)
+        h, _ = solve_h(o_view, PSI, B, ridge=lam)
         norms.append(np.linalg.norm(h.coeffs))
     assert all(norms[i] >= norms[i + 1] for i in range(len(norms) - 1))
 
@@ -104,8 +88,8 @@ def test_scale_equivariance(small_data):
         y=data.y * 3.0, w=data.w, z=data.z, s=data.s, a=data.a, x=data.x, is_e=data.is_e
     )
     o_scaled = px.split_by_sample(scaled)[1]
-    h1, _ = _solve_h(o_view, PSI, B, ridge=0.0)
-    h3, _ = _solve_h(o_scaled, PSI, B, ridge=0.0)
+    h1, _ = solve_h(o_view, PSI, B, ridge=0.0)
+    h3, _ = solve_h(o_scaled, PSI, B, ridge=0.0)
     np.testing.assert_allclose(h3.coeffs, 3.0 * h1.coeffs, rtol=1e-9, atol=1e-12)
 
 
@@ -115,7 +99,7 @@ def test_under_identified_error(small_data):
     rich = BasisSpec(roles=("w", "s", "x"), degree=2, interactions=True, standardize=True)
     lean = BasisSpec(roles=("z",), standardize=True)
     with pytest.raises(UnderIdentifiedError):
-        _solve_h(o_view, rich, lean, ridge=0.0)
+        solve_h(o_view, rich, lean, ridge=0.0)
 
 
 def test_singular_system_error_and_ridge(small_data):
@@ -132,10 +116,10 @@ def test_singular_system_error_and_ridge(small_data):
     psi = BasisSpec(roles=("w", "s", "x"), standardize=True)
     b = BasisSpec(roles=("z", "s", "x"), standardize=True)
     with pytest.raises(SingularSystemError, match="pass ridge > 0"):
-        _solve_h(o_view, psi, b, ridge=0.0)
+        solve_h(o_view, psi, b, ridge=0.0)
     # With a ridge the degenerate corner stays usable: warn on conditioning, never error.
     with pytest.warns(RuntimeWarning, match="condition number"):
-        h2, diag2 = _solve_h(o_view, psi, b, ridge=1e-6)
+        h2, diag2 = solve_h(o_view, psi, b, ridge=1e-6)
     assert np.isfinite(h2.coeffs).all()
     assert diag2.gram_condition > 1e12
 
@@ -143,7 +127,7 @@ def test_singular_system_error_and_ridge(small_data):
 def test_eval_bridge_examples(small_data):
     data, _ = small_data
     o_view = px.split_by_sample(data)[1]
-    h, _ = _solve_h(o_view, PSI, B, ridge=1e-6)
+    h, _ = solve_h(o_view, PSI, B, ridge=1e-6)
     const3 = constant_bridge(h, 3.0)
     zero = constant_bridge(h, 0.0)
     one = px.SampleView(data, o_view.indices[:1], "O")
@@ -158,7 +142,7 @@ def test_surrogate_bridge_normalization_exact(small_data):
     e_view, o_view = px.split_by_sample(data)
     share = float(e_view.a.mean())
     prop = px.PropensityModel.known(share)
-    (q0, d0), (q1, d1) = _solve_q(o_view, e_view, PHI, G, prop, ridge=0.0)
+    (q0, d0), (q1, d1) = solve_q(o_view, e_view, PHI, G, prop, ridge=0.0)
     assert abs(q1.evaluate(o_view).mean() - 1.0) < 1e-10
     assert abs(q0.evaluate(o_view).mean() - 1.0) < 1e-10
     # Both arms normalize, so the sum averages to 2.
@@ -185,7 +169,7 @@ def test_surrogate_bridge_reweighting_identity_held_out(confounded_cfg):
     # Column layout: w, w^2, s, s^2, x, x^2, w*s, w*x, s*x; keep the
     # pure degree-2 columns.
     held_out = [1, 3, 5, 6, 7, 8]
-    for a, (q, _) in enumerate(_solve_q(o_view, e_view, PHI, G, prop, ridge=1e-6)):
+    for a, (q, _) in enumerate(solve_q(o_view, e_view, PHI, G, prop, ridge=1e-6)):
         q_vals = q.evaluate(o_view)
         ind = (e_view.a == a).astype(float)
         e_arm = cfg.p_treat if a == 1 else 1.0 - cfg.p_treat
@@ -201,7 +185,7 @@ def test_surrogate_bridge_under_identified(small_data):
     rich_phi = BasisSpec(roles=("z", "s", "x"), degree=2, interactions=True, standardize=True)
     lean_g = BasisSpec(roles=("w",), standardize=True)
     with pytest.raises(UnderIdentifiedError):
-        _solve_q(o_view, e_view, rich_phi, lean_g, prop, ridge=0.0)
+        solve_q(o_view, e_view, rich_phi, lean_g, prop, ridge=0.0)
 
 
 def test_clip_counter(small_data):
@@ -209,18 +193,18 @@ def test_clip_counter(small_data):
     e_view, o_view = px.split_by_sample(data)
     # A propensity glued to the boundary clips at every evaluation.
     prop = px.PropensityModel.known(0.005, clip_eps=0.01)
-    _, (_, diag) = _solve_q(o_view, e_view, PHI, G, prop, ridge=1e-6)
+    _, (_, diag) = solve_q(o_view, e_view, PHI, G, prop, ridge=1e-6)
     assert diag.n_clipped == e_view.n
 
 
 def test_bridge_serialization_round_trip(small_data):
     data, _ = small_data
     e_view, o_view = px.split_by_sample(data)
-    h, _ = _solve_h(o_view, PSI, B, ridge=1e-6)
+    h, _ = solve_h(o_view, PSI, B, ridge=1e-6)
     back = px.BridgeFunction.from_dict(h.to_dict())
     np.testing.assert_array_equal(back.evaluate(o_view), h.evaluate(o_view))
     prop = px.PropensityModel.known(0.5)
-    _, (q1, _) = _solve_q(o_view, e_view, PHI, G, prop, ridge=1e-6)
+    _, (q1, _) = solve_q(o_view, e_view, PHI, G, prop, ridge=1e-6)
     back_q = px.BridgeFunction.from_dict(q1.to_dict())
     assert back_q.arm == 1 and back_q.kind == "surrogate"
     np.testing.assert_array_equal(back_q.evaluate(o_view), q1.evaluate(o_view))

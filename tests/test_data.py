@@ -172,20 +172,33 @@ def test_custom_labels_and_prefix_roles(tmp_path):
     assert data.n_e == 2 and data.dims.s == 2
 
 
-def test_prefix_claims_only_indexed_columns(tmp_path):
-    # Prefix "s" claims s1, not an unrelated "sex" column.
-    text = "\n".join(
-        [
-            "y,a,g,w1,z1,s1,x1,sex",
-            "NA,1,E,0.1,NA,1.0,0.3,0",
-            "NA,0,E,0.2,NA,1.5,0.4,1",
-            "3.0,NA,O,0.3,0.9,1.1,0.5,1",
-            "4.0,NA,O,0.4,1.0,1.2,0.6,0",
-        ]
-    )
-    data = px.load_csv(_write(tmp_path, text), px.CsvSchema())
-    assert data.dims.s == 1
+def _four_rows(header: str) -> str:
+    """A valid two-E, two-O file with ``header``; roles read off the first letter."""
+    rows = [header]
+    for i, (label, a) in enumerate([("E", "1"), ("E", "0"), ("O", "NA"), ("O", "NA")]):
+        cells = {"y": "NA" if label == "E" else f"{3 + i}.0", "a": a, "g": label,
+                 "z": "NA" if label == "E" else f"0.{i + 5}"}
+        rows.append(",".join(cells.get(col[0], f"1.{i}") for col in header.split(",")))
+    return "\n".join(rows)
+
+
+@pytest.mark.parametrize("header", [
+    "y,a,g,w1,z1,s1,x1,sex", "y,a,g,w1,z1,s1,x", "y,a,g,w,z,s,x1", "y,a,g,w1,z1,s1,x1,x_id",
+])
+def test_prefix_claims_bare_and_indexed_columns(tmp_path, header):
+    # Prefix "s" claims s and s1, never an unrelated "sex" column.
+    data = px.load_csv(_write(tmp_path, _four_rows(header)), px.CsvSchema())
     assert data.dims == px.data.RoleDims(w=1, z=1, s=1, x=1)
+
+
+@pytest.mark.parametrize("header, schema", [
+    ("y,a,g,w1,z1,s1,x_age", px.CsvSchema()),
+    ("y,a,g,w1,z1,s1,cov_age", px.CsvSchema(x="cov_")),
+])
+def test_prefix_matching_only_unindexed_columns_rejected(tmp_path, header, schema):
+    # Covariates the prefix does not claim must not silently vanish.
+    with pytest.raises(ValidationError, match="list \\['.*_age'\\] explicitly"):
+        px.load_csv(_write(tmp_path, _four_rows(header)), schema)
 
 
 def test_unmasked_reader_rejects_combined_file(tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import proxate as px
 from proxate.bridges import constant_bridge
@@ -13,7 +13,7 @@ from proxate.errors import DegenerateTreatmentError, ValidationError
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import HBarModel, PropensityModel
 
-from conftest import fit_design
+from conftest import fit_design, solve_h, solve_q
 
 CFG = px.EstimatorConfig()
 
@@ -117,7 +117,7 @@ def test_fit_fold_deterministic(small_data):
     np.testing.assert_array_equal(a.e.coeffs, b.e.coeffs)
 
 
-def test_single_arm_complement_raises_with_fold_index():
+def _one_treated_unit_data():
     rng = np.random.default_rng(1)
     n = 40
     is_e = np.zeros(n, dtype=bool)
@@ -135,11 +135,30 @@ def test_single_arm_complement_raises_with_fold_index():
         is_e=is_e,
     )
     folds = px.make_folds(data, 2, seed=0)
-    treated_fold = int(folds.fold_of[0])
     # Training for the treated unit's own fold excludes it entirely.
+    return data, folds, int(folds.fold_of[0])
+
+
+def test_single_arm_complement_raises_with_fold_index():
+    data, folds, treated_fold = _one_treated_unit_data()
     with pytest.raises(DegenerateTreatmentError) as err:
         px.fit_fold_nuisances(data, folds, treated_fold, CFG)
     assert f"fold {treated_fold}" in str(err.value)
+
+
+@pytest.mark.parametrize("cfg, fit", [
+    (replace(CFG, e_basis=px.BasisSpec(roles=("z",))), "propensity fit"),
+    (replace(CFG, psi=px.BasisSpec(roles=("a",))), "propensity fit"),
+    (replace(CFG, psi=px.BasisSpec(roles=("a",)), known_propensity=0.5),
+     "pseudo-outcome regression"),
+])
+def test_single_arm_error_precedes_basis_fits(cfg, fit):
+    # Each config also names a role its sample masks; the arms check
+    # still reports first, before any basis is fitted.
+    data, folds, treated_fold = _one_treated_unit_data()
+    with pytest.raises(DegenerateTreatmentError,
+                       match=f"fold {treated_fold}: {fit} needs both arms"):
+        px.fit_fold_nuisances(data, folds, treated_fold, cfg)
 
 
 # Every nuisance on its own basis: psi != g, b != phi, e_basis != hbar_basis.
@@ -192,14 +211,9 @@ def test_fold_matches_one_basis_fit_per_nuisance(small_data, cfg):
         e_model = px.fit_propensity(*fit_design(cfg.e_basis, e), e.a, cfg.clip_eps)
     else:
         e_model = PropensityModel.known(cfg.known_propensity, cfg.clip_eps)
-    h, _ = px.solve_outcome_bridge(*fit_design(cfg.psi, o), fit_design(cfg.b, o)[1], o.y,
-                                   cfg.ridge_h)
+    h, _ = solve_h(o, cfg.psi, cfg.b, cfg.ridge_h)
     hbar = px.fit_hbar(*fit_design(cfg.hbar_basis, e), e.a, h.evaluate(e))
-    g_fb, g_o = fit_design(cfg.g, o)
-    (q0, _), (q1, _) = px.solve_surrogate_bridge(
-        *fit_design(cfg.phi, o), g_o, g_fb.transform(e), e.a, *e_model.evaluate_counting(e),
-        cfg.ridge_q,
-    )
+    (q0, _), (q1, _) = solve_q(o, e, cfg.phi, cfg.g, e_model, cfg.ridge_q)
     nus = px.fit_fold_nuisances(data, folds, 1, cfg)
     assert nus.e.to_dict() == e_model.to_dict()
     assert nus.h.to_dict() == h.to_dict()
@@ -339,12 +353,14 @@ def test_mr_reduces_to_sb_when_h_and_hbar_zero(small_data):
 
 
 @settings(max_examples=10, deadline=None)
-@given(draw=st.data(), k=st.integers(min_value=2, max_value=5),
+@given(perm=st.integers(min_value=2, max_value=5).flatmap(lambda k: st.permutations(range(k))),
        seed=st.integers(min_value=0, max_value=999))
-def test_fold_label_permutation_bit_identical(small_data, draw, k, seed):
+@example(perm=[2, 0, 3, 1], seed=13)
+def test_fold_label_permutation_bit_identical(small_data, perm, seed):
     data, _ = small_data
+    k = len(perm)
     folds = px.make_folds(data, k, seed=seed)
-    perm = np.array(draw.draw(st.permutations(range(k))))
+    perm = np.array(perm)
     permuted = px.FoldAssignment(
         k_folds=k, fold_of=perm[folds.fold_of], seed=folds.seed
     )

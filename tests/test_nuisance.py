@@ -8,7 +8,7 @@ from proxate.basis import BasisSpec, fit_basis
 from proxate.bridges import constant_bridge
 from proxate.errors import DegenerateTreatmentError, ValidationError
 
-from conftest import fit_design
+from conftest import fit_design, solve_h
 
 XB = BasisSpec(roles=("x",))
 
@@ -141,10 +141,10 @@ def test_known_rate_validation():
 def _h_and_view(small_data):
     data, _ = small_data
     e_view, o_view = px.split_by_sample(data)
-    h, _ = px.solve_outcome_bridge(
-        *fit_design(BasisSpec(roles=("w", "s", "x"), standardize=True), o_view),
-        fit_design(BasisSpec(roles=("z", "s", "x"), standardize=True), o_view)[1],
-        o_view.y,
+    h, _ = solve_h(
+        o_view,
+        BasisSpec(roles=("w", "s", "x"), standardize=True),
+        BasisSpec(roles=("z", "s", "x"), standardize=True),
         ridge=1e-6,
     )
     return h, e_view
@@ -195,8 +195,7 @@ def test_hbar_contrast_recovers_effect_without_covariates():
     e_view, o_view = px.split_by_sample(data)
     psi = BasisSpec(roles=("w", "s"), standardize=True)
     b = BasisSpec(roles=("z", "s"), standardize=True)
-    h, _ = px.solve_outcome_bridge(*fit_design(psi, o_view), fit_design(b, o_view)[1], o_view.y,
-                                   ridge=1e-6)
+    h, _ = solve_h(o_view, psi, b, ridge=1e-6)
     model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, h.evaluate(e_view))
     contrast = model.evaluate(1, e_view) - model.evaluate(0, e_view)
     # MC standard error of the contrast mean at n_e ~ 1e4.
