@@ -207,8 +207,11 @@ def fit_fold_nuisances(
 
 
 @dataclass
-class _UnitEvals:
-    """Cross-fitted nuisance evaluations, aligned to dataset row order."""
+class UnitEvals:
+    """Cross-fitted nuisance evaluations, aligned to dataset row order.
+
+    The four estimators depend on the data only through these arrays.
+    """
 
     a: np.ndarray  # E units
     e_hat: np.ndarray
@@ -236,12 +239,42 @@ class _UnitEvals:
         return (self.q1 - self.q0) * (self.y - self.h_o)
 
 
+def _held_out(view: SampleView, pos: np.ndarray, terms: list) -> None:
+    """Write ``basis.transform(view) @ coeffs`` into ``out[pos]`` for each
+    ``(basis, coeffs, out)`` term.
+
+    Each distinct basis's design is built once and freed before the
+    next; each coefficient vector is its own matrix-vector product,
+    since one product over stacked columns rounds differently.
+    """
+    by_basis: dict[int, list] = {}
+    for term in terms:
+        by_basis.setdefault(id(term[0]), []).append(term)
+    for group in by_basis.values():
+        design = group[0][0].transform(view)
+        for _, coeffs, out in group:
+            out[pos] = design @ coeffs
+        del design
+
+
+def _require_finite(k: int, pos: np.ndarray, named: tuple) -> None:
+    for name, out in named:
+        if not np.isfinite(out[pos]).all():
+            raise NumericalError(f"fold {k}: non-finite held-out evaluation of {name}")
+
+
 def evaluate_nuisances(
     data: CombinedDataset,
     folds: FoldAssignment,
     nuisance_sets: list[NuisanceSet],
-) -> _UnitEvals:
-    """Evaluate each fold's nuisances on that fold's held-out units."""
+) -> UnitEvals:
+    """Evaluate each fold's nuisances on that fold's held-out units.
+
+    Per fold and sample, each distinct fitted basis is expanded once
+    (by default e and hbar share one design on E, and q0 and q1 one on
+    O). Raises ``NumericalError`` naming the fold and the nuisance when
+    an evaluation is not finite.
+    """
     idx_e = np.flatnonzero(data.is_e)
     idx_o = np.flatnonzero(~data.is_e)
     rank = np.empty(data.n, dtype=np.int64)
@@ -266,22 +299,31 @@ def evaluate_nuisances(
             ev = SampleView(data, eidx, "E")
             pos = rank[eidx]
             a[pos] = ev.a
-            vals, clipped = nus.e.evaluate_counting(ev)
+            terms = [
+                (nus.hbar.basis, nus.hbar.arm1_coeffs, hbar1),
+                (nus.hbar.basis, nus.hbar.arm0_coeffs, hbar0),
+                (nus.h.basis, nus.h.coeffs, h_e),
+            ]
+            fitted_e = nus.e.basis is not None
+            if fitted_e:
+                terms.append((nus.e.basis, nus.e.coeffs, e_hat))  # the logit, mapped below
+            _held_out(ev, pos, terms)
+            e_hat[pos], clipped = nus.e.clipped(e_hat[pos] if fitted_e else None, ev.n)
             n_clipped += clipped
-            e_hat[pos] = vals
-            h_e[pos] = nus.h.evaluate(ev)
-            hbar1[pos] = nus.hbar.evaluate(1, ev)
-            hbar0[pos] = nus.hbar.evaluate(0, ev)
+            _require_finite(k, pos, (("e", e_hat), ("h", h_e), ("hbar", hbar1), ("hbar", hbar0)))
         oidx = folds.eval_indices(data, k, "O")
         if oidx.shape[0]:
             ov = SampleView(data, oidx, "O")
             pos = rank[oidx]
             y[pos] = ov.y
-            h_o[pos] = nus.h.evaluate(ov)
-            q1[pos] = nus.q1.evaluate(ov)
-            q0[pos] = nus.q0.evaluate(ov)
+            _held_out(ov, pos, [
+                (nus.h.basis, nus.h.coeffs, h_o),
+                (nus.q1.basis, nus.q1.coeffs, q1),
+                (nus.q0.basis, nus.q0.coeffs, q0),
+            ])
+            _require_finite(k, pos, (("h", h_o), ("q0", q0), ("q1", q1)))
 
-    return _UnitEvals(
+    return UnitEvals(
         a=a, e_hat=e_hat, h_e=h_e, hbar1=hbar1, hbar0=hbar0,
         y=y, h_o=h_o, q1=q1, q0=q0, n_clipped=n_clipped,
     )
@@ -351,7 +393,7 @@ def fit_all_nuisances(data, folds, config) -> list[NuisanceSet]:
     return [fit_fold_nuisances(data, folds, k, config) for k in range(folds.k_folds)]
 
 
-def _mr_variance_from_evals(evals: _UnitEvals, tau_hat: float, n: int) -> float:
+def _mr_variance_from_evals(evals: UnitEvals, tau_hat: float, n: int) -> float:
     n_e = evals.a.shape[0]
     n_o = evals.y.shape[0]
     e_term = float(np.sum((evals.mr_e_part - tau_hat) ** 2))
@@ -368,8 +410,7 @@ def estimate_all(
 ) -> dict[str, EstimateReport]:
     """Fit nuisances once and evaluate any subset of the four estimators.
 
-    Pre-fitted per-fold ``nuisance_sets`` skip the fitting pass; the
-    misspecification harness passes corrupted ones this way.
+    Pre-fitted per-fold ``nuisance_sets`` skip the fitting pass.
     """
     for name in estimators:
         if name not in ESTIMATOR_NAMES:
@@ -380,6 +421,22 @@ def estimate_all(
         raise ValidationError("need one nuisance set per fold")
     evals = evaluate_nuisances(data, folds, nuisance_sets)
     diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
+    return estimates_from_evals(data, folds, config, evals, estimators, diagnostics)
+
+
+def estimates_from_evals(
+    data: CombinedDataset,
+    folds: FoldAssignment,
+    config: EstimatorConfig,
+    evals: UnitEvals,
+    estimators: tuple[str, ...],
+    diagnostics: list[MomentDiagnostics],
+) -> dict[str, EstimateReport]:
+    """The requested estimators' reports from held-out evaluations.
+
+    The summary step of ``estimate_all``; the misspecification harness
+    runs it once per regime on substituted evaluations.
+    """
 
     def report(name: str, tau: float, var: float | None = None) -> EstimateReport:
         ci = None if var is None else confidence_interval(tau, var, data.n, config.alpha)

@@ -7,35 +7,36 @@ halves, so transportability holds by construction and estimator error
 is attributable to the estimators alone.
 
 ``run_monte_carlo`` replays synthetic draws against the known truth.
-Its misspecification regimes install deterministic, documented
-corruptions into fitted nuisances -- a constant 0.8 propensity, the
-bridge collapsed to the observational outcome mean, unit reweighting
-functions, and a +-1 constant pseudo-outcome pair -- matching the four
-patterns under which the multiply robust estimator should stay
-consistent plus an everything-wrong power check. Corruptions are fixed
-functions, not noise, so regime runs stay deterministic given seeds.
+Its misspecification regimes corrupt fitted nuisances in deterministic,
+documented ways -- a constant 0.8 propensity, the bridge collapsed to
+the observational outcome mean, unit reweighting functions, and a +-1
+constant pseudo-outcome pair -- matching the four patterns under which
+the multiply robust estimator should stay consistent plus an
+everything-wrong power check. Every corruption is a constant, and the
+estimators see the data only through the held-out evaluations, so each
+replication fits and evaluates its nuisances once and each regime
+substitutes its constants into those evaluations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .baselines import surrogate_index_estimate
-from .bridges import constant_bridge
 from .data import CombinedDataset, FullyObservedSample
 from .dgp import DGPConfig, generate
 from .errors import ProxateError, ValidationError
 from .estimators import (
     ESTIMATOR_NAMES,
     EstimatorConfig,
-    NuisanceSet,
-    estimate_all,
+    UnitEvals,
+    estimates_from_evals,
+    evaluate_nuisances,
     fit_all_nuisances,
     make_folds,
 )
-from .nuisance import HBarModel, PropensityModel
 
 REGIME_NAMES = ("all_correct", "case1", "case2", "case3", "case4", "all_wrong")
 HARNESS_ESTIMATORS = ESTIMATOR_NAMES + ("SI", "SI-PROX")
@@ -53,7 +54,7 @@ MAX_FAILURE_FRACTION = 0.02
 # Which nuisances each regime corrupts. case4 additionally replaces the
 # pseudo-outcome regression with the exact refit against the corrupted
 # (constant) bridge, which for a constant pseudo-outcome is the same
-# constant in both arms.
+# constant in both arms. A corrupted q replaces both q0 and q1.
 _CORRUPTS = {
     "all_correct": frozenset(),
     "case1": frozenset({"e", "q"}),
@@ -119,34 +120,30 @@ def make_regime(name: str, data: CombinedDataset | None = None) -> MisspecRegime
     return MisspecRegime(name=name, h_const=h_const)
 
 
-def apply_misspec(nuisances: NuisanceSet, regime: MisspecRegime) -> NuisanceSet:
-    """Replace the regime's corrupted components with fixed wrong ones.
+def apply_misspec(evals: UnitEvals, regime: MisspecRegime, clip_eps: float) -> UnitEvals:
+    """Substitute the regime's fixed wrong values for the held-out
+    evaluations of the nuisances it corrupts.
 
-    all_correct is the identity (and returns the very same object).
+    The corrupted propensity is clipped like a fitted one (``clip_eps``)
+    and counted when clipped. all_correct is the identity (and returns
+    the very same object).
     """
     if not any(regime.corrupts(c) for c in ("e", "h", "hbar", "q")):
-        return nuisances
-    e = nuisances.e
-    h = nuisances.h
-    hbar = nuisances.hbar
-    q0, q1 = nuisances.q0, nuisances.q1
+        return evals
+    n_e, n_o = evals.a.shape[0], evals.y.shape[0]
+    sub = {}
     if regime.corrupts("e"):
-        e = PropensityModel.known(CORRUPT_E, nuisances.e.clip_eps)
+        e = float(np.clip(CORRUPT_E, clip_eps, 1.0 - clip_eps))
+        sub.update(e_hat=np.full(n_e, e), n_clipped=n_e if e != CORRUPT_E else 0)
     if regime.corrupts("h"):
-        h = constant_bridge(nuisances.h, regime.h_const)
+        sub.update(h_e=np.full(n_e, regime.h_const), h_o=np.full(n_o, regime.h_const))
     if regime.corrupts("q"):
-        q0 = constant_bridge(nuisances.q0, CORRUPT_Q)
-        q1 = constant_bridge(nuisances.q1, CORRUPT_Q)
+        sub.update(q0=np.full(n_o, CORRUPT_Q), q1=np.full(n_o, CORRUPT_Q))
     if regime.corrupts("hbar"):
-        hbar = HBarModel.constant(nuisances.hbar.basis, CORRUPT_HBAR_ARM0, CORRUPT_HBAR_ARM1)
+        sub.update(hbar1=np.full(n_e, CORRUPT_HBAR_ARM1), hbar0=np.full(n_e, CORRUPT_HBAR_ARM0))
     elif regime.name == "case4":
-        # Keep the pseudo-outcome regression aligned with the corrupted
-        # bridge: regressing a constant pseudo-outcome on (a, x) returns
-        # that constant exactly, so the refit is available in closed form.
-        hbar = HBarModel.constant(nuisances.hbar.basis, regime.h_const, regime.h_const)
-    return NuisanceSet(
-        e=e, h=h, hbar=hbar, q0=q0, q1=q1, diagnostics=list(nuisances.diagnostics)
-    )
+        sub.update(hbar1=np.full(n_e, regime.h_const), hbar0=np.full(n_e, regime.h_const))
+    return replace(evals, **sub)
 
 
 @dataclass
@@ -173,14 +170,20 @@ class EstimatorStats:
 class MCReport:
     true_ate: float
     n_replications: int
-    n_failed: int
     regimes: dict[str, dict[str, EstimatorStats]]
+    # One entry per failed replication: index, seed, exception class, message.
+    failures: list[dict] = field(default_factory=list)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
     def to_dict(self) -> dict:
         return {
             "true_ate": self.true_ate,
             "n_replications": self.n_replications,
             "n_failed": self.n_failed,
+            "failures": [dict(f) for f in self.failures],
             "regimes": {
                 regime: {est: st.to_dict() for est, st in table.items()}
                 for regime, table in self.regimes.items()
@@ -188,9 +191,14 @@ class MCReport:
         }
 
     def format_table(self) -> str:
+        failed = f"   failed {self.n_failed}"
+        if self.failures:
+            failed += " (" + ", ".join(
+                f"replication {f['replication']} seed {f['seed']}: {f['error']}"
+                for f in self.failures
+            ) + ")"
         lines = [
-            f"true effect {self.true_ate:.6g}   replications {self.n_replications}"
-            f"   failed {self.n_failed}"
+            f"true effect {self.true_ate:.6g}   replications {self.n_replications}{failed}"
         ]
         header = (
             f"{'regime':<12} {'estimator':<9} {'mean':>10} {'bias':>10} "
@@ -225,6 +233,52 @@ def _aggregate(
     )
 
 
+def _replicate(
+    dgp: DGPConfig,
+    n: int,
+    pi: float,
+    seed: int,
+    k_folds: int,
+    config: EstimatorConfig,
+    estimators: tuple[str, ...],
+    regimes: tuple[str, ...],
+) -> tuple[float, dict[str, dict[str, float]], dict[str, bool]]:
+    """One replication: its true effect, each regime's draws, and each
+    regime's MR coverage.
+
+    Nuisances are fitted and evaluated once; each regime substitutes its
+    constants into the evaluations and summarizes them. Nothing of the
+    replication outlives the call.
+    """
+    data, oracle = generate(dgp, n, pi, seed)
+    folds = make_folds(data, k_folds, seed)
+    draws: dict[str, dict[str, float]] = {rg: {} for rg in regimes}
+    for est in estimators:
+        if est not in ESTIMATOR_NAMES:
+            tau = surrogate_index_estimate(data, include_proxies=(est == "SI-PROX")).tau_hat
+            for rg in regimes:
+                draws[rg][est] = tau
+    covered: dict[str, bool] = {}
+    proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
+    if not proximal:
+        return oracle.true_ate, draws, covered
+    nuisance_sets = fit_all_nuisances(data, folds, config)
+    evals = evaluate_nuisances(data, folds, nuisance_sets)
+    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
+    for rg in regimes:
+        regime = make_regime(rg, data)
+        reports = estimates_from_evals(
+            data, folds, config, apply_misspec(evals, regime, config.clip_eps),
+            proximal, diagnostics,
+        )
+        for est in proximal:
+            draws[rg][est] = reports[est].tau_hat
+        if "MR" in proximal:
+            lo, hi = reports["MR"].ci
+            covered[rg] = lo <= oracle.true_ate <= hi
+    return oracle.true_ate, draws, covered
+
+
 def run_monte_carlo(
     dgp: DGPConfig,
     n: int,
@@ -240,12 +294,12 @@ def run_monte_carlo(
 
     Replication r uses seed base_seed + r for both the draw and the
     folds; each is independent of execution order. Replications that
-    fail (for example a degenerate fold) are recorded and excluded from
-    the aggregates as a whole: a replication's draws count only once
-    every regime has succeeded. Once failures exceed
-    ``MAX_FAILURE_FRACTION`` of the requested runs the study aborts
-    rather than silently reporting on a biased subset. Coverage is
-    tracked for MR only, the one estimator with an interval.
+    fail (for example a degenerate fold) are recorded in
+    ``MCReport.failures`` and excluded from the aggregates as a whole:
+    a replication's draws count only once every regime has succeeded.
+    Once failures exceed ``MAX_FAILURE_FRACTION`` of the requested runs
+    the study aborts rather than silently reporting on a biased subset.
+    Coverage is tracked for MR only, the one estimator with an interval.
     """
     if replications < 2:
         raise ValidationError("replications must be >= 2")
@@ -258,8 +312,6 @@ def run_monte_carlo(
         if name not in REGIME_NAMES:
             raise ValidationError(f"unknown regime {name!r}; choose from {REGIME_NAMES}")
     config = config or EstimatorConfig()
-    proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
-    naive = tuple(e for e in estimators if e not in ESTIMATOR_NAMES)
     max_failures = int(np.floor(MAX_FAILURE_FRACTION * replications))
 
     true_ate = None
@@ -267,52 +319,24 @@ def run_monte_carlo(
         rg: {est: [] for est in estimators} for rg in regimes
     }
     covered: dict[str, list[bool]] = {rg: [] for rg in regimes}
-    n_failed = 0
+    failures: list[dict] = []
 
     for r in range(replications):
         seed = base_seed + r
-        # Stage this replication's draws; commit them only once every
-        # regime has succeeded, so all regimes average the same runs.
-        rep_draws: dict[str, dict[str, float]] = {rg: {} for rg in regimes}
-        rep_covered: dict[str, bool] = {}
         try:
-            data, oracle = generate(dgp, n, pi, seed)
-            folds = make_folds(data, k_folds, seed)
-            nuisance_cache: list[NuisanceSet] | None = None
-            naive_cache: dict[str, float] = {}
-            for est in naive:
-                naive_cache[est] = surrogate_index_estimate(
-                    data, include_proxies=(est == "SI-PROX")
-                ).tau_hat
-            for rg in regimes:
-                regime = make_regime(rg, data)
-                if proximal:
-                    if nuisance_cache is None:
-                        nuisance_cache = fit_all_nuisances(data, folds, config)
-                    transformed = [apply_misspec(nus, regime) for nus in nuisance_cache]
-                    reports = estimate_all(
-                        data,
-                        folds,
-                        config,
-                        estimators=proximal,
-                        nuisance_sets=transformed,
-                    )
-                    for est in proximal:
-                        rep_draws[rg][est] = reports[est].tau_hat
-                    if "MR" in proximal:
-                        lo, hi = reports["MR"].ci
-                        rep_covered[rg] = lo <= oracle.true_ate <= hi
-                for est in naive:
-                    rep_draws[rg][est] = naive_cache[est]
+            rep_true, rep_draws, rep_covered = _replicate(
+                dgp, n, pi, seed, k_folds, config, estimators, regimes
+            )
         except ProxateError as exc:
-            n_failed += 1
-            if n_failed > max_failures:
+            failures.append({"replication": r, "seed": seed,
+                             "error": type(exc).__name__, "message": str(exc)})
+            if len(failures) > max_failures:
                 raise ValidationError(
-                    f"{n_failed} of {replications} replications failed "
+                    f"{len(failures)} of {replications} replications failed "
                     f"(cap {max_failures}); last error: {exc}"
                 ) from exc
             continue
-        true_ate = oracle.true_ate
+        true_ate = rep_true
         for rg in regimes:
             for est in estimators:
                 draws[rg][est].append(rep_draws[rg][est])
@@ -331,6 +355,6 @@ def run_monte_carlo(
     return MCReport(
         true_ate=true_ate,
         n_replications=replications,
-        n_failed=n_failed,
         regimes=tables,
+        failures=failures,
     )

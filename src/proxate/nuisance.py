@@ -51,16 +51,17 @@ class PropensityModel:
         if (self.fixed_rate is None) == (self.basis is None):
             raise ValidationError("exactly one of fixed_rate or a fitted basis is required")
 
-    def _raw(self, view) -> np.ndarray:
-        if self.fixed_rate is not None:
-            return np.full(view.n, self.fixed_rate)
-        return _sigmoid(self.basis.transform(view) @ self.coeffs)
-
     def evaluate(self, view) -> np.ndarray:
-        return np.clip(self._raw(view), self.clip_eps, 1.0 - self.clip_eps)
+        return self.evaluate_counting(view)[0]
 
     def evaluate_counting(self, view) -> tuple[np.ndarray, int]:
-        raw = self._raw(view)
+        logit = None if self.basis is None else self.basis.transform(view) @ self.coeffs
+        return self.clipped(logit, view.n)
+
+    def clipped(self, logit: np.ndarray | None, n: int) -> tuple[np.ndarray, int]:
+        """Clipped propensities of ``n`` units from their basis logit (None
+        at a fixed rate), and how many fell outside the clip range."""
+        raw = np.full(n, self.fixed_rate) if self.basis is None else _sigmoid(logit)
         outside = int(((raw < self.clip_eps) | (raw > 1.0 - self.clip_eps)).sum())
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), outside
 

@@ -286,3 +286,24 @@ def test_estimate_non_finite_variance_exit_2(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "non-finite estimate" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_estimate_non_finite_evaluation_exit_2(tmp_path, capsys):
+    # s = 1e308 on one O row: folds that train on it see an infinite
+    # scale and drop s, but in its own held-out fold the standardized s
+    # times the outcome bridge's slope overflows.
+    data, _ = px.generate(px.confounded_config(), 2000, 0.5, seed=7)
+    row = int(np.flatnonzero(~data.is_e)[0])
+    s = data.s.copy()
+    s[row, 0] = 1e308
+    bad = px.CombinedDataset.from_arrays(
+        y=data.y, w=data.w, z=data.z, s=s, a=data.a, x=data.x, is_e=data.is_e
+    )
+    path, out = tmp_path / "huge_s.csv", tmp_path / "rep.json"
+    px.write_csv(bad, path, px.CsvSchema())
+    rc = run(["estimate", "--data", str(path), "--k", "5", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    fold = int(px.make_folds(bad, 5, seed=0).fold_of[row])
+    assert f"fold {fold}: non-finite held-out evaluation of h" in capsys.readouterr().err

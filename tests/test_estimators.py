@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import proxate as px
 from proxate.bridges import constant_bridge
-from proxate.errors import DegenerateTreatmentError, ValidationError
+from proxate.errors import DegenerateTreatmentError, NumericalError, ValidationError
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import HBarModel, PropensityModel
 
@@ -220,6 +220,59 @@ def test_fold_matches_one_basis_fit_per_nuisance(small_data, cfg):
     assert nus.hbar.to_dict() == hbar.to_dict()
     assert nus.q0.to_dict() == q0.to_dict()
     assert nus.q1.to_dict() == q1.to_dict()
+
+
+# ------------------------------------------------- held-out evaluation
+
+
+@pytest.mark.parametrize("cfg, n_transforms", [
+    (CFG, 4), (DISTINCT_CFG, 5), (replace(CFG, known_propensity=0.5), 4),
+])
+def test_held_out_evaluation_builds_each_design_once(small_data, monkeypatch, cfg,
+                                                     n_transforms):
+    # One design per distinct basis per (fold, sample), and every
+    # evaluation equal to the nuisance's own.
+    data, _ = small_data
+    folds = px.make_folds(data, 3, seed=4)
+    nus = fit_all_nuisances(data, folds, cfg)
+    counts = {"transform": 0}
+    transform = px.FittedBasis.transform
+
+    def counting_transform(self, source):
+        counts["transform"] += 1
+        return transform(self, source)
+
+    monkeypatch.setattr(px.FittedBasis, "transform", counting_transform)
+    ev = evaluate_nuisances(data, folds, nus)
+    assert counts["transform"] == 3 * n_transforms
+    monkeypatch.undo()
+    rank = np.empty(data.n, dtype=np.int64)
+    for mask in (data.is_e, ~data.is_e):
+        rank[mask] = np.arange(mask.sum())
+    for k, n in enumerate(nus):
+        e_view = px.SampleView(data, folds.eval_indices(data, k, "E"), "E")
+        o_view = px.SampleView(data, folds.eval_indices(data, k, "O"), "O")
+        pe, po = rank[e_view.indices], rank[o_view.indices]
+        assert (ev.e_hat[pe] == n.e.evaluate(e_view)).all()
+        assert (ev.h_e[pe] == n.h.evaluate(e_view)).all()
+        assert (ev.hbar1[pe] == n.hbar.evaluate(1, e_view)).all()
+        assert (ev.hbar0[pe] == n.hbar.evaluate(0, e_view)).all()
+        assert (ev.h_o[po] == n.h.evaluate(o_view)).all()
+        assert (ev.q1[po] == n.q1.evaluate(o_view)).all()
+        assert (ev.q0[po] == n.q0.evaluate(o_view)).all()
+
+
+def test_non_finite_evaluation_names_fold_and_nuisance(small_data):
+    data, _ = small_data
+    folds = px.make_folds(data, 3, seed=4)
+    nus = fit_all_nuisances(data, folds, CFG)
+    # Coefficients of 1e308 overflow q1 on fold 1's held-out units.
+    huge = replace(nus[1].q1, coeffs=np.full(nus[1].q1.coeffs.shape, 1e308))
+    nus[1] = replace(nus[1], q1=huge)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalError, match="fold 1: non-finite held-out evaluation of q1"
+    ):
+        evaluate_nuisances(data, folds, nus)
 
 
 # ------------------------------------------------- estimator reductions

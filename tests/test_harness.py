@@ -5,9 +5,17 @@ import pytest
 
 import proxate as px
 from proxate import harness
+from proxate.basis import FittedBasis
+from proxate.bridges import constant_bridge
 from proxate.errors import NumericalError, ValidationError
-from proxate.estimators import fit_all_nuisances
+from proxate.estimators import (
+    ESTIMATOR_NAMES,
+    estimates_from_evals,
+    evaluate_nuisances,
+    fit_all_nuisances,
+)
 from proxate.harness import REGIME_NAMES, MisspecRegime
+from proxate.nuisance import HBarModel, PropensityModel
 
 CFG = px.EstimatorConfig()
 
@@ -71,39 +79,114 @@ def test_regime_validation():
     assert not regime.corrupts("h") and not regime.corrupts("hbar")
 
 
+def _evals(data, folds):
+    return evaluate_nuisances(data, folds, fit_all_nuisances(data, folds, CFG))
+
+
 def test_apply_misspec_identity(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 2, seed=1)
-    nus = fit_all_nuisances(data, folds, CFG)[0]
-    same = px.apply_misspec(nus, px.make_regime("all_correct", data))
-    assert same is nus
+    evals = _evals(data, folds)
+    same = px.apply_misspec(evals, px.make_regime("all_correct", data), CFG.clip_eps)
+    assert same is evals
 
 
 def test_apply_misspec_installs_constants(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 2, seed=1)
-    nus = fit_all_nuisances(data, folds, CFG)[0]
-    o_view = px.split_by_sample(data)[1]
-    e_view = px.split_by_sample(data)[0]
-    y_mean = float(o_view.y.mean())
+    evals = _evals(data, folds)
+    y_mean = float(data.y[~data.is_e].mean())
 
-    wrong = px.apply_misspec(nus, px.make_regime("all_wrong", data))
-    np.testing.assert_allclose(wrong.e.evaluate(e_view), 0.8)
-    np.testing.assert_allclose(wrong.h.evaluate(o_view), y_mean)
-    np.testing.assert_allclose(wrong.q0.evaluate(o_view), 1.0)
-    np.testing.assert_allclose(wrong.q1.evaluate(o_view), 1.0)
-    np.testing.assert_allclose(wrong.hbar.evaluate(1, e_view), 1.0)
-    np.testing.assert_allclose(wrong.hbar.evaluate(0, e_view), -1.0)
+    wrong = px.apply_misspec(evals, px.make_regime("all_wrong", data), CFG.clip_eps)
+    assert (wrong.e_hat == 0.8).all() and wrong.n_clipped == 0
+    assert (wrong.h_e == y_mean).all() and (wrong.h_o == y_mean).all()
+    assert (wrong.q0 == 1.0).all() and (wrong.q1 == 1.0).all()
+    assert (wrong.hbar1 == 1.0).all() and (wrong.hbar0 == -1.0).all()
+    assert wrong.a is evals.a and wrong.y is evals.y
 
-    case4 = px.apply_misspec(nus, px.make_regime("case4", data))
+    case4 = px.apply_misspec(evals, px.make_regime("case4", data), CFG.clip_eps)
     # pseudo-outcome refit against the constant bridge equals the constant
-    np.testing.assert_allclose(case4.hbar.evaluate(1, e_view), y_mean)
-    np.testing.assert_allclose(case4.hbar.evaluate(0, e_view), y_mean)
-    np.testing.assert_array_equal(case4.q1.coeffs, nus.q1.coeffs)  # q kept
+    assert (case4.hbar1 == y_mean).all() and (case4.hbar0 == y_mean).all()
+    assert case4.q1 is evals.q1  # q kept
 
-    case3 = px.apply_misspec(nus, px.make_regime("case3", data))
-    assert case3.e is nus.e  # propensity kept
-    np.testing.assert_allclose(case3.h.evaluate(o_view), y_mean)
+    case3 = px.apply_misspec(evals, px.make_regime("case3", data), CFG.clip_eps)
+    assert case3.e_hat is evals.e_hat and case3.n_clipped == evals.n_clipped
+    assert (case3.h_o == y_mean).all()
+
+    # The corrupt propensity is clipped like a fitted one, and counted.
+    clipped = px.apply_misspec(evals, px.make_regime("case1", data), 0.3)
+    assert (clipped.e_hat == 1.0 - 0.3).all() and clipped.n_clipped == data.n_e
+
+
+def _corrupted_sets(nuisance_sets, regime):
+    """The regime's corruptions installed into fitted nuisance functions."""
+    out = []
+    for nus in nuisance_sets:
+        e, h, hbar, q0, q1 = nus.e, nus.h, nus.hbar, nus.q0, nus.q1
+        if regime.corrupts("e"):
+            e = PropensityModel.known(harness.CORRUPT_E, nus.e.clip_eps)
+        if regime.corrupts("h"):
+            h = constant_bridge(nus.h, regime.h_const)
+        if regime.corrupts("q"):
+            q0 = constant_bridge(nus.q0, harness.CORRUPT_Q)
+            q1 = constant_bridge(nus.q1, harness.CORRUPT_Q)
+        if regime.corrupts("hbar"):
+            hbar = HBarModel.constant(
+                nus.hbar.basis, harness.CORRUPT_HBAR_ARM0, harness.CORRUPT_HBAR_ARM1
+            )
+        elif regime.name == "case4":
+            hbar = HBarModel.constant(nus.hbar.basis, regime.h_const, regime.h_const)
+        out.append(px.NuisanceSet(e=e, h=h, hbar=hbar, q0=q0, q1=q1))
+    return out
+
+
+@pytest.mark.parametrize("config", [
+    CFG,
+    px.EstimatorConfig(clip_eps=0.3),  # the corrupt 0.8 clips to 0.7
+    px.EstimatorConfig(known_propensity=0.5),
+], ids=["default", "clip_eps_0.3", "known_propensity"])
+def test_substituted_regimes_match_corrupted_nuisances(small_data, config):
+    # Substituting constants into one evaluation gives bit-identical
+    # estimates to evaluating nuisance functions that carry the corruptions.
+    data, _ = small_data
+    folds = px.make_folds(data, 5, seed=3)
+    nus = fit_all_nuisances(data, folds, config)
+    evals = evaluate_nuisances(data, folds, nus)
+    for name in REGIME_NAMES:
+        regime = px.make_regime(name, data)
+        fast = estimates_from_evals(
+            data, folds, config, px.apply_misspec(evals, regime, config.clip_eps),
+            ESTIMATOR_NAMES, [],
+        )
+        slow = px.estimate_all(data, folds, config,
+                               nuisance_sets=_corrupted_sets(nus, regime))
+        for est, rep in slow.items():
+            assert fast[est].tau_hat == rep.tau_hat, (name, est)
+            assert fast[est].variance_hat == rep.variance_hat, (name, est)
+            assert fast[est].n_propensity_clips == rep.n_propensity_clips, (name, est)
+        assert fast["MR"].ci == slow["MR"].ci, name
+
+
+def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
+    # Per replication (k = 5, six regimes): 6 transforms per fold to fit
+    # and 4 per fold to evaluate, however many regimes run.
+    calls = []
+    real_transform, real_generate = FittedBasis.transform, harness.generate
+
+    def counting_transform(self, source):
+        calls[-1] += 1
+        return real_transform(self, source)
+
+    def generate(*args, **kwargs):
+        calls.append(0)
+        return real_generate(*args, **kwargs)
+
+    monkeypatch.setattr(FittedBasis, "transform", counting_transform)
+    monkeypatch.setattr(harness, "generate", generate)
+    px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=ESTIMATOR_NAMES,
+                       regimes=REGIME_NAMES, replications=2, base_seed=3, k_folds=5)
+    assert len(calls) == 2
+    assert max(calls) <= 5 * 6 + 5 * 4
 
 
 def test_mc_report_identity_and_smoke(confounded_cfg):
@@ -169,7 +252,7 @@ def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
     # Replication 1 fails in its third regime; the first two regimes must
     # not keep a draw from it.
     calls = {"n": 0}
-    real = harness.estimate_all
+    real = harness.estimates_from_evals
 
     def flaky(*args, **kwargs):
         calls["n"] += 1
@@ -177,7 +260,7 @@ def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
             raise NumericalError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "estimate_all", flaky)
+    monkeypatch.setattr(harness, "estimates_from_evals", flaky)
     monkeypatch.setattr(harness, "MAX_FAILURE_FRACTION", 0.5)
     report = px.run_monte_carlo(
         confounded_cfg, n=1500, pi=0.5, estimators=("OB-OR", "MR", "SI"),
@@ -186,3 +269,11 @@ def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
     assert report.n_failed == 1
     counts = {st.n_replications for table in report.regimes.values() for st in table.values()}
     assert counts == {2}
+    entry = {"replication": 1, "seed": 41, "error": "NumericalError",
+             "message": "injected failure"}
+    assert report.failures == [entry]
+    d = report.to_dict()
+    assert d["n_failed"] == 1 and d["failures"] == [entry]
+    header = report.format_table().splitlines()[0]
+    assert header.endswith("failed 1 (replication 1 seed 41: NumericalError)")
+

@@ -7,6 +7,7 @@ import proxate as px
 from proxate.basis import BasisSpec, fit_basis
 from proxate.bridges import constant_bridge
 from proxate.errors import DegenerateTreatmentError, ValidationError
+from proxate.nuisance import _sigmoid
 
 from conftest import fit_design, solve_h
 
@@ -85,7 +86,7 @@ def test_score_equation_at_convergence():
     view = _e_view_with_a(a, x_values=np.concatenate([x, rng.normal(size=4)]), seed=10)
     model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.001)
     design = model.basis.transform(view)
-    raw = model._raw(view)
+    raw = _sigmoid(design @ model.coeffs)  # unclipped propensities
     score = design.T @ (view.a - raw)
     assert np.abs(score).max() < 1e-6 * view.n
 
