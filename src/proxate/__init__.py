@@ -49,9 +49,7 @@ from .estimators import (
 from .harness import (
     MaskDesign,
     MCReport,
-    MisspecRegime,
     apply_misspec,
-    make_regime,
     run_monte_carlo,
     split_and_mask,
 )

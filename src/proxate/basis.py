@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 VALID_ROLES = ("w", "z", "s", "x", "a")
 MAX_DEGREE = 3
@@ -102,6 +102,19 @@ def _raw_features(spec: BasisSpec, blocks: dict[str, np.ndarray]) -> np.ndarray:
     return np.column_stack(cols) if cols else np.empty((n, 0))
 
 
+def _column_role(spec: BasisSpec, blocks: dict[str, np.ndarray], col: int) -> str:
+    """The role behind non-intercept column ``col`` ("r1*r2" for a cross-product)."""
+    roles = [r for r in spec.roles for _ in range(blocks[r].shape[1] * spec.degree)]
+    if spec.interactions:
+        roles += [
+            f"{r1}*{r2}"
+            for i, r1 in enumerate(spec.roles)
+            for r2 in spec.roles[i + 1 :]
+            for _ in range(blocks[r1].shape[1] * blocks[r2].shape[1])
+        ]
+    return roles[col]
+
+
 @dataclass(frozen=True)
 class FittedBasis:
     """A basis spec frozen together with its standardization statistics."""
@@ -132,22 +145,15 @@ class FittedBasis:
             "scales": None if self.scales is None else self.scales.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FittedBasis":
-        return cls(
-            spec=BasisSpec.from_dict(d["spec"]),
-            out_dim=int(d["out_dim"]),
-            centers=None if d.get("centers") is None else np.asarray(d["centers"], dtype=float),
-            scales=None if d.get("scales") is None else np.asarray(d["scales"], dtype=float),
-        )
-
 
 def fit_basis(spec: BasisSpec, view) -> FittedBasis:
     """Freeze a basis on a training view.
 
     Standardization statistics (per non-intercept column mean and sd)
     come from this view only. Raises ``RoleUnavailableError`` if the
-    view's sample masks one of the requested roles.
+    view's sample masks one of the requested roles, and
+    ``NumericalError`` naming the role of the first column whose
+    statistics are not finite.
     """
     blocks = {r: np.asarray(view.role_matrix(r), dtype=float) for r in spec.roles}
     feats = _raw_features(spec, blocks)
@@ -155,8 +161,15 @@ def fit_basis(spec: BasisSpec, view) -> FittedBasis:
     if spec.standardize:
         start = 1 if spec.include_intercept else 0
         body = feats[:, start:]
-        centers = body.mean(axis=0)
-        scales = body.std(axis=0, ddof=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers = body.mean(axis=0)
+            scales = body.std(axis=0, ddof=0)
+        bad = np.flatnonzero(~(np.isfinite(centers) & np.isfinite(scales)))
+        if bad.size:
+            raise NumericalError(
+                f"non-finite standardization of role {_column_role(spec, blocks, bad[0])!r}; "
+                "rescale that input"
+            )
         # Constant columns get unit scale so evaluation stays finite.
         scales = np.where(scales < 1e-12, 1.0, scales)
     return FittedBasis(spec=spec, out_dim=feats.shape[1], centers=centers, scales=scales)

@@ -60,9 +60,6 @@ class BridgeFunction:
                 f"coefficient length {coeffs.shape} != basis out_dim {self.basis.out_dim}"
             )
 
-    def evaluate(self, view) -> np.ndarray:
-        return self.basis.transform(view) @ self.coeffs
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
@@ -71,16 +68,6 @@ class BridgeFunction:
             "coeffs": self.coeffs.tolist(),
             "basis": self.basis.to_dict(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BridgeFunction":
-        return cls(
-            kind=d["kind"],
-            basis=FittedBasis.from_dict(d["basis"]),
-            coeffs=np.asarray(d["coeffs"], dtype=float),
-            ridge=float(d["ridge"]),
-            arm=d.get("arm"),
-        )
 
 
 @dataclass
@@ -239,30 +226,3 @@ def solve_surrogate_bridge(
 
     return arm(0), arm(1)
 
-
-def linear_coefficients(bf: BridgeFunction) -> np.ndarray:
-    """Coefficients on the raw (unstandardized) degree-1 inputs.
-
-    Ordered (intercept, then role blocks in spec order). Only defined
-    for degree-1, interaction-free bases with an intercept.
-    """
-    spec = bf.basis.spec
-    if spec.degree != 1 or spec.interactions or not spec.include_intercept:
-        raise ValidationError(
-            "raw coefficients are only defined for degree-1 intercept bases without interactions"
-        )
-    coeffs = bf.coeffs
-    if not spec.standardize:
-        return coeffs.copy()
-    slopes = coeffs[1:] / bf.basis.scales
-    intercept = coeffs[0] - float(slopes @ bf.basis.centers)
-    return np.concatenate([[intercept], slopes])
-
-
-def constant_bridge(like: BridgeFunction, value: float) -> BridgeFunction:
-    """A bridge that evaluates to ``value`` everywhere (same basis)."""
-    if not like.basis.spec.include_intercept:
-        raise ValidationError("constant bridge needs an intercept in the basis")
-    coeffs = np.zeros(like.basis.out_dim)
-    coeffs[0] = value
-    return BridgeFunction(like.kind, like.basis, coeffs, like.ridge, arm=like.arm)

@@ -162,8 +162,12 @@ def fit_fold_nuisances(
     The one place that fits bases: each distinct spec is fitted once per
     training sample (``e_basis`` and ``hbar_basis`` on E, ``psi``, ``b``,
     ``phi`` and ``g`` on O), so a spec shared by two nuisances is one
-    function and g is the same function on both samples. Each O design
-    and psi on E are built once; q0 and q1 are one solve.
+    function and g is the same function on both samples. Each distinct
+    design is built once per training sample, and q0 and q1 are one
+    solve. Order: h, psi on E, the E covariate designs, hbar, the
+    propensity and its training e-hat, q. Building psi on E sets the
+    fold's memory peak, so it runs before any E covariate design exists;
+    those are freed before q.
     """
     if not 0 <= k < folds.k_folds:
         raise ValidationError(f"fold index {k} out of range")
@@ -178,23 +182,26 @@ def fit_fold_nuisances(
         e_bases = {spec: fit_basis(spec, e_train) for spec in dict.fromkeys(e_specs)}
         o_specs = (config.psi, config.b, config.phi, config.g)
         o_bases = {spec: fit_basis(spec, o_train) for spec in dict.fromkeys(o_specs)}
-        if known:
-            e_model = PropensityModel.known(config.known_propensity, config.clip_eps)
-        else:
-            e_fb = e_bases[config.e_basis]
-            e_model = fit_propensity(e_fb, e_fb.transform(e_train), e_train.a, config.clip_eps)
         o_designs = {spec: basis.transform(o_train) for spec, basis in o_bases.items()}
         psi_fb = o_bases[config.psi]
         h, h_diag = solve_outcome_bridge(
             psi_fb, o_designs[config.psi], o_designs[config.b], o_train.y, config.ridge_h
         )
         psi_e = psi_fb.transform(e_train)
-        hbar_fb = e_bases[config.hbar_basis]
-        hbar = fit_hbar(hbar_fb, hbar_fb.transform(e_train), e_train.a, psi_e @ h.coeffs)
+        e_designs = {spec: basis.transform(e_train) for spec, basis in e_bases.items()}
+        hbar = fit_hbar(e_bases[config.hbar_basis], e_designs[config.hbar_basis], e_train.a,
+                        psi_e @ h.coeffs)
+        if known:
+            e_model, logit = PropensityModel.known(config.known_propensity, config.clip_eps), None
+        else:
+            e_model = fit_propensity(e_bases[config.e_basis], e_designs[config.e_basis],
+                                     e_train.a, config.clip_eps)
+            logit = e_designs[config.e_basis] @ e_model.coeffs
+        del e_designs
         g_e = psi_e if config.g == config.psi else o_bases[config.g].transform(e_train)
         (q0, q0_diag), (q1, q1_diag) = solve_surrogate_bridge(
             o_bases[config.phi], o_designs[config.phi], o_designs[config.g], g_e,
-            e_train.a, *e_model.evaluate_counting(e_train), config.ridge_q,
+            e_train.a, *e_model.clipped(logit, e_train.n), config.ridge_q,
         )
     except DegenerateTreatmentError as exc:
         raise DegenerateTreatmentError(f"fold {k}: {exc}") from exc

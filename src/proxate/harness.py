@@ -9,13 +9,14 @@ is attributable to the estimators alone.
 ``run_monte_carlo`` replays synthetic draws against the known truth.
 Its misspecification regimes corrupt fitted nuisances in deterministic,
 documented ways -- a constant 0.8 propensity, the bridge collapsed to
-the observational outcome mean, unit reweighting functions, and a +-1
-constant pseudo-outcome pair -- matching the four patterns under which
-the multiply robust estimator should stay consistent plus an
-everything-wrong power check. Every corruption is a constant, and the
+the mean of the evaluated observational outcomes, unit reweighting
+functions, and a +-1 constant pseudo-outcome pair -- matching the four
+patterns under which the multiply robust estimator should stay
+consistent plus an everything-wrong power check. ``CORRUPTS`` names
+what each regime corrupts. Every corruption is a constant, and the
 estimators see the data only through the held-out evaluations, so each
-replication fits and evaluates its nuisances once and each regime
-substitutes its constants into those evaluations.
+replication fits and evaluates its nuisances once and ``apply_misspec``
+substitutes each regime's constants into those evaluations.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from .estimators import (
     make_folds,
 )
 
-REGIME_NAMES = ("all_correct", "case1", "case2", "case3", "case4", "all_wrong")
 HARNESS_ESTIMATORS = ESTIMATOR_NAMES + ("SI", "SI-PROX")
 
 # Fixed wrong nuisances installed by the misspecification regimes. The
-# bridge corruption is data-bound instead (``MisspecRegime.h_const``).
+# corrupted bridge is instead the mean of the evaluated O outcomes.
 CORRUPT_E = 0.8
 CORRUPT_Q = 1.0
 CORRUPT_HBAR_ARM1 = 1.0
@@ -55,7 +55,7 @@ MAX_FAILURE_FRACTION = 0.02
 # pseudo-outcome regression with the exact refit against the corrupted
 # (constant) bridge, which for a constant pseudo-outcome is the same
 # constant in both arms. A corrupted q replaces both q0 and q1.
-_CORRUPTS = {
+CORRUPTS = {
     "all_correct": frozenset(),
     "case1": frozenset({"e", "q"}),
     "case2": frozenset({"hbar", "q"}),
@@ -63,6 +63,7 @@ _CORRUPTS = {
     "case4": frozenset({"e", "h"}),
     "all_wrong": frozenset({"e", "h", "hbar", "q"}),
 }
+REGIME_NAMES = tuple(CORRUPTS)
 
 
 @dataclass(frozen=True)
@@ -96,53 +97,34 @@ def split_and_mask(source: FullyObservedSample, design: MaskDesign) -> CombinedD
     )
 
 
-@dataclass(frozen=True)
-class MisspecRegime:
-    name: str
-    h_const: float = 0.0  # corrupted bridge value, bound to the data by make_regime
-
-    def __post_init__(self):
-        if self.name not in REGIME_NAMES:
-            raise ValidationError(
-                f"unknown regime {self.name!r}; choose from {REGIME_NAMES}"
-            )
-
-    def corrupts(self, component: str) -> bool:
-        return component in _CORRUPTS[self.name]
-
-
-def make_regime(name: str, data: CombinedDataset | None = None) -> MisspecRegime:
-    """Build a regime, binding the bridge corruption to the data's
-    observational outcome mean when a dataset is supplied."""
-    h_const = 0.0
-    if data is not None:
-        h_const = float(data.y[~data.is_e].mean())
-    return MisspecRegime(name=name, h_const=h_const)
-
-
-def apply_misspec(evals: UnitEvals, regime: MisspecRegime, clip_eps: float) -> UnitEvals:
-    """Substitute the regime's fixed wrong values for the held-out
+def apply_misspec(evals: UnitEvals, regime: str, clip_eps: float) -> UnitEvals:
+    """Substitute the named regime's fixed wrong values for the held-out
     evaluations of the nuisances it corrupts.
 
-    The corrupted propensity is clipped like a fitted one (``clip_eps``)
-    and counted when clipped. all_correct is the identity (and returns
-    the very same object).
+    The corrupted bridge is the mean of the evaluated O outcomes. The
+    corrupted propensity is clipped like a fitted one (``clip_eps``) and
+    counted when clipped. all_correct is the identity (and returns the
+    very same object).
     """
-    if not any(regime.corrupts(c) for c in ("e", "h", "hbar", "q")):
+    if regime not in CORRUPTS:
+        raise ValidationError(f"unknown regime {regime!r}; choose from {REGIME_NAMES}")
+    corrupts = CORRUPTS[regime]
+    if not corrupts:
         return evals
     n_e, n_o = evals.a.shape[0], evals.y.shape[0]
     sub = {}
-    if regime.corrupts("e"):
+    if "e" in corrupts:
         e = float(np.clip(CORRUPT_E, clip_eps, 1.0 - clip_eps))
         sub.update(e_hat=np.full(n_e, e), n_clipped=n_e if e != CORRUPT_E else 0)
-    if regime.corrupts("h"):
-        sub.update(h_e=np.full(n_e, regime.h_const), h_o=np.full(n_o, regime.h_const))
-    if regime.corrupts("q"):
+    if "h" in corrupts:
+        h_const = float(evals.y.mean())
+        sub.update(h_e=np.full(n_e, h_const), h_o=np.full(n_o, h_const))
+    if "q" in corrupts:
         sub.update(q0=np.full(n_o, CORRUPT_Q), q1=np.full(n_o, CORRUPT_Q))
-    if regime.corrupts("hbar"):
+    if "hbar" in corrupts:
         sub.update(hbar1=np.full(n_e, CORRUPT_HBAR_ARM1), hbar0=np.full(n_e, CORRUPT_HBAR_ARM0))
-    elif regime.name == "case4":
-        sub.update(hbar1=np.full(n_e, regime.h_const), hbar0=np.full(n_e, regime.h_const))
+    elif regime == "case4":
+        sub.update(hbar1=np.full(n_e, h_const), hbar0=np.full(n_e, h_const))
     return replace(evals, **sub)
 
 
@@ -266,9 +248,8 @@ def _replicate(
     evals = evaluate_nuisances(data, folds, nuisance_sets)
     diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
     for rg in regimes:
-        regime = make_regime(rg, data)
         reports = estimates_from_evals(
-            data, folds, config, apply_misspec(evals, regime, config.clip_eps),
+            data, folds, config, apply_misspec(evals, rg, config.clip_eps),
             proximal, diagnostics,
         )
         for est in proximal:

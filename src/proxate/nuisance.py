@@ -51,13 +51,6 @@ class PropensityModel:
         if (self.fixed_rate is None) == (self.basis is None):
             raise ValidationError("exactly one of fixed_rate or a fitted basis is required")
 
-    def evaluate(self, view) -> np.ndarray:
-        return self.evaluate_counting(view)[0]
-
-    def evaluate_counting(self, view) -> tuple[np.ndarray, int]:
-        logit = None if self.basis is None else self.basis.transform(view) @ self.coeffs
-        return self.clipped(logit, view.n)
-
     def clipped(self, logit: np.ndarray | None, n: int) -> tuple[np.ndarray, int]:
         """Clipped propensities of ``n`` units from their basis logit (None
         at a fixed rate), and how many fell outside the clip range."""
@@ -73,16 +66,6 @@ class PropensityModel:
             "fixed_rate": self.fixed_rate,
             "ridged": self.ridged,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PropensityModel":
-        return cls(
-            basis=None if d.get("basis") is None else FittedBasis.from_dict(d["basis"]),
-            coeffs=None if d.get("coeffs") is None else np.asarray(d["coeffs"], dtype=float),
-            clip_eps=float(d["clip_eps"]),
-            fixed_rate=d.get("fixed_rate"),
-            ridged=bool(d.get("ridged", False)),
-        )
 
     @classmethod
     def known(cls, rate: float, clip_eps: float = DEFAULT_CLIP_EPS) -> "PropensityModel":
@@ -147,34 +130,12 @@ class HBarModel:
     arm0_coeffs: np.ndarray
     arm1_coeffs: np.ndarray
 
-    def evaluate(self, a: int, view) -> np.ndarray:
-        coeffs = self.arm1_coeffs if a == 1 else self.arm0_coeffs
-        return self.basis.transform(view) @ coeffs
-
     def to_dict(self) -> dict:
         return {
             "basis": self.basis.to_dict(),
             "arm0_coeffs": self.arm0_coeffs.tolist(),
             "arm1_coeffs": self.arm1_coeffs.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HBarModel":
-        return cls(
-            basis=FittedBasis.from_dict(d["basis"]),
-            arm0_coeffs=np.asarray(d["arm0_coeffs"], dtype=float),
-            arm1_coeffs=np.asarray(d["arm1_coeffs"], dtype=float),
-        )
-
-    @classmethod
-    def constant(cls, basis: FittedBasis, value0: float, value1: float) -> "HBarModel":
-        if not basis.spec.include_intercept:
-            raise ValidationError("constant pseudo-outcome model needs an intercept")
-        c0 = np.zeros(basis.out_dim)
-        c1 = np.zeros(basis.out_dim)
-        c0[0] = value0
-        c1[0] = value1
-        return cls(basis=basis, arm0_coeffs=c0, arm1_coeffs=c1)
 
 
 def fit_hbar(basis: FittedBasis, design: np.ndarray, a: np.ndarray,

@@ -3,6 +3,11 @@
 The Monte Carlo studies are expensive, so the acceptance criteria share
 one session-scoped 200-replication run covering all six regimes plus
 the naive baselines.
+
+The helpers below are the tests' reference implementations of what
+the package only does inside its two design passes: a fitted
+nuisance applied to a view (basis design times coefficients), constant
+nuisances, and a bridge's coefficients on the raw inputs.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import pytest
 
 import proxate as px
 from proxate.basis import fit_basis
+from proxate.errors import ValidationError
 
 
 @pytest.fixture(scope="session")
@@ -73,5 +79,54 @@ def solve_q(o_view, e_view, phi, g, prop, ridge):
     g_fb, g_o = fit_design(g, o_view)
     return px.solve_surrogate_bridge(
         *fit_design(phi, o_view), g_o, g_fb.transform(e_view), e_view.a,
-        *prop.evaluate_counting(e_view), ridge=ridge,
+        *propensity(prop, e_view), ridge=ridge,
     )
+
+
+def evaluate(model, view, arm=None):
+    """``model``'s basis design on ``view`` times its coefficients; ``arm``
+    picks an HBarModel's arm."""
+    if arm is None:
+        coeffs = model.coeffs
+    else:
+        coeffs = model.arm1_coeffs if arm == 1 else model.arm0_coeffs
+    return model.basis.transform(view) @ coeffs
+
+
+def propensity(model, view):
+    """Clipped propensities on ``view`` and how many were clipped."""
+    return model.clipped(None if model.basis is None else evaluate(model, view), view.n)
+
+
+def _intercept(basis, value):
+    if not basis.spec.include_intercept:
+        raise ValidationError("a constant nuisance needs an intercept in its basis")
+    coeffs = np.zeros(basis.out_dim)
+    coeffs[0] = value
+    return coeffs
+
+
+def constant_bridge(like, value):
+    """A bridge on ``like``'s basis that evaluates to ``value`` everywhere."""
+    return px.BridgeFunction(like.kind, like.basis, _intercept(like.basis, value), like.ridge,
+                             arm=like.arm)
+
+
+def constant_hbar(basis, value0, value1):
+    """A pseudo-outcome model equal to ``value0`` on arm 0 and ``value1`` on arm 1."""
+    return px.HBarModel(basis=basis, arm0_coeffs=_intercept(basis, value0),
+                        arm1_coeffs=_intercept(basis, value1))
+
+
+def linear_coefficients(bf):
+    """A degree-1, interaction-free, intercept bridge's coefficients on the
+    raw inputs: intercept, then role blocks in spec order."""
+    spec = bf.basis.spec
+    if spec.degree != 1 or spec.interactions or not spec.include_intercept:
+        raise ValidationError(
+            "raw coefficients are only defined for degree-1 intercept bases without interactions"
+        )
+    if not spec.standardize:
+        return bf.coeffs.copy()
+    slopes = bf.coeffs[1:] / bf.basis.scales
+    return np.concatenate([[bf.coeffs[0] - float(slopes @ bf.basis.centers)], slopes])

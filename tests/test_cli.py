@@ -145,10 +145,13 @@ def test_dump_nuisances(data_csv, tmp_path):
     assert rc == 0
     payload = json.loads(dump.read_text())
     assert len(payload) == 5
-    bridge = px.BridgeFunction.from_dict(payload[0]["h"])
-    assert bridge.kind == "outcome"
-    prop = px.PropensityModel.from_dict(payload[0]["e"])
-    assert prop.clip_eps > 0
+    # Each fold's entry carries its fitted nuisances exactly.
+    data = px.load_csv(data_csv, px.CsvSchema())
+    folds = px.make_folds(data, 5, seed=5)
+    nus = px.fit_fold_nuisances(data, folds, 0, px.EstimatorConfig())
+    for name in ("e", "h", "hbar", "q0", "q1"):
+        assert payload[0][name] == json.loads(json.dumps(getattr(nus, name).to_dict()))
+    assert payload[0]["h"]["kind"] == "outcome" and payload[0]["e"]["clip_eps"] > 0
 
 
 def test_simulate_smoke_and_determinism(tmp_path):
@@ -290,9 +293,8 @@ def test_estimate_non_finite_variance_exit_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_estimate_non_finite_evaluation_exit_2(tmp_path, capsys):
-    # s = 1e308 on one O row: folds that train on it see an infinite
-    # scale and drop s, but in its own held-out fold the standardized s
-    # times the outcome bridge's slope overflows.
+    # s = 1e308 on one O row: every fold that trains on it sees an
+    # infinite s scale, and the fit stops there.
     data, _ = px.generate(px.confounded_config(), 2000, 0.5, seed=7)
     row = int(np.flatnonzero(~data.is_e)[0])
     s = data.s.copy()
@@ -305,5 +307,23 @@ def test_estimate_non_finite_evaluation_exit_2(tmp_path, capsys):
     rc = run(["estimate", "--data", str(path), "--k", "5", "--seed", "0", "--out", str(out)])
     assert rc == 2
     assert not out.exists()
-    fold = int(px.make_folds(bad, 5, seed=0).fold_of[row])
-    assert f"fold {fold}: non-finite held-out evaluation of h" in capsys.readouterr().err
+    assert "non-finite standardization of role 's'" in capsys.readouterr().err
+
+
+def test_estimate_non_finite_standardization_exit_2(tmp_path, capsys):
+    # s = 1e200 on one O row overflows the s column's sd in every fold
+    # that trains on that row, while the row's own held-out values stay
+    # finite: OB-OR would report with s silently dropped from those folds.
+    data, _ = px.generate(px.confounded_config(), 2000, 0.5, seed=7)
+    s = data.s.copy()
+    s[np.flatnonzero(~data.is_e)[0], 0] = 1e200
+    bad = px.CombinedDataset.from_arrays(
+        y=data.y, w=data.w, z=data.z, s=s, a=data.a, x=data.x, is_e=data.is_e
+    )
+    path, out = tmp_path / "big_s.csv", tmp_path / "rep.json"
+    px.write_csv(bad, path, px.CsvSchema())
+    rc = run(["estimate", "--data", str(path), "--estimator", "ob-or", "--k", "5",
+              "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "non-finite standardization of role 's'" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 import proxate as px
 from proxate import harness
 from proxate.basis import FittedBasis
-from proxate.bridges import constant_bridge
 from proxate.errors import NumericalError, ValidationError
 from proxate.estimators import (
     ESTIMATOR_NAMES,
@@ -14,8 +13,10 @@ from proxate.estimators import (
     evaluate_nuisances,
     fit_all_nuisances,
 )
-from proxate.harness import REGIME_NAMES, MisspecRegime
-from proxate.nuisance import HBarModel, PropensityModel
+from proxate.harness import CORRUPTS, REGIME_NAMES
+from proxate.nuisance import PropensityModel
+
+from conftest import constant_bridge, constant_hbar
 
 CFG = px.EstimatorConfig()
 
@@ -71,12 +72,12 @@ def test_split_preserves_marginals_ks(confounded_cfg):
     assert n_pass / len(seeds) >= 0.95
 
 
-def test_regime_validation():
-    with pytest.raises(ValidationError):
-        MisspecRegime(name="case9")
-    regime = px.make_regime("case1")
-    assert regime.corrupts("e") and regime.corrupts("q")
-    assert not regime.corrupts("h") and not regime.corrupts("hbar")
+def test_regime_validation(small_data):
+    data, _ = small_data
+    evals = _evals(data, px.make_folds(data, 2, seed=1))
+    with pytest.raises(ValidationError, match="unknown regime 'case9'"):
+        px.apply_misspec(evals, "case9", CFG.clip_eps)
+    assert CORRUPTS["case1"] == {"e", "q"}
 
 
 def _evals(data, folds):
@@ -87,7 +88,7 @@ def test_apply_misspec_identity(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 2, seed=1)
     evals = _evals(data, folds)
-    same = px.apply_misspec(evals, px.make_regime("all_correct", data), CFG.clip_eps)
+    same = px.apply_misspec(evals, "all_correct", CFG.clip_eps)
     assert same is evals
 
 
@@ -97,45 +98,47 @@ def test_apply_misspec_installs_constants(small_data):
     evals = _evals(data, folds)
     y_mean = float(data.y[~data.is_e].mean())
 
-    wrong = px.apply_misspec(evals, px.make_regime("all_wrong", data), CFG.clip_eps)
+    wrong = px.apply_misspec(evals, "all_wrong", CFG.clip_eps)
     assert (wrong.e_hat == 0.8).all() and wrong.n_clipped == 0
     assert (wrong.h_e == y_mean).all() and (wrong.h_o == y_mean).all()
     assert (wrong.q0 == 1.0).all() and (wrong.q1 == 1.0).all()
     assert (wrong.hbar1 == 1.0).all() and (wrong.hbar0 == -1.0).all()
     assert wrong.a is evals.a and wrong.y is evals.y
 
-    case4 = px.apply_misspec(evals, px.make_regime("case4", data), CFG.clip_eps)
+    case4 = px.apply_misspec(evals, "case4", CFG.clip_eps)
     # pseudo-outcome refit against the constant bridge equals the constant
     assert (case4.hbar1 == y_mean).all() and (case4.hbar0 == y_mean).all()
     assert case4.q1 is evals.q1  # q kept
 
-    case3 = px.apply_misspec(evals, px.make_regime("case3", data), CFG.clip_eps)
+    case3 = px.apply_misspec(evals, "case3", CFG.clip_eps)
     assert case3.e_hat is evals.e_hat and case3.n_clipped == evals.n_clipped
     assert (case3.h_o == y_mean).all()
 
     # The corrupt propensity is clipped like a fitted one, and counted.
-    clipped = px.apply_misspec(evals, px.make_regime("case1", data), 0.3)
+    clipped = px.apply_misspec(evals, "case1", 0.3)
     assert (clipped.e_hat == 1.0 - 0.3).all() and clipped.n_clipped == data.n_e
 
 
-def _corrupted_sets(nuisance_sets, regime):
-    """The regime's corruptions installed into fitted nuisance functions."""
+def _corrupted_sets(nuisance_sets, regime, h_const):
+    """The regime's corruptions installed into fitted nuisance functions,
+    with ``h_const`` as the corrupted bridge."""
+    corrupts = CORRUPTS[regime]
     out = []
     for nus in nuisance_sets:
         e, h, hbar, q0, q1 = nus.e, nus.h, nus.hbar, nus.q0, nus.q1
-        if regime.corrupts("e"):
+        if "e" in corrupts:
             e = PropensityModel.known(harness.CORRUPT_E, nus.e.clip_eps)
-        if regime.corrupts("h"):
-            h = constant_bridge(nus.h, regime.h_const)
-        if regime.corrupts("q"):
+        if "h" in corrupts:
+            h = constant_bridge(nus.h, h_const)
+        if "q" in corrupts:
             q0 = constant_bridge(nus.q0, harness.CORRUPT_Q)
             q1 = constant_bridge(nus.q1, harness.CORRUPT_Q)
-        if regime.corrupts("hbar"):
-            hbar = HBarModel.constant(
+        if "hbar" in corrupts:
+            hbar = constant_hbar(
                 nus.hbar.basis, harness.CORRUPT_HBAR_ARM0, harness.CORRUPT_HBAR_ARM1
             )
-        elif regime.name == "case4":
-            hbar = HBarModel.constant(nus.hbar.basis, regime.h_const, regime.h_const)
+        elif regime == "case4":
+            hbar = constant_hbar(nus.hbar.basis, h_const, h_const)
         out.append(px.NuisanceSet(e=e, h=h, hbar=hbar, q0=q0, q1=q1))
     return out
 
@@ -152,14 +155,14 @@ def test_substituted_regimes_match_corrupted_nuisances(small_data, config):
     folds = px.make_folds(data, 5, seed=3)
     nus = fit_all_nuisances(data, folds, config)
     evals = evaluate_nuisances(data, folds, nus)
+    y_mean = float(data.y[~data.is_e].mean())
     for name in REGIME_NAMES:
-        regime = px.make_regime(name, data)
         fast = estimates_from_evals(
-            data, folds, config, px.apply_misspec(evals, regime, config.clip_eps),
+            data, folds, config, px.apply_misspec(evals, name, config.clip_eps),
             ESTIMATOR_NAMES, [],
         )
         slow = px.estimate_all(data, folds, config,
-                               nuisance_sets=_corrupted_sets(nus, regime))
+                               nuisance_sets=_corrupted_sets(nus, name, y_mean))
         for est, rep in slow.items():
             assert fast[est].tau_hat == rep.tau_hat, (name, est)
             assert fast[est].variance_hat == rep.variance_hat, (name, est)
@@ -168,7 +171,7 @@ def test_substituted_regimes_match_corrupted_nuisances(small_data, config):
 
 
 def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
-    # Per replication (k = 5, six regimes): 6 transforms per fold to fit
+    # Per replication (k = 5, six regimes): 4 transforms per fold to fit
     # and 4 per fold to evaluate, however many regimes run.
     calls = []
     real_transform, real_generate = FittedBasis.transform, harness.generate
@@ -186,7 +189,7 @@ def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
     px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=ESTIMATOR_NAMES,
                        regimes=REGIME_NAMES, replications=2, base_seed=3, k_folds=5)
     assert len(calls) == 2
-    assert max(calls) <= 5 * 6 + 5 * 4
+    assert max(calls) <= 5 * 4 + 5 * 4
 
 
 def test_mc_report_identity_and_smoke(confounded_cfg):
@@ -242,7 +245,7 @@ def test_corruption_dataclass_defaults():
     assert harness.CORRUPT_E == 0.8 and harness.CORRUPT_Q == 1.0
     assert harness.CORRUPT_HBAR_ARM1 == 1.0 and harness.CORRUPT_HBAR_ARM0 == -1.0
     assert harness.MAX_FAILURE_FRACTION == 0.02
-    assert px.make_regime("case3").h_const == 0.0
+    assert CORRUPTS["case3"] == {"h", "hbar"}
     assert set(REGIME_NAMES) == {
         "all_correct", "case1", "case2", "case3", "case4", "all_wrong"
     }
