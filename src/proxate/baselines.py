@@ -27,7 +27,7 @@ import numpy as np
 from .data import CombinedDataset, FullyObservedSample, split_by_sample
 from .errors import DegenerateInstrumentError, NumericalError, ValidationError
 from .estimators import EstimateReport
-from .stats import hc0_cov, two_sided_p
+from .stats import hc0_cov, ols, two_sided_p
 
 BASELINE_NAMES = ("SI", "SI-PROX")
 
@@ -82,13 +82,7 @@ class DiagnosticReport:
 
 def ols_hc0(design: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> RegressionFit:
     """OLS with HC0 standard errors; errors out on a collinear design."""
-    design = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < design.shape[1]:
-        raise NumericalError(
-            f"rank-deficient design (rank {rank} < {design.shape[1]}); drop collinear columns"
-        )
+    coef = ols(design, y)
     resid = y - design @ coef
     se = np.sqrt(np.diag(hc0_cov(design, resid)))
     return RegressionFit(coeffs=coef, robust_se=se, names=names)

@@ -3,14 +3,16 @@
 Every solver and regression in the package consumes the same basis
 machinery: a ``BasisSpec`` names which variable roles enter, the
 polynomial degree, and the flags; ``fit_basis`` freezes standardization
-statistics from a training view, after which ``FittedBasis.transform``
-is a pure row-wise function of any view.
+statistics from a training view and returns the training design it
+standardizes with them, so fitting expands the training rows once.
+``FittedBasis.transform`` is then a pure row-wise function of any view.
 
-Column layout (fixed, so coefficient vectors are interpretable):
-intercept first (if requested), then per role in spec order, per
-component, powers 1..degree, then pairwise cross-products across
-distinct roles (if requested). Adding interactions never reorders the
-leading non-interaction block.
+Column layout (fixed, so coefficient vectors are interpretable, and
+written down once, in ``_raw_features``): intercept first (if
+requested), then per role in spec order, per component, powers
+1..degree, then pairwise cross-products across distinct roles (if
+requested). Adding interactions never reorders the leading
+non-interaction block.
 """
 
 from __future__ import annotations
@@ -45,15 +47,6 @@ class BasisSpec:
         if not 1 <= self.degree <= MAX_DEGREE:
             raise ValidationError(f"degree must be in [1, {MAX_DEGREE}], got {self.degree}")
 
-    def out_dim(self, role_dims: dict[str, int]) -> int:
-        n_base = sum(role_dims[r] for r in self.roles) * self.degree
-        n_inter = 0
-        if self.interactions:
-            for i, r1 in enumerate(self.roles):
-                for r2 in self.roles[i + 1 :]:
-                    n_inter += role_dims[r1] * role_dims[r2]
-        return int(self.include_intercept) + n_base + n_inter
-
     def to_dict(self) -> dict:
         return {
             "roles": list(self.roles),
@@ -80,18 +73,23 @@ class BasisSpec:
         )
 
 
-def _raw_features(spec: BasisSpec, blocks: dict[str, np.ndarray]) -> np.ndarray:
-    """Stack the unstandardized feature columns for role matrices ``blocks``."""
+def _raw_features(spec: BasisSpec, source) -> tuple[np.ndarray, list[str]]:
+    """Stack the unstandardized feature columns of ``source``, each labelled
+    with the role behind it ("r1*r2" for a cross-product, "1" for the intercept)."""
+    blocks = {r: np.asarray(source.role_matrix(r), dtype=float) for r in spec.roles}
     n = next(iter(blocks.values())).shape[0]
     cols: list[np.ndarray] = []
+    roles: list[str] = []
     if spec.include_intercept:
         cols.append(np.ones(n))
+        roles.append("1")
     for r in spec.roles:
         mat = blocks[r]
         for j in range(mat.shape[1]):
             v = mat[:, j]
             for d in range(1, spec.degree + 1):
                 cols.append(v**d)
+                roles.append(r)
     if spec.interactions:
         for i, r1 in enumerate(spec.roles):
             for r2 in spec.roles[i + 1 :]:
@@ -99,20 +97,8 @@ def _raw_features(spec: BasisSpec, blocks: dict[str, np.ndarray]) -> np.ndarray:
                 for j1 in range(m1.shape[1]):
                     for j2 in range(m2.shape[1]):
                         cols.append(m1[:, j1] * m2[:, j2])
-    return np.column_stack(cols) if cols else np.empty((n, 0))
-
-
-def _column_role(spec: BasisSpec, blocks: dict[str, np.ndarray], col: int) -> str:
-    """The role behind non-intercept column ``col`` ("r1*r2" for a cross-product)."""
-    roles = [r for r in spec.roles for _ in range(blocks[r].shape[1] * spec.degree)]
-    if spec.interactions:
-        roles += [
-            f"{r1}*{r2}"
-            for i, r1 in enumerate(spec.roles)
-            for r2 in spec.roles[i + 1 :]
-            for _ in range(blocks[r1].shape[1] * blocks[r2].shape[1])
-        ]
-    return roles[col]
+                        roles.append(f"{r1}*{r2}")
+    return (np.column_stack(cols) if cols else np.empty((n, 0))), roles
 
 
 @dataclass(frozen=True)
@@ -126,15 +112,18 @@ class FittedBasis:
 
     def transform(self, source) -> np.ndarray:
         """Feature matrix for a view (or anything exposing role_matrix)."""
-        blocks = {r: np.asarray(source.role_matrix(r), dtype=float) for r in self.spec.roles}
-        feats = _raw_features(self.spec, blocks)
-        if self.spec.standardize:
-            start = 1 if self.spec.include_intercept else 0
-            feats[:, start:] = (feats[:, start:] - self.centers) / self.scales
+        feats, _ = _raw_features(self.spec, source)
         if feats.shape[1] != self.out_dim:
             raise ValidationError(
                 f"basis evaluated to {feats.shape[1]} columns, expected {self.out_dim}"
             )
+        return self._standardized(feats)
+
+    def _standardized(self, feats: np.ndarray) -> np.ndarray:
+        """Standardize the raw features ``feats`` in place and return them."""
+        if self.spec.standardize:
+            start = int(self.spec.include_intercept)
+            feats[:, start:] = (feats[:, start:] - self.centers) / self.scales
         return feats
 
     def to_dict(self) -> dict:
@@ -146,20 +135,20 @@ class FittedBasis:
         }
 
 
-def fit_basis(spec: BasisSpec, view) -> FittedBasis:
-    """Freeze a basis on a training view.
+def fit_basis(spec: BasisSpec, view) -> tuple[FittedBasis, np.ndarray]:
+    """Freeze a basis on a training view; return it and its design on the view.
 
     Standardization statistics (per non-intercept column mean and sd)
-    come from this view only. Raises ``RoleUnavailableError`` if the
-    view's sample masks one of the requested roles, and
+    come from this view only, and the returned design equals
+    ``transform(view)`` bit for bit. Raises ``RoleUnavailableError`` if
+    the view's sample masks one of the requested roles, and
     ``NumericalError`` naming the role of the first column whose
     statistics are not finite.
     """
-    blocks = {r: np.asarray(view.role_matrix(r), dtype=float) for r in spec.roles}
-    feats = _raw_features(spec, blocks)
+    feats, roles = _raw_features(spec, view)
     centers = scales = None
     if spec.standardize:
-        start = 1 if spec.include_intercept else 0
+        start = int(spec.include_intercept)
         body = feats[:, start:]
         with np.errstate(over="ignore", invalid="ignore"):
             centers = body.mean(axis=0)
@@ -167,9 +156,10 @@ def fit_basis(spec: BasisSpec, view) -> FittedBasis:
         bad = np.flatnonzero(~(np.isfinite(centers) & np.isfinite(scales)))
         if bad.size:
             raise NumericalError(
-                f"non-finite standardization of role {_column_role(spec, blocks, bad[0])!r}; "
+                f"non-finite standardization of role {roles[start + bad[0]]!r}; "
                 "rescale that input"
             )
         # Constant columns get unit scale so evaluation stays finite.
         scales = np.where(scales < 1e-12, 1.0, scales)
-    return FittedBasis(spec=spec, out_dim=feats.shape[1], centers=centers, scales=scales)
+    fitted = FittedBasis(spec=spec, out_dim=feats.shape[1], centers=centers, scales=scales)
+    return fitted, fitted._standardized(feats)

@@ -100,13 +100,18 @@ def _orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
 
 
 def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
-                 context: str) -> np.ndarray:
-    """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq, per target column."""
+                 context: str) -> tuple[np.ndarray, float]:
+    """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq, per
+    target column; returns the coefficients and the Gram condition of ``design``."""
     p = design.shape[1]
     if penalty < 0:
         raise ValidationError("ridge penalty must be >= 0")
+    sv = np.linalg.svd(design, compute_uv=False)
+    if sv.size == 0 or sv[-1] == 0.0 or sv[0] == 0.0:
+        cond = float("inf")
+    else:
+        cond = float((sv[0] / sv[-1]) ** 2)
     if penalty == 0.0:
-        sv = np.linalg.svd(design, compute_uv=False)
         rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
         if rank < p:
             raise SingularSystemError(
@@ -114,18 +119,11 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
                 "with ridge 0; pass ridge > 0"
             )
         coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        return coef
+        return coef, cond
     aug = np.vstack([design, np.sqrt(penalty) * np.eye(p)])
     tgt = np.concatenate([target, np.zeros((p,) + target.shape[1:])])
     coef, _, _, _ = np.linalg.lstsq(aug, tgt, rcond=None)
-    return coef
-
-
-def _gram_condition(design: np.ndarray) -> float:
-    sv = np.linalg.svd(design, compute_uv=False)
-    if sv.size == 0 or sv[-1] == 0.0 or sv[0] == 0.0:
-        return float("inf")
-    return float((sv[0] / sv[-1]) ** 2)
+    return coef, cond
 
 
 def _warn_if_ill_conditioned(cond: float, context: str) -> None:
@@ -163,13 +161,12 @@ def solve_outcome_bridge(
     q_basis = _orthonormal_column_basis(instruments)
     proj_feats = q_basis.T @ feats
     proj_y = q_basis.T @ y
-    coeffs = _ridge_solve(proj_feats, proj_y, n * ridge, "outcome bridge")
+    coeffs, cond = _ridge_solve(proj_feats, proj_y, n * ridge, "outcome bridge")
 
     fitted = feats @ coeffs
     if not np.isfinite(fitted).all():
         raise SingularSystemError("outcome bridge: non-finite fit on training records")
     moments = instruments.T @ (y - fitted) / n
-    cond = _gram_condition(proj_feats)
     _warn_if_ill_conditioned(cond, "outcome bridge")
     diag = MomentDiagnostics(max_abs_moment=float(np.max(np.abs(moments))), gram_condition=cond,
                              n_instruments=m, n_params=p, label="h")
@@ -205,11 +202,10 @@ def solve_surrogate_bridge(
     e_arm = (1.0 - e_hat, e_hat)
     rhs = [g_e.T @ ((a_e == a).astype(float) / e_arm[a]) / n_e for a in (0, 1)]
     lhs = g_o.T @ feats_o / n_o
-    coeffs = _ridge_solve(lhs, np.column_stack(rhs), ridge, "surrogate bridge")
+    coeffs, cond = _ridge_solve(lhs, np.column_stack(rhs), ridge, "surrogate bridge")
 
     if not np.isfinite(feats_o @ coeffs).all():
         raise SingularSystemError("surrogate bridge: non-finite fit on training records")
-    cond = _gram_condition(lhs)
     _warn_if_ill_conditioned(cond, "surrogate bridge")
 
     def arm(a: int) -> tuple[BridgeFunction, MomentDiagnostics]:

@@ -224,8 +224,7 @@ def oracle_h_residual_check(
 
     spec = BasisSpec(roles=("z", "s", "x") if cfg.dim_x else ("z", "s"),
                      degree=2, include_intercept=True, interactions=True)
-    source = _Cols()
-    feats = fit_basis(spec, source).transform(source)
+    _, feats = fit_basis(spec, _Cols())
     moments = feats.T @ resid / n_large
     return float(np.max(np.abs(moments)))
 

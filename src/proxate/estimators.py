@@ -41,7 +41,7 @@ from .bridges import (
     solve_surrogate_bridge,
 )
 from .data import CombinedDataset, SampleView
-from .errors import DegenerateTreatmentError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .nuisance import (
     DEFAULT_CLIP_EPS,
     HBarModel,
@@ -160,14 +160,16 @@ def fit_fold_nuisances(
     """Fit every nuisance for fold ``k`` on the fold's complement only.
 
     The one place that fits bases: each distinct spec is fitted once per
-    training sample (``e_basis`` and ``hbar_basis`` on E, ``psi``, ``b``,
-    ``phi`` and ``g`` on O), so a spec shared by two nuisances is one
-    function and g is the same function on both samples. Each distinct
-    design is built once per training sample, and q0 and q1 are one
-    solve. Order: h, psi on E, the E covariate designs, hbar, the
-    propensity and its training e-hat, q. Building psi on E sets the
-    fold's memory peak, so it runs before any E covariate design exists;
-    those are freed before q.
+    training sample (``psi``, ``b``, ``phi`` and ``g`` on O, ``e_basis``
+    and ``hbar_basis`` on E), and each fit's training design is the one
+    the nuisances use, so a spec shared by two nuisances is one function
+    and one design; g is the same function on both samples. The only
+    other training designs are psi on E (and g on E when g != psi). q0
+    and q1 are one solve. Order: h, psi on E, the E covariate fits,
+    hbar, the propensity and its training e-hat, q. Building psi on E
+    sets the fold's memory peak, so it runs before any E covariate
+    design exists; those are freed before q. Every ``NumericalError``
+    keeps its class and gains the fold index.
     """
     if not 0 <= k < folds.k_folds:
         raise ValidationError(f"fold index {k} out of range")
@@ -178,33 +180,29 @@ def fit_fold_nuisances(
     known = config.known_propensity is not None
     try:
         require_both_arms(e_train.a, "pseudo-outcome regression" if known else "propensity fit")
-        e_specs = (config.hbar_basis,) if known else (config.e_basis, config.hbar_basis)
-        e_bases = {spec: fit_basis(spec, e_train) for spec in dict.fromkeys(e_specs)}
         o_specs = (config.psi, config.b, config.phi, config.g)
-        o_bases = {spec: fit_basis(spec, o_train) for spec in dict.fromkeys(o_specs)}
-        o_designs = {spec: basis.transform(o_train) for spec, basis in o_bases.items()}
-        psi_fb = o_bases[config.psi]
-        h, h_diag = solve_outcome_bridge(
-            psi_fb, o_designs[config.psi], o_designs[config.b], o_train.y, config.ridge_h
-        )
+        o_fits = {spec: fit_basis(spec, o_train) for spec in dict.fromkeys(o_specs)}
+        psi_fb, psi_o = o_fits[config.psi]
+        h, h_diag = solve_outcome_bridge(psi_fb, psi_o, o_fits[config.b][1], o_train.y,
+                                         config.ridge_h)
         psi_e = psi_fb.transform(e_train)
-        e_designs = {spec: basis.transform(e_train) for spec, basis in e_bases.items()}
-        hbar = fit_hbar(e_bases[config.hbar_basis], e_designs[config.hbar_basis], e_train.a,
-                        psi_e @ h.coeffs)
+        e_specs = (config.hbar_basis,) if known else (config.e_basis, config.hbar_basis)
+        e_fits = {spec: fit_basis(spec, e_train) for spec in dict.fromkeys(e_specs)}
+        hbar = fit_hbar(*e_fits[config.hbar_basis], e_train.a, psi_e @ h.coeffs)
         if known:
             e_model, logit = PropensityModel.known(config.known_propensity, config.clip_eps), None
         else:
-            e_model = fit_propensity(e_bases[config.e_basis], e_designs[config.e_basis],
-                                     e_train.a, config.clip_eps)
-            logit = e_designs[config.e_basis] @ e_model.coeffs
-        del e_designs
-        g_e = psi_e if config.g == config.psi else o_bases[config.g].transform(e_train)
+            e_model = fit_propensity(*e_fits[config.e_basis], e_train.a, config.clip_eps)
+            logit = e_fits[config.e_basis][1] @ e_model.coeffs
+        del e_fits
+        g_fb, g_o = o_fits[config.g]
+        g_e = psi_e if config.g == config.psi else g_fb.transform(e_train)
         (q0, q0_diag), (q1, q1_diag) = solve_surrogate_bridge(
-            o_bases[config.phi], o_designs[config.phi], o_designs[config.g], g_e,
-            e_train.a, *e_model.clipped(logit, e_train.n), config.ridge_q,
+            *o_fits[config.phi], g_o, g_e, e_train.a, *e_model.clipped(logit, e_train.n),
+            config.ridge_q,
         )
-    except DegenerateTreatmentError as exc:
-        raise DegenerateTreatmentError(f"fold {k}: {exc}") from exc
+    except NumericalError as exc:
+        raise type(exc)(f"fold {k}: {exc}") from exc
     for diag in (h_diag, q0_diag, q1_diag):
         diag.label = f"fold{k}:{diag.label}"
     return NuisanceSet(

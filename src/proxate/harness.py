@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import surrogate_index_estimate
+from .baselines import BASELINE_NAMES, surrogate_index_estimate
 from .data import CombinedDataset, FullyObservedSample
 from .dgp import DGPConfig, generate
 from .errors import ProxateError, ValidationError
@@ -39,7 +39,7 @@ from .estimators import (
     make_folds,
 )
 
-HARNESS_ESTIMATORS = ESTIMATOR_NAMES + ("SI", "SI-PROX")
+HARNESS_ESTIMATORS = ESTIMATOR_NAMES + BASELINE_NAMES
 
 # Fixed wrong nuisances installed by the misspecification regimes. The
 # corrupted bridge is instead the mean of the evaluated O outcomes.

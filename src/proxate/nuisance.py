@@ -20,7 +20,6 @@ import numpy as np
 
 from .basis import FittedBasis
 from .errors import DegenerateTreatmentError, NumericalError, ValidationError
-from .stats import ols
 
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
@@ -143,6 +142,6 @@ def fit_hbar(basis: FittedBasis, design: np.ndarray, a: np.ndarray,
     """Regress the pseudo-outcome on the ``basis`` design, one fit per arm."""
     require_both_arms(a, "pseudo-outcome regression")
     treated = a == 1.0
-    c1 = ols(design[treated], pseudo[treated], require_full_rank=False)
-    c0 = ols(design[~treated], pseudo[~treated], require_full_rank=False)
+    c1 = np.linalg.lstsq(design[treated], pseudo[treated], rcond=None)[0]
+    c0 = np.linalg.lstsq(design[~treated], pseudo[~treated], rcond=None)[0]
     return HBarModel(basis=basis, arm0_coeffs=c0, arm1_coeffs=c1)

@@ -115,18 +115,15 @@ def two_sided_p(t: float) -> float:
     return float(np.clip(2.0 * normal_cdf(-abs(t)), 0.0, 1.0))
 
 
-def ols(design: np.ndarray, y: np.ndarray, *, require_full_rank: bool = True) -> np.ndarray:
-    """Least-squares coefficients of ``y`` on ``design``.
-
-    Raises ``NumericalError`` on a rank-deficient design when
-    ``require_full_rank`` is set.
-    """
+def ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of ``y`` on ``design``; raises
+    ``NumericalError`` on a rank-deficient design."""
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if require_full_rank and rank < design.shape[1]:
+    if rank < design.shape[1]:
         raise NumericalError(
-            f"rank-deficient design: rank {rank} < {design.shape[1]} columns"
+            f"rank-deficient design (rank {rank} < {design.shape[1]}); drop collinear columns"
         )
     return coef
 

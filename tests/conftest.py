@@ -61,24 +61,18 @@ def mc_se(stats) -> float:
     return stats.sd / np.sqrt(stats.n_replications)
 
 
-def fit_design(spec, view):
-    """Fit ``spec`` on ``view``; return the fitted basis and its design on ``view``."""
-    fb = fit_basis(spec, view)
-    return fb, fb.transform(view)
-
-
 def solve_h(o_view, psi, b, ridge):
     """The outcome bridge, with psi and b fitted on ``o_view``."""
     return px.solve_outcome_bridge(
-        *fit_design(psi, o_view), fit_design(b, o_view)[1], o_view.y, ridge=ridge
+        *fit_basis(psi, o_view), fit_basis(b, o_view)[1], o_view.y, ridge=ridge
     )
 
 
 def solve_q(o_view, e_view, phi, g, prop, ridge):
     """Both arms' surrogate bridges, with phi and g fitted on ``o_view``."""
-    g_fb, g_o = fit_design(g, o_view)
+    g_fb, g_o = fit_basis(g, o_view)
     return px.solve_surrogate_bridge(
-        *fit_design(phi, o_view), g_o, g_fb.transform(e_view), e_view.a,
+        *fit_basis(phi, o_view), g_o, g_fb.transform(e_view), e_view.a,
         *propensity(prop, e_view), ridge=ridge,
     )
 

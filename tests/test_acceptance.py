@@ -48,7 +48,7 @@ def test_criterion_02_reduction_to_ols(confounded_cfg):
     o_view = px.split_by_sample(data)[1]
     spec = BasisSpec(roles=("s", "x"), standardize=True)
     h, _ = solve_h(o_view, spec, spec, ridge=0.0)
-    beta = ols(fit_basis(spec, o_view).transform(o_view), o_view.y)
+    beta = ols(fit_basis(spec, o_view)[1], o_view.y)
     gap = float(np.abs(h.coeffs - beta).max())
     _report(2, "same-instrument solve equals OLS", gap < 1e-8, f"max gap {gap:.2e}")
 

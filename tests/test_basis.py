@@ -20,16 +20,21 @@ def views(small_data):
 def test_out_dim_linear(views):
     _, o_view = views
     # dims here: s=1, x=1 -> 1 + 1 + 1
-    fb = fit_basis(BasisSpec(roles=("s", "x")), o_view)
+    fb, _ = fit_basis(BasisSpec(roles=("s", "x")), o_view)
     assert fb.out_dim == 3
 
 
 def test_out_dim_counts():
     dims = {"w": 1, "z": 1, "s": 2, "x": 3}
-    assert BasisSpec(roles=("s", "x")).out_dim(dims) == 6
-    assert BasisSpec(roles=("w",), degree=2).out_dim(dims) == 3
-    assert BasisSpec(roles=("w", "s"), interactions=True).out_dim(dims) == 1 + 3 + 2
-    assert BasisSpec(roles=("s",), include_intercept=False).out_dim(dims) == 2
+    view = _Rows(**{r: np.arange(4.0 * d).reshape(4, d) for r, d in dims.items()})
+
+    def out_dim(**spec):
+        return fit_basis(BasisSpec(**spec), view)[0].out_dim
+
+    assert out_dim(roles=("s", "x")) == 6
+    assert out_dim(roles=("w",), degree=2) == 3
+    assert out_dim(roles=("w", "s"), interactions=True) == 1 + 3 + 2
+    assert out_dim(roles=("s",), include_intercept=False) == 2
 
 
 def test_role_unavailable(views):
@@ -73,11 +78,11 @@ def test_eval_examples(views):
     one = px.SampleView(o_view.data, o_view.indices[:1], "O")
     s_row = one.role_matrix("s")[0]
 
-    intercept_only = fit_basis(BasisSpec(roles=("s",), include_intercept=False), o_view)
+    intercept_only, _ = fit_basis(BasisSpec(roles=("s",), include_intercept=False), o_view)
     # degree-1 role read-off, no intercept
     np.testing.assert_allclose(intercept_only.transform(one)[0], s_row)
 
-    fb = fit_basis(BasisSpec(roles=("s",)), o_view)
+    fb, _ = fit_basis(BasisSpec(roles=("s",)), o_view)
     np.testing.assert_allclose(fb.transform(one)[0], np.concatenate([[1.0], s_row]))
     # A unit evaluated alone equals its row of the batched evaluation.
     np.testing.assert_array_equal(fb.transform(one)[0], fb.transform(o_view)[0])
@@ -96,25 +101,24 @@ class _Rows:
 
 def test_intercept_only_basis():
     # A zero-width role leaves just the intercept column.
-    fb = fit_basis(BasisSpec(roles=("x",)), _Rows(x=np.zeros((4, 0))))
+    fb, _ = fit_basis(BasisSpec(roles=("x",)), _Rows(x=np.zeros((4, 0))))
     assert fb.out_dim == 1
     np.testing.assert_array_equal(fb.transform(_Rows(x=np.zeros((1, 0)))), [[1.0]])
 
 
 def test_direct_readoff():
     view = _Rows(s=np.array([[2.0, -1.0], [0.0, 1.0], [1.0, 1.0]]))
-    fb = fit_basis(BasisSpec(roles=("s",)), view)
+    fb, _ = fit_basis(BasisSpec(roles=("s",)), view)
     one = _Rows(s=np.array([[2.0, -1.0]]))
     np.testing.assert_allclose(fb.transform(one), [[1.0, 2.0, -1.0]])
 
 
 def test_standardization_invariant(views):
     _, o_view = views
-    fb = fit_basis(
+    _, feats = fit_basis(
         BasisSpec(roles=("w", "s", "x"), degree=2, interactions=True, standardize=True),
         o_view,
     )
-    feats = fb.transform(o_view)
     assert np.abs(feats[:, 1:].mean(axis=0)).max() < 1e-8
     assert np.abs(feats[:, 1:].std(axis=0) - 1.0).max() < 1e-8
     assert np.allclose(feats[:, 0], 1.0)
@@ -122,7 +126,7 @@ def test_standardization_invariant(views):
 
 def test_standardized_eval_at_training_mean(views):
     _, o_view = views
-    fb = fit_basis(BasisSpec(roles=("s",), standardize=True), o_view)
+    fb, _ = fit_basis(BasisSpec(roles=("s",), standardize=True), o_view)
 
     # A 1-row O view of a two-unit dataset whose O unit sits at the mean.
     mean_s = o_view.role_matrix("s").mean(axis=0)
@@ -138,8 +142,8 @@ def test_standardized_eval_at_training_mean(views):
 
 def test_prefix_stability(views):
     _, o_view = views
-    plain = fit_basis(BasisSpec(roles=("w", "s"), degree=2), o_view)
-    inter = fit_basis(BasisSpec(roles=("w", "s"), degree=2, interactions=True), o_view)
+    plain, _ = fit_basis(BasisSpec(roles=("w", "s"), degree=2), o_view)
+    inter, _ = fit_basis(BasisSpec(roles=("w", "s"), degree=2, interactions=True), o_view)
     a = plain.transform(o_view)
     b = inter.transform(o_view)
     assert b.shape[1] > a.shape[1]
@@ -148,7 +152,7 @@ def test_prefix_stability(views):
 
 def test_purity_bit_identical(views):
     _, o_view = views
-    fb = fit_basis(BasisSpec(roles=("w", "s", "x"), degree=3, standardize=True), o_view)
+    fb, _ = fit_basis(BasisSpec(roles=("w", "s", "x"), degree=3, standardize=True), o_view)
     one = px.SampleView(o_view.data, o_view.indices[3:4], "O")
     first = fb.transform(one)
     second = fb.transform(one)
@@ -161,29 +165,28 @@ def test_purity_bit_identical(views):
     degree=st.integers(min_value=1, max_value=3),
     intercept=st.booleans(),
     interactions=st.booleans(),
+    standardize=st.booleans(),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_out_dim_matches_eval(degree, intercept, interactions, seed):
+def test_out_dim_matches_eval(degree, intercept, interactions, standardize, seed):
+    # The fit's training design is transform() on the training view, bit
+    # for bit, with 1 + (1 + 2 + 3) * degree + (1*2 + 1*3 + 2*3) columns.
     rng = np.random.default_rng(seed)
-
-    class View:
-        n = 7
-
-        def role_matrix(self, role):
-            return rng.normal(size=(7, {"w": 1, "s": 2, "x": 3}[role]))
-
+    view = _Rows(w=rng.normal(size=(7, 1)), s=rng.normal(size=(7, 2)),
+                 x=rng.normal(size=(7, 3)))
     spec = BasisSpec(
-        roles=("w", "s", "x"), degree=degree,
-        include_intercept=intercept, interactions=interactions,
+        roles=("w", "s", "x"), degree=degree, include_intercept=intercept,
+        interactions=interactions, standardize=standardize,
     )
-    view = View()
-    fb = fit_basis(spec, view)
-    assert fb.out_dim == spec.out_dim({"w": 1, "s": 2, "x": 3})
+    fb, design = fit_basis(spec, view)
+    assert fb.out_dim == int(intercept) + 6 * degree + (11 if interactions else 0)
+    assert design.shape == (7, fb.out_dim)
+    assert np.array_equal(design, fb.transform(view))
 
 
 def test_serialization_round_trip(views):
     _, o_view = views
-    fb = fit_basis(BasisSpec(roles=("w", "s"), degree=2, standardize=True), o_view)
+    fb, _ = fit_basis(BasisSpec(roles=("w", "s"), degree=2, standardize=True), o_view)
     # The JSON text of to_dict() carries the exact centers and scales.
     back = json.loads(json.dumps(fb.to_dict()))
     assert back["centers"] == fb.centers.tolist() and back["scales"] == fb.scales.tolist()

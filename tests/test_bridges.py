@@ -50,7 +50,7 @@ def test_b1_reduction_to_ols(small_data):
     o_view = px.split_by_sample(data)[1]
     spec = BasisSpec(roles=("s", "x"), standardize=True)
     h, _ = solve_h(o_view, spec, spec, ridge=0.0)
-    design = fit_basis(spec, o_view).transform(o_view)
+    _, design = fit_basis(spec, o_view)
     beta = ols(design, o_view.y)
     np.testing.assert_allclose(h.coeffs, beta, atol=1e-8)
 
@@ -163,8 +163,7 @@ def test_surrogate_bridge_reweighting_identity_held_out(confounded_cfg):
 
     gstar = BasisSpec(roles=("w", "s", "x"), degree=2, include_intercept=False,
                       interactions=True)
-    fb = fit_basis(gstar, o_view)
-    g_o = fb.transform(o_view)
+    fb, g_o = fit_basis(gstar, o_view)
     g_e = fb.transform(e_view)
     # Column layout: w, w^2, s, s^2, x, x^2, w*s, w*x, s*x; keep the
     # pure degree-2 columns.

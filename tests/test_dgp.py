@@ -117,8 +117,7 @@ def _residual_at(cfg, n, seed):
     from proxate.basis import BasisSpec, fit_basis
 
     spec = BasisSpec(roles=("z", "s", "x"), degree=2, include_intercept=True, interactions=True)
-    src = _Cols()
-    feats = fit_basis(spec, src).transform(src)
+    _, feats = fit_basis(spec, _Cols())
     return float(np.max(np.abs(feats.T @ resid / n)))
 
 

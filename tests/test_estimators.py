@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import proxate as px
-from proxate.errors import DegenerateTreatmentError, NumericalError, ValidationError
+from proxate.basis import fit_basis
+from proxate.errors import (
+    DegenerateTreatmentError, NumericalError, SingularSystemError, ValidationError,
+)
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import PropensityModel
 
-from conftest import (
-    constant_bridge, constant_hbar, evaluate, fit_design, propensity, solve_h, solve_q,
-)
+from conftest import constant_bridge, constant_hbar, evaluate, propensity, solve_h, solve_q
 
 CFG = px.EstimatorConfig()
 
@@ -162,6 +163,39 @@ def test_single_arm_error_precedes_basis_fits(cfg, fit):
         px.fit_fold_nuisances(data, folds, treated_fold, cfg)
 
 
+def _with_huge_s(data):
+    # s = 1e200 on the first O row overflows the s column's sd.
+    s = data.s.copy()
+    s[np.flatnonzero(~data.is_e)[0], 0] = 1e200
+    return px.CombinedDataset.from_arrays(y=data.y, w=data.w, z=data.z, s=s, a=data.a,
+                                          x=data.x, is_e=data.is_e)
+
+
+def _with_duplicate_z(data):
+    # A repeated z column makes phi collinear, so a ridge-0 q solve is singular.
+    return px.CombinedDataset.from_arrays(y=data.y, w=data.w, z=np.column_stack([data.z, data.z]),
+                                          s=data.s, a=data.a, x=data.x, is_e=data.is_e)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("corrupt, cfg, error, message", [
+    (_with_huge_s, CFG, NumericalError, "non-finite standardization of role 's'"),
+    (_with_duplicate_z,
+     replace(CFG, g=px.BasisSpec(roles=("w", "s", "x"), degree=2, standardize=True),
+             ridge_q=0.0),
+     SingularSystemError, "surrogate bridge: rank-deficient system"),
+], ids=["standardization", "singular-q"])
+def test_fold_numerical_error_names_fold(small_data, corrupt, cfg, error, message):
+    # Every numerical failure inside a fold's fit keeps its class and
+    # gains the fold index.
+    data = corrupt(small_data[0])
+    folds = px.make_folds(data, 3, seed=4)
+    k = (int(folds.fold_of[np.flatnonzero(~data.is_e)[0]]) + 1) % 3  # trains on that O row
+    with pytest.raises(error, match=f"^fold {k}: {message}") as err:
+        px.fit_fold_nuisances(data, folds, k, cfg)
+    assert type(err.value) is error
+
+
 # Every nuisance on its own basis: psi != g, b != phi, e_basis != hbar_basis.
 DISTINCT_CFG = px.EstimatorConfig(
     psi=px.BasisSpec(roles=("w", "s", "x"), standardize=True),
@@ -173,11 +207,11 @@ DISTINCT_CFG = px.EstimatorConfig(
 )
 
 
-@pytest.mark.parametrize("cfg, n_fits, n_transforms", [(CFG, 3, 4), (DISTINCT_CFG, 6, 8)])
+@pytest.mark.parametrize("cfg, n_fits, n_transforms", [(CFG, 3, 1), (DISTINCT_CFG, 6, 2)])
 def test_fold_fits_each_distinct_basis_once(small_data, monkeypatch, cfg, n_fits,
                                             n_transforms):
-    # One design per distinct basis per training sample: by default psi
-    # and b on O, psi and the covariate design on E.
+    # One design per distinct basis per training sample, each the fit's
+    # own: the only transforms left are psi on E, plus g on E when g != psi.
     data, _ = small_data
     folds = px.make_folds(data, 3, seed=4)
     counts = {"fit": 0, "transform": 0}
@@ -211,11 +245,11 @@ def test_fold_matches_one_basis_fit_per_nuisance(small_data, cfg):
     e = px.SampleView(data, folds.train_indices(data, 1, "E"), "E")
     o = px.SampleView(data, folds.train_indices(data, 1, "O"), "O")
     if cfg.known_propensity is None:
-        e_model = px.fit_propensity(*fit_design(cfg.e_basis, e), e.a, cfg.clip_eps)
+        e_model = px.fit_propensity(*fit_basis(cfg.e_basis, e), e.a, cfg.clip_eps)
     else:
         e_model = PropensityModel.known(cfg.known_propensity, cfg.clip_eps)
     h, _ = solve_h(o, cfg.psi, cfg.b, cfg.ridge_h)
-    hbar = px.fit_hbar(*fit_design(cfg.hbar_basis, e), e.a, evaluate(h, e))
+    hbar = px.fit_hbar(*fit_basis(cfg.hbar_basis, e), e.a, evaluate(h, e))
     (q0, _), (q1, _) = solve_q(o, e, cfg.phi, cfg.g, e_model, cfg.ridge_q)
     nus = px.fit_fold_nuisances(data, folds, 1, cfg)
     assert nus.e.to_dict() == e_model.to_dict()
@@ -304,7 +338,7 @@ def test_ob_or_zero_when_h_constant(small_data):
 
     def refit_hbar(n):
         return px.fit_hbar(
-            *fit_design(CFG.hbar_basis, e_view), e_view.a,
+            *fit_basis(CFG.hbar_basis, e_view), e_view.a,
             evaluate(constant_bridge(n.h, 7.0), e_view),
         )
 

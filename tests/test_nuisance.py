@@ -10,7 +10,7 @@ from proxate.basis import BasisSpec, fit_basis
 from proxate.errors import DegenerateTreatmentError, ValidationError
 from proxate.nuisance import _sigmoid
 
-from conftest import constant_bridge, evaluate, fit_design, propensity, solve_h
+from conftest import constant_bridge, evaluate, propensity, solve_h
 
 XB = BasisSpec(roles=("x",))
 
@@ -40,7 +40,7 @@ def test_mean_prediction_matches_treated_share():
     # The intercept score equation pins the average prediction to the share.
     a = np.concatenate([np.ones(40), np.zeros(60)])
     view = _e_view_with_a(a)
-    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.01)
+    model = px.fit_propensity(*fit_basis(XB, view), view.a, clip_eps=0.01)
     assert propensity(model, view)[0].mean() == pytest.approx(0.4, abs=1e-6)
 
 
@@ -60,14 +60,14 @@ def test_intercept_only_exact_share():
         is_e=is_e,
     )
     view = px.split_by_sample(data)[0]
-    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.01)
+    model = px.fit_propensity(*fit_basis(XB, view), view.a, clip_eps=0.01)
     np.testing.assert_allclose(propensity(model, view)[0], 0.4, atol=1e-8)
 
 
 def test_randomized_design_flat_propensity(confounded_cfg):
     data, _ = px.generate(confounded_cfg, 2 * 10**4, 0.5, seed=77)
     e_view = px.split_by_sample(data)[0]
-    model = px.fit_propensity(*fit_design(XB, e_view), e_view.a, clip_eps=0.01)
+    model = px.fit_propensity(*fit_basis(XB, e_view), e_view.a, clip_eps=0.01)
     assert np.abs(propensity(model, e_view)[0] - 0.5).max() < 0.05
     assert not model.ridged
 
@@ -75,7 +75,7 @@ def test_randomized_design_flat_propensity(confounded_cfg):
 def test_single_arm_errors():
     for view in (_e_view_with_a(np.ones(30)), _e_view_with_a(np.zeros(30))):
         with pytest.raises(DegenerateTreatmentError):
-            px.fit_propensity(*fit_design(XB, view), view.a)
+            px.fit_propensity(*fit_basis(XB, view), view.a)
 
 
 def test_score_equation_at_convergence():
@@ -85,7 +85,7 @@ def test_score_equation_at_convergence():
     p = 1.0 / (1.0 + np.exp(-(0.3 + 0.8 * x)))
     a = (rng.random(n) < p).astype(float)
     view = _e_view_with_a(a, x_values=np.concatenate([x, rng.normal(size=4)]), seed=10)
-    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.001)
+    model = px.fit_propensity(*fit_basis(XB, view), view.a, clip_eps=0.001)
     design = model.basis.transform(view)
     raw = _sigmoid(design @ model.coeffs)  # unclipped propensities
     score = design.T @ (view.a - raw)
@@ -106,7 +106,7 @@ def test_separation_falls_back_to_ridge():
     x = np.concatenate([np.full(20, -2.0), np.full(20, 2.0), np.zeros(4)])
     a = np.concatenate([np.zeros(20), np.ones(20)])
     view = _e_view_with_a(a, x_values=x, seed=4)
-    model = px.fit_propensity(*fit_design(XB, view), view.a, clip_eps=0.01)
+    model = px.fit_propensity(*fit_basis(XB, view), view.a, clip_eps=0.01)
     assert model.ridged
     vals = propensity(model, view)[0]
     assert np.all((vals >= 0.01) & (vals <= 0.99))
@@ -115,7 +115,7 @@ def test_separation_falls_back_to_ridge():
 def test_eval_propensity_record(small_data):
     data, _ = small_data
     e_view = px.split_by_sample(data)[0]
-    model = px.fit_propensity(*fit_design(XB, e_view), e_view.a, clip_eps=0.01)
+    model = px.fit_propensity(*fit_basis(XB, e_view), e_view.a, clip_eps=0.01)
     one = px.SampleView(data, e_view.indices[:1], "E")
     assert propensity(model, one)[0][0] == pytest.approx(propensity(model, e_view)[0][0])
     const = px.PropensityModel.known(0.5)
@@ -124,9 +124,7 @@ def test_eval_propensity_record(small_data):
 
 def test_zero_coefficients_give_half():
     view = _e_view_with_a(np.concatenate([np.ones(5), np.zeros(5)]))
-    from proxate.basis import fit_basis
-
-    fb = fit_basis(XB, view)
+    fb, _ = fit_basis(XB, view)
     model = px.PropensityModel(basis=fb, coeffs=np.zeros(fb.out_dim), clip_eps=0.01)
     one = px.SampleView(view.data, view.indices[:1], "E")
     assert propensity(model, one)[0][0] == 0.5
@@ -155,7 +153,7 @@ def _h_and_view(small_data):
 def test_hbar_of_constant_is_constant(small_data):
     h, e_view = _h_and_view(small_data)
     const = constant_bridge(h, 4.25)
-    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, evaluate(const, e_view))
+    model = px.fit_hbar(*fit_basis(XB, e_view), e_view.a, evaluate(const, e_view))
     np.testing.assert_allclose(evaluate(model, e_view, arm=1), 4.25, atol=1e-8)
     np.testing.assert_allclose(evaluate(model, e_view, arm=0), 4.25, atol=1e-8)
 
@@ -168,9 +166,9 @@ def test_hbar_linearity(small_data):
         coeffs=2.0 * h.coeffs + 3.0 * constant_bridge(h, 1.0).coeffs,
         ridge=h.ridge,
     )
-    m1 = px.fit_hbar(*fit_design(XB, e_view), e_view.a, evaluate(h, e_view))
-    m2 = px.fit_hbar(*fit_design(XB, e_view), e_view.a, evaluate(h2, e_view))
-    mc = px.fit_hbar(*fit_design(XB, e_view), e_view.a, evaluate(combo, e_view))
+    m1 = px.fit_hbar(*fit_basis(XB, e_view), e_view.a, evaluate(h, e_view))
+    m2 = px.fit_hbar(*fit_basis(XB, e_view), e_view.a, evaluate(h2, e_view))
+    mc = px.fit_hbar(*fit_basis(XB, e_view), e_view.a, evaluate(combo, e_view))
     np.testing.assert_allclose(
         mc.arm1_coeffs, 2.0 * m1.arm1_coeffs + 3.0 * m2.arm1_coeffs, atol=1e-8
     )
@@ -183,7 +181,7 @@ def test_hbar_single_arm_errors(small_data):
     h, _ = _h_and_view(small_data)
     view = _e_view_with_a(np.ones(30))
     with pytest.raises(DegenerateTreatmentError):
-        px.fit_hbar(*fit_design(XB, view), view.a, evaluate(constant_bridge(h, 1.0), view))
+        px.fit_hbar(*fit_basis(XB, view), view.a, evaluate(constant_bridge(h, 1.0), view))
 
 
 def test_hbar_contrast_recovers_effect_without_covariates():
@@ -198,7 +196,7 @@ def test_hbar_contrast_recovers_effect_without_covariates():
     psi = BasisSpec(roles=("w", "s"), standardize=True)
     b = BasisSpec(roles=("z", "s"), standardize=True)
     h, _ = solve_h(o_view, psi, b, ridge=1e-6)
-    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, evaluate(h, e_view))
+    model = px.fit_hbar(*fit_basis(XB, e_view), e_view.a, evaluate(h, e_view))
     contrast = evaluate(model, e_view, arm=1) - evaluate(model, e_view, arm=0)
     # MC standard error of the contrast mean at n_e ~ 1e4.
     se = (evaluate(h, e_view).std() / np.sqrt(e_view.n)) * 2.0
@@ -207,7 +205,7 @@ def test_hbar_contrast_recovers_effect_without_covariates():
 
 def test_eval_hbar_record(small_data):
     h, e_view = _h_and_view(small_data)
-    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, evaluate(h, e_view))
+    model = px.fit_hbar(*fit_basis(XB, e_view), e_view.a, evaluate(h, e_view))
     one = px.SampleView(e_view.data, e_view.indices[2:3], "E")
     assert evaluate(model, one, arm=1)[0] == pytest.approx(evaluate(model, e_view, arm=1)[2])
     assert evaluate(model, one, arm=0)[0] == pytest.approx(evaluate(model, e_view, arm=0)[2])
@@ -216,11 +214,11 @@ def test_eval_hbar_record(small_data):
 def test_hbar_serialization(small_data):
     # The JSON text of to_dict() carries the exact coefficients.
     h, e_view = _h_and_view(small_data)
-    model = px.fit_hbar(*fit_design(XB, e_view), e_view.a, evaluate(h, e_view))
+    model = px.fit_hbar(*fit_basis(XB, e_view), e_view.a, evaluate(h, e_view))
     back = json.loads(json.dumps(model.to_dict()))
     assert back["arm0_coeffs"] == model.arm0_coeffs.tolist()
     assert back["arm1_coeffs"] == model.arm1_coeffs.tolist()
-    pm = px.fit_propensity(*fit_design(XB, e_view), e_view.a)
+    pm = px.fit_propensity(*fit_basis(XB, e_view), e_view.a)
     back_pm = json.loads(json.dumps(pm.to_dict()))
     assert back_pm["coeffs"] == pm.coeffs.tolist()
     assert back_pm["basis"] == back["basis"] == model.basis.to_dict()

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import proxate
 
-MAX_SETTABLE_VALUES = 71
+MAX_SETTABLE_VALUES = 70
 
 
 def _public(node) -> bool:
