@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .data import CombinedDataset, FullyObservedSample, split_by_sample
 from .errors import DegenerateInstrumentError, NumericalError, ValidationError
 from .estimators import EstimateReport
@@ -56,7 +57,7 @@ class RegressionFit:
 
 
 @dataclass(frozen=True)
-class DiagnosticReport:
+class DiagnosticReport(Record):
     ols_coef_on_a: float
     ols_se: float
     ols_p: float
@@ -68,16 +69,6 @@ class DiagnosticReport:
         for p in (self.ols_p, self.iv_p):
             if not 0.0 <= p <= 1.0:
                 raise ValidationError("p-values must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "ols_coef_on_a": self.ols_coef_on_a,
-            "ols_se": self.ols_se,
-            "ols_p": self.ols_p,
-            "iv_coef_on_a": self.iv_coef_on_a,
-            "iv_se": self.iv_se,
-            "iv_p": self.iv_p,
-        }
 
 
 def ols_hc0(design: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> RegressionFit:

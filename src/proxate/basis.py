@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record, reject_unknown
 from .errors import NumericalError, ValidationError
 
 VALID_ROLES = ("w", "z", "s", "x", "a")
@@ -58,10 +59,8 @@ class BasisSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BasisSpec":
-        known = {"roles", "degree", "intercept", "interactions", "standardize"}
-        unknown = set(d) - known
-        if unknown:
-            raise ValidationError(f"unknown basis spec keys: {sorted(unknown)}")
+        reject_unknown(d, ("roles", "degree", "intercept", "interactions", "standardize"),
+                       "basis spec")
         if "roles" not in d:
             raise ValidationError("basis spec requires 'roles'")
         return cls(
@@ -102,7 +101,7 @@ def _raw_features(spec: BasisSpec, source) -> tuple[np.ndarray, list[str]]:
 
 
 @dataclass(frozen=True)
-class FittedBasis:
+class FittedBasis(Record):
     """A basis spec frozen together with its standardization statistics."""
 
     spec: BasisSpec
@@ -125,14 +124,6 @@ class FittedBasis:
             start = int(self.spec.include_intercept)
             feats[:, start:] = (feats[:, start:] - self.centers) / self.scales
         return feats
-
-    def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "out_dim": self.out_dim,
-            "centers": None if self.centers is None else self.centers.tolist(),
-            "scales": None if self.scales is None else self.scales.tolist(),
-        }
 
 
 def fit_basis(spec: BasisSpec, view) -> tuple[FittedBasis, np.ndarray]:

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .basis import FittedBasis
 from .errors import (
     SingularSystemError,
@@ -39,7 +40,7 @@ _RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class BridgeFunction:
+class BridgeFunction(Record):
     """A basis expansion with solved coefficients."""
 
     kind: str  # "outcome" or "surrogate"
@@ -60,34 +61,15 @@ class BridgeFunction:
                 f"coefficient length {coeffs.shape} != basis out_dim {self.basis.out_dim}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "arm": self.arm,
-            "ridge": self.ridge,
-            "coeffs": self.coeffs.tolist(),
-            "basis": self.basis.to_dict(),
-        }
-
 
 @dataclass
-class MomentDiagnostics:
+class MomentDiagnostics(Record):
     max_abs_moment: float
-    gram_condition: float
+    gram_condition: float | None  # None: singular Gram matrix
     n_instruments: int
     n_params: int
     n_clipped: int = 0
     label: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "max_abs_moment": self.max_abs_moment,
-            "gram_condition": self.gram_condition,
-            "n_instruments": self.n_instruments,
-            "n_params": self.n_params,
-            "n_clipped": self.n_clipped,
-        }
 
 
 def _orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
@@ -100,15 +82,16 @@ def _orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
 
 
 def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
-                 context: str) -> tuple[np.ndarray, float]:
+                 context: str) -> tuple[np.ndarray, float | None]:
     """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq, per
-    target column; returns the coefficients and the Gram condition of ``design``."""
+    target column; returns the coefficients and the Gram condition of ``design``
+    (None when the Gram matrix is singular, so reports stay strict JSON)."""
     p = design.shape[1]
     if penalty < 0:
         raise ValidationError("ridge penalty must be >= 0")
     sv = np.linalg.svd(design, compute_uv=False)
     if sv.size == 0 or sv[-1] == 0.0 or sv[0] == 0.0:
-        cond = float("inf")
+        cond = None
     else:
         cond = float((sv[0] / sv[-1]) ** 2)
     if penalty == 0.0:
@@ -126,7 +109,8 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
     return coef, cond
 
 
-def _warn_if_ill_conditioned(cond: float, context: str) -> None:
+def _warn_if_ill_conditioned(cond: float | None, context: str) -> None:
+    cond = float("inf") if cond is None else cond
     if cond > COND_WARN_THRESHOLD:
         warnings.warn(
             f"{context}: Gram condition number {cond:.3e} exceeds {COND_WARN_THRESHOLD:.0e}",

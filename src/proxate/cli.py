@@ -12,6 +12,8 @@ it are rejected so typos cannot silently change an estimator. Flags
 override config values. Every command that writes a machine-readable
 report produces identical bytes for identical config and seeds, except
 for the created_at timestamp, which golden comparisons must strip.
+Reports are strict JSON (RFC 8259): a NaN or infinity is a numerical
+failure, never a written value.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 """
@@ -21,13 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._records import reject_unknown
 from .baselines import BASELINE_NAMES, diagnose_surrogacy, surrogate_index_estimate
 from .data import CsvSchema, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
 from .dgp import DGPConfig, confounded_config, generate
@@ -59,12 +62,6 @@ class RunConfig:
     sim_regimes: tuple[str, ...] = ("all_correct",)
 
 
-def _reject_unknown(d: dict, known: set[str], where: str) -> None:
-    unknown = set(d) - known
-    if unknown:
-        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
-
-
 def load_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
@@ -77,12 +74,12 @@ def load_config(path: str | None) -> RunConfig:
         raise ValidationError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
-    _reject_unknown(raw, {"schema", "estimation", "dgp", "simulate"}, "config")
+    reject_unknown(raw, {"schema", "estimation", "dgp", "simulate"}, "config")
     if "schema" in raw:
         cfg.schema = CsvSchema.from_dict(raw["schema"])
     if "estimation" in raw:
         est = dict(raw["estimation"])
-        _reject_unknown(
+        reject_unknown(
             est,
             {"k_folds", "seed", "alpha", "ridge_h", "ridge_q", "clip_eps",
              "known_propensity", "bases"},
@@ -91,13 +88,13 @@ def load_config(path: str | None) -> RunConfig:
         cfg.k_folds = int(est.pop("k_folds", cfg.k_folds))
         cfg.seed = int(est.pop("seed", cfg.seed))
         bases = est.pop("bases", {})
-        _reject_unknown(bases, {"psi", "b", "phi", "g", "e_basis", "hbar_basis"}, "bases")
+        reject_unknown(bases, {"psi", "b", "phi", "g", "e_basis", "hbar_basis"}, "bases")
         cfg.estimation = EstimatorConfig.from_dict({**est, **bases})
     if "dgp" in raw:
         cfg.dgp = DGPConfig.from_dict(raw["dgp"])
     if "simulate" in raw:
         sim = dict(raw["simulate"])
-        _reject_unknown(
+        reject_unknown(
             sim,
             {"n", "pi", "replications", "base_seed", "estimators", "regimes"},
             "simulate",
@@ -136,16 +133,25 @@ def _canonical_name(name: str, valid: tuple[str, ...]) -> str | None:
     return None
 
 
+def _write_json(path: str, doc) -> None:
+    """Write ``doc`` as strict JSON; a NaN or infinity in it is a
+    ``NumericalError`` and leaves no file."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{path}: {exc}") from exc
+    Path(path).write_text(text + "\n")
+
+
 def _write_report(path: str | None, command: str, payload: dict) -> None:
     if path is None:
         return
-    doc = {
+    _write_json(path, {
         "command": command,
         "created_at": datetime.now(timezone.utc).isoformat(),
         "version": __version__,
         "result": payload,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
 
 
 def _estimate_table(reports: dict) -> str:
@@ -169,9 +175,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg.seed = args.seed
     if args.alpha is not None:
-        cfg.estimation = EstimatorConfig.from_dict(
-            {**cfg.estimation.to_dict(), "alpha": args.alpha}
-        )
+        cfg.estimation = replace(cfg.estimation, alpha=args.alpha)
     data = load_csv(args.data, cfg.schema)
 
     requested = _parse_name_list(
@@ -213,7 +217,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             }
             for k, nus in enumerate(nuisance_sets)
         ]
-        Path(args.dump_nuisances).write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n")
+        _write_json(args.dump_nuisances, dump)
     return 0
 
 
@@ -265,12 +269,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     write_csv(data, args.out, cfg.schema)
     print(f"wrote {data.n} rows (n_e={data.n_e}, n_o={data.n_o}) to {args.out}")
     if args.oracle_out:
-        payload = {
-            "true_ate": oracle.true_ate,
-            "true_h_coeffs": oracle.true_h_coeffs.tolist(),
-            "notes": oracle.notes,
-        }
-        _write_report(args.oracle_out, "gen-data", payload)
+        _write_report(args.oracle_out, "gen-data", oracle.to_dict())
     return 0
 
 

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._records import reject_unknown
 from .errors import (
     ParseError,
     RoleUnavailableError,
@@ -234,9 +235,7 @@ class CsvSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CsvSchema":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown schema keys: {sorted(unknown)}")
+        reject_unknown(d, (f.name for f in fields(cls)), "schema")
         kw = dict(d)
         for role in ("w", "z", "s", "x"):
             if role in kw and isinstance(kw[role], list):

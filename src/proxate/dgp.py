@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._records import Record, reject_unknown
 from .basis import BasisSpec, fit_basis
 from .data import CombinedDataset, FullyObservedSample
 from .errors import ValidationError
@@ -91,14 +92,12 @@ class DGPConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DGPConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown dgp keys: {sorted(unknown)}")
+        reject_unknown(d, (f.name for f in fields(cls)), "dgp")
         return cls(**d)
 
 
 @dataclass(frozen=True)
-class DGPOracle:
+class DGPOracle(Record):
     """Closed-form truths for a config; see module docstring for derivations."""
 
     true_ate: float

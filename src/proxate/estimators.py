@@ -32,6 +32,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._records import Record, reject_unknown
 from .basis import BasisSpec, fit_basis
 from .bridges import (
     DEFAULT_RIDGE,
@@ -112,7 +113,7 @@ class NuisanceSet:
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
+class EstimatorConfig(Record):
     """Basis specs, penalties, and guards shared by all estimators."""
 
     psi: BasisSpec = BasisSpec(roles=("w", "s", "x"), standardize=True)
@@ -131,19 +132,10 @@ class EstimatorConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
 
-    def to_dict(self) -> dict:
-        """Plain-JSON form; the inverse of ``from_dict``."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = value.to_dict() if isinstance(value, BasisSpec) else value
-        return out
-
     @classmethod
     def from_dict(cls, d: dict) -> "EstimatorConfig":
-        unknown = set(d) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValidationError(f"unknown estimation keys: {sorted(unknown)}")
+        """The inverse of ``to_dict``."""
+        reject_unknown(d, (f.name for f in fields(cls)), "estimation")
         kw = dict(d)
         for f in fields(cls):
             if isinstance(f.default, BasisSpec) and f.name in kw:
@@ -168,8 +160,9 @@ def fit_fold_nuisances(
     and q1 are one solve. Order: h, psi on E, the E covariate fits,
     hbar, the propensity and its training e-hat, q. Building psi on E
     sets the fold's memory peak, so it runs before any E covariate
-    design exists; those are freed before q. Every ``NumericalError``
-    keeps its class and gains the fold index.
+    design exists; those are freed before q, and psi on E is freed
+    before g on E is built. Every ``NumericalError`` keeps its class and
+    gains the fold index.
     """
     if not 0 <= k < folds.k_folds:
         raise ValidationError(f"fold index {k} out of range")
@@ -196,7 +189,11 @@ def fit_fold_nuisances(
             logit = e_fits[config.e_basis][1] @ e_model.coeffs
         del e_fits
         g_fb, g_o = o_fits[config.g]
-        g_e = psi_e if config.g == config.psi else g_fb.transform(e_train)
+        if config.g == config.psi:
+            g_e = psi_e
+        else:
+            del psi_e  # hbar was its only reader; free it before g on E exists
+            g_e = g_fb.transform(e_train)
         (q0, q0_diag), (q1, q1_diag) = solve_surrogate_bridge(
             *o_fits[config.phi], g_o, g_e, e_train.a, *e_model.clipped(logit, e_train.n),
             config.ridge_q,
@@ -335,7 +332,7 @@ def evaluate_nuisances(
 
 
 @dataclass
-class EstimateReport:
+class EstimateReport(Record):
     estimator: str
     tau_hat: float
     alpha: float
@@ -362,21 +359,6 @@ class EstimateReport:
             lo, hi = self.ci
             if not lo <= self.tau_hat <= hi:
                 raise ValidationError("point estimate must lie inside its interval")
-
-    def to_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "tau_hat": self.tau_hat,
-            "variance_hat": self.variance_hat,
-            "ci": None if self.ci is None else [self.ci[0], self.ci[1]],
-            "alpha": self.alpha,
-            "k_folds": self.k_folds,
-            "seed": self.seed,
-            "n_e": self.n_e,
-            "n_o": self.n_o,
-            "n_propensity_clips": self.n_propensity_clips,
-            "per_fold_diagnostics": [d.to_dict() for d in self.per_fold_diagnostics],
-        }
 
 
 def confidence_interval(

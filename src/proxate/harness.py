@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._records import Record
 from .baselines import BASELINE_NAMES, surrogate_index_estimate
 from .data import CombinedDataset, FullyObservedSample
 from .dgp import DGPConfig, generate
@@ -129,7 +130,7 @@ def apply_misspec(evals: UnitEvals, regime: str, clip_eps: float) -> UnitEvals:
 
 
 @dataclass
-class EstimatorStats:
+class EstimatorStats(Record):
     mean: float
     bias: float
     sd: float
@@ -137,19 +138,9 @@ class EstimatorStats:
     n_replications: int
     coverage_95: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "bias": self.bias,
-            "sd": self.sd,
-            "rmse": self.rmse,
-            "coverage_95": self.coverage_95,
-            "n_replications": self.n_replications,
-        }
-
 
 @dataclass
-class MCReport:
+class MCReport(Record):
     true_ate: float
     n_replications: int
     regimes: dict[str, dict[str, EstimatorStats]]
@@ -161,16 +152,7 @@ class MCReport:
         return len(self.failures)
 
     def to_dict(self) -> dict:
-        return {
-            "true_ate": self.true_ate,
-            "n_replications": self.n_replications,
-            "n_failed": self.n_failed,
-            "failures": [dict(f) for f in self.failures],
-            "regimes": {
-                regime: {est: st.to_dict() for est, st in table.items()}
-                for regime, table in self.regimes.items()
-            },
-        }
+        return {**super().to_dict(), "n_failed": self.n_failed}
 
     def format_table(self) -> str:
         failed = f"   failed {self.n_failed}"

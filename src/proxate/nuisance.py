@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Record
 from .basis import FittedBasis
 from .errors import DegenerateTreatmentError, NumericalError, ValidationError
 
@@ -37,7 +38,7 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PropensityModel:
+class PropensityModel(Record):
     basis: FittedBasis | None
     coeffs: np.ndarray | None
     clip_eps: float
@@ -56,15 +57,6 @@ class PropensityModel:
         raw = np.full(n, self.fixed_rate) if self.basis is None else _sigmoid(logit)
         outside = int(((raw < self.clip_eps) | (raw > 1.0 - self.clip_eps)).sum())
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), outside
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": None if self.basis is None else self.basis.to_dict(),
-            "coeffs": None if self.coeffs is None else self.coeffs.tolist(),
-            "clip_eps": self.clip_eps,
-            "fixed_rate": self.fixed_rate,
-            "ridged": self.ridged,
-        }
 
     @classmethod
     def known(cls, rate: float, clip_eps: float = DEFAULT_CLIP_EPS) -> "PropensityModel":
@@ -122,19 +114,12 @@ def fit_propensity(
 
 
 @dataclass(frozen=True)
-class HBarModel:
+class HBarModel(Record):
     """Per-arm linear regressions of a pseudo-outcome on covariates."""
 
     basis: FittedBasis
     arm0_coeffs: np.ndarray
     arm1_coeffs: np.ndarray
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": self.basis.to_dict(),
-            "arm0_coeffs": self.arm0_coeffs.tolist(),
-            "arm1_coeffs": self.arm1_coeffs.tolist(),
-        }
 
 
 def fit_hbar(basis: FittedBasis, design: np.ndarray, a: np.ndarray,

@@ -327,3 +327,121 @@ def test_estimate_non_finite_standardization_exit_2(tmp_path, capsys):
     assert rc == 2
     assert not out.exists()
     assert "non-finite standardization of role 's'" in capsys.readouterr().err
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def _strict_json(path: Path):
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_singular_gram_report_is_strict_json(tmp_path):
+    # An all-zero covariate makes the q Gram matrix singular in every fold:
+    # the run still warns and succeeds, and the condition reads null.
+    data, _ = px.generate(px.confounded_config(), 2000, 0.5, seed=7)
+    flat = px.CombinedDataset.from_arrays(
+        y=data.y, w=data.w, z=data.z, s=data.s, a=data.a, x=np.zeros_like(data.x),
+        is_e=data.is_e,
+    )
+    path, out = tmp_path / "flat_x.csv", tmp_path / "rep.json"
+    px.write_csv(flat, path, px.CsvSchema())
+    with pytest.warns(RuntimeWarning, match="Gram condition number inf"):
+        rc = run(["estimate", "--data", str(path), "--estimator", "mr", "--out", str(out)])
+    assert rc == 0
+    diags = _strict_json(out)["result"]["MR"]["per_fold_diagnostics"]
+    q_conds = [d["gram_condition"] for d in diags if d["label"].endswith(("q0", "q1"))]
+    assert len(q_conds) == 10 and all(c is None for c in q_conds)
+
+
+def _key_paths(node, prefix: str = "") -> set[str]:
+    """Nested key paths of a JSON value; the items of a list share ``[]``."""
+    paths = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | _key_paths(value, path)
+    elif isinstance(node, list):
+        for item in node:
+            paths |= _key_paths(item, prefix + "[]")
+    return paths
+
+
+def _nested(prefix: str, keys: list[str]) -> list[str]:
+    return [prefix] + [f"{prefix}.{k}" for k in keys]
+
+
+_DIAGNOSTIC_KEYS = ["gram_condition", "label", "max_abs_moment", "n_clipped",
+                    "n_instruments", "n_params"]
+_REPORT_KEYS = ["alpha", "ci", "estimator", "k_folds", "n_e", "n_o", "n_propensity_clips",
+                "per_fold_diagnostics", "seed", "tau_hat", "variance_hat"]
+_BASIS_KEYS = ["centers", "out_dim", "scales", "spec", "spec.degree", "spec.interactions",
+               "spec.intercept", "spec.roles", "spec.standardize"]
+_BRIDGE_KEYS = ["arm", "coeffs", "kind", "ridge"] + _nested("basis", _BASIS_KEYS)
+_DUMP_FOLD_KEYS = (
+    ["fold"]
+    + _nested("e", ["clip_eps", "coeffs", "fixed_rate", "ridged"]
+              + _nested("basis", _BASIS_KEYS))
+    + _nested("h", _BRIDGE_KEYS)
+    + _nested("hbar", ["arm0_coeffs", "arm1_coeffs"] + _nested("basis", _BASIS_KEYS))
+    + _nested("q0", _BRIDGE_KEYS)
+    + _nested("q1", _BRIDGE_KEYS)
+)
+_STATS_KEYS = ["bias", "coverage_95", "mean", "n_replications", "rmse", "sd"]
+
+
+def test_report_key_structure(unmasked_csv, tmp_path):
+    # Pins the JSON layout of every report: a renamed or dropped record
+    # field changes these paths.
+    data, oracle = tmp_path / "d.csv", tmp_path / "oracle.json"
+    est, dump = tmp_path / "est.json", tmp_path / "dump.json"
+    sim, diag = tmp_path / "sim.json", tmp_path / "diag.json"
+    assert run(["gen-data", "--n", "1000", "--seed", "4", "--out", str(data),
+                "--oracle-out", str(oracle)]) == 0
+    assert run(["estimate", "--data", str(data), "--estimator", "ob-or,ob-ipw,sb,mr,si,si-prox",
+                "--out", str(est), "--dump-nuisances", str(dump)]) == 0
+    assert run(["simulate", "--n", "1000", "--replications", "2", "--estimators", "all",
+                "--regimes", "all", "--out", str(sim)]) == 0
+    assert run(["diagnose", "--data", str(unmasked_csv), "--out", str(diag)]) == 0
+
+    results = {}
+    for path in (oracle, est, sim, diag):
+        doc = _strict_json(path)
+        assert sorted(doc) == ["command", "created_at", "result", "version"]
+        results[path] = doc["result"]
+    assert sorted(_key_paths(results[oracle])) == ["notes", "true_ate", "true_h_coeffs"]
+    proximal = ["MR", "OB-IPW", "OB-OR", "SB"]
+    assert sorted(_key_paths(results[est])) == sorted(
+        [p for name in proximal for p in _nested(name, _REPORT_KEYS + [
+            f"per_fold_diagnostics[].{k}" for k in _DIAGNOSTIC_KEYS])]
+        + [p for name in ("SI", "SI-PROX") for p in _nested(name, _REPORT_KEYS)]
+    )
+    dump_doc = _strict_json(dump)
+    assert len(dump_doc) == 5
+    assert sorted(_key_paths(dump_doc[0])) == sorted(_DUMP_FOLD_KEYS)
+    regimes = ["all_correct", "all_wrong", "case1", "case2", "case3", "case4"]
+    estimators = proximal + ["SI", "SI-PROX"]
+    assert sorted(_key_paths(results[sim])) == sorted(
+        ["failures", "n_failed", "n_replications", "regimes", "true_ate"]
+        + [f"regimes.{r}" for r in regimes]
+        + [p for r in regimes for e in estimators
+           for p in _nested(f"regimes.{r}.{e}", _STATS_KEYS)]
+    )
+    assert sorted(_key_paths(results[diag])) == [
+        "iv_coef_on_a", "iv_p", "iv_se", "ols_coef_on_a", "ols_p", "ols_se"
+    ]
+
+
+def test_non_finite_report_value_exit_2(unmasked_csv, tmp_path, monkeypatch, capsys):
+    # The report writer refuses NaN and infinity instead of writing
+    # non-standard JSON.
+    def infinite_se(sample):
+        return px.DiagnosticReport(ols_coef_on_a=0.0, ols_se=float("inf"), ols_p=1.0,
+                                   iv_coef_on_a=0.0, iv_se=1.0, iv_p=1.0)
+
+    monkeypatch.setattr("proxate.cli.diagnose_surrogacy", infinite_se)
+    out = tmp_path / "diag.json"
+    assert run(["diagnose", "--data", str(unmasked_csv), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "not JSON compliant" in capsys.readouterr().err

@@ -4,6 +4,9 @@ Counted with an ``ast`` walk over ``src/proxate/*.py``: the defaulted
 parameters (positional and keyword-only) of public functions and of
 public methods of public classes, plus the annotated fields with a
 default in public classes. Public means no leading underscore.
+
+The same walk checks that every JSON writer in the package is strict,
+so no report can hold NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -42,3 +45,25 @@ def settable_values(package_dir: Path) -> int:
 def test_settable_value_count():
     count = settable_values(Path(proxate.__file__).parent)
     assert count <= MAX_SETTABLE_VALUES, f"{count} settable values > {MAX_SETTABLE_VALUES}"
+
+
+def _json_writes(package_dir: Path):
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(func, ast.Attribute) and func.attr in ("dump", "dumps")
+                    and isinstance(func.value, ast.Name) and func.value.id == "json"):
+                yield f"{path.name}:{node.lineno}", node
+
+
+def _strict(call: ast.Call) -> bool:
+    return any(
+        kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in call.keywords
+    )
+
+
+def test_json_writes_disallow_nan():
+    writes = list(_json_writes(Path(proxate.__file__).parent))
+    assert writes, "no json.dump/json.dumps call found"
+    assert [where for where, call in writes if not _strict(call)] == []
