@@ -44,6 +44,7 @@ from .estimators import (
     confidence_interval,
     estimate_all,
     fit_fold_nuisances,
+    fold_cells,
     make_folds,
 )
 from .harness import (

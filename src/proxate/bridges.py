@@ -11,7 +11,10 @@ side into an inverse-propensity average over the experimental arm:
     (1/n_o) sum_O g_j phi' beta  =  (1/n_e) sum_E 1{a_i = a} g_j / e_a(x_i).
 
 Both systems are linear in the coefficients and solved in a
-minimum-distance sense with optional Tikhonov regularization; they are
+minimum-distance sense with optional Tikhonov regularization. The
+solvers take a row-compressed system (an R factor of the columns, or
+the full designs) plus the row count n: R keeps the designs' singular
+values, so rank checks and Gram conditions do not change. They are
 ill-posed inverse problems whenever the proxy-instrument cross moments
 are weak, which is exactly what the reported Gram condition number and
 moment residuals are there to flag. Completeness of the proxies cannot
@@ -72,15 +75,6 @@ class MomentDiagnostics(Record):
     label: str = ""
 
 
-def _orthonormal_column_basis(mat: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of col(mat), robust to collinear columns."""
-    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return u[:, :0]
-    keep = sv > _RANK_TOL * sv[0]
-    return u[:, keep]
-
-
 def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
                  context: str) -> tuple[np.ndarray, float | None]:
     """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq, per
@@ -90,10 +84,9 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
     if penalty < 0:
         raise ValidationError("ridge penalty must be >= 0")
     sv = np.linalg.svd(design, compute_uv=False)
-    if sv.size == 0 or sv[-1] == 0.0 or sv[0] == 0.0:
-        cond = None
-    else:
-        cond = float((sv[0] / sv[-1]) ** 2)
+    # Fewer singular values than parameters (fewer rows) also means singular.
+    singular = sv.size < p or not sv.size or sv[-1] == 0.0
+    cond = None if singular else float((sv[0] / sv[-1]) ** 2)
     if penalty == 0.0:
         rank = int(np.sum(sv > _RANK_TOL * sv[0])) if sv.size and sv[0] > 0 else 0
         if rank < p:
@@ -101,11 +94,12 @@ def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
                 f"{context}: rank-deficient system (rank {rank} < {p} parameters) "
                 "with ridge 0; pass ridge > 0"
             )
-        coef, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        return coef, cond
-    aug = np.vstack([design, np.sqrt(penalty) * np.eye(p)])
-    tgt = np.concatenate([target, np.zeros((p,) + target.shape[1:])])
-    coef, _, _, _ = np.linalg.lstsq(aug, tgt, rcond=None)
+    else:
+        design = np.vstack([design, np.sqrt(penalty) * np.eye(p)])
+        target = np.concatenate([target, np.zeros((p,) + target.shape[1:])])
+    coef = np.linalg.lstsq(design, target, rcond=None)[0]
+    if not np.isfinite(coef).all():
+        raise SingularSystemError(f"{context}: non-finite coefficients")
     return coef, cond
 
 
@@ -124,17 +118,19 @@ def solve_outcome_bridge(
     feats: np.ndarray,
     instruments: np.ndarray,
     y: np.ndarray,
+    n: int,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[BridgeFunction, MomentDiagnostics]:
-    """Solve the outcome-bridge moment system on observational rows.
+    """Solve the outcome-bridge moment system on ``n`` observational rows.
 
-    ``feats`` and ``instruments`` are the psi (``basis``) and b designs
-    of the rows with outcomes ``y``. Minimum-distance form: with P_B the
-    projection onto the instrument columns, a_hat = (Psi' P_B Psi +
+    ``feats``, ``instruments`` and ``y`` are the psi (``basis``) and b
+    designs and the outcomes of those rows, or Q'[Psi B y] for any Q with
+    orthonormal columns spanning them. Minimum-distance form: with P_B
+    the projection onto the instrument columns, a_hat = (Psi' P_B Psi +
     n*ridge*I)^-1 Psi' P_B y, which collapses to OLS of y on psi when b
     spans the same functions.
     """
-    n, p = feats.shape
+    p = feats.shape[1]
     if n == 0:
         raise ValidationError("outcome bridge: no observational rows")
     m = instruments.shape[1]
@@ -142,15 +138,13 @@ def solve_outcome_bridge(
         raise UnderIdentifiedError(
             f"outcome bridge: {m} instruments < {p} parameters; enrich the instrument basis"
         )
-    q_basis = _orthonormal_column_basis(instruments)
+    # An orthonormal basis of the instruments' column space, robust to collinear columns.
+    u, sv, _ = np.linalg.svd(instruments, full_matrices=False)
+    q_basis = u[:, sv > _RANK_TOL * sv[0]] if sv.size and sv[0] > 0 else u[:, :0]
     proj_feats = q_basis.T @ feats
     proj_y = q_basis.T @ y
     coeffs, cond = _ridge_solve(proj_feats, proj_y, n * ridge, "outcome bridge")
-
-    fitted = feats @ coeffs
-    if not np.isfinite(fitted).all():
-        raise SingularSystemError("outcome bridge: non-finite fit on training records")
-    moments = instruments.T @ (y - fitted) / n
+    moments = instruments.T @ (y - feats @ coeffs) / n
     _warn_if_ill_conditioned(cond, "outcome bridge")
     diag = MomentDiagnostics(max_abs_moment=float(np.max(np.abs(moments))), gram_condition=cond,
                              n_instruments=m, n_params=p, label="h")
@@ -161,41 +155,35 @@ def solve_surrogate_bridge(
     basis: FittedBasis,
     feats_o: np.ndarray,
     g_o: np.ndarray,
-    g_e: np.ndarray,
-    a_e: np.ndarray,
-    e_hat: np.ndarray,
+    n_o: int,
+    rhs: np.ndarray,
     n_clipped: int,
     ridge: float = DEFAULT_RIDGE,
 ) -> tuple[tuple[BridgeFunction, MomentDiagnostics], tuple[BridgeFunction, MomentDiagnostics]]:
     """Solve both arms' systems as one, with a right-hand column per arm.
 
-    ``feats_o`` is the phi (``basis``) design on O rows; ``g_o`` and
-    ``g_e`` are the test functions on O and E rows; ``a_e``, ``e_hat``
-    and ``n_clipped`` are the E treatments, their clipped propensities
-    and the clip count. Returns ``(q0, diag0), (q1, diag1)``.
+    ``feats_o`` and ``g_o`` are the phi (``basis``) and test-function
+    designs of ``n_o`` O rows, or a common row compression of both (see
+    ``solve_outcome_bridge``). ``rhs`` holds the E side, one column per
+    arm a: (1/n_e) sum_E 1{a_i = a} g(u_i) / e_a(x_i), with the clipped
+    propensities, of which ``n_clipped`` were clipped. Returns
+    ``(q0, diag0), (q1, diag1)``.
     """
-    n_o, p = feats_o.shape
-    n_e = g_e.shape[0]
-    if n_o == 0 or n_e == 0:
+    p = feats_o.shape[1]
+    if n_o == 0:
         raise ValidationError("surrogate bridge: both samples must be nonempty")
     m = g_o.shape[1]
     if m < p:
         raise UnderIdentifiedError(f"surrogate bridge: {m} test functions < {p} parameters; "
                                    "enrich g")
-    # One matrix-vector product per arm: one product over both columns rounds differently.
-    e_arm = (1.0 - e_hat, e_hat)
-    rhs = [g_e.T @ ((a_e == a).astype(float) / e_arm[a]) / n_e for a in (0, 1)]
     lhs = g_o.T @ feats_o / n_o
-    coeffs, cond = _ridge_solve(lhs, np.column_stack(rhs), ridge, "surrogate bridge")
-
-    if not np.isfinite(feats_o @ coeffs).all():
-        raise SingularSystemError("surrogate bridge: non-finite fit on training records")
+    coeffs, cond = _ridge_solve(lhs, rhs, ridge, "surrogate bridge")
     _warn_if_ill_conditioned(cond, "surrogate bridge")
 
     def arm(a: int) -> tuple[BridgeFunction, MomentDiagnostics]:
         arm_coeffs = np.ascontiguousarray(coeffs[:, a])
         diag = MomentDiagnostics(
-            max_abs_moment=float(np.max(np.abs(lhs @ arm_coeffs - rhs[a]))),
+            max_abs_moment=float(np.max(np.abs(lhs @ arm_coeffs - rhs[:, a]))),
             gram_condition=cond,
             n_instruments=m,
             n_params=p,
@@ -205,4 +193,3 @@ def solve_surrogate_bridge(
         return BridgeFunction("surrogate", basis, arm_coeffs, ridge, arm=a), diag
 
     return arm(0), arm(1)
-

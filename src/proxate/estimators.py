@@ -3,7 +3,11 @@
 Units in each sample are split into K folds; for fold k every nuisance
 (propensity e, outcome bridge h, pseudo-outcome regression hbar, and
 the two reweighting bridges q_0, q_1) is fitted on the complement and
-evaluated on fold k only. Four estimators share those evaluations:
+evaluated on fold k only. Fitting makes one pass over the data: each
+cell (the rows of one sample in one fold, E rows also split by arm)
+keeps only the R factor of its raw columns, and each fold merges its
+training cells' factors (TSQR-style) instead of rebuilding designs on
+its complement. Four estimators share the held-out evaluations:
 
     OB-OR   mean over E of  hbar(1, x) - hbar(0, x)
     OB-IPW  mean over E of  a h/e(x) - (1 - a) h/(1 - e(x))
@@ -28,12 +32,13 @@ asymptotically negligible difference.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ._records import Record, reject_unknown
-from .basis import BasisSpec, fit_basis
+from .basis import BasisSpec, FittedBasis, basis_from_r, raw_features
 from .bridges import (
     DEFAULT_RIDGE,
     BridgeFunction,
@@ -67,10 +72,6 @@ class FoldAssignment:
     def eval_indices(self, data: CombinedDataset, k: int, sample: str) -> np.ndarray:
         in_sample = data.is_e if sample == "E" else ~data.is_e
         return np.flatnonzero(in_sample & (self.fold_of == k))
-
-    def train_indices(self, data: CombinedDataset, k: int, sample: str) -> np.ndarray:
-        in_sample = data.is_e if sample == "E" else ~data.is_e
-        return np.flatnonzero(in_sample & (self.fold_of != k))
 
 
 def make_folds(data: CombinedDataset, k_folds: int, seed: int) -> FoldAssignment:
@@ -143,69 +144,142 @@ class EstimatorConfig(Record):
         return cls(**kw)
 
 
-def fit_fold_nuisances(
-    data: CombinedDataset,
-    folds: FoldAssignment,
-    k: int,
-    config: EstimatorConfig,
-) -> NuisanceSet:
-    """Fit every nuisance for fold ``k`` on the fold's complement only.
+# A cell: its fold, arm (-1 on O), row count, the R factor of its columns,
+# and on E its rows of the leading unit columns (ones, raw e_basis and g).
+_Cell = namedtuple("_Cell", "fold arm n r units")
 
-    The one place that fits bases: each distinct spec is fitted once per
-    training sample (``psi``, ``b``, ``phi`` and ``g`` on O, ``e_basis``
-    and ``hbar_basis`` on E), and each fit's training design is the one
-    the nuisances use, so a spec shared by two nuisances is one function
-    and one design; g is the same function on both samples. The only
-    other training designs are psi on E (and g on E when g != psi). q0
-    and q1 are one solve. Order: h, psi on E, the E covariate fits,
-    hbar, the propensity and its training e-hat, q. Building psi on E
-    sets the fold's memory peak, so it runs before any E covariate
-    design exists; those are freed before q, and psi on E is freed
-    before g on E is built. Every ``NumericalError`` keeps its class and
-    gains the fold index.
+
+@dataclass(frozen=True)
+class FoldCells:
+    """A cross-fit's data as one R factor per cell. Each sample has one
+    column system (ones, the raw features of each distinct spec on it, y
+    on O); ``cols[sample, spec]`` locates [ones, the spec's features]."""
+
+    k_folds: int
+    cols: dict[tuple[str, BasisSpec], list[int]]
+    roles: dict[BasisSpec, list[str]]  # labels of each spec's features
+    cells: list[_Cell]  # in order of their first dataset row
+
+    def train(self, k: int, *arms: int) -> list[_Cell]:
+        return [c for c in self.cells if c.fold != k and c.arm in arms]
+
+    def fit(self, sample: str, spec: BasisSpec, r: np.ndarray, n: int) -> FittedBasis:
+        return basis_from_r(spec, r[:, self.cols[sample, spec]], n, self.roles[spec])
+
+    def design(self, sample: str, basis: FittedBasis, rows: np.ndarray) -> np.ndarray:
+        return basis.standardize(rows[:, self.cols[sample, basis.spec]])
+
+
+def _merged(factors: list[np.ndarray]) -> np.ndarray:
+    """The R factor of the stacked rows whose R factors are ``factors``."""
+    return np.linalg.qr(np.vstack(factors), mode="r")
+
+
+def _cell_columns(view: SampleView, specs: list[BasisSpec], cols: dict,
+                  roles: dict) -> np.ndarray:
+    blocks = [np.ones((view.n, 1))]
+    for spec in specs:
+        feats, roles[spec] = raw_features(spec, view)
+        width = sum(b.shape[1] for b in blocks)
+        cols[view.sample, spec] = [0, *range(width, width + feats.shape[1] - 1)]
+        blocks.append(feats[:, 1:])
+    if view.sample == "O":
+        blocks.append(view.y[:, None])
+    return np.hstack(blocks)
+
+
+def fold_cells(data: CombinedDataset, folds: FoldAssignment,
+               config: EstimatorConfig) -> FoldCells:
+    """One pass over the data: each cell (the rows of one sample in one fold,
+    E rows also split by arm) reduced to the R factor of its columns, which
+    are built from the cell's own rows and freed once factored. Every
+    fold's training complement must be nonempty and see both arms (a
+    ``DegenerateTreatmentError`` names the fold) before any is built."""
+    key = folds.fold_of * 3 + np.where(data.is_e, data.a, -1.0) + 1  # (fold, arm), arm -1 on O
+    order = np.argsort(key.astype(np.min_scalar_type(3 * folds.k_folds)), kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(3 * folds.k_folds + 1))
+    sizes = np.diff(bounds).reshape(-1, 3)  # per fold: O, arm 0, arm 1
+    fit = "propensity fit" if config.known_propensity is None else "pseudo-outcome regression"
+    for k, (n_o, n0, n1) in enumerate(sizes.sum(axis=0) - sizes):
+        if n_o == 0 or n0 + n1 == 0:
+            raise ValidationError(f"fold {k}: empty training complement")
+        require_both_arms(int(n1), int(n0 + n1), f"fold {k}: {fit}")
+    e_fit = (config.e_basis,) if config.known_propensity is None else ()
+    specs = {"O": list(dict.fromkeys((config.psi, config.b, config.phi, config.g))),
+             "E": list(dict.fromkeys(e_fit + (config.g, config.hbar_basis, config.psi)))}
+    cols, roles, cells = {}, {}, []
+    groups = [order[bounds[j] : bounds[j + 1]] for j in range(3 * folds.k_folds)]
+    for j in sorted((j for j, rows in enumerate(groups) if rows.size), key=lambda j: groups[j][0]):
+        rows, arm = groups[j], j % 3 - 1
+        columns = _cell_columns(SampleView(data, rows, "O" if arm < 0 else "E"),
+                                specs["O" if arm < 0 else "E"], cols, roles)
+        units = None if arm < 0 else np.ascontiguousarray(
+            columns[:, : cols["E", config.g][-1] + 1])
+        cells.append(_Cell(j // 3, arm, rows.size, np.linalg.qr(columns, mode="r"), units))
+        del columns
+    return FoldCells(k_folds=folds.k_folds, cols=cols, roles=roles, cells=cells)
+
+
+def fit_fold_nuisances(cells: FoldCells, k: int, config: EstimatorConfig) -> NuisanceSet:
+    """Fit every nuisance for fold ``k`` from its training cells only.
+
+    Each training R factor (O, each E arm, all E) is merged from the
+    other cells' R factors in their fixed order, so relabelling folds
+    changes no figure. Each distinct spec is fitted once, off its
+    training sample's R factor, so a shared spec is one function. h,
+    hbar and the q left-hand side solve row-compressed systems; only the
+    propensity's IRLS and the q right-hand side (g weighted by 1/e) read
+    E units. Order: h, E covariate fits, hbar, e, q. Every
+    ``NumericalError`` keeps its class and gains the fold index.
     """
-    if not 0 <= k < folds.k_folds:
+    if not 0 <= k < cells.k_folds:
         raise ValidationError(f"fold index {k} out of range")
-    e_train = SampleView(data, folds.train_indices(data, k, "E"), "E")
-    o_train = SampleView(data, folds.train_indices(data, k, "O"), "O")
-    if e_train.n == 0 or o_train.n == 0:
-        raise ValidationError(f"fold {k}: empty training complement")
-    known = config.known_propensity is not None
+    o_train, e_train = cells.train(k, -1), cells.train(k, 0, 1)
+    n_o, n_e = sum(c.n for c in o_train), sum(c.n for c in e_train)
     try:
-        require_both_arms(e_train.a, "pseudo-outcome regression" if known else "propensity fit")
-        o_specs = (config.psi, config.b, config.phi, config.g)
-        o_fits = {spec: fit_basis(spec, o_train) for spec in dict.fromkeys(o_specs)}
-        psi_fb, psi_o = o_fits[config.psi]
-        h, h_diag = solve_outcome_bridge(psi_fb, psi_o, o_fits[config.b][1], o_train.y,
-                                         config.ridge_h)
-        psi_e = psi_fb.transform(e_train)
+        r_o = _merged([c.r for c in o_train])
+        o_fits = {spec: cells.fit("O", spec, r_o, n_o)
+                  for spec in dict.fromkeys((config.psi, config.b, config.phi, config.g))}
+        psi_fb, phi_fb, g_fb = o_fits[config.psi], o_fits[config.phi], o_fits[config.g]
+        h, h_diag = solve_outcome_bridge(
+            psi_fb, cells.design("O", psi_fb, r_o), cells.design("O", o_fits[config.b], r_o),
+            r_o[:, -1], n_o, config.ridge_h,
+        )
+        r_arms = [_merged([c.r for c in cells.train(k, arm)]) for arm in (0, 1)]
+        r_e = _merged(r_arms)
+        known = config.known_propensity is not None
         e_specs = (config.hbar_basis,) if known else (config.e_basis, config.hbar_basis)
-        e_fits = {spec: fit_basis(spec, e_train) for spec in dict.fromkeys(e_specs)}
-        hbar = fit_hbar(*e_fits[config.hbar_basis], e_train.a, psi_e @ h.coeffs)
+        e_fits = {spec: cells.fit("E", spec, r_e, n_e) for spec in dict.fromkeys(e_specs)}
+        hbar_fb = e_fits[config.hbar_basis]
+        hbar = fit_hbar(
+            hbar_fb, np.vstack([cells.design("E", hbar_fb, r) for r in r_arms]),
+            np.repeat([0.0, 1.0], [r.shape[0] for r in r_arms]),
+            np.vstack([cells.design("E", psi_fb, r) for r in r_arms]) @ h.coeffs,
+        )
         if known:
             e_model, logit = PropensityModel.known(config.known_propensity, config.clip_eps), None
         else:
-            e_model = fit_propensity(*e_fits[config.e_basis], e_train.a, config.clip_eps)
-            logit = e_fits[config.e_basis][1] @ e_model.coeffs
-        del e_fits
-        g_fb, g_o = o_fits[config.g]
-        if config.g == config.psi:
-            g_e = psi_e
-        else:
-            del psi_e  # hbar was its only reader; free it before g on E exists
-            g_e = g_fb.transform(e_train)
+            e_fb = e_fits[config.e_basis]
+            width = len(cells.cols["E", config.e_basis])  # e leads the unit columns
+            design = e_fb.standardize(np.vstack([c.units[:, :width] for c in e_train]))
+            a = np.repeat([float(c.arm) for c in e_train], [c.n for c in e_train])
+            e_model = fit_propensity(e_fb, design, a, config.clip_eps)
+            logit = design @ e_model.coeffs
+            del design, a
+        e_hat, n_clipped = e_model.clipped(logit, n_e)
+        sums = np.zeros((2, e_train[0].units.shape[1]))
+        for c, e_cell in zip(e_train, np.split(e_hat, np.cumsum([c.n for c in e_train])[:-1])):
+            sums[c.arm] += c.units.T @ (1.0 / (e_cell if c.arm else 1.0 - e_cell))
         (q0, q0_diag), (q1, q1_diag) = solve_surrogate_bridge(
-            *o_fits[config.phi], g_o, g_e, e_train.a, *e_model.clipped(logit, e_train.n),
-            config.ridge_q,
+            phi_fb, cells.design("O", phi_fb, r_o), cells.design("O", g_fb, r_o), n_o,
+            cells.design("E", g_fb, sums).T / n_e, n_clipped, config.ridge_q,
         )
     except NumericalError as exc:
         raise type(exc)(f"fold {k}: {exc}") from exc
     for diag in (h_diag, q0_diag, q1_diag):
         diag.label = f"fold{k}:{diag.label}"
-    return NuisanceSet(
-        e=e_model, h=h, hbar=hbar, q0=q0, q1=q1,
-        diagnostics=[h_diag, q0_diag, q1_diag],
-    )
+    return NuisanceSet(e=e_model, h=h, hbar=hbar, q0=q0, q1=q1,
+                       diagnostics=[h_diag, q0_diag, q1_diag])
 
 
 @dataclass
@@ -283,16 +357,9 @@ def evaluate_nuisances(
     rank[idx_e] = np.arange(idx_e.shape[0])
     rank[idx_o] = np.arange(idx_o.shape[0])
 
-    n_e, n_o = idx_e.shape[0], idx_o.shape[0]
-    a = np.empty(n_e)
-    e_hat = np.empty(n_e)
-    h_e = np.empty(n_e)
-    hbar1 = np.empty(n_e)
-    hbar0 = np.empty(n_e)
-    y = np.empty(n_o)
-    h_o = np.empty(n_o)
-    q1 = np.empty(n_o)
-    q0 = np.empty(n_o)
+    a, y = data.a[idx_e], data.y[idx_o]
+    e_hat, h_e, hbar1, hbar0 = (np.empty(idx_e.shape[0]) for _ in range(4))
+    h_o, q1, q0 = (np.empty(idx_o.shape[0]) for _ in range(3))
     n_clipped = 0
 
     for k, nus in enumerate(nuisance_sets):
@@ -300,7 +367,6 @@ def evaluate_nuisances(
         if eidx.shape[0]:
             ev = SampleView(data, eidx, "E")
             pos = rank[eidx]
-            a[pos] = ev.a
             terms = [
                 (nus.hbar.basis, nus.hbar.arm1_coeffs, hbar1),
                 (nus.hbar.basis, nus.hbar.arm0_coeffs, hbar0),
@@ -317,7 +383,6 @@ def evaluate_nuisances(
         if oidx.shape[0]:
             ov = SampleView(data, oidx, "O")
             pos = rank[oidx]
-            y[pos] = ov.y
             _held_out(ov, pos, [
                 (nus.h.basis, nus.h.coeffs, h_o),
                 (nus.q1.basis, nus.q1.coeffs, q1),
@@ -376,8 +441,9 @@ def confidence_interval(
 
 
 def fit_all_nuisances(data, folds, config) -> list[NuisanceSet]:
-    """Fit the nuisance tuple for every fold."""
-    return [fit_fold_nuisances(data, folds, k, config) for k in range(folds.k_folds)]
+    """Fit the nuisance tuple for every fold, from one pass over the data."""
+    cells = fold_cells(data, folds, config)
+    return [fit_fold_nuisances(cells, k, config) for k in range(folds.k_folds)]
 
 
 def _mr_variance_from_evals(evals: UnitEvals, tau_hat: float, n: int) -> float:

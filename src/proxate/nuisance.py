@@ -29,12 +29,8 @@ DEFAULT_CLIP_EPS = 0.01
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(t))  # never overflows
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass(frozen=True)
@@ -89,10 +85,9 @@ def _irls(design: np.ndarray, a: np.ndarray, penalty: float) -> tuple[np.ndarray
     return beta, False
 
 
-def require_both_arms(a: np.ndarray, fit: str) -> None:
-    n1 = int(a.sum())
-    if n1 == 0 or n1 == a.shape[0]:
-        raise DegenerateTreatmentError(f"{fit} needs both arms; saw {n1} treated of {a.shape[0]}")
+def require_both_arms(n_treated: int, n: int, fit: str) -> None:
+    if n_treated == 0 or n_treated == n:
+        raise DegenerateTreatmentError(f"{fit} needs both arms; saw {n_treated} treated of {n}")
 
 
 def fit_propensity(
@@ -102,7 +97,7 @@ def fit_propensity(
     clip_eps: float = DEFAULT_CLIP_EPS,
 ) -> PropensityModel:
     """Fit the treatment propensity of ``a`` on the ``basis`` design matrix."""
-    require_both_arms(a, "propensity fit")
+    require_both_arms(int(a.sum()), a.shape[0], "propensity fit")
     coeffs, converged = _irls(design, a, penalty=0.0)
     ridged = False
     if not converged:
@@ -124,8 +119,10 @@ class HBarModel(Record):
 
 def fit_hbar(basis: FittedBasis, design: np.ndarray, a: np.ndarray,
              pseudo: np.ndarray) -> HBarModel:
-    """Regress the pseudo-outcome on the ``basis`` design, one fit per arm."""
-    require_both_arms(a, "pseudo-outcome regression")
+    """Regress the pseudo-outcome on the ``basis`` design, one fit per arm;
+    the rows may be each arm's rows compressed (an R factor of its columns),
+    labelled with their arm in ``a``."""
+    require_both_arms(int(a.sum()), a.shape[0], "pseudo-outcome regression")
     treated = a == 1.0
     c1 = np.linalg.lstsq(design[treated], pseudo[treated], rcond=None)[0]
     c0 = np.linalg.lstsq(design[~treated], pseudo[~treated], rcond=None)[0]

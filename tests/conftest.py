@@ -61,20 +61,54 @@ def mc_se(stats) -> float:
     return stats.sd / np.sqrt(stats.n_replications)
 
 
+def train_view(data, folds, k, sample):
+    """Fold ``k``'s training complement in ``sample`` ("E" or "O")."""
+    in_sample = data.is_e if sample == "E" else ~data.is_e
+    return px.SampleView(data, np.flatnonzero(in_sample & (folds.fold_of != k)), sample)
+
+
+def fit_fold(data, folds, k, config):
+    """Fold ``k``'s nuisances, from the cells of one pass over ``data``."""
+    return px.fit_fold_nuisances(px.fold_cells(data, folds, config), k, config)
+
+
 def solve_h(o_view, psi, b, ridge):
-    """The outcome bridge, with psi and b fitted on ``o_view``."""
+    """The outcome bridge on the full designs of ``o_view``, with psi and b
+    fitted there."""
     return px.solve_outcome_bridge(
-        *fit_basis(psi, o_view), fit_basis(b, o_view)[1], o_view.y, ridge=ridge
+        *fit_basis(psi, o_view), fit_basis(b, o_view)[1], o_view.y, o_view.n, ridge=ridge
+    )
+
+
+def surrogate_rhs(g_e, a, e_hat):
+    """The q right-hand side on full E rows: one column per arm a,
+    mean over E of 1{a_i = a} g_i / e_a(x_i)."""
+    e_arm = (1.0 - e_hat, e_hat)
+    return np.column_stack(
+        [g_e.T @ ((a == arm).astype(float) / e_arm[arm]) / a.shape[0] for arm in (0, 1)]
     )
 
 
 def solve_q(o_view, e_view, phi, g, prop, ridge):
-    """Both arms' surrogate bridges, with phi and g fitted on ``o_view``."""
+    """Both arms' surrogate bridges on the full designs of ``o_view`` and
+    ``e_view``, with phi and g fitted on ``o_view``."""
     g_fb, g_o = fit_basis(g, o_view)
+    e_hat, n_clipped = propensity(prop, e_view)
     return px.solve_surrogate_bridge(
-        *fit_basis(phi, o_view), g_o, g_fb.transform(e_view), e_view.a,
-        *propensity(prop, e_view), ridge=ridge,
+        *fit_basis(phi, o_view), g_o, o_view.n,
+        surrogate_rhs(g_fb.transform(e_view), e_view.a, e_hat), n_clipped, ridge=ridge,
     )
+
+
+def reference_sigmoid(t):
+    """The logistic function by a boolean-mask scatter: exp of -t on t >= 0,
+    of t elsewhere, so no exp overflows."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def evaluate(model, view, arm=None):

@@ -9,6 +9,8 @@ import pytest
 import proxate as px
 from proxate.cli import main
 
+from conftest import fit_fold
+
 
 def run(args: list[str]) -> int:
     return main(args)
@@ -148,7 +150,7 @@ def test_dump_nuisances(data_csv, tmp_path):
     # Each fold's entry carries its fitted nuisances exactly.
     data = px.load_csv(data_csv, px.CsvSchema())
     folds = px.make_folds(data, 5, seed=5)
-    nus = px.fit_fold_nuisances(data, folds, 0, px.EstimatorConfig())
+    nus = fit_fold(data, folds, 0, px.EstimatorConfig())
     for name in ("e", "h", "hbar", "q0", "q1"):
         assert payload[0][name] == json.loads(json.dumps(getattr(nus, name).to_dict()))
     assert payload[0]["h"]["kind"] == "outcome" and payload[0]["e"]["clip_eps"] > 0
@@ -338,8 +340,10 @@ def _strict_json(path: Path):
 
 
 def test_singular_gram_report_is_strict_json(tmp_path):
-    # An all-zero covariate makes the q Gram matrix singular in every fold:
-    # the run still warns and succeeds, and the condition reads null.
+    # An all-zero covariate makes the q Gram matrix singular in every fold,
+    # and the h system too: its instruments keep 3 directions for 4
+    # parameters. The run still warns and succeeds, and each condition
+    # reads null.
     data, _ = px.generate(px.confounded_config(), 2000, 0.5, seed=7)
     flat = px.CombinedDataset.from_arrays(
         y=data.y, w=data.w, z=data.z, s=data.s, a=data.a, x=np.zeros_like(data.x),
@@ -347,12 +351,13 @@ def test_singular_gram_report_is_strict_json(tmp_path):
     )
     path, out = tmp_path / "flat_x.csv", tmp_path / "rep.json"
     px.write_csv(flat, path, px.CsvSchema())
-    with pytest.warns(RuntimeWarning, match="Gram condition number inf"):
+    with pytest.warns(RuntimeWarning, match="Gram condition number inf") as caught:
         rc = run(["estimate", "--data", str(path), "--estimator", "mr", "--out", str(out)])
     assert rc == 0
+    messages = {str(w.message).split(":")[0] for w in caught}
+    assert {"outcome bridge", "surrogate bridge"} <= messages
     diags = _strict_json(out)["result"]["MR"]["per_fold_diagnostics"]
-    q_conds = [d["gram_condition"] for d in diags if d["label"].endswith(("q0", "q1"))]
-    assert len(q_conds) == 10 and all(c is None for c in q_conds)
+    assert len(diags) == 15 and all(d["gram_condition"] is None for d in diags)
 
 
 def _key_paths(node, prefix: str = "") -> set[str]:

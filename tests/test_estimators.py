@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,10 @@ from proxate.errors import (
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import PropensityModel
 
-from conftest import constant_bridge, constant_hbar, evaluate, propensity, solve_h, solve_q
+from conftest import (
+    constant_bridge, constant_hbar, evaluate, fit_fold, propensity, solve_h, solve_q,
+    train_view,
+)
 
 CFG = px.EstimatorConfig()
 
@@ -101,19 +105,19 @@ def test_fit_fold_uses_complement_only(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 2, seed=9)
     for k in range(2):
-        train_e = folds.train_indices(data, k, "E")
+        train_e = train_view(data, folds, k, "E").indices
         eval_e = folds.eval_indices(data, k, "E")
         assert np.intersect1d(train_e, eval_e).shape[0] == 0
         assert train_e.shape[0] + eval_e.shape[0] == data.n_e
-    nus = px.fit_fold_nuisances(data, folds, 0, CFG)
+    nus = fit_fold(data, folds, 0, CFG)
     assert nus.h.kind == "outcome" and nus.q1.arm == 1
 
 
 def test_fit_fold_deterministic(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 3, seed=2)
-    a = px.fit_fold_nuisances(data, folds, 1, CFG)
-    b = px.fit_fold_nuisances(data, folds, 1, CFG)
+    a = fit_fold(data, folds, 1, CFG)
+    b = fit_fold(data, folds, 1, CFG)
     np.testing.assert_array_equal(a.h.coeffs, b.h.coeffs)
     np.testing.assert_array_equal(a.q0.coeffs, b.q0.coeffs)
     np.testing.assert_array_equal(a.e.coeffs, b.e.coeffs)
@@ -144,7 +148,7 @@ def _one_treated_unit_data():
 def test_single_arm_complement_raises_with_fold_index():
     data, folds, treated_fold = _one_treated_unit_data()
     with pytest.raises(DegenerateTreatmentError) as err:
-        px.fit_fold_nuisances(data, folds, treated_fold, CFG)
+        fit_fold(data, folds, treated_fold, CFG)
     assert f"fold {treated_fold}" in str(err.value)
 
 
@@ -160,7 +164,7 @@ def test_single_arm_error_precedes_basis_fits(cfg, fit):
     data, folds, treated_fold = _one_treated_unit_data()
     with pytest.raises(DegenerateTreatmentError,
                        match=f"fold {treated_fold}: {fit} needs both arms"):
-        px.fit_fold_nuisances(data, folds, treated_fold, cfg)
+        fit_fold(data, folds, treated_fold, cfg)
 
 
 def _with_huge_s(data):
@@ -192,7 +196,7 @@ def test_fold_numerical_error_names_fold(small_data, corrupt, cfg, error, messag
     folds = px.make_folds(data, 3, seed=4)
     k = (int(folds.fold_of[np.flatnonzero(~data.is_e)[0]]) + 1) % 3  # trains on that O row
     with pytest.raises(error, match=f"^fold {k}: {message}") as err:
-        px.fit_fold_nuisances(data, folds, k, cfg)
+        fit_fold(data, folds, k, cfg)
     assert type(err.value) is error
 
 
@@ -210,12 +214,15 @@ DISTINCT_CFG = px.EstimatorConfig(
 @pytest.mark.parametrize("cfg, n_fits, n_transforms", [(CFG, 3, 1), (DISTINCT_CFG, 6, 2)])
 def test_fold_fits_each_distinct_basis_once(small_data, monkeypatch, cfg, n_fits,
                                             n_transforms):
-    # One design per distinct basis per training sample, each the fit's
-    # own: the only transforms left are psi on E, plus g on E when g != psi.
+    # The fold reads every basis off its training R factors: one fit per
+    # distinct spec per training sample, and neither fit_basis nor
+    # transform. The only O bases the E cells carry are psi and g, and a
+    # spec shared by two nuisances is one fitted basis.
     data, _ = small_data
-    folds = px.make_folds(data, 3, seed=4)
-    counts = {"fit": 0, "transform": 0}
+    cells = px.fold_cells(data, px.make_folds(data, 3, seed=4), cfg)
+    counts = {"fit": 0, "transform": 0, "from_r": 0}
     fit_basis, transform = px.basis.fit_basis, px.FittedBasis.transform
+    basis_from_r = px.estimators.basis_from_r
 
     def counting_fit(spec, view):
         counts["fit"] += 1
@@ -225,13 +232,55 @@ def test_fold_fits_each_distinct_basis_once(small_data, monkeypatch, cfg, n_fits
         counts["transform"] += 1
         return transform(self, source)
 
+    def counting_from_r(*args):
+        counts["from_r"] += 1
+        return basis_from_r(*args)
+
     for module in (px.basis, px.bridges, px.nuisance, px.estimators):
         if hasattr(module, "fit_basis"):
             monkeypatch.setattr(module, "fit_basis", counting_fit)
     monkeypatch.setattr(px.FittedBasis, "transform", counting_transform)
-    px.fit_fold_nuisances(data, folds, 1, cfg)
-    assert counts["fit"] == n_fits
-    assert counts["transform"] == n_transforms
+    monkeypatch.setattr(px.estimators, "basis_from_r", counting_from_r)
+    nus = px.fit_fold_nuisances(cells, 1, cfg)
+    assert counts == {"fit": 0, "transform": 0, "from_r": n_fits}
+    o_specs = {cfg.psi, cfg.b, cfg.phi, cfg.g}
+    assert len({spec for sample, spec in cells.cols if sample == "E"} & o_specs) == n_transforms
+    assert (nus.e.basis is nus.hbar.basis) is (cfg.e_basis == cfg.hbar_basis)
+    assert nus.q0.basis is nus.q1.basis
+
+
+def _direct_fold(data, folds, k, cfg):
+    # The reference: fit_basis designs on the full training views, and
+    # the solvers on those full designs.
+    e, o = train_view(data, folds, k, "E"), train_view(data, folds, k, "O")
+    if cfg.known_propensity is None:
+        e_model = px.fit_propensity(*fit_basis(cfg.e_basis, e), e.a, cfg.clip_eps)
+    else:
+        e_model = PropensityModel.known(cfg.known_propensity, cfg.clip_eps)
+    h, h_diag = solve_h(o, cfg.psi, cfg.b, cfg.ridge_h)
+    hbar = px.fit_hbar(*fit_basis(cfg.hbar_basis, e), e.a, evaluate(h, e))
+    (q0, q0_diag), (q1, q1_diag) = solve_q(o, e, cfg.phi, cfg.g, e_model, cfg.ridge_q)
+    return px.NuisanceSet(e=e_model, h=h, hbar=hbar, q0=q0, q1=q1,
+                          diagnostics=[h_diag, q0_diag, q1_diag])
+
+
+def _assert_close(got, want, path=""):
+    # Floats within rtol 1e-10 and atol 1e-12, everything else equal.
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), path
+        for key in want:
+            _assert_close(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list) and want and isinstance(want[0], float):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12, err_msg=path)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-12), path
+    else:
+        assert got == want, path
+
+
+def _assert_fold_matches(nus, ref):
+    for name in ("e", "h", "hbar", "q0", "q1"):
+        _assert_close(getattr(nus, name).to_dict(), getattr(ref, name).to_dict(), name)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -239,24 +288,66 @@ def test_fold_fits_each_distinct_basis_once(small_data, monkeypatch, cfg, n_fits
 ])
 def test_fold_matches_one_basis_fit_per_nuisance(small_data, cfg):
     # Sharing fits inside the fold never crosses distinct specs: each
-    # nuisance equals the one fitted from its own fit_basis calls.
+    # nuisance matches the one fitted from its own fit_basis calls.
     data, _ = small_data
     folds = px.make_folds(data, 3, seed=4)
-    e = px.SampleView(data, folds.train_indices(data, 1, "E"), "E")
-    o = px.SampleView(data, folds.train_indices(data, 1, "O"), "O")
-    if cfg.known_propensity is None:
-        e_model = px.fit_propensity(*fit_basis(cfg.e_basis, e), e.a, cfg.clip_eps)
-    else:
-        e_model = PropensityModel.known(cfg.known_propensity, cfg.clip_eps)
-    h, _ = solve_h(o, cfg.psi, cfg.b, cfg.ridge_h)
-    hbar = px.fit_hbar(*fit_basis(cfg.hbar_basis, e), e.a, evaluate(h, e))
-    (q0, _), (q1, _) = solve_q(o, e, cfg.phi, cfg.g, e_model, cfg.ridge_q)
-    nus = px.fit_fold_nuisances(data, folds, 1, cfg)
-    assert nus.e.to_dict() == e_model.to_dict()
-    assert nus.h.to_dict() == h.to_dict()
-    assert nus.hbar.to_dict() == hbar.to_dict()
-    assert nus.q0.to_dict() == q0.to_dict()
-    assert nus.q1.to_dict() == q1.to_dict()
+    _assert_fold_matches(fit_fold(data, folds, 1, cfg), _direct_fold(data, folds, 1, cfg))
+
+
+def test_fit_memory_peak(confounded_cfg):
+    # Each cell's columns are built from its own rows and freed once
+    # factored; the propensity's E training design is the largest array.
+    data, _ = px.generate(confounded_cfg, 10**5, 0.5, seed=1)
+    folds = px.make_folds(data, 5, seed=1)
+    fit_all_nuisances(data, folds, CFG)  # warm-up
+    tracemalloc.start()
+    try:
+        fit_all_nuisances(data, folds, CFG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.35 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@st.composite
+def _configs(draw):
+    def spec(roles):
+        return px.BasisSpec(
+            roles=roles, degree=draw(st.integers(1, 3)), interactions=draw(st.booleans()),
+            include_intercept=draw(st.booleans()), standardize=draw(st.booleans()),
+        )
+
+    # psi and g on (w, s, x), b and phi on (z, s, x); each system's two
+    # specs alike but for the roles, so neither is under-identified.
+    h_spec, q_spec = spec(("w", "s", "x")), spec(("w", "s", "x"))
+    return px.EstimatorConfig(
+        psi=h_spec, b=replace(h_spec, roles=("z", "s", "x")),
+        g=q_spec, phi=replace(q_spec, roles=("z", "s", "x")),
+        e_basis=spec(("x",)), hbar_basis=spec(("x",)),
+        known_propensity=draw(st.sampled_from([None, 0.5])),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:.*Gram condition:RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 5), seed=st.integers(0, 999), cfg=_configs())
+def test_cell_fits_match_direct_fits(small_data, k, seed, cfg):
+    # Every fold's nuisances from cell R factors match direct fits on the
+    # fold's full training designs, and so do the estimates: within
+    # 1e-12, a bound that grows with the largest Gram condition beyond
+    # 1e8, since both fits then round at that condition's scale.
+    data, _ = small_data
+    folds = px.make_folds(data, k, seed=seed)
+    nus = fit_all_nuisances(data, folds, cfg)
+    ref = [_direct_fold(data, folds, j, cfg) for j in range(k)]
+    for got, want in zip(nus, ref):
+        _assert_fold_matches(got, want)
+    conds = [d.gram_condition for n in nus for d in n.diagnostics]
+    bound = 1e-12 * max(1.0, max(np.inf if c is None else c for c in conds) / 1e8)
+    cell_reps = px.estimate_all(data, folds, cfg, nuisance_sets=nus)
+    direct_reps = px.estimate_all(data, folds, cfg, nuisance_sets=ref)
+    for name, rep in cell_reps.items():
+        assert abs(rep.tau_hat - direct_reps[name].tau_hat) <= bound, name
 
 
 # ------------------------------------------------- held-out evaluation

@@ -171,8 +171,9 @@ def test_substituted_regimes_match_corrupted_nuisances(small_data, config):
 
 
 def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
-    # Per replication (k = 5, six regimes): 1 transform per fold to fit
-    # and 4 per fold to evaluate, however many regimes run.
+    # Per replication (k = 5, six regimes): no transform to fit (folds
+    # fit from cell R factors) and 4 per fold to evaluate, however many
+    # regimes run.
     calls = []
     real_transform, real_generate = FittedBasis.transform, harness.generate
 
@@ -189,7 +190,7 @@ def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
     px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=ESTIMATOR_NAMES,
                        regimes=REGIME_NAMES, replications=2, base_seed=3, k_folds=5)
     assert len(calls) == 2
-    assert max(calls) <= 5 * 1 + 5 * 4
+    assert max(calls) <= 5 * 0 + 5 * 4
 
 
 def test_mc_report_identity_and_smoke(confounded_cfg):

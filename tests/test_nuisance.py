@@ -4,13 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import proxate as px
 from proxate.basis import BasisSpec, fit_basis
 from proxate.errors import DegenerateTreatmentError, ValidationError
 from proxate.nuisance import _sigmoid
 
-from conftest import constant_bridge, evaluate, propensity, solve_h
+from conftest import constant_bridge, evaluate, propensity, reference_sigmoid, solve_h
 
 XB = BasisSpec(roles=("x",))
 
@@ -90,6 +92,18 @@ def test_score_equation_at_convergence():
     raw = _sigmoid(design @ model.coeffs)  # unclipped propensities
     score = design.T @ (view.a - raw)
     assert np.abs(score).max() < 1e-6 * view.n
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=arrays(np.float64, st.integers(0, 64), elements=st.floats(allow_nan=False)))
+@example(t=np.array([0.0, -0.0, np.inf, -np.inf, 710.0, -710.0, 5e-324, -5e-324]))
+def test_sigmoid_bytes_match_mask_scatter(t):
+    # One exp of -|t| and a select give the mask-scatter logistic byte for byte.
+    assert _sigmoid(t).tobytes() == reference_sigmoid(t).tobytes()
+
+
+def test_sigmoid_nan():
+    assert np.isnan(_sigmoid(np.array([np.nan]))).all()
 
 
 def test_clipping_behavior():
