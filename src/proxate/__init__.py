@@ -48,7 +48,6 @@ from .estimators import (
     make_folds,
 )
 from .harness import (
-    MaskDesign,
     MCReport,
     apply_misspec,
     run_monte_carlo,

@@ -38,7 +38,6 @@ from .errors import (
 )
 
 COND_WARN_THRESHOLD = 1e12
-DEFAULT_RIDGE = 1e-6
 _RANK_TOL = 1e-10
 
 
@@ -71,8 +70,8 @@ class MomentDiagnostics(Record):
     gram_condition: float | None  # None: singular Gram matrix
     n_instruments: int
     n_params: int
+    label: str
     n_clipped: int = 0
-    label: str = ""
 
 
 def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
@@ -119,7 +118,7 @@ def solve_outcome_bridge(
     instruments: np.ndarray,
     y: np.ndarray,
     n: int,
-    ridge: float = DEFAULT_RIDGE,
+    ridge: float,
 ) -> tuple[BridgeFunction, MomentDiagnostics]:
     """Solve the outcome-bridge moment system on ``n`` observational rows.
 
@@ -158,7 +157,7 @@ def solve_surrogate_bridge(
     n_o: int,
     rhs: np.ndarray,
     n_clipped: int,
-    ridge: float = DEFAULT_RIDGE,
+    ridge: float,
 ) -> tuple[tuple[BridgeFunction, MomentDiagnostics], tuple[BridgeFunction, MomentDiagnostics]]:
     """Solve both arms' systems as one, with a right-hand column per arm.
 

@@ -39,14 +39,6 @@ _ROLES = ("y", "a", "w", "z", "s", "x")
 
 
 @dataclass(frozen=True)
-class RoleDims:
-    w: int
-    z: int
-    s: int
-    x: int
-
-
-@dataclass(frozen=True)
 class CombinedDataset:
     """Column-oriented two-sample dataset; immutable after construction."""
 
@@ -57,7 +49,6 @@ class CombinedDataset:
     a: np.ndarray  # (n,), NaN on O rows
     x: np.ndarray  # (n, dim_x)
     is_e: np.ndarray  # (n,), bool
-    dims: RoleDims
 
     @property
     def n(self) -> int:
@@ -83,8 +74,7 @@ class CombinedDataset:
         x = _as_2d(x, n, "x")
         if y.shape[0] != n or a.shape[0] != n:
             raise ValidationError("column lengths disagree")
-        dims = RoleDims(w=w.shape[1], z=z.shape[1], s=s.shape[1], x=x.shape[1])
-        ds = cls(y=y, w=w, z=z, s=s, a=a, x=x, is_e=is_e, dims=dims)
+        ds = cls(y=y, w=w, z=z, s=s, a=a, x=x, is_e=is_e)
         ds._validate()
         for arr in (y, w, z, s, a, x, is_e):
             arr.setflags(write=False)

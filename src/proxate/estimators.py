@@ -40,7 +40,6 @@ import numpy as np
 from ._records import Record, reject_unknown
 from .basis import BasisSpec, FittedBasis, basis_from_r, raw_features
 from .bridges import (
-    DEFAULT_RIDGE,
     BridgeFunction,
     MomentDiagnostics,
     solve_outcome_bridge,
@@ -49,7 +48,6 @@ from .bridges import (
 from .data import CombinedDataset, SampleView
 from .errors import NumericalError, ValidationError
 from .nuisance import (
-    DEFAULT_CLIP_EPS,
     HBarModel,
     PropensityModel,
     fit_hbar,
@@ -68,6 +66,12 @@ class FoldAssignment:
     k_folds: int
     fold_of: np.ndarray  # (n,) fold label per dataset row
     seed: int
+
+    def __post_init__(self):
+        bad = np.flatnonzero((self.fold_of < 0) | (self.fold_of >= self.k_folds))
+        if bad.size:  # such a row would be in no fold, its evaluation never written
+            raise ValidationError(f"row {bad[0] + 1}: fold label {self.fold_of[bad[0]]} "
+                                  f"outside [0, {self.k_folds})")
 
     def eval_indices(self, data: CombinedDataset, k: int, sample: str) -> np.ndarray:
         in_sample = data.is_e if sample == "E" else ~data.is_e
@@ -110,7 +114,7 @@ class NuisanceSet:
     hbar: HBarModel
     q0: BridgeFunction
     q1: BridgeFunction
-    diagnostics: list[MomentDiagnostics] = field(default_factory=list)
+    diagnostics: list[MomentDiagnostics]
 
 
 @dataclass(frozen=True)
@@ -123,9 +127,9 @@ class EstimatorConfig(Record):
     g: BasisSpec = BasisSpec(roles=("w", "s", "x"), standardize=True)
     e_basis: BasisSpec = BasisSpec(roles=("x",))
     hbar_basis: BasisSpec = BasisSpec(roles=("x",))
-    ridge_h: float = DEFAULT_RIDGE
-    ridge_q: float = DEFAULT_RIDGE
-    clip_eps: float = DEFAULT_CLIP_EPS
+    ridge_h: float = 1e-6
+    ridge_q: float = 1e-6
+    clip_eps: float = 0.01
     known_propensity: float | None = None
     alpha: float = 0.05
 
@@ -403,10 +407,10 @@ class EstimateReport(Record):
     alpha: float
     k_folds: int
     seed: int | None
+    n_e: int
+    n_o: int
     variance_hat: float | None = None
     ci: tuple[float, float] | None = None
-    n_e: int = 0
-    n_o: int = 0
     n_propensity_clips: int = 0
     per_fold_diagnostics: list[MomentDiagnostics] = field(default_factory=list)
 

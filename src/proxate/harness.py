@@ -16,22 +16,25 @@ consistent plus an everything-wrong power check. ``CORRUPTS`` names
 what each regime corrupts. Every corruption is a constant, and the
 estimators see the data only through the held-out evaluations, so each
 replication fits and evaluates its nuisances once and ``apply_misspec``
-substitutes each regime's constants into those evaluations.
+substitutes each regime's constants into those evaluations. Each
+successful replication is one record, its reports per regime, and the
+study aggregates the records once all replications have run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._records import Record
 from .baselines import BASELINE_NAMES, surrogate_index_estimate
 from .data import CombinedDataset, FullyObservedSample
-from .dgp import DGPConfig, generate
+from .dgp import DGPConfig, generate, oracle_for
 from .errors import ProxateError, ValidationError
 from .estimators import (
     ESTIMATOR_NAMES,
+    EstimateReport,
     EstimatorConfig,
     UnitEvals,
     estimates_from_evals,
@@ -49,7 +52,8 @@ CORRUPT_Q = 1.0
 CORRUPT_HBAR_ARM1 = 1.0
 CORRUPT_HBAR_ARM0 = -1.0
 # Share of requested Monte Carlo replications allowed to fail before the
-# study aborts instead of reporting on a biased subset.
+# study aborts instead of reporting on a biased subset. Below 1, so a
+# study that finishes has at least one replication to aggregate.
 MAX_FAILURE_FRACTION = 0.02
 
 # Which nuisances each regime corrupts. case4 additionally replaces the
@@ -67,24 +71,17 @@ CORRUPTS = {
 REGIME_NAMES = tuple(CORRUPTS)
 
 
-@dataclass(frozen=True)
-class MaskDesign:
-    e_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.e_fraction < 1.0:
-            raise ValidationError("e_fraction must be in (0, 1)")
-
-
-def split_and_mask(source: FullyObservedSample, design: MaskDesign) -> CombinedDataset:
-    """Assign units to E/O at random and mask complementary columns.
+def split_and_mask(source: FullyObservedSample, e_fraction: float, seed: int) -> CombinedDataset:
+    """Assign each unit to E with probability ``e_fraction`` and mask
+    complementary columns.
 
     E keeps (a, s, w, x) and loses (y, z); O keeps (y, z, s, w, x) and
-    loses a. Deterministic given the design seed.
+    loses a. Deterministic given the seed.
     """
-    rng = np.random.Generator(np.random.Philox(design.seed))
-    is_e = rng.random(source.n) < design.e_fraction
+    if not 0.0 < e_fraction < 1.0:
+        raise ValidationError("e_fraction must be in (0, 1)")
+    rng = np.random.Generator(np.random.Philox(seed))
+    is_e = rng.random(source.n) < e_fraction
     n_e = int(is_e.sum())
     if n_e == 0 or n_e == source.n:
         raise ValidationError(
@@ -136,7 +133,7 @@ class EstimatorStats(Record):
     sd: float
     rmse: float
     n_replications: int
-    coverage_95: float | None = None
+    coverage_95: float | None  # MR only
 
 
 @dataclass
@@ -145,7 +142,7 @@ class MCReport(Record):
     n_replications: int
     regimes: dict[str, dict[str, EstimatorStats]]
     # One entry per failed replication: index, seed, exception class, message.
-    failures: list[dict] = field(default_factory=list)
+    failures: list[dict]
 
     @property
     def n_failed(self) -> int:
@@ -180,16 +177,15 @@ class MCReport(Record):
         return "\n".join(lines)
 
 
-def _aggregate(
-    draws: list[float], true_ate: float, covered: list[bool] | None
-) -> EstimatorStats:
-    arr = np.asarray(draws, dtype=float)
+def _aggregate(reports: list[EstimateReport], true_ate: float) -> EstimatorStats:
+    arr = np.asarray([rep.tau_hat for rep in reports], dtype=float)
     mean = float(arr.mean())
     bias = mean - true_ate
     sd = float(arr.std(ddof=0))
     rmse = float(np.sqrt(np.mean((arr - true_ate) ** 2)))
     coverage = None
-    if covered is not None:
+    if reports[0].ci is not None:
+        covered = [lo <= true_ate <= hi for lo, hi in (rep.ci for rep in reports)]
         coverage = float(np.mean(np.asarray(covered, dtype=float)))
     return EstimatorStats(
         mean=mean, bias=bias, sd=sd, rmse=rmse,
@@ -206,40 +202,26 @@ def _replicate(
     config: EstimatorConfig,
     estimators: tuple[str, ...],
     regimes: tuple[str, ...],
-) -> tuple[float, dict[str, dict[str, float]], dict[str, bool]]:
-    """One replication: its true effect, each regime's draws, and each
-    regime's MR coverage.
+) -> dict[str, dict[str, EstimateReport]]:
+    """One replication's record: each regime's report per estimator.
 
     Nuisances are fitted and evaluated once; each regime substitutes its
-    constants into the evaluations and summarizes them. Nothing of the
-    replication outlives the call.
+    constants into the evaluations and summarizes them. Only the record
+    outlives the call.
     """
-    data, oracle = generate(dgp, n, pi, seed)
+    data, _ = generate(dgp, n, pi, seed)
     folds = make_folds(data, k_folds, seed)
-    draws: dict[str, dict[str, float]] = {rg: {} for rg in regimes}
-    for est in estimators:
-        if est not in ESTIMATOR_NAMES:
-            tau = surrogate_index_estimate(data, include_proxies=(est == "SI-PROX")).tau_hat
-            for rg in regimes:
-                draws[rg][est] = tau
-    covered: dict[str, bool] = {}
+    baselines = {est: surrogate_index_estimate(data, include_proxies=(est == "SI-PROX"))
+                 for est in estimators if est not in ESTIMATOR_NAMES}
     proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
     if not proximal:
-        return oracle.true_ate, draws, covered
+        return {rg: baselines for rg in regimes}
     nuisance_sets = fit_all_nuisances(data, folds, config)
     evals = evaluate_nuisances(data, folds, nuisance_sets)
     diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
-    for rg in regimes:
-        reports = estimates_from_evals(
-            data, folds, config, apply_misspec(evals, rg, config.clip_eps),
-            proximal, diagnostics,
-        )
-        for est in proximal:
-            draws[rg][est] = reports[est].tau_hat
-        if "MR" in proximal:
-            lo, hi = reports["MR"].ci
-            covered[rg] = lo <= oracle.true_ate <= hi
-    return oracle.true_ate, draws, covered
+    return {rg: {**baselines, **estimates_from_evals(
+        data, folds, config, apply_misspec(evals, rg, config.clip_eps), proximal, diagnostics,
+    )} for rg in regimes}
 
 
 def run_monte_carlo(
@@ -250,19 +232,20 @@ def run_monte_carlo(
     regimes: tuple[str, ...],
     replications: int,
     base_seed: int,
-    config: EstimatorConfig | None = None,
-    k_folds: int = 5,
+    config: EstimatorConfig,
+    k_folds: int,
 ) -> MCReport:
     """Replicate synthetic estimation runs against the known truth.
 
     Replication r uses seed base_seed + r for both the draw and the
-    folds; each is independent of execution order. Replications that
-    fail (for example a degenerate fold) are recorded in
-    ``MCReport.failures`` and excluded from the aggregates as a whole:
-    a replication's draws count only once every regime has succeeded.
-    Once failures exceed ``MAX_FAILURE_FRACTION`` of the requested runs
-    the study aborts rather than silently reporting on a biased subset.
-    Coverage is tracked for MR only, the one estimator with an interval.
+    folds; each is independent of execution order. Each successful
+    replication appends one complete record, and the aggregates are
+    taken over the records at the end, so a replication counts in full
+    or not at all. Failed replications (for example a degenerate fold)
+    are listed in ``MCReport.failures``. Once failures exceed
+    ``MAX_FAILURE_FRACTION`` of the requested runs the study aborts
+    rather than silently reporting on a biased subset. Coverage is
+    tracked for MR only, the one estimator with an interval.
     """
     if replications < 2:
         raise ValidationError("replications must be >= 2")
@@ -274,22 +257,14 @@ def run_monte_carlo(
     for name in regimes:
         if name not in REGIME_NAMES:
             raise ValidationError(f"unknown regime {name!r}; choose from {REGIME_NAMES}")
-    config = config or EstimatorConfig()
+    true_ate = oracle_for(dgp).true_ate
     max_failures = int(np.floor(MAX_FAILURE_FRACTION * replications))
-
-    true_ate = None
-    draws: dict[str, dict[str, list[float]]] = {
-        rg: {est: [] for est in estimators} for rg in regimes
-    }
-    covered: dict[str, list[bool]] = {rg: [] for rg in regimes}
+    records: list[dict[str, dict[str, EstimateReport]]] = []
     failures: list[dict] = []
-
     for r in range(replications):
         seed = base_seed + r
         try:
-            rep_true, rep_draws, rep_covered = _replicate(
-                dgp, n, pi, seed, k_folds, config, estimators, regimes
-            )
+            records.append(_replicate(dgp, n, pi, seed, k_folds, config, estimators, regimes))
         except ProxateError as exc:
             failures.append({"replication": r, "seed": seed,
                              "error": type(exc).__name__, "message": str(exc)})
@@ -298,23 +273,11 @@ def run_monte_carlo(
                     f"{len(failures)} of {replications} replications failed "
                     f"(cap {max_failures}); last error: {exc}"
                 ) from exc
-            continue
-        true_ate = rep_true
-        for rg in regimes:
-            for est in estimators:
-                draws[rg][est].append(rep_draws[rg][est])
-            if rg in rep_covered:
-                covered[rg].append(rep_covered[rg])
 
-    if true_ate is None:
-        raise ValidationError("every replication failed")
-
-    tables: dict[str, dict[str, EstimatorStats]] = {}
-    for rg in regimes:
-        tables[rg] = {}
-        for est in estimators:
-            cov = covered[rg] if est == "MR" and covered[rg] else None
-            tables[rg][est] = _aggregate(draws[rg][est], true_ate, cov)
+    tables = {
+        rg: {est: _aggregate([rec[rg][est] for rec in records], true_ate) for est in estimators}
+        for rg in regimes
+    }
     return MCReport(
         true_ate=true_ate,
         n_replications=replications,

@@ -25,7 +25,6 @@ from .errors import DegenerateTreatmentError, NumericalError, ValidationError
 IRLS_TOL = 1e-8
 IRLS_MAX_ITER = 100
 SEPARATION_RIDGE = 1e-4
-DEFAULT_CLIP_EPS = 0.01
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -55,7 +54,7 @@ class PropensityModel(Record):
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), outside
 
     @classmethod
-    def known(cls, rate: float, clip_eps: float = DEFAULT_CLIP_EPS) -> "PropensityModel":
+    def known(cls, rate: float, clip_eps: float) -> "PropensityModel":
         if not 0.0 < rate < 1.0:
             raise ValidationError("known assignment rate must be in (0, 1)")
         return cls(basis=None, coeffs=None, clip_eps=clip_eps, fixed_rate=rate)
@@ -94,7 +93,7 @@ def fit_propensity(
     basis: FittedBasis,
     design: np.ndarray,
     a: np.ndarray,
-    clip_eps: float = DEFAULT_CLIP_EPS,
+    clip_eps: float,
 ) -> PropensityModel:
     """Fit the treatment propensity of ``a`` on the ``basis`` design matrix."""
     require_both_arms(int(a.sum()), a.shape[0], "propensity fit")

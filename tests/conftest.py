@@ -53,6 +53,8 @@ def mc200(confounded_cfg) -> px.MCReport:
         regimes=("all_correct", "case1", "case2", "case3", "case4", "all_wrong"),
         replications=200,
         base_seed=5000,
+        config=px.EstimatorConfig(),
+        k_folds=5,
     )
 
 

@@ -97,6 +97,7 @@ def test_criterion_06_coverage(confounded_cfg):
     report = px.run_monte_carlo(
         confounded_cfg, n=40_000, pi=0.5, estimators=("MR",),
         regimes=("all_correct",), replications=500, base_seed=12_000,
+        config=px.EstimatorConfig(), k_folds=5,
     )
     cover = report.regimes["all_correct"]["MR"].coverage_95
     ok = 0.92 <= cover <= 0.97
@@ -114,7 +115,7 @@ def test_criterion_07_exact_reductions(confounded_cfg):
         nus = fit_all_nuisances(data, folds, cfg)
 
         equal_q = [
-            px.NuisanceSet(e=n.e, h=n.h, hbar=n.hbar, q0=n.q1, q1=n.q1)
+            px.NuisanceSet(e=n.e, h=n.h, hbar=n.hbar, q0=n.q1, q1=n.q1, diagnostics=[])
             for n in nus
         ]
         rep = px.estimate_all(data, folds, cfg, estimators=("MR",),
@@ -127,7 +128,7 @@ def test_criterion_07_exact_reductions(confounded_cfg):
             px.NuisanceSet(
                 e=n.e, h=constant_bridge(n.h, 0.0),
                 hbar=constant_hbar(n.hbar.basis, 0.0, 0.0),
-                q0=n.q0, q1=n.q1,
+                q0=n.q0, q1=n.q1, diagnostics=[],
             )
             for n in nus
         ]

@@ -141,7 +141,7 @@ def test_surrogate_bridge_normalization_exact(small_data):
     data, _ = small_data
     e_view, o_view = px.split_by_sample(data)
     share = float(e_view.a.mean())
-    prop = px.PropensityModel.known(share)
+    prop = px.PropensityModel.known(share, clip_eps=0.01)
     (q0, d0), (q1, d1) = solve_q(o_view, e_view, PHI, G, prop, ridge=0.0)
     assert abs(evaluate(q1, o_view).mean() - 1.0) < 1e-10
     assert abs(evaluate(q0, o_view).mean() - 1.0) < 1e-10
@@ -159,7 +159,7 @@ def test_surrogate_bridge_reweighting_identity_held_out(confounded_cfg):
     cfg = replace(confounded_cfg, confound_treatment_in_O=False)
     data, _ = px.generate(cfg, 2 * 10**5, 0.5, seed=11)
     e_view, o_view = px.split_by_sample(data)
-    prop = px.PropensityModel.known(cfg.p_treat)
+    prop = px.PropensityModel.known(cfg.p_treat, clip_eps=0.01)
 
     gstar = BasisSpec(roles=("w", "s", "x"), degree=2, include_intercept=False,
                       interactions=True)
@@ -180,7 +180,7 @@ def test_surrogate_bridge_reweighting_identity_held_out(confounded_cfg):
 def test_surrogate_bridge_under_identified(small_data):
     data, _ = small_data
     e_view, o_view = px.split_by_sample(data)
-    prop = px.PropensityModel.known(0.5)
+    prop = px.PropensityModel.known(0.5, clip_eps=0.01)
     rich_phi = BasisSpec(roles=("z", "s", "x"), degree=2, interactions=True, standardize=True)
     lean_g = BasisSpec(roles=("w",), standardize=True)
     with pytest.raises(UnderIdentifiedError):
@@ -201,7 +201,7 @@ def test_bridge_serialization_round_trip(small_data):
     data, _ = small_data
     e_view, o_view = px.split_by_sample(data)
     h, _ = solve_h(o_view, PSI, B, ridge=1e-6)
-    prop = px.PropensityModel.known(0.5)
+    prop = px.PropensityModel.known(0.5, clip_eps=0.01)
     _, (q1, _) = solve_q(o_view, e_view, PHI, G, prop, ridge=1e-6)
     for bridge in (h, q1):
         back = json.loads(json.dumps(bridge.to_dict()))

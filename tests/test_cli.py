@@ -58,17 +58,23 @@ def test_estimate_mr(data_csv, tmp_path, capsys):
 
 
 def test_estimate_all_reports_one_ci(data_csv, tmp_path):
-    out = tmp_path / "all.json"
-    rc = run(["estimate", "--data", str(data_csv), "--estimator", "all",
-              "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    result = _load_result(out)["result"]
-    assert set(result) == {"OB-OR", "OB-IPW", "SB", "MR"}
-    for name, rep in result.items():
-        if name == "MR":
-            assert rep["ci"] is not None
-        else:
-            assert rep["ci"] is None
+    # Choosing estimators never changes a figure: each report equals its
+    # entry in one run of every estimator. Only MR has an interval.
+    def estimate(choice):
+        out = tmp_path / f"{choice}.json"
+        rc = run(["estimate", "--data", str(data_csv), "--estimator", choice,
+                  "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        return _load_result(out)["result"]
+
+    every = estimate("ob-or,ob-ipw,sb,mr,si,si-prox")
+    for choice, names in [("all", {"OB-OR", "OB-IPW", "SB", "MR"}), ("ob-or", {"OB-OR"}),
+                          ("si-prox", {"SI-PROX"})]:
+        result = estimate(choice)
+        assert set(result) == names
+        for name, rep in result.items():
+            assert rep == every[name], (choice, name)
+            assert (rep["ci"] is not None) == (name == "MR")
 
 
 def test_estimate_deterministic_reports(data_csv, tmp_path):
@@ -157,17 +163,28 @@ def test_dump_nuisances(data_csv, tmp_path):
 
 
 def test_simulate_smoke_and_determinism(tmp_path):
-    out1, out2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    args = ["simulate", "--n", "2000", "--replications", "2", "--base-seed", "5",
-            "--estimators", "mr,si", "--regimes", "all_correct,case1"]
-    assert run(args + ["--out", str(out1)]) == 0
-    assert run(args + ["--out", str(out2)]) == 0
-    d1 = _strip_timestamp(json.loads(out1.read_text()))
-    d2 = _strip_timestamp(json.loads(out2.read_text()))
-    assert d1 == d2
-    regimes = d1["result"]["regimes"]
-    assert set(regimes) == {"all_correct", "case1"}
-    assert regimes["all_correct"]["MR"]["coverage_95"] is not None
+    # Identical runs write identical reports, and choosing estimators or
+    # regimes never changes a figure: each chosen cell equals that cell of
+    # the all/all study at the same seeds. Only MR carries a coverage.
+    def simulate(estimators, regimes, name):
+        out = tmp_path / f"{name}.json"
+        assert run(["simulate", "--n", "2000", "--replications", "2", "--base-seed", "5",
+                    "--estimators", estimators, "--regimes", regimes, "--out", str(out)]) == 0
+        return _strip_timestamp(json.loads(out.read_text()))["result"]
+
+    d1 = simulate("mr,si", "all_correct,case1", "m1")
+    assert d1 == simulate("mr,si", "all_correct,case1", "m2")
+    every = simulate("all", "all", "every")
+    assert all((st["coverage_95"] is not None) == (est == "MR")
+               for table in every["regimes"].values() for est, st in table.items())
+    d3 = simulate("ob-or,si", "case1,all_wrong", "m3")
+    for d, cells in [(d1, {"all_correct": {"MR", "SI"}, "case1": {"MR", "SI"}}),
+                     (d3, {"case1": {"OB-OR", "SI"}, "all_wrong": {"OB-OR", "SI"}})]:
+        assert d["true_ate"] == every["true_ate"] and d["n_failed"] == 0
+        assert {rg: set(table) for rg, table in d["regimes"].items()} == cells
+        for rg, table in d["regimes"].items():
+            for est, st in table.items():
+                assert st == every["regimes"][rg][est], (rg, est)
 
 
 def test_simulate_invalid_regime_exit_1():

@@ -43,7 +43,7 @@ READERS = {"masked": (px.load_csv, MINIMAL), "unmasked": (px.load_unmasked_csv, 
 def test_load_minimal(tmp_path):
     data = px.load_csv(_write(tmp_path, MINIMAL), SCHEMA)
     assert data.n_e == 2 and data.n_o == 2
-    assert data.dims.s == 2 and data.dims.w == 1 and data.dims.x == 1
+    assert data.s.shape[1] == 2 and data.w.shape[1] == 1 and data.x.shape[1] == 1
     assert np.isnan(data.y[data.is_e]).all()
     assert np.isfinite(data.y[~data.is_e]).all()
 
@@ -162,14 +162,14 @@ def test_four_surrogate_columns(tmp_path):
         s=("earn_y2", "earn_y3", "emp_y2", "emp_y3"), x=("age",),
     )
     data = px.load_csv(_write(tmp_path, "\n".join([header] + rows)), schema)
-    assert data.dims.s == 4 and data.n_e == 2 and data.n_o == 2
+    assert data.s.shape[1] == 4 and data.n_e == 2 and data.n_o == 2
 
 
 def test_custom_labels_and_prefix_roles(tmp_path):
     text = MINIMAL.replace(",E,", ",exp,").replace(",O,", ",obs,")
     schema = px.CsvSchema(e_label="exp", o_label="obs")  # prefix declarations
     data = px.load_csv(_write(tmp_path, text), schema)
-    assert data.n_e == 2 and data.dims.s == 2
+    assert data.n_e == 2 and data.s.shape[1] == 2
 
 
 def _four_rows(header: str) -> str:
@@ -188,7 +188,7 @@ def _four_rows(header: str) -> str:
 def test_prefix_claims_bare_and_indexed_columns(tmp_path, header):
     # Prefix "s" claims s and s1, never an unrelated "sex" column.
     data = px.load_csv(_write(tmp_path, _four_rows(header)), px.CsvSchema())
-    assert data.dims == px.data.RoleDims(w=1, z=1, s=1, x=1)
+    assert [getattr(data, r).shape[1] for r in "wzsx"] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("header, schema", [

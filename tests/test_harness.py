@@ -23,8 +23,7 @@ CFG = px.EstimatorConfig()
 
 def test_split_and_mask_partition(confounded_cfg):
     full = px.generate_full(confounded_cfg, 100, seed=1)
-    design = px.MaskDesign(e_fraction=0.5, seed=9)
-    data = px.split_and_mask(full, design)
+    data = px.split_and_mask(full, 0.5, seed=9)
     assert data.n_e + data.n_o == 100
     assert np.isnan(data.y[data.is_e]).all()
     assert np.isnan(data.a[~data.is_e]).all()
@@ -35,8 +34,8 @@ def test_split_and_mask_partition(confounded_cfg):
 
 def test_split_and_mask_deterministic(confounded_cfg):
     full = px.generate_full(confounded_cfg, 100, seed=1)
-    d1 = px.split_and_mask(full, px.MaskDesign(0.4, seed=5))
-    d2 = px.split_and_mask(full, px.MaskDesign(0.4, seed=5))
+    d1 = px.split_and_mask(full, 0.4, seed=5)
+    d2 = px.split_and_mask(full, 0.4, seed=5)
     np.testing.assert_array_equal(d1.is_e, d2.is_e)
     np.testing.assert_array_equal(d1.y, d2.y)
 
@@ -46,7 +45,7 @@ def test_split_and_mask_empty_stratum(confounded_cfg):
     with pytest.raises(ValidationError):
         # A 0.999 split of 10 units will empty the O stratum for some seed.
         for seed in range(200):
-            px.split_and_mask(full, px.MaskDesign(0.999, seed=seed))
+            px.split_and_mask(full, 0.999, seed=seed)
 
 
 def _ks_stat(x: np.ndarray, y: np.ndarray) -> float:
@@ -63,7 +62,7 @@ def test_split_preserves_marginals_ks(confounded_cfg):
     n_pass = 0
     seeds = range(40)
     for seed in seeds:
-        data = px.split_and_mask(full, px.MaskDesign(0.5, seed=seed))
+        data = px.split_and_mask(full, 0.5, seed=seed)
         e, o = data.is_e, ~data.is_e
         crit = 1.628 * np.sqrt(data.n / (data.n_e * data.n_o))
         cols = [data.s[:, 0], data.w[:, 0], data.x[:, 0]]
@@ -139,7 +138,7 @@ def _corrupted_sets(nuisance_sets, regime, h_const):
             )
         elif regime == "case4":
             hbar = constant_hbar(nus.hbar.basis, h_const, h_const)
-        out.append(px.NuisanceSet(e=e, h=h, hbar=hbar, q0=q0, q1=q1))
+        out.append(px.NuisanceSet(e=e, h=h, hbar=hbar, q0=q0, q1=q1, diagnostics=[]))
     return out
 
 
@@ -188,21 +187,25 @@ def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
     monkeypatch.setattr(FittedBasis, "transform", counting_transform)
     monkeypatch.setattr(harness, "generate", generate)
     px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=ESTIMATOR_NAMES,
-                       regimes=REGIME_NAMES, replications=2, base_seed=3, k_folds=5)
+                       regimes=REGIME_NAMES, replications=2, base_seed=3, config=CFG,
+                       k_folds=5)
     assert len(calls) == 2
     assert max(calls) <= 5 * 0 + 5 * 4
 
 
 def test_mc_report_identity_and_smoke(confounded_cfg):
+    # A repeated estimator name still counts each replication once.
     report = px.run_monte_carlo(
         confounded_cfg, n=2000, pi=0.5,
-        estimators=("OB-OR", "MR", "SI"),
+        estimators=("OB-OR", "MR", "SI", "MR"),
         regimes=("all_correct", "all_wrong"),
-        replications=2, base_seed=77,
+        replications=2, base_seed=77, config=CFG, k_folds=5,
     )
     assert report.n_replications == 2 and report.n_failed == 0
     for table in report.regimes.values():
+        assert list(table) == ["OB-OR", "MR", "SI"]
         for stats in table.values():
+            assert stats.n_replications == 2
             assert stats.rmse**2 == pytest.approx(stats.bias**2 + stats.sd**2, rel=1e-10)
     assert report.regimes["all_correct"]["MR"].coverage_95 is not None
     assert report.regimes["all_correct"]["OB-OR"].coverage_95 is None
@@ -215,7 +218,7 @@ def test_mc_report_identity_and_smoke(confounded_cfg):
 def test_mc_determinism(confounded_cfg):
     kw = dict(
         n=1500, pi=0.5, estimators=("MR",), regimes=("all_correct",),
-        replications=3, base_seed=123,
+        replications=3, base_seed=123, config=CFG, k_folds=5,
     )
     r1 = px.run_monte_carlo(confounded_cfg, **kw)
     r2 = px.run_monte_carlo(confounded_cfg, **kw)
@@ -225,13 +228,13 @@ def test_mc_determinism(confounded_cfg):
 def test_mc_validation(confounded_cfg):
     with pytest.raises(ValidationError):
         px.run_monte_carlo(confounded_cfg, 1000, 0.5, ("MR",), ("all_correct",),
-                           replications=1, base_seed=0)
+                           replications=1, base_seed=0, config=CFG, k_folds=5)
     with pytest.raises(ValidationError):
         px.run_monte_carlo(confounded_cfg, 1000, 0.5, ("MR",), ("bogus",),
-                           replications=2, base_seed=0)
+                           replications=2, base_seed=0, config=CFG, k_folds=5)
     with pytest.raises(ValidationError):
         px.run_monte_carlo(confounded_cfg, 1000, 0.5, ("BOGUS",), ("all_correct",),
-                           replications=2, base_seed=0)
+                           replications=2, base_seed=0, config=CFG, k_folds=5)
 
 
 def test_mc_failure_cap(confounded_cfg):
@@ -239,7 +242,7 @@ def test_mc_failure_cap(confounded_cfg):
     # replication fail; the cap aborts the study instead of averaging nothing.
     with pytest.raises(ValidationError):
         px.run_monte_carlo(confounded_cfg, 40, 0.5, ("MR",), ("all_correct",),
-                           replications=5, base_seed=0, k_folds=30)
+                           replications=5, base_seed=0, config=CFG, k_folds=30)
 
 
 def test_corruption_dataclass_defaults():
@@ -268,7 +271,7 @@ def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
     monkeypatch.setattr(harness, "MAX_FAILURE_FRACTION", 0.5)
     report = px.run_monte_carlo(
         confounded_cfg, n=1500, pi=0.5, estimators=("OB-OR", "MR", "SI"),
-        regimes=REGIME_NAMES, replications=3, base_seed=40,
+        regimes=REGIME_NAMES, replications=3, base_seed=40, config=CFG, k_folds=5,
     )
     assert report.n_failed == 1
     counts = {st.n_replications for table in report.regimes.values() for st in table.values()}

@@ -77,7 +77,7 @@ def test_randomized_design_flat_propensity(confounded_cfg):
 def test_single_arm_errors():
     for view in (_e_view_with_a(np.ones(30)), _e_view_with_a(np.zeros(30))):
         with pytest.raises(DegenerateTreatmentError):
-            px.fit_propensity(*fit_basis(XB, view), view.a)
+            px.fit_propensity(*fit_basis(XB, view), view.a, clip_eps=0.01)
 
 
 def test_score_equation_at_convergence():
@@ -132,7 +132,7 @@ def test_eval_propensity_record(small_data):
     model = px.fit_propensity(*fit_basis(XB, e_view), e_view.a, clip_eps=0.01)
     one = px.SampleView(data, e_view.indices[:1], "E")
     assert propensity(model, one)[0][0] == pytest.approx(propensity(model, e_view)[0][0])
-    const = px.PropensityModel.known(0.5)
+    const = px.PropensityModel.known(0.5, clip_eps=0.01)
     assert propensity(const, one)[0][0] == 0.5
 
 
@@ -147,7 +147,7 @@ def test_zero_coefficients_give_half():
 
 def test_known_rate_validation():
     with pytest.raises(ValidationError):
-        px.PropensityModel.known(1.2)
+        px.PropensityModel.known(1.2, clip_eps=0.01)
     with pytest.raises(ValidationError):
         px.PropensityModel.known(0.5, clip_eps=0.7)
 
@@ -232,7 +232,7 @@ def test_hbar_serialization(small_data):
     back = json.loads(json.dumps(model.to_dict()))
     assert back["arm0_coeffs"] == model.arm0_coeffs.tolist()
     assert back["arm1_coeffs"] == model.arm1_coeffs.tolist()
-    pm = px.fit_propensity(*fit_basis(XB, e_view), e_view.a)
+    pm = px.fit_propensity(*fit_basis(XB, e_view), e_view.a, clip_eps=0.01)
     back_pm = json.loads(json.dumps(pm.to_dict()))
     assert back_pm["coeffs"] == pm.coeffs.tolist()
     assert back_pm["basis"] == back["basis"] == model.basis.to_dict()

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import proxate
 
-MAX_SETTABLE_VALUES = 70
+MAX_SETTABLE_VALUES = 58
 
 
 def _public(node) -> bool:
