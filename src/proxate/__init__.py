@@ -2,7 +2,7 @@
 observational samples, using proxy variables to absorb latent
 confounding."""
 
-from .basis import BasisSpec, FittedBasis, fit_basis
+from .basis import BasisSpec, FittedBasis
 from .baselines import (
     DiagnosticReport,
     RegressionFit,
@@ -33,8 +33,6 @@ from .dgp import (
     confounded_config,
     generate,
     generate_full,
-    oracle_h_residual_check,
-    unconfounded_config,
 )
 from .estimators import (
     EstimateReport,

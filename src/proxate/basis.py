@@ -4,11 +4,10 @@ Every solver and regression in the package consumes the same basis
 machinery: a ``BasisSpec`` names which variable roles enter, the
 polynomial degree, and the flags. Standardization is an affine map of
 the raw columns [ones, features] whose statistics ``basis_from_r``
-reads off the R factor of those columns: the cross-fit merges one per
-fold from its cells' R factors, and ``fit_basis`` factors a view
-itself. ``FittedBasis.standardize`` applies the map to rows of data,
-of an R factor or of weighted sums alike, so ``FittedBasis.transform``
-is a pure row-wise function of any view.
+reads off the R factor of those columns, which the cross-fit merges
+per fold from its cells' R factors. ``FittedBasis.standardize`` applies
+the map to rows of data, of an R factor or of weighted sums alike, so
+``FittedBasis.transform`` is a pure row-wise function of any view.
 
 Column layout (fixed, so coefficient vectors are interpretable, and
 written down once, in ``raw_features``): intercept first (if
@@ -143,15 +142,3 @@ def basis_from_r(spec: BasisSpec, r: np.ndarray, n: int, roles: list[str]) -> Fi
     # Constant columns get unit scale so evaluation stays finite.
     scales = np.where(scales < 1e-12, 1.0, scales)
     return FittedBasis(spec=spec, out_dim=out_dim, centers=centers, scales=scales)
-
-
-def fit_basis(spec: BasisSpec, view) -> tuple[FittedBasis, np.ndarray]:
-    """Freeze a basis on a training view, from the view's own R factor, and
-    return it with its design on the view (``transform(view)`` bit for bit).
-    Raises ``RoleUnavailableError`` if the view's sample masks a requested
-    role, and ``NumericalError`` as ``basis_from_r`` does."""
-    ext, roles = raw_features(spec, view)
-    # Without standardization only the R factor's width is read.
-    r = np.linalg.qr(ext, mode="r") if spec.standardize else ext[:0]
-    fitted = basis_from_r(spec, r, ext.shape[0], roles)
-    return fitted, fitted.standardize(ext)

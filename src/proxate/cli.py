@@ -31,20 +31,12 @@ import numpy as np
 
 from . import __version__
 from ._records import reject_unknown
-from .baselines import BASELINE_NAMES, diagnose_surrogacy, surrogate_index_estimate
+from .baselines import diagnose_surrogacy
 from .data import CsvSchema, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
 from .dgp import DGPConfig, confounded_config, generate
 from .errors import NumericalError, ProxateError, ValidationError
-from .estimators import (
-    ESTIMATOR_NAMES,
-    EstimatorConfig,
-    estimate_all,
-    fit_all_nuisances,
-    make_folds,
-)
-from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, run_monte_carlo
-
-_ESTIMATE_CHOICES = tuple(n.lower() for n in ESTIMATOR_NAMES + BASELINE_NAMES) + ("all",)
+from .estimators import ESTIMATOR_NAMES, EstimatorConfig
+from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes, run_monte_carlo
 
 
 @dataclass
@@ -105,32 +97,29 @@ def load_config(path: str | None) -> RunConfig:
         cfg.sim_base_seed = int(sim.get("base_seed", cfg.sim_base_seed))
         if "estimators" in sim:
             cfg.sim_estimators = _parse_name_list(
-                sim["estimators"], HARNESS_ESTIMATORS, "estimator"
+                sim["estimators"], HARNESS_ESTIMATORS, HARNESS_ESTIMATORS, "estimator"
             )
         if "regimes" in sim:
-            cfg.sim_regimes = _parse_name_list(sim["regimes"], REGIME_NAMES, "regime")
+            cfg.sim_regimes = _parse_name_list(
+                sim["regimes"], REGIME_NAMES, REGIME_NAMES, "regime"
+            )
     return cfg
 
 
-def _parse_name_list(value, valid: tuple[str, ...], what: str) -> tuple[str, ...]:
+def _parse_name_list(
+    value, valid: tuple[str, ...], every: tuple[str, ...], what: str
+) -> tuple[str, ...]:
+    """Canonical names from ``valid`` for a comma string or a list of
+    names (case-insensitive); ``all`` alone means ``every``."""
     if isinstance(value, str):
         value = [v.strip() for v in value.split(",") if v.strip()]
     if list(value) == ["all"]:
-        return valid
-    out = []
+        return every
+    canonical = {v.lower(): v for v in valid}
     for name in value:
-        canonical = _canonical_name(name, valid)
-        if canonical is None:
+        if name.lower() not in canonical:
             raise ValidationError(f"unknown {what} {name!r}; choose from {valid} or 'all'")
-        out.append(canonical)
-    return tuple(out)
-
-
-def _canonical_name(name: str, valid: tuple[str, ...]) -> str | None:
-    for v in valid:
-        if name.lower() == v.lower():
-            return v
-    return None
+    return tuple(canonical[name.lower()] for name in value)
 
 
 def _write_json(path: str, doc) -> None:
@@ -176,48 +165,27 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         cfg.seed = args.seed
     if args.alpha is not None:
         cfg.estimation = replace(cfg.estimation, alpha=args.alpha)
-    data = load_csv(args.data, cfg.schema)
-
-    requested = _parse_name_list(
-        args.estimator, ESTIMATOR_NAMES + BASELINE_NAMES, "estimator"
-    )
-    if args.estimator == "all":
-        requested = ESTIMATOR_NAMES
-    proximal = tuple(e for e in requested if e in ESTIMATOR_NAMES)
-    reports = {}
-    nuisance_sets = None
-    if proximal:
-        folds = make_folds(data, cfg.k_folds, cfg.seed)
-        nuisance_sets = fit_all_nuisances(data, folds, cfg.estimation)
-        reports.update(
-            estimate_all(
-                data, folds, cfg.estimation,
-                estimators=proximal, nuisance_sets=nuisance_sets,
-            )
+    requested = _parse_name_list(args.estimator, HARNESS_ESTIMATORS, ESTIMATOR_NAMES, "estimator")
+    if args.dump_nuisances and not set(requested) & set(ESTIMATOR_NAMES):
+        raise ValidationError(
+            "--dump-nuisances needs a proximal estimator: the baselines fit no nuisances"
         )
-    for name in requested:
-        if name in BASELINE_NAMES:
-            reports[name] = surrogate_index_estimate(
-                data, include_proxies=(name == "SI-PROX")
-            )
+    data = load_csv(args.data, cfg.schema)
+    by_regime, nuisance_sets = estimate_regimes(
+        data, cfg.k_folds, cfg.seed, cfg.estimation, requested, ("all_correct",)
+    )
+    reports = by_regime["all_correct"]
 
     print(_estimate_table(reports))
     _write_report(
         args.out, "estimate", {name: rep.to_dict() for name, rep in reports.items()}
     )
-    if args.dump_nuisances and nuisance_sets is not None:
-        dump = [
-            {
-                "fold": k,
-                "e": nus.e.to_dict(),
-                "h": nus.h.to_dict(),
-                "hbar": nus.hbar.to_dict(),
-                "q0": nus.q0.to_dict(),
-                "q1": nus.q1.to_dict(),
-            }
+    if args.dump_nuisances:
+        _write_json(args.dump_nuisances, [
+            {"fold": k, **{name: getattr(nus, name).to_dict()
+                           for name in ("e", "h", "hbar", "q0", "q1")}}
             for k, nus in enumerate(nuisance_sets)
-        ]
-        _write_json(args.dump_nuisances, dump)
+        ])
     return 0
 
 
@@ -229,10 +197,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     base_seed = args.base_seed if args.base_seed is not None else cfg.sim_base_seed
     estimators = cfg.sim_estimators
     if args.estimators is not None:
-        estimators = _parse_name_list(args.estimators, HARNESS_ESTIMATORS, "estimator")
+        estimators = _parse_name_list(
+            args.estimators, HARNESS_ESTIMATORS, HARNESS_ESTIMATORS, "estimator"
+        )
     regimes = cfg.sim_regimes
     if args.regimes is not None:
-        regimes = _parse_name_list(args.regimes, REGIME_NAMES, "regime")
+        regimes = _parse_name_list(args.regimes, REGIME_NAMES, REGIME_NAMES, "regime")
     k_folds = args.k if args.k is not None else cfg.k_folds
 
     report = run_monte_carlo(
@@ -284,8 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate effects from a combined CSV")
     p_est.add_argument("--config", default=None)
     p_est.add_argument("--data", required=True)
-    p_est.add_argument("--estimator", default="all",
-                       help=f"one of {', '.join(_ESTIMATE_CHOICES)} (default all)")
+    p_est.add_argument(
+        "--estimator", default="all",
+        help=f"comma list of {', '.join(n.lower() for n in HARNESS_ESTIMATORS)}, or "
+             "'all' for the four proximal estimators (default all)")
     p_est.add_argument("--k", type=int, default=None, help="number of folds")
     p_est.add_argument("--seed", type=int, default=None, help="fold seed")
     p_est.add_argument("--alpha", type=float, default=None)
@@ -300,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pi", type=float, default=None)
     p_sim.add_argument("--replications", type=int, default=None)
     p_sim.add_argument("--base-seed", type=int, default=None)
-    p_sim.add_argument("--estimators", default=None, help="comma list or 'all'")
+    p_sim.add_argument("--estimators", default=None,
+                       help="comma list, or 'all' for every estimator and baseline")
     p_sim.add_argument("--regimes", default=None, help="comma list or 'all'")
     p_sim.add_argument("--k", type=int, default=None)
     p_sim.add_argument("--out", default=None)

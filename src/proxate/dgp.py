@@ -7,7 +7,8 @@ terms Gaussian, which is what buys the closed-form oracles used by the
 test suite: the true effect gamma_s . beta_a, and the outcome bridge
 h(w, s, x) = gamma_s . s + (gamma_u / alpha_w) w + gamma_x . x, which
 solves the conditional-moment restriction exactly because
-E[W | Z, S, X, O] = alpha_w E[U | Z, S, X, O].
+E[W | Z, S, X, O] = alpha_w E[U | Z, S, X, O]; the DGP tests check
+that restriction on large draws.
 
 The surrogate-side bridge has no closed form here (Gaussian density
 ratios are exp-quadratic), so it is validated through the reweighting
@@ -24,7 +25,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._records import Record, reject_unknown
-from .basis import BasisSpec, fit_basis
 from .data import CombinedDataset, FullyObservedSample
 from .errors import ValidationError
 from .stats import normal_quantile
@@ -187,47 +187,6 @@ def generate_full(cfg: DGPConfig, n: int, seed: int) -> FullyObservedSample:
     return FullyObservedSample.from_arrays(y=y, a=a_e, s=s, x=x, w=w, z=z)
 
 
-def eval_oracle_h(cfg: DGPConfig, w: np.ndarray, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Closed-form outcome bridge evaluated on raw columns."""
-    coeffs = oracle_for(cfg).true_h_coeffs
-    h_w = coeffs[1]
-    return h_w * w[:, 0] + s @ cfg.gamma_s + x @ cfg.gamma_x
-
-
-def oracle_h_residual_check(
-    cfg: DGPConfig,
-    n_large: int,
-    seed: int,
-    *,
-    h_coeff_shift_w: float = 0.0,
-) -> float:
-    """Max absolute empirical moment of the bridge residual.
-
-    Simulates an observational sample of size ``n_large``, forms the
-    residual y - h(w, s, x) with the closed-form bridge (optionally
-    perturbing the w-slope), and evaluates it against a fixed battery
-    of polynomial test functions of (z, s, x) up to degree 2 with
-    pairwise interactions. Returns max_j |mean(b_j * residual)|.
-    """
-    if n_large < 10**5:
-        raise ValidationError("n_large must be >= 1e5 for a meaningful check")
-    rng = _rng(seed)
-    u, x, _, a_o, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n_large, rng)
-    s, y, w, z = _outcomes(cfg, u, x, a_o, eps_s, eps_y, eps_w, eps_z)
-
-    resid = y - eval_oracle_h(cfg, w, s, x) - h_coeff_shift_w * w[:, 0]
-
-    class _Cols:
-        def role_matrix(self, role):
-            return {"z": z, "s": s, "x": x}[role]
-
-    spec = BasisSpec(roles=("z", "s", "x") if cfg.dim_x else ("z", "s"),
-                     degree=2, include_intercept=True, interactions=True)
-    _, feats = fit_basis(spec, _Cols())
-    moments = feats.T @ resid / n_large
-    return float(np.max(np.abs(moments)))
-
-
 def confounded_config() -> DGPConfig:
     """Reference confounded model used throughout the test suite.
 
@@ -249,28 +208,3 @@ def confounded_config() -> DGPConfig:
         p_treat=0.5,
         confound_treatment_in_O=True,
     )
-
-
-def unconfounded_config() -> DGPConfig:
-    """Same shape as the confounded model but with the U edges removed."""
-    return DGPConfig(
-        beta_a=[0.5],
-        beta_u=[0.0],
-        beta_x=[[0.5]],
-        gamma_s=[2.0],
-        gamma_u=0.0,
-        gamma_x=[0.5],
-        alpha_w=1.0,
-        alpha_z=1.0,
-        dim_x=1,
-        p_treat=0.5,
-        confound_treatment_in_O=False,
-    )
-
-
-# Large-n bias of the plain surrogate-index estimator on
-# confounded_config(), frozen from a one-off brute-force run:
-# 8 independent draws of n = 1e6 at pi = 0.5 (seeds 20_000..20_007),
-# estimator fit exactly as baselines.surrogate_index_estimate with
-# include_proxies=False; mean 0.24142, standard error 0.0030.
-NAIVE_SI_BIAS = 0.24142

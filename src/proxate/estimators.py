@@ -73,6 +73,10 @@ class FoldAssignment:
             raise ValidationError(f"row {bad[0] + 1}: fold label {self.fold_of[bad[0]]} "
                                   f"outside [0, {self.k_folds})")
 
+    def require_rows(self, data: CombinedDataset) -> None:
+        if self.fold_of.shape[0] != data.n:
+            raise ValidationError(f"{self.fold_of.shape[0]} fold labels for {data.n} dataset rows")
+
     def eval_indices(self, data: CombinedDataset, k: int, sample: str) -> np.ndarray:
         in_sample = data.is_e if sample == "E" else ~data.is_e
         return np.flatnonzero(in_sample & (self.fold_of == k))
@@ -199,6 +203,7 @@ def fold_cells(data: CombinedDataset, folds: FoldAssignment,
     are built from the cell's own rows and freed once factored. Every
     fold's training complement must be nonempty and see both arms (a
     ``DegenerateTreatmentError`` names the fold) before any is built."""
+    folds.require_rows(data)
     key = folds.fold_of * 3 + np.where(data.is_e, data.a, -1.0) + 1  # (fold, arm), arm -1 on O
     order = np.argsort(key.astype(np.min_scalar_type(3 * folds.k_folds)), kind="stable")
     bounds = np.searchsorted(key[order], np.arange(3 * folds.k_folds + 1))
@@ -355,6 +360,9 @@ def evaluate_nuisances(
     O). Raises ``NumericalError`` naming the fold and the nuisance when
     an evaluation is not finite.
     """
+    folds.require_rows(data)
+    if len(nuisance_sets) != folds.k_folds:  # a fold without one would stay unwritten
+        raise ValidationError(f"{len(nuisance_sets)} nuisance sets for {folds.k_folds} folds")
     idx_e = np.flatnonzero(data.is_e)
     idx_o = np.flatnonzero(~data.is_e)
     rank = np.empty(data.n, dtype=np.int64)
@@ -463,19 +471,12 @@ def estimate_all(
     folds: FoldAssignment,
     config: EstimatorConfig,
     estimators: tuple[str, ...] = ESTIMATOR_NAMES,
-    nuisance_sets: list[NuisanceSet] | None = None,
 ) -> dict[str, EstimateReport]:
-    """Fit nuisances once and evaluate any subset of the four estimators.
-
-    Pre-fitted per-fold ``nuisance_sets`` skip the fitting pass.
-    """
+    """Fit nuisances once and evaluate any subset of the four estimators."""
     for name in estimators:
         if name not in ESTIMATOR_NAMES:
             raise ValidationError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
-    if nuisance_sets is None:
-        nuisance_sets = fit_all_nuisances(data, folds, config)
-    elif len(nuisance_sets) != folds.k_folds:
-        raise ValidationError("need one nuisance set per fold")
+    nuisance_sets = fit_all_nuisances(data, folds, config)
     evals = evaluate_nuisances(data, folds, nuisance_sets)
     diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
     return estimates_from_evals(data, folds, config, evals, estimators, diagnostics)

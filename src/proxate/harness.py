@@ -16,9 +16,10 @@ consistent plus an everything-wrong power check. ``CORRUPTS`` names
 what each regime corrupts. Every corruption is a constant, and the
 estimators see the data only through the held-out evaluations, so each
 replication fits and evaluates its nuisances once and ``apply_misspec``
-substitutes each regime's constants into those evaluations. Each
-successful replication is one record, its reports per regime, and the
-study aggregates the records once all replications have run.
+substitutes each regime's constants into those evaluations; that is
+``estimate_regimes``, which the CLI's ``estimate`` also runs (under
+all_correct). Each successful replication is one record, its reports
+per regime, and the study aggregates the records once all have run.
 """
 
 from __future__ import annotations
@@ -36,12 +37,14 @@ from .estimators import (
     ESTIMATOR_NAMES,
     EstimateReport,
     EstimatorConfig,
+    NuisanceSet,
     UnitEvals,
     estimates_from_evals,
     evaluate_nuisances,
     fit_all_nuisances,
     make_folds,
 )
+from .nuisance import PropensityModel
 
 HARNESS_ESTIMATORS = ESTIMATOR_NAMES + BASELINE_NAMES
 
@@ -100,9 +103,9 @@ def apply_misspec(evals: UnitEvals, regime: str, clip_eps: float) -> UnitEvals:
     evaluations of the nuisances it corrupts.
 
     The corrupted bridge is the mean of the evaluated O outcomes. The
-    corrupted propensity is clipped like a fitted one (``clip_eps``) and
-    counted when clipped. all_correct is the identity (and returns the
-    very same object).
+    corrupted propensity is a known rate, clipped and counted as any
+    propensity is (``clip_eps``). all_correct is the identity (and
+    returns the very same object).
     """
     if regime not in CORRUPTS:
         raise ValidationError(f"unknown regime {regime!r}; choose from {REGIME_NAMES}")
@@ -112,8 +115,8 @@ def apply_misspec(evals: UnitEvals, regime: str, clip_eps: float) -> UnitEvals:
     n_e, n_o = evals.a.shape[0], evals.y.shape[0]
     sub = {}
     if "e" in corrupts:
-        e = float(np.clip(CORRUPT_E, clip_eps, 1.0 - clip_eps))
-        sub.update(e_hat=np.full(n_e, e), n_clipped=n_e if e != CORRUPT_E else 0)
+        e_hat, n_clipped = PropensityModel.known(CORRUPT_E, clip_eps).clipped(None, n_e)
+        sub.update(e_hat=e_hat, n_clipped=n_clipped)
     if "h" in corrupts:
         h_const = float(evals.y.mean())
         sub.update(h_e=np.full(n_e, h_const), h_o=np.full(n_o, h_const))
@@ -193,6 +196,37 @@ def _aggregate(reports: list[EstimateReport], true_ate: float) -> EstimatorStats
     )
 
 
+def estimate_regimes(
+    data: CombinedDataset,
+    k_folds: int,
+    seed: int,
+    config: EstimatorConfig,
+    estimators: tuple[str, ...],
+    regimes: tuple[str, ...],
+) -> tuple[dict[str, dict[str, EstimateReport]], list[NuisanceSet]]:
+    """Each regime's reports of ``estimators`` on ``data`` (proximal ones
+    first), and the fitted nuisance sets, one per fold.
+
+    Only a proximal estimator makes folds and fits nuisances (otherwise
+    the sets are empty); they are fitted and evaluated once, and each
+    regime substitutes its constants into the evaluations. The baselines
+    fit no nuisance and read the same under every regime; they run
+    first, while no nuisance or evaluation is held.
+    """
+    baselines = {e: surrogate_index_estimate(data, include_proxies=(e == "SI-PROX"))
+                 for e in estimators if e in BASELINE_NAMES}
+    proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
+    if not proximal:
+        return {rg: baselines for rg in regimes}, []
+    folds = make_folds(data, k_folds, seed)
+    nuisance_sets = fit_all_nuisances(data, folds, config)
+    evals = evaluate_nuisances(data, folds, nuisance_sets)
+    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
+    return {rg: {**estimates_from_evals(
+        data, folds, config, apply_misspec(evals, rg, config.clip_eps), proximal, diagnostics,
+    ), **baselines} for rg in regimes}, nuisance_sets
+
+
 def _replicate(
     dgp: DGPConfig,
     n: int,
@@ -203,25 +237,9 @@ def _replicate(
     estimators: tuple[str, ...],
     regimes: tuple[str, ...],
 ) -> dict[str, dict[str, EstimateReport]]:
-    """One replication's record: each regime's report per estimator.
-
-    Nuisances are fitted and evaluated once; each regime substitutes its
-    constants into the evaluations and summarizes them. Only the record
-    outlives the call.
-    """
+    """One replication's record, each regime's reports; only it outlives the call."""
     data, _ = generate(dgp, n, pi, seed)
-    folds = make_folds(data, k_folds, seed)
-    baselines = {est: surrogate_index_estimate(data, include_proxies=(est == "SI-PROX"))
-                 for est in estimators if est not in ESTIMATOR_NAMES}
-    proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
-    if not proximal:
-        return {rg: baselines for rg in regimes}
-    nuisance_sets = fit_all_nuisances(data, folds, config)
-    evals = evaluate_nuisances(data, folds, nuisance_sets)
-    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
-    return {rg: {**baselines, **estimates_from_evals(
-        data, folds, config, apply_misspec(evals, rg, config.clip_eps), proximal, diagnostics,
-    )} for rg in regimes}
+    return estimate_regimes(data, k_folds, seed, config, estimators, regimes)[0]
 
 
 def run_monte_carlo(

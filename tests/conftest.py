@@ -5,8 +5,9 @@ one session-scoped 200-replication run covering all six regimes plus
 the naive baselines.
 
 The helpers below are the tests' reference implementations of what
-the package only does inside its two design passes: a fitted
-nuisance applied to a view (basis design times coefficients), constant
+the package only does inside its two design passes: a basis fitted on a
+view with its design, a fitted nuisance applied to a view (basis design
+times coefficients), estimates from given nuisances, constant
 nuisances, and a bridge's coefficients on the raw inputs.
 """
 
@@ -16,8 +17,16 @@ import numpy as np
 import pytest
 
 import proxate as px
-from proxate.basis import fit_basis
+from proxate.basis import basis_from_r, raw_features
 from proxate.errors import ValidationError
+from proxate.estimators import ESTIMATOR_NAMES, estimates_from_evals, evaluate_nuisances
+
+# Large-n bias of the plain surrogate-index estimator on
+# confounded_config(), frozen from a one-off brute-force run:
+# 8 independent draws of n = 1e6 at pi = 0.5 (seeds 20_000..20_007),
+# estimator fit exactly as baselines.surrogate_index_estimate with
+# include_proxies=False; mean 0.24142, standard error 0.0030.
+NAIVE_SI_BIAS = 0.24142
 
 
 @pytest.fixture(scope="session")
@@ -27,7 +36,12 @@ def confounded_cfg() -> px.DGPConfig:
 
 @pytest.fixture(scope="session")
 def unconfounded_cfg() -> px.DGPConfig:
-    return px.unconfounded_config()
+    """The confounded model's shape with the U edges removed."""
+    return px.DGPConfig(
+        beta_a=[0.5], beta_u=[0.0], beta_x=[[0.5]], gamma_s=[2.0], gamma_u=0.0,
+        gamma_x=[0.5], alpha_w=1.0, alpha_z=1.0, dim_x=1, p_treat=0.5,
+        confound_treatment_in_O=False,
+    )
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +75,23 @@ def mc200(confounded_cfg) -> px.MCReport:
 def mc_se(stats) -> float:
     """Monte Carlo standard error of a replication mean."""
     return stats.sd / np.sqrt(stats.n_replications)
+
+
+def fit_basis(spec, view):
+    """``spec`` frozen on ``view`` from the view's own R factor, and its
+    design on the view (``transform(view)`` bit for bit)."""
+    ext, roles = raw_features(spec, view)
+    # Without standardization only the R factor's width is read.
+    r = np.linalg.qr(ext, mode="r") if spec.standardize else ext[:0]
+    fitted = basis_from_r(spec, r, ext.shape[0], roles)
+    return fitted, fitted.standardize(ext)
+
+
+def estimate_with(data, folds, config, nuisance_sets, estimators=ESTIMATOR_NAMES):
+    """``estimate_all``'s reports from the given per-fold nuisance sets."""
+    evals = evaluate_nuisances(data, folds, nuisance_sets)
+    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
+    return estimates_from_evals(data, folds, config, evals, estimators, diagnostics)
 
 
 def train_view(data, folds, k, sample):

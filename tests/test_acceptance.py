@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import proxate as px
-from proxate.basis import BasisSpec, fit_basis
+from proxate.basis import BasisSpec
 from proxate.cli import main as cli_main
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.stats import normal_quantile, ols
 
-from conftest import constant_bridge, constant_hbar, mc_se, solve_h
+from conftest import constant_bridge, constant_hbar, estimate_with, fit_basis, mc_se, solve_h
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -118,8 +118,7 @@ def test_criterion_07_exact_reductions(confounded_cfg):
             px.NuisanceSet(e=n.e, h=n.h, hbar=n.hbar, q0=n.q1, q1=n.q1, diagnostics=[])
             for n in nus
         ]
-        rep = px.estimate_all(data, folds, cfg, estimators=("MR",),
-                              nuisance_sets=equal_q)["MR"]
+        rep = estimate_with(data, folds, cfg, equal_q, ("MR",))["MR"]
         evals = evaluate_nuisances(data, folds, equal_q)
         e_part_only = float(np.mean(evals.mr_e_part))
         ok = ok and rep.tau_hat == e_part_only and np.all(evals.mr_o_part == 0.0)
@@ -132,8 +131,7 @@ def test_criterion_07_exact_reductions(confounded_cfg):
             )
             for n in nus
         ]
-        reps = px.estimate_all(data, folds, cfg, estimators=("MR", "SB"),
-                               nuisance_sets=zero_h)
+        reps = estimate_with(data, folds, cfg, zero_h, ("MR", "SB"))
         ok = ok and reps["MR"].tau_hat == reps["SB"].tau_hat
     details.append("bit-level over 5 replications")
     _report(7, "MR collapses exactly to its reduced forms", ok, details[0])

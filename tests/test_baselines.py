@@ -7,8 +7,9 @@ import pytest
 
 import proxate as px
 from proxate.baselines import ols_hc0
-from proxate.dgp import NAIVE_SI_BIAS
 from proxate.errors import DegenerateInstrumentError, NumericalError
+
+from conftest import NAIVE_SI_BIAS
 
 
 def test_rct_exact_fit():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import proxate as px
-from proxate.basis import BasisSpec, fit_basis
+from proxate.basis import BasisSpec
 from proxate.errors import NumericalError, RoleUnavailableError, ValidationError
+
+from conftest import fit_basis
 
 
 @pytest.fixture(scope="module")

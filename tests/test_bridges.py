@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import proxate as px
-from proxate.basis import BasisSpec, fit_basis
+from proxate.basis import BasisSpec
 from proxate.errors import SingularSystemError, UnderIdentifiedError, ValidationError
 from proxate.stats import ols
 
-from conftest import constant_bridge, evaluate, linear_coefficients, solve_h, solve_q
+from conftest import (
+    constant_bridge, evaluate, fit_basis, linear_coefficients, solve_h, solve_q,
+)
 
 PSI = BasisSpec(roles=("w", "s", "x"), standardize=True)
 B = BasisSpec(roles=("z", "s", "x"), standardize=True)

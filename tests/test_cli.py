@@ -68,8 +68,9 @@ def test_estimate_all_reports_one_ci(data_csv, tmp_path):
         return _load_result(out)["result"]
 
     every = estimate("ob-or,ob-ipw,sb,mr,si,si-prox")
-    for choice, names in [("all", {"OB-OR", "OB-IPW", "SB", "MR"}), ("ob-or", {"OB-OR"}),
-                          ("si-prox", {"SI-PROX"})]:
+    proximal = {"OB-OR", "OB-IPW", "SB", "MR"}
+    for choice, names in [("all", proximal), ("all,", proximal), (" all", proximal),
+                          ("ob-or", {"OB-OR"}), ("si-prox", {"SI-PROX"})]:
         result = estimate(choice)
         assert set(result) == names
         for name, rep in result.items():
@@ -162,6 +163,16 @@ def test_dump_nuisances(data_csv, tmp_path):
     assert payload[0]["h"]["kind"] == "outcome" and payload[0]["e"]["clip_eps"] > 0
 
 
+def test_dump_nuisances_of_baselines_only_exit_1(tmp_path, capsys):
+    # Baselines fit no nuisances: the request fails before the data is read.
+    dump = tmp_path / "nuisances.json"
+    rc = run(["estimate", "--data", "no-such-file.csv", "--estimator", "si",
+              "--dump-nuisances", str(dump)])
+    assert rc == 1
+    assert "baselines fit no nuisances" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def test_simulate_smoke_and_determinism(tmp_path):
     # Identical runs write identical reports, and choosing estimators or
     # regimes never changes a figure: each chosen cell equals that cell of
@@ -175,6 +186,7 @@ def test_simulate_smoke_and_determinism(tmp_path):
     d1 = simulate("mr,si", "all_correct,case1", "m1")
     assert d1 == simulate("mr,si", "all_correct,case1", "m2")
     every = simulate("all", "all", "every")
+    assert every == simulate("all,", " all", "every_comma")
     assert all((st["coverage_95"] is not None) == (est == "MR")
                for table in every["regimes"].values() for est, st in table.items())
     d3 = simulate("ob-or,si", "case1,all_wrong", "m3")
@@ -270,6 +282,84 @@ def test_config_drives_estimation_and_flags_override(tmp_path, data_csv):
     assert rc == 0
     rep2 = json.loads(out2.read_text())["result"]["MR"]
     assert rep2["k_folds"] == 4 and rep2["seed"] == 99
+
+
+# The README's config shape: renamed columns and sample labels, and
+# every section.
+README_CONFIG = {
+    "schema": {"y": "earn_y4", "a": "assigned", "g": "sample", "w": ["score0"],
+               "z": ["survey1"], "s": ["earn_y2"], "x": ["age"],
+               "e_label": "EXP", "o_label": "OBS"},
+    "estimation": {"k_folds": 4, "seed": 7, "alpha": 0.05, "ridge_h": 1e-6, "ridge_q": 1e-6,
+                   "clip_eps": 0.01, "known_propensity": None,
+                   "bases": {"psi": {"roles": ["w", "s", "x"], "degree": 1,
+                                     "standardize": True}}},
+    "dgp": {"beta_a": [0.4], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
+            "gamma_x": [0.5], "alpha_w": 1.0, "alpha_z": 1.0, "dim_x": 1},
+    "simulate": {"n": 1500, "replications": 3, "base_seed": 50,
+                 "estimators": ["MR", "SI"], "regimes": ["all_correct", "all_wrong"]},
+}
+
+
+def test_readme_config_drives_every_command(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    data, oracle = tmp_path / "d.csv", tmp_path / "oracle.json"
+    assert run(["gen-data", "--config", str(cfg), "--n", "2000", "--seed", "3",
+                "--out", str(data), "--oracle-out", str(oracle)]) == 0
+    # The dgp section sets the truth: gamma_s . beta_a = 0.8.
+    assert json.loads(oracle.read_text())["result"]["true_ate"] == pytest.approx(0.8)
+    assert data.read_text().splitlines()[0].split(",") == [
+        "earn_y4", "assigned", "sample", "score0", "survey1", "earn_y2", "age"]
+    assert {line.split(",")[2] for line in data.read_text().splitlines()[1:]} == {"EXP", "OBS"}
+
+    out = tmp_path / "est.json"
+    assert run(["estimate", "--config", str(cfg), "--data", str(data),
+                "--estimator", "mr", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())["result"]["MR"]
+    assert rep["k_folds"] == 4 and rep["seed"] == 7
+    loaded = px.load_csv(data, px.CsvSchema.from_dict(README_CONFIG["schema"]))
+    expected = px.estimate_all(loaded, px.make_folds(loaded, 4, 7), px.EstimatorConfig(),
+                               estimators=("MR",))["MR"]
+    assert rep["tau_hat"] == expected.tau_hat
+
+    sim = tmp_path / "sim.json"
+    assert run(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    result = json.loads(sim.read_text())["result"]
+    assert result["true_ate"] == pytest.approx(0.8) and result["n_replications"] == 3
+    assert {rg: set(table) for rg, table in result["regimes"].items()} == {
+        "all_correct": {"MR", "SI"}, "all_wrong": {"MR", "SI"}}
+    assert run(["simulate", "--config", str(cfg), "--replications", "2", "--estimators", "sb",
+                "--regimes", "case2", "--out", str(sim)]) == 0
+    result = json.loads(sim.read_text())["result"]
+    assert result["n_replications"] == 2 and list(result["regimes"]) == ["case2"]
+    assert list(result["regimes"]["case2"]) == ["SB"]
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "config file not found"),
+    ("{not json", "config is not valid JSON"),
+    ("[1, 2]", "config root must be a JSON object"),
+])
+def test_config_unreadable_exit_1(tmp_path, data_csv, capsys, text, message):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert run(["estimate", "--config", str(cfg), "--data", str(data_csv)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_alpha_flag_narrows_only_the_interval(data_csv, tmp_path):
+    def mr(*flags):
+        out = tmp_path / "mr.json"
+        assert run(["estimate", "--data", str(data_csv), "--estimator", "mr",
+                    "--out", str(out), *flags]) == 0
+        return json.loads(out.read_text())["result"]["MR"]
+
+    default, narrow = mr(), mr("--alpha", "0.1")
+    assert default["alpha"] == 0.05 and narrow["alpha"] == 0.1
+    assert narrow["tau_hat"] == default["tau_hat"]
+    assert default["ci"][0] < narrow["ci"][0] < narrow["ci"][1] < default["ci"][1]
 
 
 def test_config_known_propensity(tmp_path, data_csv):

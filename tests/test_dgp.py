@@ -4,8 +4,42 @@ import numpy as np
 import pytest
 
 import proxate as px
-from proxate.dgp import NAIVE_SI_BIAS, eval_oracle_h, oracle_for
+import proxate.dgp as dgp_mod
+from proxate.basis import BasisSpec
+from proxate.dgp import oracle_for
 from proxate.errors import ValidationError
+
+from conftest import NAIVE_SI_BIAS, fit_basis
+
+
+def eval_oracle_h(cfg, w, s, x):
+    """The closed-form outcome bridge on raw columns."""
+    h_w = oracle_for(cfg).true_h_coeffs[1]
+    return h_w * w[:, 0] + s @ cfg.gamma_s + x @ cfg.gamma_x
+
+
+def residual_moment(cfg, n, seed, h_coeff_shift_w=0.0):
+    """Max absolute empirical moment of the bridge residual.
+
+    Draws an observational sample of size ``n``, forms the residual
+    y - h(w, s, x) with the closed-form bridge (its w-slope shifted by
+    ``h_coeff_shift_w``), and evaluates it against polynomial test
+    functions of (z, s, x) up to degree 2 with pairwise interactions.
+    Returns max_j |mean(b_j * residual)|.
+    """
+    rng = dgp_mod._rng(seed)
+    u, x, _, a_o, eps_s, eps_y, eps_w, eps_z = dgp_mod._structural_draw(cfg, n, rng)
+    s, y, w, z = dgp_mod._outcomes(cfg, u, x, a_o, eps_s, eps_y, eps_w, eps_z)
+    resid = y - eval_oracle_h(cfg, w, s, x) - h_coeff_shift_w * w[:, 0]
+
+    class _Cols:
+        def role_matrix(self, role):
+            return {"z": z, "s": s, "x": x}[role]
+
+    spec = BasisSpec(roles=("z", "s", "x") if cfg.dim_x else ("z", "s"),
+                     degree=2, include_intercept=True, interactions=True)
+    _, feats = fit_basis(spec, _Cols())
+    return float(np.max(np.abs(feats.T @ resid / n)))
 
 
 def test_masking_invariants(small_data):
@@ -75,50 +109,31 @@ def test_oracle_h_closed_form_point():
 
 
 def test_residual_check_small(confounded_cfg):
-    assert px.oracle_h_residual_check(confounded_cfg, 10**5, seed=42) < 0.03
+    assert residual_moment(confounded_cfg, 10**5, seed=42) < 0.03
 
 
 @pytest.mark.slow
 def test_residual_check_large(confounded_cfg):
-    assert px.oracle_h_residual_check(confounded_cfg, 10**6, seed=42) < 0.01
+    assert residual_moment(confounded_cfg, 10**6, seed=42) < 0.01
 
 
 def test_residual_check_unconfounded(unconfounded_cfg):
     # Zero weight on w; the same bound holds.
-    assert px.oracle_h_residual_check(unconfounded_cfg, 10**5, seed=42) < 0.03
+    assert residual_moment(unconfounded_cfg, 10**5, seed=42) < 0.03
 
 
 def test_residual_check_detects_perturbation(confounded_cfg):
-    val = px.oracle_h_residual_check(confounded_cfg, 10**5, seed=42, h_coeff_shift_w=0.5)
+    val = residual_moment(confounded_cfg, 10**5, seed=42, h_coeff_shift_w=0.5)
     assert val > 0.1
 
 
 def test_residual_check_shrinks_with_n(confounded_cfg):
     # Averaged over seeds, the moment norm decreases as n grows.
     means = [
-        np.mean([_residual_at(confounded_cfg, n, seed) for seed in range(3)])
+        np.mean([residual_moment(confounded_cfg, n, seed) for seed in range(3)])
         for n in (10**4, 10**5, 10**6)
     ]
     assert means[0] > means[1] > means[2]
-
-
-def _residual_at(cfg, n, seed):
-    import proxate.dgp as dgp_mod
-
-    rng = dgp_mod._rng(seed)
-    u, x, _, a_o, eps_s, eps_y, eps_w, eps_z = dgp_mod._structural_draw(cfg, n, rng)
-    s, y, w, z = dgp_mod._outcomes(cfg, u, x, a_o, eps_s, eps_y, eps_w, eps_z)
-    resid = y - eval_oracle_h(cfg, w, s, x)
-
-    class _Cols:
-        def role_matrix(self, role):
-            return {"z": z, "s": s, "x": x}[role]
-
-    from proxate.basis import BasisSpec, fit_basis
-
-    spec = BasisSpec(roles=("z", "s", "x"), degree=2, include_intercept=True, interactions=True)
-    _, feats = fit_basis(spec, _Cols())
-    return float(np.max(np.abs(feats.T @ resid / n)))
 
 
 def test_frozen_naive_bias_regression(confounded_cfg):
@@ -129,8 +144,6 @@ def test_frozen_naive_bias_regression(confounded_cfg):
 
 
 def test_latent_assignment_confounded_before_discard(confounded_cfg, unconfounded_cfg):
-    import proxate.dgp as dgp_mod
-
     rng = dgp_mod._rng(55)
     u, _, _, a_o, *_ = dgp_mod._structural_draw(confounded_cfg, 20_000, rng)
     assert np.corrcoef(u, a_o)[0, 1] > 0.3

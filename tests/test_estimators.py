@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import proxate as px
-from proxate.basis import fit_basis
 from proxate.errors import (
     DegenerateTreatmentError, NumericalError, SingularSystemError, ValidationError,
 )
@@ -17,8 +16,8 @@ from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import PropensityModel
 
 from conftest import (
-    constant_bridge, constant_hbar, evaluate, fit_fold, propensity, solve_h, solve_q,
-    train_view,
+    constant_bridge, constant_hbar, estimate_with, evaluate, fit_basis, fit_fold, propensity,
+    solve_h, solve_q, train_view,
 )
 
 CFG = px.EstimatorConfig()
@@ -67,6 +66,33 @@ def test_fold_validation(small_data):
         fold_of[::50] = label
         with pytest.raises(ValidationError, match=rf"row 1: fold label {label} outside \[0, 3\)"):
             px.FoldAssignment(k_folds=3, fold_of=fold_of, seed=1)
+
+
+def test_fold_counts_must_match_data(small_data):
+    # One label short: where folds first meet data, both counts are named
+    # instead of numpy failing to broadcast.
+    data, _ = small_data
+    folds = px.make_folds(data, 3, seed=1)
+    short = px.FoldAssignment(k_folds=3, fold_of=folds.fold_of[:-1], seed=1)
+    counts = f"{data.n - 1} fold labels for {data.n} dataset rows"
+    with pytest.raises(ValidationError, match=counts):
+        px.estimate_all(data, short, CFG)
+    nus = fit_all_nuisances(data, folds, CFG)
+    with pytest.raises(ValidationError, match=counts):
+        evaluate_nuisances(data, short, nus)
+    # A fold without its nuisance set would leave its rows unwritten.
+    with pytest.raises(ValidationError, match="2 nuisance sets for 3 folds"):
+        evaluate_nuisances(data, folds, nus[:-1])
+
+
+def test_fold_empty_training_complement(small_data):
+    # Every O row in fold 0 leaves fold 0 no O row to train on.
+    data, _ = small_data
+    fold_of = px.make_folds(data, 3, seed=1).fold_of.copy()
+    fold_of[~data.is_e] = 0
+    folds = px.FoldAssignment(k_folds=3, fold_of=fold_of, seed=1)
+    with pytest.raises(ValidationError, match="fold 0: empty training complement"):
+        px.fold_cells(data, folds, CFG)
 
 
 def test_fold_determinism(small_data):
@@ -222,18 +248,13 @@ DISTINCT_CFG = px.EstimatorConfig(
 def test_fold_fits_each_distinct_basis_once(small_data, monkeypatch, cfg, n_fits,
                                             n_transforms):
     # The fold reads every basis off its training R factors: one fit per
-    # distinct spec per training sample, and neither fit_basis nor
-    # transform. The only O bases the E cells carry are psi and g, and a
-    # spec shared by two nuisances is one fitted basis.
+    # distinct spec per training sample, and no transform. The only O
+    # bases the E cells carry are psi and g, and a spec shared by two
+    # nuisances is one fitted basis.
     data, _ = small_data
     cells = px.fold_cells(data, px.make_folds(data, 3, seed=4), cfg)
-    counts = {"fit": 0, "transform": 0, "from_r": 0}
-    fit_basis, transform = px.basis.fit_basis, px.FittedBasis.transform
-    basis_from_r = px.estimators.basis_from_r
-
-    def counting_fit(spec, view):
-        counts["fit"] += 1
-        return fit_basis(spec, view)
+    counts = {"transform": 0, "from_r": 0}
+    transform, basis_from_r = px.FittedBasis.transform, px.estimators.basis_from_r
 
     def counting_transform(self, source):
         counts["transform"] += 1
@@ -243,13 +264,10 @@ def test_fold_fits_each_distinct_basis_once(small_data, monkeypatch, cfg, n_fits
         counts["from_r"] += 1
         return basis_from_r(*args)
 
-    for module in (px.basis, px.bridges, px.nuisance, px.estimators):
-        if hasattr(module, "fit_basis"):
-            monkeypatch.setattr(module, "fit_basis", counting_fit)
     monkeypatch.setattr(px.FittedBasis, "transform", counting_transform)
     monkeypatch.setattr(px.estimators, "basis_from_r", counting_from_r)
     nus = px.fit_fold_nuisances(cells, 1, cfg)
-    assert counts == {"fit": 0, "transform": 0, "from_r": n_fits}
+    assert counts == {"transform": 0, "from_r": n_fits}
     o_specs = {cfg.psi, cfg.b, cfg.phi, cfg.g}
     assert len({spec for sample, spec in cells.cols if sample == "E"} & o_specs) == n_transforms
     assert (nus.e.basis is nus.hbar.basis) is (cfg.e_basis == cfg.hbar_basis)
@@ -364,8 +382,8 @@ def test_cell_fits_match_direct_fits(small_data, k, seed, cfg):
         _assert_fold_matches(got, want)
     conds = [d.gram_condition for n in nus for d in n.diagnostics]
     scale = 1e-12 * max(1.0, max(np.inf if c is None else c for c in conds) / 1e8)
-    cell_reps = px.estimate_all(data, folds, cfg, nuisance_sets=nus)
-    direct_reps = px.estimate_all(data, folds, cfg, nuisance_sets=ref)
+    cell_reps = estimate_with(data, folds, cfg, nus)
+    direct_reps = estimate_with(data, folds, cfg, ref)
     for name, rep in cell_reps.items():
         tau = direct_reps[name].tau_hat
         assert abs(rep.tau_hat - tau) <= scale * max(1.0, abs(tau)), name
@@ -455,8 +473,7 @@ def test_ob_or_zero_when_h_constant(small_data):
         )
 
     transform = _force(h=lambda n: constant_bridge(n.h, 7.0), hbar=refit_hbar)
-    rep = px.estimate_all(data, folds, CFG, estimators=("OB-OR",),
-                          nuisance_sets=[transform(n) for n in nus])["OB-OR"]
+    rep = estimate_with(data, folds, CFG, [transform(n) for n in nus], ("OB-OR",))["OB-OR"]
     assert rep.tau_hat == pytest.approx(0.0, abs=1e-10)
 
 
@@ -470,8 +487,7 @@ def test_ob_ipw_exact_cancellation(small_data):
         h=lambda n: constant_bridge(n.h, 3.0),
     )
     nus = [transform(n) for n in fit_all_nuisances(data, folds, CFG)]
-    rep = px.estimate_all(data, folds, CFG, estimators=("OB-IPW",),
-                          nuisance_sets=nus)["OB-IPW"]
+    rep = estimate_with(data, folds, CFG, nus, ("OB-IPW",))["OB-IPW"]
     assert rep.tau_hat == pytest.approx(0.0, abs=1e-12)
 
 
@@ -483,8 +499,7 @@ def test_ob_ipw_biased_at_clip_boundary(confounded_cfg):
         folds = px.make_folds(data, 2, seed=r)
         transform = _force(e=lambda n: PropensityModel.known(0.011, clip_eps=0.01))
         nus = [transform(n) for n in fit_all_nuisances(data, folds, CFG)]
-        rep = px.estimate_all(data, folds, CFG, estimators=("OB-IPW",),
-                              nuisance_sets=nus)["OB-IPW"]
+        rep = estimate_with(data, folds, CFG, nus, ("OB-IPW",))["OB-IPW"]
         taus.append(rep.tau_hat)
     taus = np.array(taus)
     bias = taus.mean() - 1.0
@@ -497,7 +512,7 @@ def test_sb_zero_when_arms_equal(small_data):
     folds = px.make_folds(data, 2, seed=5)
     transform = _force(q=lambda n: (n.q1, n.q1))
     nus = [transform(n) for n in fit_all_nuisances(data, folds, CFG)]
-    rep = px.estimate_all(data, folds, CFG, estimators=("SB",), nuisance_sets=nus)["SB"]
+    rep = estimate_with(data, folds, CFG, nus, ("SB",))["SB"]
     assert rep.tau_hat == 0.0
 
 
@@ -513,13 +528,12 @@ def test_sb_shift_moves_by_reweighting_mass_gap(small_data):
     cfg = px.EstimatorConfig(ridge_q=0.0, known_propensity=share)
     folds = px.make_folds(data, 2, seed=5)
     nus = fit_all_nuisances(data, folds, cfg)
-    rep = px.estimate_all(data, folds, cfg, estimators=("SB",), nuisance_sets=nus)["SB"]
+    rep = estimate_with(data, folds, cfg, nus, ("SB",))["SB"]
 
     shifted = px.CombinedDataset.from_arrays(
         y=data.y + 11.0, w=data.w, z=data.z, s=data.s, a=data.a, x=data.x, is_e=data.is_e
     )
-    rep_shift = px.estimate_all(shifted, folds, cfg, estimators=("SB",),
-                                nuisance_sets=nus)["SB"]
+    rep_shift = estimate_with(shifted, folds, cfg, nus, ("SB",))["SB"]
     evals = evaluate_nuisances(data, folds, nus)
     mass_gap = float(np.mean(evals.q1 - evals.q0))
     assert rep_shift.tau_hat - rep.tau_hat == pytest.approx(11.0 * mass_gap, abs=1e-10)
@@ -533,8 +547,7 @@ def test_mr_reduces_to_e_part_when_q_arms_equal(small_data):
     nus = fit_all_nuisances(data, folds, CFG)
     transform = _force(q=lambda n: (n.q1, n.q1))
     transformed = [transform(n) for n in nus]
-    rep = px.estimate_all(data, folds, CFG, estimators=("MR",),
-                          nuisance_sets=transformed)["MR"]
+    rep = estimate_with(data, folds, CFG, transformed, ("MR",))["MR"]
     evals = evaluate_nuisances(data, folds, transformed)
     assert np.all(evals.mr_o_part == 0.0)
     assert rep.tau_hat == float(np.mean(evals.mr_e_part))
@@ -549,8 +562,7 @@ def test_mr_reduces_to_sb_when_h_and_hbar_zero(small_data):
         hbar=lambda n: constant_hbar(n.hbar.basis, 0.0, 0.0),
     )
     transformed = [transform(n) for n in nus]
-    reps = px.estimate_all(data, folds, CFG, estimators=("MR", "SB"),
-                           nuisance_sets=transformed)
+    reps = estimate_with(data, folds, CFG, transformed, ("MR", "SB"))
     assert reps["MR"].tau_hat == reps["SB"].tau_hat
 
 
@@ -613,7 +625,7 @@ def test_mr_variance_signature(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 3, seed=6)
     nus = fit_all_nuisances(data, folds, CFG)
-    rep = px.estimate_all(data, folds, CFG, estimators=("MR",), nuisance_sets=nus)["MR"]
+    rep = estimate_with(data, folds, CFG, nus, ("MR",))["MR"]
     # V = (N/N_E^2) sum_E [e-part - tau]^2 + (N/N_O^2) sum_O [o-part]^2,
     # rebuilt here from the raw held-out nuisance evaluations.
     ev = evaluate_nuisances(data, folds, nus)
@@ -640,8 +652,7 @@ def test_mr_variance_degenerate_zero(small_data):
         q=lambda n: (n.q1, n.q1),
     )
     transformed = [transform(n) for n in nus]
-    rep = px.estimate_all(data, folds, CFG, estimators=("MR",),
-                          nuisance_sets=transformed)["MR"]
+    rep = estimate_with(data, folds, CFG, transformed, ("MR",))["MR"]
     # residual h - hbar(a, .) is identically zero and both contrasts vanish
     assert rep.tau_hat == 0.0
     assert rep.variance_hat == pytest.approx(0.0, abs=1e-20)

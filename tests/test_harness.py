@@ -16,7 +16,7 @@ from proxate.estimators import (
 from proxate.harness import CORRUPTS, REGIME_NAMES
 from proxate.nuisance import PropensityModel
 
-from conftest import constant_bridge, constant_hbar
+from conftest import constant_bridge, constant_hbar, estimate_with
 
 CFG = px.EstimatorConfig()
 
@@ -160,8 +160,7 @@ def test_substituted_regimes_match_corrupted_nuisances(small_data, config):
             data, folds, config, px.apply_misspec(evals, name, config.clip_eps),
             ESTIMATOR_NAMES, [],
         )
-        slow = px.estimate_all(data, folds, config,
-                               nuisance_sets=_corrupted_sets(nus, name, y_mean))
+        slow = estimate_with(data, folds, config, _corrupted_sets(nus, name, y_mean))
         for est, rep in slow.items():
             assert fast[est].tau_hat == rep.tau_hat, (name, est)
             assert fast[est].variance_hat == rep.variance_hat, (name, est)

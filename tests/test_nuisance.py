@@ -8,11 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import proxate as px
-from proxate.basis import BasisSpec, fit_basis
+from proxate.basis import BasisSpec
 from proxate.errors import DegenerateTreatmentError, ValidationError
 from proxate.nuisance import _sigmoid
 
-from conftest import constant_bridge, evaluate, propensity, reference_sigmoid, solve_h
+from conftest import (
+    constant_bridge, evaluate, fit_basis, propensity, reference_sigmoid, solve_h,
+)
 
 XB = BasisSpec(roles=("x",))
 

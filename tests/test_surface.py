@@ -3,7 +3,9 @@
 Counted with an ``ast`` walk over ``src/proxate/*.py``: the defaulted
 parameters (positional and keyword-only) of public functions and of
 public methods of public classes, plus the annotated fields with a
-default in public classes. Public means no leading underscore.
+default in public classes. Public means no leading underscore. The
+exported names (``proxate.__all__``) are pinned too, so names that only
+tests call stay out of the package.
 
 The same walk checks that every JSON writer in the package is strict,
 so no report can hold NaN or Infinity.
@@ -16,7 +18,8 @@ from pathlib import Path
 
 import proxate
 
-MAX_SETTABLE_VALUES = 58
+MAX_SETTABLE_VALUES = 56
+MAX_EXPORTED_NAMES = 54
 
 
 def _public(node) -> bool:
@@ -45,6 +48,11 @@ def settable_values(package_dir: Path) -> int:
 def test_settable_value_count():
     count = settable_values(Path(proxate.__file__).parent)
     assert count <= MAX_SETTABLE_VALUES, f"{count} settable values > {MAX_SETTABLE_VALUES}"
+
+
+def test_exported_name_count():
+    count = len(proxate.__all__)
+    assert count <= MAX_EXPORTED_NAMES, f"{count} exported names > {MAX_EXPORTED_NAMES}"
 
 
 def _json_writes(package_dir: Path):
