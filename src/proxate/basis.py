@@ -24,7 +24,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from ._records import Record, reject_unknown
+from ._records import Record
 from .errors import NumericalError, ValidationError
 
 VALID_ROLES = ("w", "z", "s", "x", "a")
@@ -32,10 +32,10 @@ MAX_DEGREE = 3
 
 
 @dataclass(frozen=True)
-class BasisSpec:
+class BasisSpec(Record):
     roles: tuple[str, ...]
     degree: int = 1
-    include_intercept: bool = True
+    intercept: bool = True
     interactions: bool = False
     standardize: bool = False
 
@@ -50,29 +50,6 @@ class BasisSpec:
             raise ValidationError("duplicate role in basis spec")
         if not 1 <= self.degree <= MAX_DEGREE:
             raise ValidationError(f"degree must be in [1, {MAX_DEGREE}], got {self.degree}")
-
-    def to_dict(self) -> dict:
-        return {
-            "roles": list(self.roles),
-            "degree": self.degree,
-            "intercept": self.include_intercept,
-            "interactions": self.interactions,
-            "standardize": self.standardize,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BasisSpec":
-        reject_unknown(d, ("roles", "degree", "intercept", "interactions", "standardize"),
-                       "basis spec")
-        if "roles" not in d:
-            raise ValidationError("basis spec requires 'roles'")
-        return cls(
-            roles=tuple(d["roles"]),
-            degree=int(d.get("degree", 1)),
-            include_intercept=bool(d.get("intercept", True)),
-            interactions=bool(d.get("interactions", False)),
-            standardize=bool(d.get("standardize", False)),
-        )
 
 
 def raw_features(spec: BasisSpec, source) -> tuple[np.ndarray, list[str]]:
@@ -106,7 +83,7 @@ class FittedBasis(Record):
     def transform(self, source) -> np.ndarray:
         """Feature matrix for a view (or anything exposing role_matrix)."""
         ext, _ = raw_features(self.spec, source)
-        width = ext.shape[1] - (not self.spec.include_intercept)
+        width = ext.shape[1] - (not self.spec.intercept)
         if width != self.out_dim:
             raise ValidationError(f"basis evaluated to {width} columns, expected {self.out_dim}")
         return self.standardize(ext)
@@ -118,7 +95,7 @@ class FittedBasis(Record):
         if self.spec.standardize:
             ext[:, 1:] -= ext[:, :1] * self.centers
             ext[:, 1:] /= self.scales
-        return ext if self.spec.include_intercept else ext[:, 1:]
+        return ext if self.spec.intercept else ext[:, 1:]
 
 
 def basis_from_r(spec: BasisSpec, r: np.ndarray, n: int, roles: list[str]) -> FittedBasis:
@@ -128,7 +105,7 @@ def basis_from_r(spec: BasisSpec, r: np.ndarray, n: int, roles: list[str]) -> Fi
     centred sum of squares sum_{i >= 1} R[i, j]^2, which does not cancel
     as E[x^2] - E[x]^2 does. A non-finite mean or standard deviation
     raises ``NumericalError`` naming the role of the first such column."""
-    out_dim = r.shape[1] - (not spec.include_intercept)
+    out_dim = r.shape[1] - (not spec.intercept)
     if not spec.standardize:
         return FittedBasis(spec=spec, out_dim=out_dim)
     with np.errstate(over="ignore", invalid="ignore"):

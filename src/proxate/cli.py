@@ -7,13 +7,14 @@ Subcommands:
   diagnose   surrogacy OLS/IV diagnostics on an unmasked experimental CSV
   gen-data   draw a synthetic dataset to CSV
 
-Configuration lives in a JSON file (--config); unknown keys anywhere in
-it are rejected so typos cannot silently change an estimator. Flags
-override config values. Every command that writes a machine-readable
-report produces identical bytes for identical config and seeds, except
-for the created_at timestamp, which golden comparisons must strip.
-Reports are strict JSON (RFC 8259): a NaN or infinity is a numerical
-failure, never a written value.
+Configuration lives in a JSON file (--config), read by one typed walk
+(``_records.from_dict``): an unknown key or a mistyped value anywhere in
+it is an error naming its key path, so typos cannot silently change an
+estimator. Flags override config values. Every command that writes a
+machine-readable report produces identical bytes for identical config
+and seeds, except for the created_at timestamp, which golden comparisons
+must strip. Reports are strict JSON (RFC 8259): a NaN or infinity is a
+numerical failure, never a written value.
 
 Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 """
@@ -23,15 +24,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TypedDict, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from ._records import reject_unknown
+from ._records import from_dict, reject_unknown
 from .baselines import diagnose_surrogacy
+from .basis import BasisSpec
 from .data import CsvSchema, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
 from .dgp import DGPConfig, confounded_config, generate
 from .errors import NumericalError, ProxateError, ValidationError
@@ -41,23 +44,40 @@ from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes, run_mon
 
 @dataclass
 class RunConfig:
+    """A run's settings, each named after the flag that overrides it."""
+
     schema: CsvSchema = field(default_factory=CsvSchema)
     estimation: EstimatorConfig = field(default_factory=EstimatorConfig)
     k_folds: int = 5
     seed: int = 0
     dgp: DGPConfig = field(default_factory=confounded_config)
-    sim_n: int = 2000
-    sim_pi: float = 0.5
-    sim_replications: int = 2
-    sim_base_seed: int = 1
-    sim_estimators: tuple[str, ...] = ESTIMATOR_NAMES
-    sim_regimes: tuple[str, ...] = ("all_correct",)
+    n: int = 2000
+    pi: float = 0.5
+    replications: int = 2
+    base_seed: int = 1
+    estimators: tuple[str, ...] = ESTIMATOR_NAMES
+    regimes: tuple[str, ...] = ("all_correct",)
 
 
-def load_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
-    if path is None:
-        return cfg
+_ESTIMATION = get_type_hints(EstimatorConfig)
+_BASES = {k: tp for k, tp in _ESTIMATION.items() if tp is BasisSpec}
+# The config file's sections. Each key is optional and sets the RunConfig or
+# EstimatorConfig field of its name; estimation nests the bases under "bases".
+_SECTIONS = {
+    "schema": CsvSchema,
+    "estimation": TypedDict("Estimation", {
+        "k_folds": int, "seed": int, "bases": TypedDict("Bases", _BASES, total=False),
+        **{k: tp for k, tp in _ESTIMATION.items() if k not in _BASES}}, total=False),
+    "dgp": DGPConfig,
+    "simulate": TypedDict("Simulate", {
+        "n": int, "pi": float, "replications": int, "base_seed": int,
+        "estimators": tuple[str, ...] | str, "regimes": tuple[str, ...] | str}, total=False),
+}
+_SETTINGS = {f.name for f in fields(RunConfig)} | set(_ESTIMATION)
+
+
+def _read_config(path: str) -> dict:
+    """The settings the config file at ``path`` gives, by field name."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
@@ -66,59 +86,43 @@ def load_config(path: str | None) -> RunConfig:
         raise ValidationError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a JSON object")
-    reject_unknown(raw, {"schema", "estimation", "dgp", "simulate"}, "config")
-    if "schema" in raw:
-        cfg.schema = CsvSchema.from_dict(raw["schema"])
-    if "estimation" in raw:
-        est = dict(raw["estimation"])
-        reject_unknown(
-            est,
-            {"k_folds", "seed", "alpha", "ridge_h", "ridge_q", "clip_eps",
-             "known_propensity", "bases"},
-            "estimation",
-        )
-        cfg.k_folds = int(est.pop("k_folds", cfg.k_folds))
-        cfg.seed = int(est.pop("seed", cfg.seed))
-        bases = est.pop("bases", {})
-        reject_unknown(bases, {"psi", "b", "phi", "g", "e_basis", "hbar_basis"}, "bases")
-        cfg.estimation = EstimatorConfig.from_dict({**est, **bases})
-    if "dgp" in raw:
-        cfg.dgp = DGPConfig.from_dict(raw["dgp"])
-    if "simulate" in raw:
-        sim = dict(raw["simulate"])
-        reject_unknown(
-            sim,
-            {"n", "pi", "replications", "base_seed", "estimators", "regimes"},
-            "simulate",
-        )
-        cfg.sim_n = int(sim.get("n", cfg.sim_n))
-        cfg.sim_pi = float(sim.get("pi", cfg.sim_pi))
-        cfg.sim_replications = int(sim.get("replications", cfg.sim_replications))
-        cfg.sim_base_seed = int(sim.get("base_seed", cfg.sim_base_seed))
-        if "estimators" in sim:
-            cfg.sim_estimators = _parse_name_list(
-                sim["estimators"], HARNESS_ESTIMATORS, HARNESS_ESTIMATORS, "estimator"
-            )
-        if "regimes" in sim:
-            cfg.sim_regimes = _parse_name_list(
-                sim["regimes"], REGIME_NAMES, REGIME_NAMES, "regime"
-            )
-    return cfg
+    reject_unknown(raw, _SECTIONS, "config")
+    sections = {name: from_dict(_SECTIONS[name], value, name) for name, value in raw.items()}
+    given = {**sections.pop("simulate", {}), **sections.pop("estimation", {}), **sections}
+    given.update(given.pop("bases", {}))
+    return given
+
+
+def load_config(args: argparse.Namespace) -> RunConfig:
+    """The defaults, overridden by the ``--config`` file, overridden by
+    the flags given; name lists are parsed after the flags."""
+    given = _read_config(args.config) if args.config is not None else {}
+    given.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    for key, valid in (("estimators", HARNESS_ESTIMATORS), ("regimes", REGIME_NAMES)):
+        if key in given:
+            where = f"--{key}" if getattr(args, key, None) is not None else f"simulate.{key}"
+            given[key] = _parse_name_list(given[key], valid, valid, key[:-1], where)
+    estimation = EstimatorConfig(**{k: given.pop(k) for k in _ESTIMATION if k in given})
+    return RunConfig(**given, estimation=estimation)
 
 
 def _parse_name_list(
-    value, valid: tuple[str, ...], every: tuple[str, ...], what: str
+    value, valid: tuple[str, ...], every: tuple[str, ...], what: str, where: str
 ) -> tuple[str, ...]:
-    """Canonical names from ``valid`` for a comma string or a list of
-    names (case-insensitive); ``all`` alone means ``every``."""
+    """Canonical names from ``valid`` for a comma string or a list of names
+    (case-insensitive); ``all`` alone means ``every``. Errors name ``where``,
+    the config key that gave ``value``, or its flag if it names nothing."""
     if isinstance(value, str):
         value = [v.strip() for v in value.split(",") if v.strip()]
+    if not value:
+        raise ValidationError(f"{where} names no {what}; choose from {valid} or 'all'")
     if list(value) == ["all"]:
         return every
     canonical = {v.lower(): v for v in valid}
+    at = "" if where.startswith("--") else f"{where}: "
     for name in value:
         if name.lower() not in canonical:
-            raise ValidationError(f"unknown {what} {name!r}; choose from {valid} or 'all'")
+            raise ValidationError(f"{at}unknown {what} {name!r}; choose from {valid} or 'all'")
     return tuple(canonical[name.lower()] for name in value)
 
 
@@ -129,7 +133,10 @@ def _write_json(path: str, doc) -> None:
         text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NumericalError(f"{path}: {exc}") from exc
-    Path(path).write_text(text + "\n")
+    try:
+        Path(path).write_text(text + "\n")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
 
 
 def _write_report(path: str | None, command: str, payload: dict) -> None:
@@ -158,14 +165,9 @@ def _estimate_table(reports: dict) -> str:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.k is not None:
-        cfg.k_folds = args.k
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.alpha is not None:
-        cfg.estimation = replace(cfg.estimation, alpha=args.alpha)
-    requested = _parse_name_list(args.estimator, HARNESS_ESTIMATORS, ESTIMATOR_NAMES, "estimator")
+    cfg = load_config(args)
+    requested = _parse_name_list(args.estimator, HARNESS_ESTIMATORS, ESTIMATOR_NAMES,
+                                 "estimator", "--estimator")
     if args.dump_nuisances and not set(requested) & set(ESTIMATOR_NAMES):
         raise ValidationError(
             "--dump-nuisances needs a proximal estimator: the baselines fit no nuisances"
@@ -190,24 +192,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    n = args.n if args.n is not None else cfg.sim_n
-    pi = args.pi if args.pi is not None else cfg.sim_pi
-    reps = args.replications if args.replications is not None else cfg.sim_replications
-    base_seed = args.base_seed if args.base_seed is not None else cfg.sim_base_seed
-    estimators = cfg.sim_estimators
-    if args.estimators is not None:
-        estimators = _parse_name_list(
-            args.estimators, HARNESS_ESTIMATORS, HARNESS_ESTIMATORS, "estimator"
-        )
-    regimes = cfg.sim_regimes
-    if args.regimes is not None:
-        regimes = _parse_name_list(args.regimes, REGIME_NAMES, REGIME_NAMES, "regime")
-    k_folds = args.k if args.k is not None else cfg.k_folds
-
+    cfg = load_config(args)
     report = run_monte_carlo(
-        cfg.dgp, n, pi, estimators, regimes, reps, base_seed,
-        config=cfg.estimation, k_folds=k_folds,
+        cfg.dgp, cfg.n, cfg.pi, cfg.estimators, cfg.regimes, cfg.replications,
+        cfg.base_seed, config=cfg.estimation, k_folds=cfg.k_folds,
     )
     print(report.format_table())
     _write_report(args.out, "simulate", report.to_dict())
@@ -215,7 +203,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     sample = load_unmasked_csv(args.data, cfg.schema)
     report = diagnose_surrogacy(sample)
     print(f"{'stage':<6} {'coef_on_a':>12} {'se':>12} {'p':>10}")
@@ -227,7 +215,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    cfg = load_config(args)
     if args.unmasked:
         from .dgp import generate_full
 
@@ -258,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimator", default="all",
         help=f"comma list of {', '.join(n.lower() for n in HARNESS_ESTIMATORS)}, or "
              "'all' for the four proximal estimators (default all)")
-    p_est.add_argument("--k", type=int, default=None, help="number of folds")
+    p_est.add_argument("--k", dest="k_folds", type=int, default=None, help="number of folds")
     p_est.add_argument("--seed", type=int, default=None, help="fold seed")
     p_est.add_argument("--alpha", type=float, default=None)
     p_est.add_argument("--out", default=None, help="machine-readable report path")
@@ -275,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--estimators", default=None,
                        help="comma list, or 'all' for every estimator and baseline")
     p_sim.add_argument("--regimes", default=None, help="comma list or 'all'")
-    p_sim.add_argument("--k", type=int, default=None)
+    p_sim.add_argument("--k", dest="k_folds", type=int, default=None)
     p_sim.add_argument("--out", default=None)
     p_sim.set_defaults(func=cmd_simulate)
 

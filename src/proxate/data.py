@@ -20,12 +20,12 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._records import reject_unknown
+from ._records import Record
 from .errors import (
     ParseError,
     RoleUnavailableError,
@@ -203,7 +203,7 @@ def _as_2d(arr, n: int, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CsvSchema:
+class CsvSchema(Record):
     """Column-role mapping for CSV files.
 
     Multi-column roles take either an explicit tuple of column names or
@@ -223,17 +223,9 @@ class CsvSchema:
     e_label: str = "E"
     o_label: str = "O"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CsvSchema":
-        reject_unknown(d, (f.name for f in fields(cls)), "schema")
-        kw = dict(d)
-        for role in ("w", "z", "s", "x"):
-            if role in kw and isinstance(kw[role], list):
-                kw[role] = tuple(kw[role])
-        schema = cls(**kw)
-        if schema.e_label == schema.o_label:
+    def __post_init__(self):
+        if self.e_label == self.o_label:
             raise ValidationError("e_label and o_label must differ")
-        return schema
 
     def columns_for(self, role: str, header: list[str]) -> list[str]:
         decl = getattr(self, role)
@@ -347,10 +339,13 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
         if role == "a" and with_g:
             header.append(schema.g)
             columns.append(schema.e_label if e else schema.o_label for e in data.is_e)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    try:
+        with Path(path).open("w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(zip(*columns))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}")
 
 
 def _fmt(value: float) -> str:

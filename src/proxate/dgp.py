@@ -20,22 +20,18 @@ Philox stream, so one seed pins the whole dataset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import Record, reject_unknown
+from ._records import Record
 from .data import CombinedDataset, FullyObservedSample
 from .errors import ValidationError
-from .stats import normal_quantile
+from .stats import normal_quantile, seeded_generator
 
 # Strength of the latent assignment's U-dependence in the observational
 # sample when confound_treatment_in_O is set.
 _O_ASSIGNMENT_LOADING = 1.0
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
 
 
 @dataclass(frozen=True)
@@ -89,11 +85,6 @@ class DGPConfig:
             raise ValidationError(
                 "alpha_w must be nonzero when gamma_u is nonzero (no bridge exists otherwise)"
             )
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DGPConfig":
-        reject_unknown(d, (f.name for f in fields(cls)), "dgp")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -159,7 +150,7 @@ def generate(cfg: DGPConfig, n: int, pi: float, seed: int) -> tuple[CombinedData
         raise ValidationError("n must be >= 10")
     if not 0.0 < pi < 1.0:
         raise ValidationError("pi must be in (0, 1)")
-    rng = _rng(seed)
+    rng = seeded_generator(seed)
     is_e = rng.random(n) < pi
     u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n, rng)
     a = np.where(is_e, a_e, a_o)
@@ -180,7 +171,7 @@ def generate_full(cfg: DGPConfig, n: int, seed: int) -> FullyObservedSample:
     """
     if n < 10:
         raise ValidationError("n must be >= 10")
-    rng = _rng(seed)
+    rng = seeded_generator(seed)
     rng.random(n)  # keep the draw sequence aligned with generate()
     u, x, a_e, _, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n, rng)
     s, y, w, z = _outcomes(cfg, u, x, a_e, eps_s, eps_y, eps_w, eps_z)

@@ -33,11 +33,11 @@ asymptotically negligible difference.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._records import Record, reject_unknown
+from ._records import Record
 from .basis import BasisSpec, FittedBasis, basis_from_r, raw_features
 from .bridges import (
     BridgeFunction,
@@ -54,7 +54,7 @@ from .nuisance import (
     fit_propensity,
     require_both_arms,
 )
-from .stats import normal_quantile
+from .stats import normal_quantile, seeded_generator
 
 ESTIMATOR_NAMES = ("OB-OR", "OB-IPW", "SB", "MR")
 
@@ -96,7 +96,7 @@ def make_folds(data: CombinedDataset, k_folds: int, seed: int) -> FoldAssignment
             f"k_folds={k_folds} exceeds the smaller stratum "
             f"(n_e={data.n_e}, n_o={data.n_o})"
         )
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_generator(seed)
     fold_of = np.empty(data.n, dtype=np.int64)
     for mask in (data.is_e, ~data.is_e):
         idx = rng.permutation(np.flatnonzero(mask))
@@ -140,16 +140,6 @@ class EstimatorConfig(Record):
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EstimatorConfig":
-        """The inverse of ``to_dict``."""
-        reject_unknown(d, (f.name for f in fields(cls)), "estimation")
-        kw = dict(d)
-        for f in fields(cls):
-            if isinstance(f.default, BasisSpec) and f.name in kw:
-                kw[f.name] = BasisSpec.from_dict(kw[f.name])
-        return cls(**kw)
 
 
 # A cell: its fold, arm (-1 on O), row count, the R factor of its columns,

@@ -45,6 +45,7 @@ from .estimators import (
     make_folds,
 )
 from .nuisance import PropensityModel
+from .stats import seeded_generator
 
 HARNESS_ESTIMATORS = ESTIMATOR_NAMES + BASELINE_NAMES
 
@@ -83,7 +84,7 @@ def split_and_mask(source: FullyObservedSample, e_fraction: float, seed: int) ->
     """
     if not 0.0 < e_fraction < 1.0:
         raise ValidationError("e_fraction must be in (0, 1)")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_generator(seed)
     is_e = rng.random(source.n) < e_fraction
     n_e = int(is_e.sum())
     if n_e == 0 or n_e == source.n:
@@ -267,6 +268,8 @@ def run_monte_carlo(
     """
     if replications < 2:
         raise ValidationError("replications must be >= 2")
+    if base_seed < 0:
+        raise ValidationError(f"base_seed must be a nonnegative integer, got {base_seed}")
     for name in estimators:
         if name not in HARNESS_ESTIMATORS:
             raise ValidationError(

@@ -1,4 +1,4 @@
-"""Scalar statistics helpers: normal quantile/CDF and least-squares cores.
+"""Scalar statistics helpers: normal quantile/CDF, least-squares cores, seeded streams.
 
 The quantile uses Wichura's PPND16 rational approximation (Algorithm
 AS 241), with relative error below 1e-15 (checked against 50-digit
@@ -133,3 +133,10 @@ def hc0_cov(design: np.ndarray, resid: np.ndarray) -> np.ndarray:
     xtx_inv = np.linalg.pinv(design.T @ design)
     meat = design.T @ (design * resid[:, None] ** 2)
     return xtx_inv @ meat @ xtx_inv
+
+
+def seeded_generator(seed: int) -> np.random.Generator:
+    """A counter-based Philox stream: one seed pins every draw made from it."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))

@@ -160,7 +160,7 @@ def propensity(model, view):
 
 
 def _intercept(basis, value):
-    if not basis.spec.include_intercept:
+    if not basis.spec.intercept:
         raise ValidationError("a constant nuisance needs an intercept in its basis")
     coeffs = np.zeros(basis.out_dim)
     coeffs[0] = value
@@ -183,7 +183,7 @@ def linear_coefficients(bf):
     """A degree-1, interaction-free, intercept bridge's coefficients on the
     raw inputs: intercept, then role blocks in spec order."""
     spec = bf.basis.spec
-    if spec.degree != 1 or spec.interactions or not spec.include_intercept:
+    if spec.degree != 1 or spec.interactions or not spec.intercept:
         raise ValidationError(
             "raw coefficients are only defined for degree-1 intercept bases without interactions"
         )

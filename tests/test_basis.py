@@ -36,7 +36,7 @@ def test_out_dim_counts():
     assert out_dim(roles=("s", "x")) == 6
     assert out_dim(roles=("w",), degree=2) == 3
     assert out_dim(roles=("w", "s"), interactions=True) == 1 + 3 + 2
-    assert out_dim(roles=("s",), include_intercept=False) == 2
+    assert out_dim(roles=("s",), intercept=False) == 2
 
 
 def test_role_unavailable(views):
@@ -80,7 +80,7 @@ def test_eval_examples(views):
     one = px.SampleView(o_view.data, o_view.indices[:1], "O")
     s_row = one.role_matrix("s")[0]
 
-    intercept_only, _ = fit_basis(BasisSpec(roles=("s",), include_intercept=False), o_view)
+    intercept_only, _ = fit_basis(BasisSpec(roles=("s",), intercept=False), o_view)
     # degree-1 role read-off, no intercept
     np.testing.assert_allclose(intercept_only.transform(one)[0], s_row)
 
@@ -177,7 +177,7 @@ def test_out_dim_matches_eval(degree, intercept, interactions, standardize, seed
     view = _Rows(w=rng.normal(size=(7, 1)), s=rng.normal(size=(7, 2)),
                  x=rng.normal(size=(7, 3)))
     spec = BasisSpec(
-        roles=("w", "s", "x"), degree=degree, include_intercept=intercept,
+        roles=("w", "s", "x"), degree=degree, intercept=intercept,
         interactions=interactions, standardize=standardize,
     )
     fb, design = fit_basis(spec, view)

@@ -163,7 +163,7 @@ def test_surrogate_bridge_reweighting_identity_held_out(confounded_cfg):
     e_view, o_view = px.split_by_sample(data)
     prop = px.PropensityModel.known(cfg.p_treat, clip_eps=0.01)
 
-    gstar = BasisSpec(roles=("w", "s", "x"), degree=2, include_intercept=False,
+    gstar = BasisSpec(roles=("w", "s", "x"), degree=2, intercept=False,
                       interactions=True)
     fb, g_o = fit_basis(gstar, o_view)
     g_e = fb.transform(e_view)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import proxate as px
+from proxate._records import from_dict
 from proxate.cli import main
 
 from conftest import fit_fold
@@ -318,7 +319,7 @@ def test_readme_config_drives_every_command(tmp_path):
                 "--estimator", "mr", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())["result"]["MR"]
     assert rep["k_folds"] == 4 and rep["seed"] == 7
-    loaded = px.load_csv(data, px.CsvSchema.from_dict(README_CONFIG["schema"]))
+    loaded = px.load_csv(data, from_dict(px.CsvSchema, README_CONFIG["schema"], "schema"))
     expected = px.estimate_all(loaded, px.make_folds(loaded, 4, 7), px.EstimatorConfig(),
                                estimators=("MR",))["MR"]
     assert rep["tau_hat"] == expected.tau_hat
@@ -347,6 +348,97 @@ def test_config_unreadable_exit_1(tmp_path, data_csv, capsys, text, message):
         cfg.write_text(text)
     assert run(["estimate", "--config", str(cfg), "--data", str(data_csv)]) == 1
     assert message in capsys.readouterr().err
+
+
+_PSI = {"roles": ["w", "s", "x"]}
+_DGP = {"beta_a": [0.5], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
+        "gamma_x": [0.5], "alpha_w": 1.0, "alpha_z": 1.0, "dim_x": 1}
+
+
+@pytest.mark.parametrize("config, path", [
+    ({"simulate": {"estimators": [5]}}, "simulate.estimators"),
+    ({"estimation": {"alpha": "x"}}, "estimation.alpha"),
+    ({"estimation": {"k_folds": "x"}}, "estimation.k_folds"),
+    ({"estimation": {"k_folds": 2.7}}, "estimation.k_folds"),
+    ({"estimation": {"k_folds": True}}, "estimation.k_folds"),
+    ({"estimation": {"ridge_h": "1e-6"}}, "estimation.ridge_h"),
+    ({"estimation": {"clip_eps": None}}, "estimation.clip_eps"),
+    ({"estimation": {"bases": []}}, "estimation.bases"),
+    ({"estimation": {"bases": {"psi": {**_PSI, "standardize": "no"}}}},
+     "estimation.bases.psi.standardize"),
+    ({"estimation": {"bases": {"psi": {"roles": "wsx"}}}}, "estimation.bases.psi.roles"),
+    ({"estimation": {"bases": {"psi": {**_PSI, "degree": 1.9}}}}, "estimation.bases.psi.degree"),
+    ({"dgp": {"beta_a": [0.5]}}, "dgp"),
+    ({"dgp": {**_DGP, "gamma_u": "1"}}, "dgp.gamma_u"),
+    ({"schema": {"w": 5}}, "schema.w"),
+    ({"schema": []}, "schema"),
+    ({"estimation": []}, "estimation"),
+    ({"simulate": {"n": "abc"}}, "simulate.n"),
+    ({"simulate": {"replications": 3.9}}, "simulate.replications"),
+    ({"simulate": {"estimators": ["bogus"]}}, "simulate.estimators"),
+    ({"estimation": {"bases": {"psy": _PSI}}}, "estimation.bases"),
+    ({"estimation": {"ridge_h": float("nan")}}, "estimation.ridge_h"),
+    ({"dgp": {**_DGP, "beta_x": [[1.0], [1.0, 2.0]]}}, "dgp.beta_x"),
+])
+def test_malformed_config_exit_1(tmp_path, data_csv, capsys, config, path):
+    # A value of the wrong type is an error naming its key path, never a
+    # traceback or a run under a setting the file did not give. Every
+    # command reads every section, so estimate sees the simulate ones.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["estimate", "--config", str(cfg), "--data", str(data_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err, err
+
+
+@pytest.mark.parametrize("argv, simulate, where", [
+    (["estimate", "--estimator", ","], {}, "--estimator"),
+    (["simulate", "--estimators", ","], {}, "--estimators"),
+    (["simulate", "--regimes", " , "], {}, "--regimes"),
+    (["simulate"], {"estimators": []}, "simulate.estimators"),
+    (["simulate"], {"regimes": ""}, "simulate.regimes"),
+])
+def test_empty_name_list_exit_1(tmp_path, data_csv, capsys, argv, simulate, where):
+    # A list that names nothing is an error naming its flag or key, raised
+    # before anything runs.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"simulate": simulate}))
+    data = ["--data", str(data_csv)] if argv[0] == "estimate" else []
+    assert run([*argv, *data, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where} names no "), captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--estimator", "ob-or", "--out", "{bad}"],
+    ["estimate", "--estimator", "ob-or", "--dump-nuisances", "{bad}"],
+    ["simulate", "--n", "300", "--estimators", "si", "--out", "{bad}"],
+    ["gen-data", "--n", "100", "--seed", "1", "--out", "{bad}"],
+    ["gen-data", "--n", "100", "--seed", "1", "--out", "{ok}", "--oracle-out", "{bad}"],
+    ["gen-data", "--n", "100", "--seed", "1", "--out", "{bad}", "--unmasked"],
+])
+def test_unwritable_output_path_exit_1(tmp_path, data_csv, capsys, argv):
+    bad = tmp_path / "no-such-dir" / "out"
+    argv = [a.format(bad=bad, ok=tmp_path / "ok.csv") for a in argv]
+    if argv[0] == "estimate":
+        argv += ["--data", str(data_csv)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "100", "--seed", "-1", "--out", "{out}"],
+    ["gen-data", "--n", "100", "--seed", "-1", "--out", "{out}", "--unmasked"],
+    ["estimate", "--seed", "-3", "--data", "{data}"],
+    ["simulate", "--n", "300", "--base-seed", "-1"],
+])
+def test_negative_seed_exit_1(tmp_path, data_csv, capsys, argv):
+    argv = [a.format(out=tmp_path / "d.csv", data=data_csv) for a in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be a nonnegative integer" in err, err
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_alpha_flag_narrows_only_the_interval(data_csv, tmp_path):

@@ -8,6 +8,7 @@ import proxate.dgp as dgp_mod
 from proxate.basis import BasisSpec
 from proxate.dgp import oracle_for
 from proxate.errors import ValidationError
+from proxate.stats import seeded_generator
 
 from conftest import NAIVE_SI_BIAS, fit_basis
 
@@ -27,7 +28,7 @@ def residual_moment(cfg, n, seed, h_coeff_shift_w=0.0):
     functions of (z, s, x) up to degree 2 with pairwise interactions.
     Returns max_j |mean(b_j * residual)|.
     """
-    rng = dgp_mod._rng(seed)
+    rng = seeded_generator(seed)
     u, x, _, a_o, eps_s, eps_y, eps_w, eps_z = dgp_mod._structural_draw(cfg, n, rng)
     s, y, w, z = dgp_mod._outcomes(cfg, u, x, a_o, eps_s, eps_y, eps_w, eps_z)
     resid = y - eval_oracle_h(cfg, w, s, x) - h_coeff_shift_w * w[:, 0]
@@ -37,7 +38,7 @@ def residual_moment(cfg, n, seed, h_coeff_shift_w=0.0):
             return {"z": z, "s": s, "x": x}[role]
 
     spec = BasisSpec(roles=("z", "s", "x") if cfg.dim_x else ("z", "s"),
-                     degree=2, include_intercept=True, interactions=True)
+                     degree=2, intercept=True, interactions=True)
     _, feats = fit_basis(spec, _Cols())
     return float(np.max(np.abs(feats.T @ resid / n)))
 
@@ -144,11 +145,11 @@ def test_frozen_naive_bias_regression(confounded_cfg):
 
 
 def test_latent_assignment_confounded_before_discard(confounded_cfg, unconfounded_cfg):
-    rng = dgp_mod._rng(55)
+    rng = seeded_generator(55)
     u, _, _, a_o, *_ = dgp_mod._structural_draw(confounded_cfg, 20_000, rng)
     assert np.corrcoef(u, a_o)[0, 1] > 0.3
 
-    rng = dgp_mod._rng(55)
+    rng = seeded_generator(55)
     u2, _, _, a_o2, *_ = dgp_mod._structural_draw(unconfounded_cfg, 20_000, rng)
     assert abs(np.corrcoef(u2, a_o2)[0, 1]) < 0.03
 

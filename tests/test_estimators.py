@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import proxate as px
+from proxate._records import from_dict
 from proxate.errors import (
     DegenerateTreatmentError, NumericalError, SingularSystemError, ValidationError,
 )
@@ -59,6 +60,8 @@ def test_fold_validation(small_data):
         px.make_folds(data, 1, seed=0)
     with pytest.raises(ValidationError):
         px.make_folds(data, data.n_e + 1, seed=0)
+    with pytest.raises(ValidationError, match="seed must be a nonnegative integer"):
+        px.make_folds(data, 2, seed=-1)
     # A row labelled outside [0, k) would be in no fold, so no held-out
     # evaluation would be written for it.
     for label in (7, -1):
@@ -339,7 +342,7 @@ def _configs(draw):
     def spec(roles):
         return px.BasisSpec(
             roles=roles, degree=draw(st.integers(1, 3)), interactions=draw(st.booleans()),
-            include_intercept=draw(st.booleans()), standardize=draw(st.booleans()),
+            intercept=draw(st.booleans()), standardize=draw(st.booleans()),
         )
 
     # psi and g on (w, s, x), b and phi on (z, s, x); each system's two
@@ -355,7 +358,7 @@ def _configs(draw):
 
 def _spec(roles, degree, intercept, standardize):
     return px.BasisSpec(roles=roles, degree=degree, interactions=True,
-                        include_intercept=intercept, standardize=standardize)
+                        intercept=intercept, standardize=standardize)
 
 
 @pytest.mark.filterwarnings("ignore:.*Gram condition:RuntimeWarning")
@@ -727,15 +730,21 @@ def test_golden_estimates(small_data):
     assert abs(reps["MR"].variance_hat - GOLDEN_MR_VARIANCE) <= 1e-10
 
 
-def test_estimator_config_dict_round_trip():
+@settings(max_examples=25, deadline=None)
+@given(drawn=_configs())
+def test_estimator_config_dict_round_trip(drawn):
+    # from_dict inverts to_dict through JSON for every config record,
+    # the basis specs and the CSV schema included.
     custom = px.EstimatorConfig(
         psi=px.BasisSpec(roles=("w", "s"), degree=2, interactions=True),
-        hbar_basis=px.BasisSpec(roles=("x",), include_intercept=True, standardize=True),
+        hbar_basis=px.BasisSpec(roles=("x",), intercept=True, standardize=True),
         ridge_h=1e-3,
         ridge_q=0.0,
         clip_eps=0.05,
         known_propensity=0.4,
         alpha=0.1,
     )
-    for cfg in (px.EstimatorConfig(), custom):
-        assert px.EstimatorConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    schema = px.CsvSchema(y="earn", w=("score0", "score1"), s="s_", e_label="EXP", o_label="OBS")
+    for rec in (px.EstimatorConfig(), custom, drawn, drawn.psi, drawn.e_basis,
+                px.CsvSchema(), schema):
+        assert from_dict(type(rec), json.loads(json.dumps(rec.to_dict())), "config") == rec

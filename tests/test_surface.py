@@ -8,7 +8,8 @@ exported names (``proxate.__all__``) are pinned too, so names that only
 tests call stay out of the package.
 
 The same walk checks that every JSON writer in the package is strict,
-so no report can hold NaN or Infinity.
+so no report can hold NaN or Infinity, and that records have one JSON
+form: ``Record.to_dict`` writes it and ``_records.from_dict`` reads it.
 """
 
 from __future__ import annotations
@@ -75,3 +76,20 @@ def test_json_writes_disallow_nan():
     writes = list(_json_writes(Path(proxate.__file__).parent))
     assert writes, "no json.dump/json.dumps call found"
     assert [where for where, call in writes if not _strict(call)] == []
+
+
+def _classes_defining(package_dir: Path, method: str) -> list[str]:
+    return sorted(
+        node.name
+        for path in sorted(package_dir.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == method for item in node.body)
+    )
+
+
+def test_one_json_form_per_record():
+    # MCReport extends Record's form with its derived n_failed.
+    package_dir = Path(proxate.__file__).parent
+    assert _classes_defining(package_dir, "to_dict") == ["MCReport", "Record"]
+    assert _classes_defining(package_dir, "from_dict") == []
