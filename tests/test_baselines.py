@@ -8,6 +8,7 @@ import pytest
 import proxate as px
 from proxate.baselines import ols_hc0
 from proxate.errors import DegenerateInstrumentError, NumericalError
+from proxate.stats import normal_quantile
 
 from conftest import NAIVE_SI_BIAS
 
@@ -152,3 +153,37 @@ def test_degenerate_instrument(confounded_cfg):
     )
     with pytest.raises(DegenerateInstrumentError):
         px.diagnose_surrogacy(silent)
+
+
+# Baseline figures frozen from the hand-written AS 241 quantile and the
+# per-column first-stage fits they replaced (Python 3.11, numpy 2.4).
+GOLDEN_SI = {"SI": 1.0370616097637748, "SI-PROX": 0.9717061864390251}
+GOLDEN_RCT_COEFFS = [0.04120161778588769, 0.7599280776545179, 1.4765172940252378]
+GOLDEN_RCT_SE = [0.08091097832617096, 0.1177252914779027, 0.05846075862128348]
+GOLDEN_DIAGNOSE = {
+    "ols_coef_on_a": -0.3472058201402428, "ols_se": 0.039004751065018974,
+    "ols_p": 5.503299053854459e-19, "iv_coef_on_a": 0.013110411455444448,
+    "iv_se": 0.03986560212215842, "iv_p": 0.7422575364417863,
+}
+GOLDEN_QUANTILES = [
+    (0.75, 0.6744897501960817), (0.975, 1.9599639845400536), (0.995, 2.5758293035489),
+    (1e-10, -6.361340902404056), (0.02425, -1.9729610513118845),
+]
+
+
+def test_golden_baselines(small_data, confounded_cfg):
+    def close(value):
+        return pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    data, _ = small_data
+    for name, tau in GOLDEN_SI.items():
+        rep = px.surrogate_index_estimate(data, include_proxies=(name == "SI-PROX"))
+        assert rep.tau_hat == close(tau), name
+    sample = px.generate_full(confounded_cfg, 4000, seed=3001)
+    fit = px.rct_benchmark(sample)
+    assert fit.coeffs.tolist() == close(GOLDEN_RCT_COEFFS)
+    assert fit.robust_se.tolist() == close(GOLDEN_RCT_SE)
+    report = px.diagnose_surrogacy(sample).to_dict()
+    assert report == {k: close(v) for k, v in GOLDEN_DIAGNOSE.items()}
+    for p, ref in GOLDEN_QUANTILES:
+        assert normal_quantile(p) == ref, p
