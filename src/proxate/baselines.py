@@ -114,42 +114,21 @@ def surrogate_index_estimate(
         o_cols += [o_view.role_matrix("w"), z_o]
         z_fill = np.tile(z_o.mean(axis=0), (e_view.n, 1))
         e_cols += [e_view.role_matrix("w"), z_fill]
-    design_o = np.column_stack(o_cols)
-    coef, _, rank, _ = np.linalg.lstsq(design_o, o_view.y, rcond=None)
-    if rank < design_o.shape[1]:
-        raise NumericalError("surrogate-index outcome fit is rank deficient")
-    pred_e = np.column_stack(e_cols) @ coef
-
     design_e = np.column_stack([np.ones(e_view.n), e_view.a, e_view.role_matrix("x")])
-    coef_e, _, rank_e, _ = np.linalg.lstsq(design_e, pred_e, rcond=None)
-    if rank_e < design_e.shape[1]:
-        raise NumericalError("surrogate-index effect fit is rank deficient")
+    try:
+        pred_e = np.column_stack(e_cols) @ ols(np.column_stack(o_cols), o_view.y)
+        tau_hat = float(ols(design_e, pred_e)[1])
+    except NumericalError as exc:
+        raise NumericalError(f"surrogate-index fit: {exc}") from exc
     return EstimateReport(
         estimator="SI-PROX" if include_proxies else "SI",
-        tau_hat=float(coef_e[1]),
+        tau_hat=tau_hat,
         alpha=0.05,
         k_folds=0,
         seed=None,
         n_e=data.n_e,
         n_o=data.n_o,
     )
-
-
-def _first_stage_f(design_full: np.ndarray, z_cols: slice, w_col: np.ndarray) -> float:
-    """F statistic of the instrument block in one first-stage fit."""
-    n, k = design_full.shape
-    q = z_cols.stop - z_cols.start
-    keep = np.ones(k, dtype=bool)
-    keep[z_cols] = False
-    coef_f, _, _, _ = np.linalg.lstsq(design_full, w_col, rcond=None)
-    rss_full = float(np.sum((w_col - design_full @ coef_f) ** 2))
-    design_r = design_full[:, keep]
-    coef_r, _, _, _ = np.linalg.lstsq(design_r, w_col, rcond=None)
-    rss_restr = float(np.sum((w_col - design_r @ coef_r) ** 2))
-    dof = max(n - k, 1)
-    if rss_full <= 0.0:
-        return float("inf") if rss_restr > rss_full else 0.0
-    return (rss_restr - rss_full) / q / (rss_full / dof)
 
 
 def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
@@ -173,16 +152,21 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
     ols_fit = ols_hc0(ols_design, sample.y, ols_names)
 
     fs_design = np.column_stack([np.ones(n), sample.z, sample.a, sample.s, sample.x])
-    z_block = slice(1, 1 + dim_z)
+    fs_coef, _, _, _ = np.linalg.lstsq(fs_design, sample.w, rcond=None)
+    w_hat = fs_design @ fs_coef
+    restricted_coef, _, _, _ = np.linalg.lstsq(ols_design, sample.w, rcond=None)
+    rss_full = np.sum((sample.w - w_hat) ** 2, axis=0)
+    rss_restricted = np.sum((sample.w - ols_design @ restricted_coef) ** 2, axis=0)
+    dof = max(n - fs_design.shape[1], 1)
     f_min = min(
-        _first_stage_f(fs_design, z_block, sample.w[:, j]) for j in range(dim_w)
+        (restricted - full) / dim_z / (full / dof) if full > 0.0
+        else (np.inf if restricted > full else 0.0)
+        for full, restricted in zip(rss_full.tolist(), rss_restricted.tolist())
     )
     if f_min < 1e-8:
         raise DegenerateInstrumentError(
             f"first-stage F statistic on the instrument block is {f_min:.3e}"
         )
-    fs_coef, _, _, _ = np.linalg.lstsq(fs_design, sample.w, rcond=None)
-    w_hat = fs_design @ fs_coef
 
     iv_design = np.column_stack([np.ones(n), sample.a, sample.s, sample.x, w_hat])
     iv_names = tuple(
