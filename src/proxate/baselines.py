@@ -140,6 +140,15 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
     (1, a, s, x, w_hat); with the instrumented proxy soaking up the
     latent confounder, the treatment coefficient should collapse when
     confounding (and not a direct effect) drove the OLS significance.
+
+    The first stage is fitted once for all proxy columns. Column j's
+    instrument strength is F_j = (RSS_r - RSS_f) / dim_z / (RSS_f / dof)
+    with dof = max(n - k, 1): RSS_f is its residual sum of squares in the
+    first stage (k columns), RSS_r on the OLS stage's design (1, a, s, x).
+    A sum of squares within rounding (at most machine epsilon times the
+    column's own sum of squares) counts as 0, and RSS_f = 0 gives F_j = inf
+    if RSS_r > 0, else 0. The smallest F_j below 1e-8 means some proxy
+    column is not instrumentable: ``DegenerateInstrumentError``.
     """
     n = sample.n
     dim_w = sample.w.shape[1]
@@ -155,13 +164,14 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
     fs_coef, _, _, _ = np.linalg.lstsq(fs_design, sample.w, rcond=None)
     w_hat = fs_design @ fs_coef
     restricted_coef, _, _, _ = np.linalg.lstsq(ols_design, sample.w, rcond=None)
-    rss_full = np.sum((sample.w - w_hat) ** 2, axis=0)
-    rss_restricted = np.sum((sample.w - ols_design @ restricted_coef) ** 2, axis=0)
+    floor = np.finfo(float).eps * np.sum(sample.w ** 2, axis=0)
+    sums = np.sum((sample.w - np.stack([w_hat, ols_design @ restricted_coef])) ** 2, axis=1)
+    rss_full, rss_restricted = np.where(sums > floor, sums, 0.0).tolist()
     dof = max(n - fs_design.shape[1], 1)
     f_min = min(
         (restricted - full) / dim_z / (full / dof) if full > 0.0
         else (np.inf if restricted > full else 0.0)
-        for full, restricted in zip(rss_full.tolist(), rss_restricted.tolist())
+        for full, restricted in zip(rss_full, rss_restricted)
     )
     if f_min < 1e-8:
         raise DegenerateInstrumentError(

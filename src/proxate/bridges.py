@@ -74,14 +74,18 @@ class MomentDiagnostics(Record):
     n_clipped: int = 0
 
 
+def check_ridge(penalty: float) -> None:
+    if penalty < 0:
+        raise ValidationError("ridge penalty must be >= 0")
+
+
 def _ridge_solve(design: np.ndarray, target: np.ndarray, penalty: float,
                  context: str) -> tuple[np.ndarray, float | None]:
     """min ||design b - target||^2 + penalty ||b||^2 via augmented lstsq, per
     target column; returns the coefficients and the Gram condition of ``design``
     (None when the Gram matrix is singular, so reports stay strict JSON)."""
     p = design.shape[1]
-    if penalty < 0:
-        raise ValidationError("ridge penalty must be >= 0")
+    check_ridge(penalty)
     sv = np.linalg.svd(design, compute_uv=False)
     # Fewer singular values than parameters (fewer rows) also means singular.
     singular = sv.size < p or not sv.size or sv[-1] == 0.0

@@ -22,7 +22,9 @@ Exit codes: 0 success, 1 validation problem, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -35,11 +37,14 @@ from . import __version__
 from ._records import from_dict, reject_unknown
 from .baselines import diagnose_surrogacy
 from .basis import BasisSpec
+from .bridges import check_ridge
 from .data import CsvSchema, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
 from .dgp import DGPConfig, confounded_config, generate
 from .errors import NumericalError, ProxateError, ValidationError
-from .estimators import ESTIMATOR_NAMES, EstimatorConfig
+from .estimators import ESTIMATOR_NAMES, EstimatorConfig, check_alpha, check_k_folds
 from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes, run_monte_carlo
+from .nuisance import check_clip_eps, check_rate
+from .stats import check_seed
 
 
 @dataclass
@@ -74,6 +79,11 @@ _SECTIONS = {
         "estimators": tuple[str, ...] | str, "regimes": tuple[str, ...] | str}, total=False),
 }
 _SETTINGS = {f.name for f in fields(RunConfig)} | set(_ESTIMATION)
+# The range each estimation setting must lie in, checked by the code that uses
+# it; load_config checks them first, so an error comes before any work.
+_RANGES = {"ridge_h": check_ridge, "ridge_q": check_ridge, "clip_eps": check_clip_eps,
+           "known_propensity": check_rate, "alpha": check_alpha, "seed": check_seed,
+           "k_folds": check_k_folds}
 
 
 def _read_config(path: str) -> dict:
@@ -95,9 +105,18 @@ def _read_config(path: str) -> dict:
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """The defaults, overridden by the ``--config`` file, overridden by
-    the flags given; name lists are parsed after the flags."""
+    the flags given; name lists are parsed after the flags. A value out of
+    range is an error naming its config key (or, from a flag, the setting)."""
     given = _read_config(args.config) if args.config is not None else {}
     given.update((k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None)
+    for key, check in _RANGES.items():
+        if given.get(key) is not None:
+            try:
+                check(given[key])
+            except ValidationError as exc:
+                if getattr(args, key, None) is not None:
+                    raise
+                raise ValidationError(f"estimation.{key}: {exc}") from exc
     for key, valid in (("estimators", HARNESS_ESTIMATORS), ("regimes", REGIME_NAMES)):
         if key in given:
             where = f"--{key}" if getattr(args, key, None) is not None else f"simulate.{key}"
@@ -124,6 +143,23 @@ def _parse_name_list(
         if name.lower() not in canonical:
             raise ValidationError(f"{at}unknown {what} {name!r}; choose from {valid} or 'all'")
     return tuple(canonical[name.lower()] for name in value)
+
+
+def _check_writable(paths: list[str | None]) -> None:
+    """Raise now the ``cannot write`` error that writing each path would
+    raise later: it is a directory, or its directory is missing or not
+    writable. Creates nothing."""
+    for path in filter(None, paths):
+        target, parent = Path(path), Path(path).parent
+        if target.is_dir():
+            code = errno.EISDIR
+        elif not parent.is_dir():
+            code = errno.ENOENT
+        elif not os.access(target if target.exists() else parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise ValidationError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
 
 
 def _write_json(path: str, doc) -> None:
@@ -290,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable([getattr(args, k, None) for k in ("out", "oracle_out", "dump_nuisances")])
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -138,6 +138,15 @@ def _outcomes(cfg: DGPConfig, u, x, a, eps_s, eps_y, eps_w, eps_z):
     return s, y, w, z
 
 
+def check_draw(n: int, pi: float | None) -> None:
+    """Raise ``ValidationError`` unless ``n`` rows (and an E share ``pi``,
+    unless None) can be drawn."""
+    if n < 10:
+        raise ValidationError("n must be >= 10")
+    if pi is not None and not 0.0 < pi < 1.0:
+        raise ValidationError("pi must be in (0, 1)")
+
+
 def generate(cfg: DGPConfig, n: int, pi: float, seed: int) -> tuple[CombinedDataset, DGPOracle]:
     """Draw a combined two-sample dataset plus its oracle.
 
@@ -146,10 +155,7 @@ def generate(cfg: DGPConfig, n: int, pi: float, seed: int) -> tuple[CombinedData
     then discarded. Masking follows the two-sample availability
     pattern: E rows lose (y, z), O rows lose a.
     """
-    if n < 10:
-        raise ValidationError("n must be >= 10")
-    if not 0.0 < pi < 1.0:
-        raise ValidationError("pi must be in (0, 1)")
+    check_draw(n, pi)
     rng = seeded_generator(seed)
     is_e = rng.random(n) < pi
     u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n, rng)
@@ -169,8 +175,7 @@ def generate_full(cfg: DGPConfig, n: int, seed: int) -> FullyObservedSample:
     This is the source material for the masking-design harness and for
     diagnostics that need (y, a) jointly.
     """
-    if n < 10:
-        raise ValidationError("n must be >= 10")
+    check_draw(n, None)
     rng = seeded_generator(seed)
     rng.random(n)  # keep the draw sequence aligned with generate()
     u, x, a_e, _, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n, rng)

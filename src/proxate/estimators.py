@@ -82,6 +82,16 @@ class FoldAssignment:
         return np.flatnonzero(in_sample & (self.fold_of == k))
 
 
+def check_k_folds(k_folds: int) -> None:
+    if k_folds < 2:
+        raise ValidationError(f"k_folds must be >= 2, got {k_folds}")
+
+
+def check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must be in (0, 1)")
+
+
 def make_folds(data: CombinedDataset, k_folds: int, seed: int) -> FoldAssignment:
     """Deterministic stratified fold assignment.
 
@@ -89,8 +99,7 @@ def make_folds(data: CombinedDataset, k_folds: int, seed: int) -> FoldAssignment
     into K nearly equal parts; remainder units go to the lowest-index
     folds.
     """
-    if k_folds < 2:
-        raise ValidationError(f"k_folds must be >= 2, got {k_folds}")
+    check_k_folds(k_folds)
     if k_folds > min(data.n_e, data.n_o):
         raise ValidationError(
             f"k_folds={k_folds} exceeds the smaller stratum "
@@ -138,8 +147,7 @@ class EstimatorConfig(Record):
     alpha: float = 0.05
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must be in (0, 1)")
+        check_alpha(self.alpha)
 
 
 # A cell: its fold, arm (-1 on O), row count, the R factor of its columns,
@@ -432,8 +440,7 @@ def confidence_interval(
     tau_hat: float, v_hat: float, n_total: int, alpha: float
 ) -> tuple[float, float]:
     """Normal interval tau -+ z_{1-alpha/2} sqrt(v_hat / n_total)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must be in (0, 1)")
+    check_alpha(alpha)
     if v_hat < 0.0:
         raise ValidationError("variance must be nonnegative")
     if n_total <= 0:

@@ -31,7 +31,7 @@ import numpy as np
 from ._records import Record
 from .baselines import BASELINE_NAMES, surrogate_index_estimate
 from .data import CombinedDataset, FullyObservedSample
-from .dgp import DGPConfig, generate, oracle_for
+from .dgp import DGPConfig, check_draw, generate, oracle_for
 from .errors import ProxateError, ValidationError
 from .estimators import (
     ESTIMATOR_NAMES,
@@ -264,8 +264,12 @@ def run_monte_carlo(
     are listed in ``MCReport.failures``. Once failures exceed
     ``MAX_FAILURE_FRACTION`` of the requested runs the study aborts
     rather than silently reporting on a biased subset. Coverage is
-    tracked for MR only, the one estimator with an interval.
+    tracked for MR only, the one estimator with an interval. The
+    arguments, ``generate``'s ``n`` and ``pi`` included, are checked once
+    before replication 0, so an invalid one never reads as failed
+    replications.
     """
+    check_draw(n, pi)
     if replications < 2:
         raise ValidationError("replications must be >= 2")
     if base_seed < 0:

@@ -32,6 +32,16 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+def check_clip_eps(clip_eps: float) -> None:
+    if not 0.0 < clip_eps < 0.5:
+        raise ValidationError("clip_eps must be in (0, 0.5)")
+
+
+def check_rate(rate: float) -> None:
+    if not 0.0 < rate < 1.0:
+        raise ValidationError("known assignment rate must be in (0, 1)")
+
+
 @dataclass(frozen=True)
 class PropensityModel(Record):
     basis: FittedBasis | None
@@ -41,8 +51,7 @@ class PropensityModel(Record):
     ridged: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.clip_eps < 0.5:
-            raise ValidationError("clip_eps must be in (0, 0.5)")
+        check_clip_eps(self.clip_eps)
         if (self.fixed_rate is None) == (self.basis is None):
             raise ValidationError("exactly one of fixed_rate or a fitted basis is required")
 
@@ -55,8 +64,7 @@ class PropensityModel(Record):
 
     @classmethod
     def known(cls, rate: float, clip_eps: float) -> "PropensityModel":
-        if not 0.0 < rate < 1.0:
-            raise ValidationError("known assignment rate must be in (0, 1)")
+        check_rate(rate)
         return cls(basis=None, coeffs=None, clip_eps=clip_eps, fixed_rate=rate)
 
 

@@ -53,8 +53,12 @@ def hc0_cov(design: np.ndarray, resid: np.ndarray) -> np.ndarray:
     return xtx_inv @ meat @ xtx_inv
 
 
-def seeded_generator(seed: int) -> np.random.Generator:
-    """A counter-based Philox stream: one seed pins every draw made from it."""
+def check_seed(seed: int) -> None:
     if seed < 0:
         raise ValidationError(f"seed must be a nonnegative integer, got {seed}")
+
+
+def seeded_generator(seed: int) -> np.random.Generator:
+    """A counter-based Philox stream: one seed pins every draw made from it."""
+    check_seed(seed)
     return np.random.Generator(np.random.Philox(seed))

@@ -187,3 +187,56 @@ def test_golden_baselines(small_data, confounded_cfg):
     assert report == {k: close(v) for k, v in GOLDEN_DIAGNOSE.items()}
     for p, ref in GOLDEN_QUANTILES:
         assert normal_quantile(p) == ref, p
+
+
+def _two_proxy_sample(seed, second_w=None):
+    # A second latent factor v drives the second proxy and instrument, so
+    # each proxy column has its own instrument.
+    sample = px.generate_full(px.confounded_config(), 3000, seed=seed)
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(sample.n)
+    w2 = v + rng.standard_normal(sample.n) if second_w is None else second_w(sample)
+    return px.FullyObservedSample.from_arrays(
+        y=sample.y + v, a=sample.a, s=sample.s, x=sample.x,
+        w=np.column_stack([sample.w, w2]),
+        z=np.column_stack([sample.z, v + rng.standard_normal(sample.n)]),
+    )
+
+
+def test_diagnose_two_proxy_columns_matches_per_column_reference():
+    sample = _two_proxy_sample(35)
+    rep = px.diagnose_surrogacy(sample)
+    n = sample.n
+    exog = [np.ones(n), sample.a, sample.s, sample.x]
+    fs_design = np.column_stack([exog[0], sample.z, *exog[1:]])
+    w_hat = np.column_stack([
+        fs_design @ np.linalg.lstsq(fs_design, sample.w[:, j], rcond=None)[0] for j in range(2)
+    ])
+    names = ("intercept", "a", "s1", "x1")
+    ols_fit = ols_hc0(np.column_stack(exog), sample.y, names)
+    iv_fit = ols_hc0(np.column_stack([*exog, w_hat]), sample.y, names + ("w_hat1", "w_hat2"))
+    reference = {"ols_coef_on_a": ols_fit.coef("a"), "ols_se": ols_fit.se("a"),
+                 "ols_p": ols_fit.p_value("a"), "iv_coef_on_a": iv_fit.coef("a"),
+                 "iv_se": iv_fit.se("a"), "iv_p": iv_fit.p_value("a")}
+    assert rep.to_dict() == {k: pytest.approx(v, rel=1e-9) for k, v in reference.items()}
+
+
+@pytest.mark.parametrize("seed", [36, 37, 38])
+def test_diagnose_exogenous_proxy_column_is_degenerate(seed):
+    # The second proxy is an exact linear function of (1, a, s, x): no
+    # instrument moves it, whatever rounding leaves in its residuals.
+    def exogenous(sample):
+        return 1.0 + 2.0 * sample.a - 0.5 * sample.s[:, 0] + 0.25 * sample.x[:, 0]
+
+    with pytest.raises(DegenerateInstrumentError):
+        px.diagnose_surrogacy(_two_proxy_sample(seed, exogenous))
+
+
+def test_surrogate_index_collinear_covariate_names_the_fit(small_data):
+    data, _ = small_data
+    twin = px.CombinedDataset.from_arrays(
+        y=data.y, w=data.w, z=data.z, s=data.s, a=data.a, x=data.s, is_e=data.is_e,
+    )
+    for include_proxies in (False, True):
+        with pytest.raises(NumericalError, match="surrogate-index.*fit"):
+            px.surrogate_index_estimate(twin, include_proxies=include_proxies)

@@ -379,6 +379,13 @@ _DGP = {"beta_a": [0.5], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
     ({"estimation": {"bases": {"psy": _PSI}}}, "estimation.bases"),
     ({"estimation": {"ridge_h": float("nan")}}, "estimation.ridge_h"),
     ({"dgp": {**_DGP, "beta_x": [[1.0], [1.0, 2.0]]}}, "dgp.beta_x"),
+    ({"estimation": {"ridge_h": -1}}, "estimation.ridge_h: "),
+    ({"estimation": {"ridge_q": -1}}, "estimation.ridge_q: "),
+    ({"estimation": {"alpha": 2}}, "estimation.alpha: "),
+    ({"estimation": {"clip_eps": 0.7}}, "estimation.clip_eps: "),
+    ({"estimation": {"known_propensity": 1.5}}, "estimation.known_propensity: "),
+    ({"estimation": {"seed": -3}}, "estimation.seed: "),
+    ({"estimation": {"k_folds": 1}}, "estimation.k_folds: "),
 ])
 def test_malformed_config_exit_1(tmp_path, data_csv, capsys, config, path):
     # A value of the wrong type is an error naming its key path, never a
@@ -425,6 +432,62 @@ def test_unwritable_output_path_exit_1(tmp_path, data_csv, capsys, argv):
         argv += ["--data", str(data_csv)]
     assert run(argv) == 1
     assert capsys.readouterr().err.startswith(f"error: cannot write {bad}: ")
+
+
+@pytest.mark.parametrize("estimation, message", [
+    ({"ridge_q": -1}, "error: estimation.ridge_q: ridge penalty must be >= 0"),
+    ({"k_folds": 1}, "error: estimation.k_folds: k_folds must be >= 2, got 1"),
+])
+def test_config_range_checked_before_data_read(tmp_path, capsys, estimation, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"estimation": estimation}))
+    missing = tmp_path / "missing.csv"
+    assert run(["estimate", "--config", str(cfg), "--data", str(missing)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "300", "--estimators", "si", "--out", "{bad}"],
+    ["gen-data", "--n", "100", "--seed", "1", "--out", "{ok}", "--oracle-out", "{bad}"],
+    ["estimate", "--data", "{ok}", "--out", "{ok}.json", "--dump-nuisances", "{bad}"],
+])
+def test_output_paths_checked_before_any_work(tmp_path, capsys, argv):
+    # An unwritable path fails the run before it computes or writes
+    # anything, and the check itself creates no file.
+    bad = tmp_path / "no-such-dir" / "out"
+    ok = tmp_path / "ok.csv"
+    argv = [a.format(bad=bad, ok=ok) for a in argv]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {bad}: [Errno 2] No such file or directory: '{bad}'\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--pi", "1.5"], "error: pi must be in (0, 1)"),
+    (["--n", "5"], "error: n must be >= 10"),
+])
+def test_simulate_draw_arguments_checked_once(monkeypatch, capsys, flag, message):
+    # An invalid draw argument is an error before replication 0, not a
+    # study of failed replications.
+    def never(*args):
+        raise AssertionError("generate called")
+
+    monkeypatch.setattr(px.harness, "generate", never)
+    assert run(["simulate", "--replications", "2", *flag]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def test_estimate_si_collinear_covariate_exit_2(tmp_path, small_data, capsys):
+    data, _ = small_data
+    twin = px.CombinedDataset.from_arrays(
+        y=data.y, w=data.w, z=data.z, s=data.s, a=data.a, x=data.s, is_e=data.is_e,
+    )
+    path = tmp_path / "twin.csv"
+    px.write_csv(twin, path, px.CsvSchema())
+    assert run(["estimate", "--data", str(path), "--estimator", "si"]) == 2
+    assert "surrogate-index" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
