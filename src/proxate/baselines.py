@@ -148,11 +148,19 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
     A sum of squares within rounding (at most machine epsilon times the
     column's own sum of squares) counts as 0, and RSS_f = 0 gives F_j = inf
     if RSS_r > 0, else 0. The smallest F_j below 1e-8 means some proxy
-    column is not instrumentable: ``DegenerateInstrumentError``.
+    column is not instrumentable: ``DegenerateInstrumentError``. So is a
+    sample with fewer instrument columns than proxy columns, checked
+    before any fit: the IV stage's w_hat columns would then be collinear
+    with (1, a, s, x).
     """
     n = sample.n
     dim_w = sample.w.shape[1]
     dim_z = sample.z.shape[1]
+    if dim_z < dim_w:
+        raise DegenerateInstrumentError(
+            f"IV stage: {dim_z} instrument column(s) z for {dim_w} proxy column(s) w; "
+            "the order condition needs at least as many instruments as proxies"
+        )
 
     ols_design = np.column_stack([np.ones(n), sample.a, sample.s, sample.x])
     ols_names = tuple(

@@ -10,9 +10,12 @@ this pattern.
 
 One reader and one writer hold the CSV format for both files: the
 combined file, with a g column of sample labels, and the unmasked
-experimental file, without one. Data rows are numbered from 1 after
-the header; parse errors, unknown labels and masking or finiteness
-violations name the first offending row by that number.
+experimental file, without one. The reader parses a file in one bulk
+``np.loadtxt`` pass and reads it again row by row only where the two
+could differ, which includes every file with a bad cell. Data rows are
+numbered from 1 after the header; parse errors, unknown labels and
+masking or finiteness violations name the first offending row by that
+number.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from .errors import (
 )
 
 MISSING_TOKEN = "NA"
+# Bytes per read when a file is checked for the bulk parse, and rows per
+# block when the writer formats columns. Small blocks keep the strings of
+# a block from leaving megabytes of freed heap behind in the process.
+_SCAN_BYTES = 1 << 20
+_BLOCK_ROWS = 512
 # Numeric roles in CSV column order; the g column follows "a".
 _ROLES = ("y", "a", "w", "z", "s", "x")
 
@@ -282,7 +290,12 @@ def _parse_cell(raw: str, row_idx: int, col: str) -> float:
 
 
 def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[str, np.ndarray]:
-    """Stream a CSV once into one array per role (plus ``is_e`` with g)."""
+    """Read a CSV into one array per role (plus ``is_e`` with g).
+
+    One ``np.loadtxt`` pass parses the data rows. Where its result could
+    differ from the row-wise reader's, the row-wise reader reads the rows
+    again, so each error names its first offending row as before.
+    """
     path = Path(path)
     try:
         fh = path.open(newline="")
@@ -295,61 +308,171 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
         except StopIteration:
             raise ValidationError(f"{path}: empty file")
         cols = _resolve_columns(schema, header, with_g=with_g)
-        # Cells are parsed in role order, so the first bad cell of a row
-        # is the one reported.
-        numeric = [(header.index(c), c) for role in _ROLES for c in cols[role]]
-        g_pos = header.index(schema.g) if with_g else None
-        values, is_e = array("d"), bytearray()
-        for row_idx, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
-            if with_g:
-                label = row[g_pos].strip()
-                if label not in (schema.e_label, schema.o_label):
-                    raise SchemaViolationError(
-                        f"row {row_idx}: sample label {label!r} is neither "
-                        f"{schema.e_label!r} nor {schema.o_label!r}"
-                    )
-                is_e.append(label == schema.e_label)
-            values.extend([_parse_cell(row[i], row_idx, c) for i, c in numeric])
-    if not values:
+        table = _parse_bulk(fh, path, header, cols, schema, with_g=with_g)
+        if table is None:
+            fh.seek(0)
+            reader = csv.reader(fh)
+            next(reader)
+            table = _parse_rows(reader, header, cols, schema, with_g=with_g)
+    if not len(table):
         raise ValidationError(f"{path}: no data rows")
-    table = np.frombuffer(values, dtype=float).reshape(-1, len(numeric))
-    out, lo = {}, 0
-    for role in _ROLES:
-        hi = lo + len(cols[role])
-        out[role] = np.ascontiguousarray(table[:, lo:hi])
-        lo = hi
+    out = {
+        role: np.ascontiguousarray(table[:, [header.index(c) for c in cols[role]]])
+        for role in _ROLES
+    }
     if with_g:
-        out["is_e"] = np.frombuffer(is_e, dtype=bool)
+        out["is_e"] = table[:, header.index(schema.g)] == 1.0
     return out
 
 
+def _parse_bulk(fh, path: Path, header: list[str], cols: dict[str, list[str]],
+                schema: CsvSchema, *, with_g: bool) -> np.ndarray | None:
+    """Parse the data rows after the header in one ``np.loadtxt`` pass.
+
+    Returns a table shaped like the file, as ``_parse_rows`` would, or
+    None wherever the two could differ: a file ``_plain_lines`` rejects,
+    a cell ``np.loadtxt`` or a converter rejects, a row count or width
+    other than the file's, or a non-finite value in a column that may not
+    hold NA. Python's ``float`` accepts forms that ``np.loadtxt`` rejects,
+    such as ``1_0`` in a column without NA or a padded ``" NA "``; such a
+    file is read row by row, correctly but slowly.
+    """
+    labels = {schema.e_label: 1.0, schema.o_label: 0.0} if with_g else {}
+    if any(label != label.strip() for label in labels):
+        return None  # the row reader strips cells, so such a label never matches
+    n_rows = _plain_lines(path) - 1  # less the header
+    if n_rows < 1:  # not plain, or no data rows
+        return None
+    masked = ("y", "a", "z") if with_g else ()
+    role_of = {header.index(c): role for role in _ROLES for c in cols[role]}
+    converters = {i: _unclaimed for i in range(len(header)) if i not in role_of}
+    converters.update({i: _masked_cell for i, role in role_of.items() if role in masked})
+    if with_g:
+        converters[header.index(schema.g)] = labels.__getitem__
+    try:
+        table = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, quotechar=None,
+                           converters=converters, ndmin=2, encoding=None)
+    except ValueError:  # numpy wraps converter errors in ValueError too
+        return None
+    strict = [i for i, role in role_of.items() if role not in masked]
+    if table.shape != (n_rows, len(header)) or not all(
+        np.isfinite(table[:, i]).all() for i in strict
+    ):
+        return None
+    return table
+
+
+def _masked_cell(cell: str) -> float:
+    """Converter for a column that may hold NA: NA or empty is NaN, else a finite float."""
+    if cell == MISSING_TOKEN or cell == "":
+        return math.nan
+    value = float(cell)
+    if value - value != 0.0:  # inf or nan
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+def _unclaimed(cell: str) -> float:
+    """Converter for a column no role claims: its content is never read."""
+    return 0.0
+
+
+def _plain_lines(path: Path) -> int:
+    """Lines of ``path`` if ``np.loadtxt`` splits it as ``csv.reader`` does, else 0.
+
+    That holds when no quote or NUL occurs, every carriage return starts
+    a CRLF and no line is blank (``np.loadtxt`` skips blank lines, the row
+    reader rejects them). Each block is searched with the two bytes before
+    it, so a CRLF or blank line split across blocks is still seen.
+    """
+    lines = cr = crlf = 0
+    tail = b"\n"  # as if after a line end, so a blank first line reads "\n\n"
+    try:
+        with path.open("rb") as fh:
+            while block := fh.read(_SCAN_BYTES):
+                window = tail + block
+                if (b'"' in block or b"\0" in block
+                        or b"\n\n" in window or b"\n\r\n" in window):
+                    return 0
+                lines += block.count(b"\n")
+                cr += block.count(b"\r")
+                crlf += window.count(b"\r\n") - tail.count(b"\r\n")
+                tail = window[-2:]
+    except OSError:
+        return 0
+    if cr != crlf:
+        return 0
+    return lines + (tail[-1:] != b"\n")  # a last line without a line end counts too
+
+
+def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: CsvSchema,
+                *, with_g: bool) -> np.ndarray:
+    """Parse the data rows one by one; raise on the first bad row.
+
+    Returns a table shaped like the file: claimed cells parsed, g as 1.0
+    for E and 0.0 for O, unclaimed cells 0.0.
+    """
+    # Cells are parsed in role order, so the first bad cell of a row is
+    # the one reported.
+    numeric = [(header.index(c), c) for role in _ROLES for c in cols[role]]
+    g_pos = header.index(schema.g) if with_g else None
+    values = array("d")
+    for row_idx, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
+        cells = [0.0] * len(header)
+        if with_g:
+            label = row[g_pos].strip()
+            if label not in (schema.e_label, schema.o_label):
+                raise SchemaViolationError(
+                    f"row {row_idx}: sample label {label!r} is neither "
+                    f"{schema.e_label!r} nor {schema.o_label!r}"
+                )
+            cells[g_pos] = float(label == schema.e_label)
+        for i, c in numeric:
+            cells[i] = _parse_cell(row[i], row_idx, c)
+        values.extend(cells)
+    return np.frombuffer(values, dtype=float).reshape(-1, len(header))
+
+
 def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> None:
-    """Write the six roles of ``data`` (and its g labels) as one CSV."""
+    """Write the six roles of ``data`` (and its g labels) as one CSV.
+
+    Cells are formatted a block of rows at a time, so no column is ever
+    held as a whole list of strings.
+    """
     header, columns = [], []
     for role in _ROLES:
         arr = getattr(data, role)
         if arr.ndim == 1:
             header.append(getattr(schema, role))
-            columns.append(map(_fmt, arr))
+            columns.append(arr)
         else:
             header += _column_names(getattr(schema, role), arr.shape[1])
-            columns += [map(_fmt, arr[:, j]) for j in range(arr.shape[1])]
+            columns += list(arr.T)
         if role == "a" and with_g:
             header.append(schema.g)
-            columns.append(schema.e_label if e else schema.o_label for e in data.is_e)
+            columns.append(data.is_e)
+    labels = (schema.o_label, schema.e_label)
     try:
         with Path(path).open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            writer.writerows(zip(*columns))
+            for lo in range(0, data.n, _BLOCK_ROWS):
+                block = [_cells(col[lo:lo + _BLOCK_ROWS], labels) for col in columns]
+                writer.writerows(zip(*block))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value)) if math.isfinite(value) else MISSING_TOKEN
+def _cells(col: np.ndarray, labels: tuple[str, str]) -> list[str]:
+    """Format a block of one column: g as its labels, numbers as ``repr``, NA if not finite."""
+    if col.dtype == bool:
+        return [labels[e] for e in col.tolist()]
+    cells = list(map(repr, col.tolist()))
+    for i in np.flatnonzero(~np.isfinite(col)).tolist():
+        cells[i] = MISSING_TOKEN
+    return cells
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> CombinedDataset:

@@ -232,6 +232,20 @@ def test_diagnose_exogenous_proxy_column_is_degenerate(seed):
         px.diagnose_surrogacy(_two_proxy_sample(seed, exogenous))
 
 
+def test_diagnose_fewer_instruments_than_proxies_names_the_iv_stage():
+    # dim_z = 1 < dim_w = 2: each column's F test passes, but the IV stage
+    # cannot identify two proxy coefficients from one instrument.
+    two = _two_proxy_sample(39)
+    short = px.FullyObservedSample.from_arrays(
+        y=two.y, a=two.a, s=two.s, x=two.x, w=two.w, z=two.z[:, :1],
+    )
+    with pytest.raises(DegenerateInstrumentError) as err:
+        px.diagnose_surrogacy(short)
+    assert str(err.value).startswith(
+        "IV stage: 1 instrument column(s) z for 2 proxy column(s) w"
+    )
+
+
 def test_surrogate_index_collinear_covariate_names_the_fit(small_data):
     data, _ = small_data
     twin = px.CombinedDataset.from_arrays(

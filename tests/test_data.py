@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import proxate as px
+from proxate import data as codec
 from proxate.errors import (
     ParseError,
     RoleUnavailableError,
@@ -131,6 +135,150 @@ def test_violation_names_first_offending_row(tmp_path, load, text, error, messag
     with pytest.raises(error) as err:
         load(_write(tmp_path, text), SCHEMA)
     assert type(err.value) is error and str(err.value) == message
+
+
+def _with_note(text, notes=("k1", "k2", "k3", "k4")):
+    """Append a ``note`` column, which no role claims, to a four-row file."""
+    lines = text.splitlines()
+    return "\n".join([lines[0] + ",note"] + [f"{ln},{n}" for ln, n in zip(lines[1:], notes)]) + "\n"
+
+
+def _edit_row(text, row, edit):
+    """Apply ``edit`` to data row ``row`` (1-based) of ``text``."""
+    lines = text.splitlines(keepends=True)
+    lines[row] = edit(lines[row])
+    return "".join(lines)
+
+
+def _non_finite_cases():
+    for v in ("nan", "inf", "1e400"):
+        yield pytest.param(px.load_csv, MINIMAL.replace("3.0,NA,O", f"{v},NA,O"), SCHEMA,
+                           (ParseError, f"row 3: column 'y': non-finite value '{v}'"),
+                           id=f"{v}_in_na_column")
+        yield pytest.param(px.load_csv, MINIMAL.replace("0.3,0.9", f"{v},0.9"), SCHEMA,
+                           (ParseError, f"row 3: column 'w1': non-finite value '{v}'"),
+                           id=f"{v}_in_strict_column")
+        yield pytest.param(px.load_unmasked_csv, UNMASKED.replace("3.0,1,", f"{v},1,"), SCHEMA,
+                           (ParseError, f"row 3: column 'y': non-finite value '{v}'"),
+                           id=f"{v}_in_unmasked_column")
+
+
+# Edge cases of the CSV format, with the outcome the row-wise reader has
+# always given (None: the file loads). The bulk parse must give the same.
+EDGE_CASES = [
+    *_non_finite_cases(),
+    pytest.param(px.load_csv, MINIMAL.replace("NA,0,E", "nan,0,E"), SCHEMA,
+                 (ParseError, "row 2: column 'y': non-finite value 'nan'"), id="nan_in_masked_cell"),
+    pytest.param(px.load_csv, _edit_row(MINIMAL, 2, lambda ln: ln + "\n"), SCHEMA,
+                 (ParseError, "row 3: expected 8 cells, got 0"), id="blank_line"),
+    pytest.param(px.load_unmasked_csv, _edit_row(UNMASKED, 2, lambda ln: ln + "\n"), SCHEMA,
+                 (ParseError, "row 3: expected 7 cells, got 0"), id="blank_line_unmasked"),
+    pytest.param(px.load_csv, _edit_row(MINIMAL, 2, lambda ln: ln + "\n").replace("\n", "\r\n"),
+                 SCHEMA, (ParseError, "row 3: expected 8 cells, got 0"), id="blank_crlf_line"),
+    pytest.param(px.load_csv, _edit_row(MINIMAL, 2, lambda ln: ln + "   \n"), SCHEMA,
+                 (ParseError, "row 3: expected 8 cells, got 1"), id="spaces_line"),
+    pytest.param(px.load_csv, _edit_row(_with_note(MINIMAL), 3, lambda ln: ln.replace(",k3", "")),
+                 SCHEMA, (ParseError, "row 3: expected 9 cells, got 8"), id="short_row_unclaimed"),
+    pytest.param(px.load_csv, _edit_row(_with_note(MINIMAL), 3, lambda ln: ln.replace("k3", "k3,9")),
+                 SCHEMA, (ParseError, "row 3: expected 9 cells, got 10"), id="long_row_unclaimed"),
+    pytest.param(px.load_unmasked_csv,
+                 _edit_row(_with_note(UNMASKED), 3, lambda ln: ln.replace(",k3", "")), SCHEMA,
+                 (ParseError, "row 3: expected 8 cells, got 7"), id="short_row_unclaimed_unmasked"),
+    pytest.param(px.load_csv, MINIMAL.replace("\n", ",9\n").replace("x1,9", "x1"), SCHEMA,
+                 (ParseError, "row 1: expected 8 cells, got 9"), id="every_row_long"),
+    pytest.param(px.load_csv, MINIMAL.replace("3.0,NA,O", '"3.0",NA,O'), SCHEMA, None,
+                 id="quoted_cell"),
+    pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", '"a,b"', "k3", "k4")), SCHEMA, None,
+                 id="quoted_unclaimed_comma"),
+    pytest.param(px.load_csv, MINIMAL.replace("\n", ',"a,b"\n').replace('x1,"a,b"', "x1,n1,n2"),
+                 SCHEMA, (ParseError, "row 1: expected 10 cells, got 9"),
+                 id="quoted_comma_on_every_row"),
+    pytest.param(px.load_csv, _with_note(MINIMAL, ("nan", "", "x", "1e400")), SCHEMA, None,
+                 id="unclaimed_anything"),
+    pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", "k\0", "k3", "k4")), SCHEMA, None,
+                 id="nul_in_unclaimed"),
+    pytest.param(px.load_csv, MINIMAL.replace(",E,", ", E ,"), SCHEMA, None, id="padded_labels"),
+    pytest.param(px.load_csv, MINIMAL.replace(",E,", ", E,"),
+                 px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",), e_label=" E"),
+                 (SchemaViolationError, "row 1: sample label 'E' is neither ' E' nor 'O'"),
+                 id="padded_label_in_schema"),
+    pytest.param(px.load_csv, MINIMAL.replace("NA,1,E", "Q,1,Q"), SCHEMA,
+                 (SchemaViolationError, "row 1: sample label 'Q' is neither 'E' nor 'O'"),
+                 id="unknown_label"),
+    pytest.param(px.load_csv, MINIMAL.replace("NA,1,E", " NA ,1,E"), SCHEMA, None, id="padded_na"),
+    pytest.param(px.load_csv, MINIMAL.replace("0.3,0.9", " 0.3 ,0.9"), SCHEMA, None,
+                 id="padded_number"),
+    pytest.param(px.load_csv, MINIMAL.replace("\n", "\r"), SCHEMA, None, id="lone_cr"),
+    pytest.param(px.load_csv, MINIMAL.replace("\n", "\r", 2), SCHEMA, None, id="one_lone_cr"),
+    pytest.param(px.load_unmasked_csv, UNMASKED.replace("\n", "\r"), SCHEMA, None,
+                 id="lone_cr_unmasked"),
+    pytest.param(px.load_csv, MINIMAL.rstrip("\n"), SCHEMA, None, id="no_final_line_end"),
+    pytest.param(px.load_csv, MINIMAL.replace("NA,0,E", "#NA,0,E"), SCHEMA,
+                 (ParseError, "row 2: column 'y': cannot parse '#NA' as a number"), id="hash_row"),
+    pytest.param(px.load_unmasked_csv, UNMASKED.replace("2.0,0,", "#2.0,0,"), SCHEMA,
+                 (ParseError, "row 2: column 'y': cannot parse '#2.0' as a number"),
+                 id="hash_row_unmasked"),
+    pytest.param(px.load_csv, MINIMAL.replace("3.0,NA,O", "1_0,NA,O"), SCHEMA, None,
+                 id="underscore_in_na_column"),
+    pytest.param(px.load_csv, MINIMAL.replace("0.3,0.9", "1_0,0.9"), SCHEMA, None,
+                 id="underscore_in_strict_column"),
+    pytest.param(px.load_csv,
+                 MINIMAL.replace("NA,1,E,0.1,NA", ",1,E,0.1,").replace("3.0,NA,O", "3.0,,O"),
+                 SCHEMA, None, id="empty_y_a_z"),
+    pytest.param(px.load_csv, MINIMAL.replace("3.0,NA,O", ",NA,O"), SCHEMA,
+                 (SchemaViolationError, "row 3: y missing on an O row"), id="empty_y_on_o_row"),
+    pytest.param(px.load_csv, MINIMAL.replace("0.3,0.9", ",0.9"), SCHEMA,
+                 (SchemaViolationError, "row 3: w must be present and finite on every row"),
+                 id="empty_strict_cell"),
+]
+
+
+def _outcome(load, path, schema):
+    """What a load gives: the error's class, message and row, or the arrays' bytes."""
+    try:
+        loaded = load(path, schema)
+    except ValidationError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+    return {name: (arr.shape, arr.tobytes()) for name, arr in vars(loaded).items()}
+
+
+@pytest.mark.parametrize("load,text,schema,expected", EDGE_CASES)
+def test_bulk_parse_agrees_with_row_reader(tmp_path, monkeypatch, load, text, schema, expected):
+    path = _write(tmp_path, text)
+    bulk = _outcome(load, path, schema)
+    monkeypatch.setattr(codec, "_parse_bulk", lambda *args, **kwargs: None)
+    assert bulk == _outcome(load, path, schema)
+    if expected is None:
+        assert isinstance(bulk, dict)
+    else:
+        assert bulk[:2] == expected
+
+
+def test_bulk_parse_reads_crlf_split_across_blocks(tmp_path, monkeypatch, confounded_cfg):
+    # write_csv ends lines in CRLF. Each file over 1 MiB is read with the
+    # default block size, then with one that ends the first block between
+    # a CR and its LF.
+    data, _ = px.generate(confounded_cfg, 15_000, 0.5, seed=41)
+    full = px.generate_full(confounded_cfg, 15_000, seed=41)
+    masked, unmasked = tmp_path / "masked.csv", tmp_path / "unmasked.csv"
+    px.write_csv(data, masked, px.CsvSchema())
+    px.write_unmasked_csv(full, unmasked, px.CsvSchema())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the row-wise reader ran on a file the bulk parse must read")
+
+    monkeypatch.setattr(codec, "_parse_rows", refuse)
+    default = codec._SCAN_BYTES
+    for path, load, want in ((masked, px.load_csv, data), (unmasked, px.load_unmasked_csv, full)):
+        raw = path.read_bytes()
+        cut = raw.index(b"\r", 1 << 20) + 1
+        assert raw[cut:cut + 1] == b"\n"
+        for block_bytes in (default, cut):
+            monkeypatch.setattr(codec, "_SCAN_BYTES", block_bytes)
+            back = load(path, px.CsvSchema())
+            for name, arr in vars(want).items():
+                got = getattr(back, name)
+                assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
 
 
 def test_unknown_sample_label_rejected(tmp_path):
@@ -269,6 +417,43 @@ def test_round_trip_random(tmp_path_factory, n_e, n_o, seed):
     back_full = px.load_unmasked_csv(path, SCHEMA)
     for name in ("y", "a", "w", "z", "s", "x"):
         np.testing.assert_array_equal(getattr(back_full, name), getattr(full, name))
+
+
+def _reference_bytes(columns, header) -> bytes:
+    """The file formatted one cell at a time: repr of each finite number, NA otherwise."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in zip(*columns):
+        writer.writerow([v if isinstance(v, str) else repr(v) if math.isfinite(v) else "NA"
+                         for v in row])
+    return buf.getvalue().encode()
+
+
+def _columns(sample, labels=()) -> list[list]:
+    """The file's columns in writer order: y, a, [g,] w..., z..., s..., x..."""
+    cols = [sample.y.tolist(), sample.a.tolist()] + ([labels] if labels else [])
+    for role in "wzsx":
+        cols += getattr(sample, role).T.tolist()
+    return cols
+
+
+def test_writers_across_block_boundaries(tmp_path, confounded_cfg):
+    n = 2 * codec._BLOCK_ROWS + 1
+    data, _ = px.generate(confounded_cfg, n, 0.5, seed=42)
+    full = px.generate_full(confounded_cfg, n, seed=42)
+    schema = px.CsvSchema()
+    px.write_csv(data, tmp_path / "masked.csv", schema)
+    px.write_unmasked_csv(full, tmp_path / "unmasked.csv", schema)
+    labels = ["E" if e else "O" for e in data.is_e.tolist()]
+    for name, load, want, cols in (("masked", px.load_csv, data, _columns(data, labels)),
+                                   ("unmasked", px.load_unmasked_csv, full, _columns(full))):
+        raw = (tmp_path / f"{name}.csv").read_bytes()
+        header = raw.split(b"\r\n", 1)[0].decode().split(",")
+        assert raw == _reference_bytes(cols, header), name
+        back = load(tmp_path / f"{name}.csv", schema)
+        for role, arr in vars(want).items():
+            assert getattr(back, role).tobytes() == arr.tobytes(), (name, role)
 
 
 # sha256 of both files for fixed draws. Round trips compare values only;
