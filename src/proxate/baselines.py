@@ -14,8 +14,8 @@ Three comparators frame the proximal estimators:
     treatment coefficient that is significant under OLS but not under
     IV points at latent confounding that the proxies absorb.
 
-All standard errors are heteroskedasticity-consistent (HC0) and
-p-values use the normal reference.
+All standard errors are heteroskedasticity-consistent (HC0), the IV
+ones in their 2SLS form, and p-values use the normal reference.
 """
 
 from __future__ import annotations
@@ -140,6 +140,8 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
     (1, a, s, x, w_hat); with the instrumented proxy soaking up the
     latent confounder, the treatment coefficient should collapse when
     confounding (and not a direct effect) drove the OLS significance.
+    Its standard errors are the 2SLS sandwich: the HC0 bread from
+    (1, a, s, x, w_hat), the residuals from y - (1, a, s, x, w) b.
 
     The first stage is fitted once for all proxy columns. Column j's
     instrument strength is F_j = (RSS_r - RSS_f) / dim_z / (RSS_f / dof)
@@ -186,14 +188,14 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
             f"first-stage F statistic on the instrument block is {f_min:.3e}"
         )
 
-    iv_design = np.column_stack([np.ones(n), sample.a, sample.s, sample.x, w_hat])
-    iv_names = tuple(
-        ["intercept", "a"]
-        + _names("s", sample.s.shape[1])
-        + _names("x", sample.x.shape[1])
-        + _names("w_hat", dim_w)
+    iv_design = np.column_stack([ols_design, w_hat])
+    iv_coef = ols(iv_design, sample.y)
+    # 2SLS residuals: the fitted coefficients applied to w itself, not w_hat.
+    resid = sample.y - np.column_stack([ols_design, sample.w]) @ iv_coef
+    iv_fit = RegressionFit(
+        coeffs=iv_coef, robust_se=np.sqrt(np.diag(hc0_cov(iv_design, resid))),
+        names=ols_names + tuple(_names("w_hat", dim_w)),
     )
-    iv_fit = ols_hc0(iv_design, sample.y, iv_names)
 
     return DiagnosticReport(
         ols_coef_on_a=ols_fit.coef("a"),

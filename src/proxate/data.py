@@ -10,18 +10,19 @@ this pattern.
 
 One reader and one writer hold the CSV format for both files: the
 combined file, with a g column of sample labels, and the unmasked
-experimental file, without one. The reader parses a file in one bulk
-``np.loadtxt`` pass and reads it again row by row only where the two
-could differ, which includes every file with a bad cell. Data rows are
-numbered from 1 after the header; parse errors, unknown labels and
-masking or finiteness violations name the first offending row by that
-number.
+experimental file, without one. The reader opens a file once and parses
+its data lines in one bulk ``np.loadtxt`` pass; only where the two could
+differ, which includes every file with a bad cell, does it read the file
+again row by row. Data rows are numbered from 1 after the header; parse
+errors, unknown labels and masking or finiteness violations name the
+first offending row by that number.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,10 +38,8 @@ from .errors import (
 )
 
 MISSING_TOKEN = "NA"
-# Bytes per read when a file is checked for the bulk parse, and rows per
-# block when the writer formats columns. Small blocks keep the strings of
-# a block from leaving megabytes of freed heap behind in the process.
-_SCAN_BYTES = 1 << 20
+# Rows per block when the writer formats columns. Small blocks keep the
+# strings of a block from leaving megabytes of freed heap behind.
 _BLOCK_ROWS = 512
 # Numeric roles in CSV column order; the g column follows "a".
 _ROLES = ("y", "a", "w", "z", "s", "x")
@@ -88,6 +87,14 @@ class CombinedDataset:
             arr.setflags(write=False)
         return ds
 
+    @classmethod
+    def masked(cls, y, w, z, s, a, x, is_e) -> "CombinedDataset":
+        """A dataset from fully observed columns: y and z masked on E rows, a on O rows."""
+        return cls.from_arrays(
+            y=np.where(is_e, np.nan, y), w=w, z=np.where(is_e[:, None], np.nan, z), s=s,
+            a=np.where(is_e, a, np.nan), x=x, is_e=is_e,
+        )
+
     def _validate(self) -> None:
         if self.n_e < 1 or self.n_o < 1:
             raise ValidationError(
@@ -123,6 +130,8 @@ _SAMPLE_ROLES = {
     "E": ("w", "s", "x", "a"),
     "O": ("w", "s", "x", "z", "y"),
 }
+# Roles that one sample masks; in a combined file their cells may be NA.
+_MASKED_ROLES = tuple(r for r in _ROLES if not all(r in obs for obs in _SAMPLE_ROLES.values()))
 
 
 @dataclass(frozen=True)
@@ -294,7 +303,7 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
 
     One ``np.loadtxt`` pass parses the data rows. Where its result could
     differ from the row-wise reader's, the row-wise reader reads the rows
-    again, so each error names its first offending row as before.
+    again from the header, so each error names its first offending row.
     """
     path = Path(path)
     try:
@@ -307,8 +316,10 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file")
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: header: {exc}")
         cols = _resolve_columns(schema, header, with_g=with_g)
-        table = _parse_bulk(fh, path, header, cols, schema, with_g=with_g)
+        table = _parse_bulk(fh, header, cols, schema, with_g=with_g)
         if table is None:
             fh.seek(0)
             reader = csv.reader(fh)
@@ -325,37 +336,53 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     return out
 
 
-def _parse_bulk(fh, path: Path, header: list[str], cols: dict[str, list[str]],
-                schema: CsvSchema, *, with_g: bool) -> np.ndarray | None:
-    """Parse the data rows after the header in one ``np.loadtxt`` pass.
+def _parse_bulk(fh, header: list[str], cols: dict[str, list[str]], schema: CsvSchema,
+                *, with_g: bool) -> np.ndarray | None:
+    """Parse the data lines left in ``fh`` in one ``np.loadtxt`` pass.
 
-    Returns a table shaped like the file, as ``_parse_rows`` would, or
-    None wherever the two could differ: a file ``_plain_lines`` rejects,
-    a cell ``np.loadtxt`` or a converter rejects, a row count or width
-    other than the file's, or a non-finite value in a column that may not
-    hold NA. Python's ``float`` accepts forms that ``np.loadtxt`` rejects,
-    such as ``1_0`` in a column without NA or a padded ``" NA "``; such a
-    file is read row by row, correctly but slowly.
+    ``fh``, opened with ``newline=""``, splits lines at CR, LF and CRLF,
+    as ``csv.reader`` does. A filter counts the lines and stops at the
+    first one the two readers could split differently: a bare line end
+    (``np.loadtxt`` skips it, the row reader rejects it), a quote, a NUL
+    or more than ``csv.field_size_limit()`` characters. Returns a table
+    shaped like the file, as ``_parse_rows`` would, or None wherever the
+    two could differ: a stopped line, no data line, a cell ``np.loadtxt``
+    or a converter rejects, a shape other than (lines, header width), or
+    a non-finite value in a column that may not hold NA. Python's
+    ``float`` accepts forms that ``np.loadtxt`` rejects, such as ``1_0``
+    in a column without NA or a padded ``" NA "``; such a file is read
+    row by row, correctly but slowly.
     """
     labels = {schema.e_label: 1.0, schema.o_label: 0.0} if with_g else {}
     if any(label != label.strip() for label in labels):
         return None  # the row reader strips cells, so such a label never matches
-    n_rows = _plain_lines(path) - 1  # less the header
-    if n_rows < 1:  # not plain, or no data rows
-        return None
-    masked = ("y", "a", "z") if with_g else ()
+    masked = _MASKED_ROLES if with_g else ()
     role_of = {header.index(c): role for role in _ROLES for c in cols[role]}
     converters = {i: _unclaimed for i in range(len(header)) if i not in role_of}
     converters.update({i: _masked_cell for i, role in role_of.items() if role in masked})
     if with_g:
         converters[header.index(schema.g)] = labels.__getitem__
+    limit = csv.field_size_limit()
+    n_lines = 0
+
+    def plain_lines():
+        nonlocal n_lines
+        for line in fh:
+            if line in ("\n", "\r\n", "\r") or '"' in line or "\0" in line or len(line) > limit:
+                n_lines = -1  # stopped: no table can match
+                return
+            n_lines += 1
+            yield line
+
     try:
-        table = np.loadtxt(fh, dtype=float, delimiter=",", comments=None, quotechar=None,
-                           converters=converters, ndmin=2, encoding=None)
+        with warnings.catch_warnings():  # no data lines: the count below decides
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(plain_lines(), dtype=float, delimiter=",", comments=None,
+                               quotechar=None, converters=converters, ndmin=2, encoding=None)
     except ValueError:  # numpy wraps converter errors in ValueError too
         return None
     strict = [i for i, role in role_of.items() if role not in masked]
-    if table.shape != (n_rows, len(header)) or not all(
+    if n_lines < 1 or table.shape != (n_lines, len(header)) or not all(
         np.isfinite(table[:, i]).all() for i in strict
     ):
         return None
@@ -377,34 +404,6 @@ def _unclaimed(cell: str) -> float:
     return 0.0
 
 
-def _plain_lines(path: Path) -> int:
-    """Lines of ``path`` if ``np.loadtxt`` splits it as ``csv.reader`` does, else 0.
-
-    That holds when no quote or NUL occurs, every carriage return starts
-    a CRLF and no line is blank (``np.loadtxt`` skips blank lines, the row
-    reader rejects them). Each block is searched with the two bytes before
-    it, so a CRLF or blank line split across blocks is still seen.
-    """
-    lines = cr = crlf = 0
-    tail = b"\n"  # as if after a line end, so a blank first line reads "\n\n"
-    try:
-        with path.open("rb") as fh:
-            while block := fh.read(_SCAN_BYTES):
-                window = tail + block
-                if (b'"' in block or b"\0" in block
-                        or b"\n\n" in window or b"\n\r\n" in window):
-                    return 0
-                lines += block.count(b"\n")
-                cr += block.count(b"\r")
-                crlf += window.count(b"\r\n") - tail.count(b"\r\n")
-                tail = window[-2:]
-    except OSError:
-        return 0
-    if cr != crlf:
-        return 0
-    return lines + (tail[-1:] != b"\n")  # a last line without a line end counts too
-
-
 def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: CsvSchema,
                 *, with_g: bool) -> np.ndarray:
     """Parse the data rows one by one; raise on the first bad row.
@@ -417,21 +416,25 @@ def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: C
     numeric = [(header.index(c), c) for role in _ROLES for c in cols[role]]
     g_pos = header.index(schema.g) if with_g else None
     values = array("d")
-    for row_idx, row in enumerate(reader, start=1):
-        if len(row) != len(header):
-            raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
-        cells = [0.0] * len(header)
-        if with_g:
-            label = row[g_pos].strip()
-            if label not in (schema.e_label, schema.o_label):
-                raise SchemaViolationError(
-                    f"row {row_idx}: sample label {label!r} is neither "
-                    f"{schema.e_label!r} nor {schema.o_label!r}"
-                )
-            cells[g_pos] = float(label == schema.e_label)
-        for i, c in numeric:
-            cells[i] = _parse_cell(row[i], row_idx, c)
-        values.extend(cells)
+    row_idx = 0
+    try:
+        for row_idx, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
+            cells = [0.0] * len(header)
+            if with_g:
+                label = row[g_pos].strip()
+                if label not in (schema.e_label, schema.o_label):
+                    raise SchemaViolationError(
+                        f"row {row_idx}: sample label {label!r} is neither "
+                        f"{schema.e_label!r} nor {schema.o_label!r}"
+                    )
+                cells[g_pos] = float(label == schema.e_label)
+            for i, c in numeric:
+                cells[i] = _parse_cell(row[i], row_idx, c)
+            values.extend(cells)
+    except csv.Error as exc:  # raised while reading the row after row_idx
+        raise ParseError(row_idx + 1, str(exc))
     return np.frombuffer(values, dtype=float).reshape(-1, len(header))
 
 

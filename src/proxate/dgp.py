@@ -161,12 +161,8 @@ def generate(cfg: DGPConfig, n: int, pi: float, seed: int) -> tuple[CombinedData
     u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n, rng)
     a = np.where(is_e, a_e, a_o)
     s, y, w, z = _outcomes(cfg, u, x, a, eps_s, eps_y, eps_w, eps_z)
-
-    y = np.where(is_e, np.nan, y)
-    z = np.where(is_e[:, None], np.nan, z)
-    a = np.where(is_e, a, np.nan)
-    data = CombinedDataset.from_arrays(y=y, w=w, z=z, s=s, a=a, x=x, is_e=is_e)
-    return data, oracle_for(cfg)
+    del u, a_e, a_o, eps_s, eps_y, eps_w, eps_z  # free the draws before masking copies y, z, a
+    return CombinedDataset.masked(y=y, w=w, z=z, s=s, a=a, x=x, is_e=is_e), oracle_for(cfg)
 
 
 def generate_full(cfg: DGPConfig, n: int, seed: int) -> FullyObservedSample:

@@ -91,11 +91,8 @@ def split_and_mask(source: FullyObservedSample, e_fraction: float, seed: int) ->
         raise ValidationError(
             f"masking split produced an empty stratum (n_e={n_e} of {source.n})"
         )
-    y = np.where(is_e, np.nan, source.y)
-    z = np.where(is_e[:, None], np.nan, source.z)
-    a = np.where(is_e, source.a, np.nan)
-    return CombinedDataset.from_arrays(
-        y=y, w=source.w, z=z, s=source.s, a=a, x=source.x, is_e=is_e
+    return CombinedDataset.masked(
+        y=source.y, w=source.w, z=source.z, s=source.s, a=source.a, x=source.x, is_e=is_e
     )
 
 

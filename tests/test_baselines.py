@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -156,14 +157,15 @@ def test_degenerate_instrument(confounded_cfg):
 
 
 # Baseline figures frozen from the hand-written AS 241 quantile and the
-# per-column first-stage fits they replaced (Python 3.11, numpy 2.4).
+# per-column first-stage fits they replaced (Python 3.11, numpy 2.4);
+# iv_se and iv_p refrozen when the IV stage moved to the 2SLS sandwich.
 GOLDEN_SI = {"SI": 1.0370616097637748, "SI-PROX": 0.9717061864390251}
 GOLDEN_RCT_COEFFS = [0.04120161778588769, 0.7599280776545179, 1.4765172940252378]
 GOLDEN_RCT_SE = [0.08091097832617096, 0.1177252914779027, 0.05846075862128348]
 GOLDEN_DIAGNOSE = {
     "ols_coef_on_a": -0.3472058201402428, "ols_se": 0.039004751065018974,
     "ols_p": 5.503299053854459e-19, "iv_coef_on_a": 0.013110411455444448,
-    "iv_se": 0.03986560212215842, "iv_p": 0.7422575364417863,
+    "iv_se": 0.05151921602894596, "iv_p": 0.7991277316496178,
 }
 GOLDEN_QUANTILES = [
     (0.75, 0.6744897501960817), (0.975, 1.9599639845400536), (0.995, 2.5758293035489),
@@ -212,12 +214,16 @@ def test_diagnose_two_proxy_columns_matches_per_column_reference():
     w_hat = np.column_stack([
         fs_design @ np.linalg.lstsq(fs_design, sample.w[:, j], rcond=None)[0] for j in range(2)
     ])
-    names = ("intercept", "a", "s1", "x1")
-    ols_fit = ols_hc0(np.column_stack(exog), sample.y, names)
-    iv_fit = ols_hc0(np.column_stack([*exog, w_hat]), sample.y, names + ("w_hat1", "w_hat2"))
+    ols_fit = ols_hc0(np.column_stack(exog), sample.y, ("intercept", "a", "s1", "x1"))
+    # 2SLS: coefficients from y on (exog, w_hat), residuals with w itself.
+    iv_design = np.column_stack([*exog, w_hat])
+    iv_coef = np.linalg.solve(iv_design.T @ iv_design, iv_design.T @ sample.y)
+    resid = sample.y - np.column_stack([*exog, sample.w]) @ iv_coef
+    bread = np.linalg.inv(iv_design.T @ iv_design)
+    iv_se = math.sqrt((bread @ (iv_design.T * resid ** 2) @ iv_design @ bread)[1, 1])
     reference = {"ols_coef_on_a": ols_fit.coef("a"), "ols_se": ols_fit.se("a"),
-                 "ols_p": ols_fit.p_value("a"), "iv_coef_on_a": iv_fit.coef("a"),
-                 "iv_se": iv_fit.se("a"), "iv_p": iv_fit.p_value("a")}
+                 "ols_p": ols_fit.p_value("a"), "iv_coef_on_a": iv_coef[1],
+                 "iv_se": iv_se, "iv_p": math.erfc(abs(iv_coef[1]) / iv_se / math.sqrt(2.0))}
     assert rep.to_dict() == {k: pytest.approx(v, rel=1e-9) for k, v in reference.items()}
 
 

@@ -123,6 +123,18 @@ def test_estimate_unknown_estimator_exit_1(data_csv):
     assert run(["estimate", "--data", str(data_csv), "--estimator", "bogus"]) == 1
 
 
+def test_estimate_over_long_cell_exit_1(data_csv, tmp_path, capsys):
+    # A cell over csv.field_size_limit() is a parse error naming its row,
+    # even in a column that no role claims.
+    lines = data_csv.read_text().splitlines()
+    notes = ["note"] + ["k"] * (len(lines) - 1)
+    notes[5] = "k" * 200_000
+    bad = tmp_path / "long_cell.csv"
+    bad.write_text("".join(f"{line},{note}\n" for line, note in zip(lines, notes)))
+    assert run(["estimate", "--data", str(bad)]) == 1
+    assert capsys.readouterr().err == "error: row 5: field larger than field limit (131072)\n"
+
+
 def test_estimate_missing_file_exit_1(capsys):
     assert run(["estimate", "--data", "no-such-file.csv", "--estimator", "mr"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def test_malformed_file_rejected(tmp_path, reader, case):
         assert err.value.row == row and message == f"row {row}: {fragment}"
 
 
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_over_long_header_cell_rejected(tmp_path, reader):
+    load, text = READERS[reader]
+    path = _write(tmp_path, text.replace("x1", "x" * 200_000, 1))
+    with pytest.raises(ValidationError) as err:
+        load(path, SCHEMA)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == f"{path}: header: field larger than field limit (131072)"
+
+
 @pytest.mark.parametrize("load,text,error,message", [
     pytest.param(px.load_csv, MINIMAL.replace("4.0,NA,O", "4.0,1,O"), SchemaViolationError,
                  "row 4: a present on an O row", id="a_on_o_row"),
@@ -175,6 +186,8 @@ EDGE_CASES = [
                  (ParseError, "row 3: expected 7 cells, got 0"), id="blank_line_unmasked"),
     pytest.param(px.load_csv, _edit_row(MINIMAL, 2, lambda ln: ln + "\n").replace("\n", "\r\n"),
                  SCHEMA, (ParseError, "row 3: expected 8 cells, got 0"), id="blank_crlf_line"),
+    pytest.param(px.load_csv, MINIMAL.replace("\n", "\n\n", 1), SCHEMA,
+                 (ParseError, "row 1: expected 8 cells, got 0"), id="blank_first_line"),
     pytest.param(px.load_csv, _edit_row(MINIMAL, 2, lambda ln: ln + "   \n"), SCHEMA,
                  (ParseError, "row 3: expected 8 cells, got 1"), id="spaces_line"),
     pytest.param(px.load_csv, _edit_row(_with_note(MINIMAL), 3, lambda ln: ln.replace(",k3", "")),
@@ -197,6 +210,12 @@ EDGE_CASES = [
                  id="unclaimed_anything"),
     pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", "k\0", "k3", "k4")), SCHEMA, None,
                  id="nul_in_unclaimed"),
+    pytest.param(px.load_csv, MINIMAL.replace("0.3,0.9", "0.3\0,0.9"), SCHEMA,
+                 (ParseError, "row 3: column 'w1': cannot parse '0.3\\x00' as a number"),
+                 id="nul_in_claimed"),
+    pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", "k" * 200_000, "k3", "k4")), SCHEMA,
+                 (ParseError, "row 2: field larger than field limit (131072)"),
+                 id="over_long_unclaimed_cell"),
     pytest.param(px.load_csv, MINIMAL.replace(",E,", ", E ,"), SCHEMA, None, id="padded_labels"),
     pytest.param(px.load_csv, MINIMAL.replace(",E,", ", E,"),
                  px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",), e_label=" E"),
@@ -210,6 +229,9 @@ EDGE_CASES = [
                  id="padded_number"),
     pytest.param(px.load_csv, MINIMAL.replace("\n", "\r"), SCHEMA, None, id="lone_cr"),
     pytest.param(px.load_csv, MINIMAL.replace("\n", "\r", 2), SCHEMA, None, id="one_lone_cr"),
+    pytest.param(px.load_csv, _edit_row(MINIMAL.replace("\n", "\r\n"), 2,
+                                        lambda ln: ln.replace("\r\n", "\r")),
+                 SCHEMA, None, id="crlf_with_one_lone_cr"),
     pytest.param(px.load_unmasked_csv, UNMASKED.replace("\n", "\r"), SCHEMA, None,
                  id="lone_cr_unmasked"),
     pytest.param(px.load_csv, MINIMAL.rstrip("\n"), SCHEMA, None, id="no_final_line_end"),
@@ -242,6 +264,7 @@ def _outcome(load, path, schema):
     return {name: (arr.shape, arr.tobytes()) for name, arr in vars(loaded).items()}
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("load,text,schema,expected", EDGE_CASES)
 def test_bulk_parse_agrees_with_row_reader(tmp_path, monkeypatch, load, text, schema, expected):
     path = _write(tmp_path, text)
@@ -254,31 +277,50 @@ def test_bulk_parse_agrees_with_row_reader(tmp_path, monkeypatch, load, text, sc
         assert bulk[:2] == expected
 
 
+def _refuse_row_reader(*args, **kwargs):
+    raise AssertionError("the row-wise reader ran on a file the bulk parse must read")
+
+
 def test_bulk_parse_reads_crlf_split_across_blocks(tmp_path, monkeypatch, confounded_cfg):
-    # write_csv ends lines in CRLF. Each file over 1 MiB is read with the
-    # default block size, then with one that ends the first block between
-    # a CR and its LF.
+    # write_csv ends lines in CRLF; a file this size spans many of the
+    # text handle's read chunks.
     data, _ = px.generate(confounded_cfg, 15_000, 0.5, seed=41)
     full = px.generate_full(confounded_cfg, 15_000, seed=41)
     masked, unmasked = tmp_path / "masked.csv", tmp_path / "unmasked.csv"
     px.write_csv(data, masked, px.CsvSchema())
     px.write_unmasked_csv(full, unmasked, px.CsvSchema())
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the row-wise reader ran on a file the bulk parse must read")
-
-    monkeypatch.setattr(codec, "_parse_rows", refuse)
-    default = codec._SCAN_BYTES
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
     for path, load, want in ((masked, px.load_csv, data), (unmasked, px.load_unmasked_csv, full)):
-        raw = path.read_bytes()
-        cut = raw.index(b"\r", 1 << 20) + 1
-        assert raw[cut:cut + 1] == b"\n"
-        for block_bytes in (default, cut):
-            monkeypatch.setattr(codec, "_SCAN_BYTES", block_bytes)
-            back = load(path, px.CsvSchema())
-            for name, arr in vars(want).items():
-                got = getattr(back, name)
-                assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
+        back = load(path, px.CsvSchema())
+        for name, arr in vars(want).items():
+            got = getattr(back, name)
+            assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
+
+
+LINE_ENDS = {
+    "lf": lambda t: t,
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone_cr": lambda t: t.replace("\n", "\r"),
+    "crlf_and_lone_cr": lambda t: t.replace("\n", "\r\n").replace("\r\n", "\r", 2),
+}
+
+
+@pytest.mark.parametrize("ends", sorted(LINE_ENDS))
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_plain_file_is_opened_once(tmp_path, monkeypatch, reader, ends):
+    load, text = READERS[reader]
+    path = tmp_path / "data.csv"
+    path.write_bytes(LINE_ENDS[ends](text).encode())
+    opened, path_open = [], Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    load(path, SCHEMA)
+    assert opened == [path]
 
 
 def test_unknown_sample_label_rejected(tmp_path):
