@@ -10,17 +10,20 @@ this pattern.
 
 One reader and one writer hold the CSV format for both files: the
 combined file, with a g column of sample labels, and the unmasked
-experimental file, without one. The reader opens a file once and parses
-its data lines in one bulk ``np.loadtxt`` pass; only where the two could
-differ, which includes every file with a bad cell, does it read the file
-again row by row. Data rows are numbered from 1 after the header; parse
-errors, unknown labels and masking or finiteness violations name the
-first offending row by that number.
+experimental file, without one. Files are UTF-8 text. The reader opens a
+file once and parses its data lines in one bulk ``np.loadtxt`` pass;
+only where the two could differ, which includes every file with a bad
+cell, does it read the file again row by row. Data rows are numbered
+from 1 after the header; parse errors, bytes that are not UTF-8, unknown
+labels and masking or finiteness violations name the first offending row
+by that number. The writer quotes with ``csv.writer`` only the header and
+the two sample labels; data rows are joined from their formatted cells.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from array import array
@@ -307,7 +310,7 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     """
     path = Path(path)
     try:
-        fh = path.open(newline="")
+        fh = path.open(encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
     with fh:
@@ -318,6 +321,8 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
             raise ValidationError(f"{path}: empty file")
         except csv.Error as exc:
             raise ValidationError(f"{path}: header: {exc}")
+        if bad := _undecodable(header):
+            raise ValidationError(f"{path}: header: {bad}")
         cols = _resolve_columns(schema, header, with_g=with_g)
         table = _parse_bulk(fh, header, cols, schema, with_g=with_g)
         if table is None:
@@ -344,7 +349,9 @@ def _parse_bulk(fh, header: list[str], cols: dict[str, list[str]], schema: CsvSc
     as ``csv.reader`` does. A filter counts the lines and stops at the
     first one the two readers could split differently: a bare line end
     (``np.loadtxt`` skips it, the row reader rejects it), a quote, a NUL
-    or more than ``csv.field_size_limit()`` characters. Returns a table
+    or more than ``csv.field_size_limit()`` characters, or a byte that
+    is not UTF-8, which the row reader rejects even in a column no role
+    claims. Returns a table
     shaped like the file, as ``_parse_rows`` would, or None wherever the
     two could differ: a stopped line, no data line, a cell ``np.loadtxt``
     or a converter rejects, a shape other than (lines, header width), or
@@ -368,7 +375,8 @@ def _parse_bulk(fh, header: list[str], cols: dict[str, list[str]], schema: CsvSc
     def plain_lines():
         nonlocal n_lines
         for line in fh:
-            if line in ("\n", "\r\n", "\r") or '"' in line or "\0" in line or len(line) > limit:
+            if (line in ("\n", "\r\n", "\r") or '"' in line or "\0" in line or len(line) > limit
+                    or not line.isascii() and _undecodable([line])):
                 n_lines = -1  # stopped: no table can match
                 return
             n_lines += 1
@@ -404,6 +412,19 @@ def _unclaimed(cell: str) -> float:
     return 0.0
 
 
+def _undecodable(cells: list[str]) -> str | None:
+    """Describe the first cell holding a byte that is not UTF-8, or None.
+
+    The reader decodes with ``surrogateescape``, which turns each such
+    byte into a lone surrogate instead of failing on the read chunk that
+    holds it, so the error can name the row.
+    """
+    for cell in cells:
+        if not cell.isascii() and any("\udc80" <= c <= "\udcff" for c in cell):
+            return f"not UTF-8 text: {cell.encode(errors='surrogateescape')!r}"
+    return None
+
+
 def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: CsvSchema,
                 *, with_g: bool) -> np.ndarray:
     """Parse the data rows one by one; raise on the first bad row.
@@ -421,6 +442,8 @@ def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: C
         for row_idx, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
+            if bad := _undecodable(row):
+                raise ParseError(row_idx, bad)
             cells = [0.0] * len(header)
             if with_g:
                 label = row[g_pos].strip()
@@ -439,10 +462,13 @@ def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: C
 
 
 def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> None:
-    """Write the six roles of ``data`` (and its g labels) as one CSV.
+    """Write the six roles of ``data`` (and its g labels) as one UTF-8 CSV.
 
-    Cells are formatted a block of rows at a time, so no column is ever
-    held as a whole list of strings.
+    ``csv.writer`` writes the header. Cells are formatted a block of rows
+    at a time, so no column is ever held as a whole list of strings, and
+    each block's rows are joined directly: a number's ``repr`` and NA never
+    need quotes, and each label is quoted once, as ``csv.writer`` would
+    quote it in a data row.
     """
     header, columns = [], []
     for role in _ROLES:
@@ -456,16 +482,22 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
         if role == "a" and with_g:
             header.append(schema.g)
             columns.append(data.is_e)
-    labels = (schema.o_label, schema.e_label)
+    labels = (_quoted(schema.o_label), _quoted(schema.e_label))
     try:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
+        with Path(path).open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow(header)
             for lo in range(0, data.n, _BLOCK_ROWS):
                 block = [_cells(col[lo:lo + _BLOCK_ROWS], labels) for col in columns]
-                writer.writerows(zip(*block))
+                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}")
+
+
+def _quoted(label: str) -> str:
+    """``label`` as ``csv.writer`` writes it in a row of two or more cells."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow([label, ""])
+    return buf.getvalue()[:-len(",\r\n")]
 
 
 def _cells(col: np.ndarray, labels: tuple[str, str]) -> list[str]:

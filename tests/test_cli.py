@@ -135,6 +135,18 @@ def test_estimate_over_long_cell_exit_1(data_csv, tmp_path, capsys):
     assert capsys.readouterr().err == "error: row 5: field larger than field limit (131072)\n"
 
 
+@pytest.mark.parametrize("command, fixture", [("estimate", "data_csv"), ("diagnose", "unmasked_csv")])
+def test_not_utf8_byte_exit_1(command, fixture, request, tmp_path, capsys):
+    # Row 2000 lies many of the text handle's read chunks into the file;
+    # the error names it, not the row being read when its chunk decoded.
+    lines = request.getfixturevalue(fixture).read_bytes().split(b"\r\n")
+    lines[2000] = lines[2000].replace(b",", b",\xff", 1)
+    bad = tmp_path / "not_utf8.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    assert run([command, "--data", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: row 2000: not UTF-8 text: b'\\xff")
+
+
 def test_estimate_missing_file_exit_1(capsys):
     assert run(["estimate", "--data", "no-such-file.csv", "--estimator", "mr"]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -23,8 +23,9 @@ SCHEMA = px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",))
 
 
 def _write(tmp_path, text, name="data.csv"):
+    """Write ``text`` as UTF-8; a lone surrogate U+DC80-U+DCFF stands for a byte that is not UTF-8."""
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text.encode(errors="surrogateescape"))
     return path
 
 
@@ -133,6 +134,15 @@ def test_over_long_header_cell_rejected(tmp_path, reader):
     assert str(err.value) == f"{path}: header: field larger than field limit (131072)"
 
 
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_not_utf8_header_rejected(tmp_path, reader):
+    load, text = READERS[reader]
+    path = _write(tmp_path, text.replace("x1", "x\udcff1", 1))
+    with pytest.raises(ValidationError) as err:
+        load(path, SCHEMA)
+    assert str(err.value) == f"{path}: header: not UTF-8 text: b'x\\xff1'"
+
+
 @pytest.mark.parametrize("load,text,error,message", [
     pytest.param(px.load_csv, MINIMAL.replace("4.0,NA,O", "4.0,1,O"), SchemaViolationError,
                  "row 4: a present on an O row", id="a_on_o_row"),
@@ -216,6 +226,17 @@ EDGE_CASES = [
     pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", "k" * 200_000, "k3", "k4")), SCHEMA,
                  (ParseError, "row 2: field larger than field limit (131072)"),
                  id="over_long_unclaimed_cell"),
+    pytest.param(px.load_csv, MINIMAL.replace("0.3,0.9", "0.3\udcff,0.9"), SCHEMA,
+                 (ParseError, "row 3: not UTF-8 text: b'0.3\\xff'"), id="not_utf8_claimed"),
+    pytest.param(px.load_csv, MINIMAL.replace("4.0,NA,O", "4.0,NA,\udce9"), SCHEMA,
+                 (ParseError, "row 4: not UTF-8 text: b'\\xe9'"), id="not_utf8_label"),
+    pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", "k\udcc3", "k3", "k4")), SCHEMA,
+                 (ParseError, "row 2: not UTF-8 text: b'k\\xc3'"), id="not_utf8_unclaimed"),
+    pytest.param(px.load_unmasked_csv, UNMASKED.replace("2.0,0,", "2.0,\udc800,"), SCHEMA,
+                 (ParseError, "row 2: not UTF-8 text: b'\\x800'"), id="not_utf8_unmasked"),
+    pytest.param(px.load_csv, MINIMAL.replace("O,", "é,").replace("\n", "\r\n"),
+                 px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",), o_label="é"),
+                 None, id="non_ascii_label"),
     pytest.param(px.load_csv, MINIMAL.replace(",E,", ", E ,"), SCHEMA, None, id="padded_labels"),
     pytest.param(px.load_csv, MINIMAL.replace(",E,", ", E,"),
                  px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",), e_label=" E"),
@@ -494,6 +515,44 @@ def test_writers_across_block_boundaries(tmp_path, confounded_cfg):
         header = raw.split(b"\r\n", 1)[0].decode().split(",")
         assert raw == _reference_bytes(cols, header), name
         back = load(tmp_path / f"{name}.csv", schema)
+        for role, arr in vars(want).items():
+            assert getattr(back, role).tobytes() == arr.tobytes(), (name, role)
+
+
+# Labels and column names that need csv quoting, written across block
+# boundaries. The reference bytes are UTF-8, so "é" must be written as
+# b"\xc3\xa9". The reader strips cells, so a padded label never loads back.
+QUOTED_SCHEMAS = [
+    pytest.param(px.CsvSchema(e_label="E,1", o_label='say "O"', w=("w,1",)), True, id="comma_quote"),
+    pytest.param(px.CsvSchema(e_label="o\r\nx", o_label="é", z=("z\n1",)), True,
+                 id="crlf_non_ascii"),
+    pytest.param(px.CsvSchema(e_label="", o_label=" O "), False, id="empty_padded"),
+]
+
+
+@pytest.mark.parametrize("schema, loads_back", QUOTED_SCHEMAS)
+def test_writer_quotes_labels_and_column_names(tmp_path, confounded_cfg, schema, loads_back):
+    n = 2 * codec._BLOCK_ROWS + 1
+    data, _ = px.generate(confounded_cfg, n, 0.5, seed=43)
+    full = px.generate_full(confounded_cfg, n, seed=43)
+    labels = [schema.e_label if e else schema.o_label for e in data.is_e.tolist()]
+    names = {r: list(getattr(schema, r)) if isinstance(getattr(schema, r), tuple)
+             else [f"{getattr(schema, r)}1"] for r in "wzsx"}
+    tail = [c for r in "wzsx" for c in names[r]]
+    for name, write, load, want, cols, header in (
+        ("masked", px.write_csv, px.load_csv, data, _columns(data, labels),
+         [schema.y, schema.a, schema.g] + tail),
+        ("unmasked", px.write_unmasked_csv, px.load_unmasked_csv, full, _columns(full),
+         [schema.y, schema.a] + tail),
+    ):
+        path = tmp_path / f"{name}.csv"
+        write(want, path, schema)
+        assert path.read_bytes() == _reference_bytes(cols, header), name
+        if name == "masked" and not loads_back:
+            with pytest.raises(SchemaViolationError, match="sample label 'O' is neither"):
+                load(path, schema)
+            continue
+        back = load(path, schema)
         for role, arr in vars(want).items():
             assert getattr(back, role).tobytes() == arr.tobytes(), (name, role)
 
