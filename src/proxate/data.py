@@ -27,7 +27,7 @@ import io
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -230,7 +230,8 @@ class CsvSchema(Record):
     a single string prefix, which claims the columns named prefix or
     prefix + ASCII digits (w, w1, w2, ...) in header order, so files stay
     loadable after column reordering; claiming none of the columns that
-    start with it is an error.
+    start with it is an error. Every name and label must encode as UTF-8,
+    the files' encoding.
     """
 
     y: str = "y"
@@ -246,6 +247,14 @@ class CsvSchema(Record):
     def __post_init__(self):
         if self.e_label == self.o_label:
             raise ValidationError("e_label and o_label must differ")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for name in (value,) if isinstance(value, str) else value:
+                try:
+                    name.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValidationError(
+                        f"{f.name}: {name!r} cannot be written as UTF-8") from None
 
     def columns_for(self, role: str, header: list[str]) -> list[str]:
         decl = getattr(self, role)

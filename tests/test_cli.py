@@ -422,6 +422,21 @@ def test_malformed_config_exit_1(tmp_path, data_csv, capsys, config, path):
     assert err.startswith("error: ") and path in err, err
 
 
+@pytest.mark.parametrize("schema, message", [
+    ({"e_label": "\udcff"}, "error: schema: e_label: '\\udcff' cannot be written as UTF-8\n"),
+    ({"w": ["w1", "\udcff"]}, "error: schema: w: '\\udcff' cannot be written as UTF-8\n"),
+])
+def test_gen_data_name_not_utf8_exit_1(tmp_path, capsys, schema, message):
+    # A label or column name with a lone surrogate (JSON "\udcff") cannot
+    # be written to a UTF-8 file: a config error, and no file is created.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"schema": schema}))
+    assert run(["gen-data", "--config", str(cfg), "--n", "100", "--seed", "1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, simulate, where", [
     (["estimate", "--estimator", ","], {}, "--estimator"),
     (["simulate", "--estimators", ","], {}, "--estimators"),

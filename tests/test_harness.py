@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from proxate.estimators import (
     evaluate_nuisances,
     fit_all_nuisances,
 )
-from proxate.harness import CORRUPTS, REGIME_NAMES
+from proxate.harness import CORRUPTS, HARNESS_ESTIMATORS, REGIME_NAMES
 from proxate.nuisance import PropensityModel
 
 from conftest import constant_bridge, constant_hbar, estimate_with
@@ -168,6 +171,10 @@ def test_substituted_regimes_match_corrupted_nuisances(small_data, config):
         assert fast["MR"].ci == slow["MR"].ci, name
 
 
+def _pin_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(harness, "_workers", lambda replications: workers)
+
+
 def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
     # Per replication (k = 5, six regimes): no transform to fit (folds
     # fit from cell R factors) and 4 per fold to evaluate, however many
@@ -185,6 +192,7 @@ def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
 
     monkeypatch.setattr(FittedBasis, "transform", counting_transform)
     monkeypatch.setattr(harness, "generate", generate)
+    _pin_workers(monkeypatch, 1)  # the counts live in this process
     px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=ESTIMATOR_NAMES,
                        regimes=REGIME_NAMES, replications=2, base_seed=3, config=CFG,
                        k_folds=5)
@@ -268,6 +276,7 @@ def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
 
     monkeypatch.setattr(harness, "estimates_from_evals", flaky)
     monkeypatch.setattr(harness, "MAX_FAILURE_FRACTION", 0.5)
+    _pin_workers(monkeypatch, 1)  # the call count lives in this process
     report = px.run_monte_carlo(
         confounded_cfg, n=1500, pi=0.5, estimators=("OB-OR", "MR", "SI"),
         regimes=REGIME_NAMES, replications=3, base_seed=40, config=CFG, k_folds=5,
@@ -283,3 +292,66 @@ def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
     header = report.format_table().splitlines()[0]
     assert header.endswith("failed 1 (replication 1 seed 41: NumericalError)")
 
+
+
+def _generate_failing_at(monkeypatch, bad_seed: int) -> list[int]:
+    """Patch ``harness.generate`` to fail at ``bad_seed``; forked workers
+    inherit the patch. Returns the seeds drawn in this process."""
+    drawn = []
+    real = harness.generate
+
+    def generate(dgp, n, pi, seed):
+        drawn.append(seed)
+        if seed == bad_seed:
+            raise NumericalError("injected failure")
+        return real(dgp, n, pi, seed)
+
+    monkeypatch.setattr(harness, "generate", generate)
+    return drawn
+
+
+def test_workers_match_in_process(confounded_cfg, monkeypatch):
+    # The same study in-process and over two forked workers: equal reports,
+    # failure entries included, and no worker left running.
+    drawn = _generate_failing_at(monkeypatch, 61)
+    monkeypatch.setattr(harness, "MAX_FAILURE_FRACTION", 0.5)
+    reports = {}
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        reports[workers] = px.run_monte_carlo(
+            confounded_cfg, n=1500, pi=0.5, estimators=HARNESS_ESTIMATORS,
+            regimes=REGIME_NAMES, replications=4, base_seed=60, config=CFG, k_folds=5,
+        ).to_dict()
+        assert multiprocessing.active_children() == []
+    assert drawn == [60, 61, 62, 63]  # the pooled study drew nothing here
+    assert reports[1] == reports[2]
+    assert reports[2]["failures"] == [{"replication": 1, "seed": 61, "error": "NumericalError",
+                                       "message": "injected failure"}]
+    assert reports[2]["regimes"]["case3"]["MR"]["n_replications"] == 3
+
+
+def test_workers_abort_as_in_process(confounded_cfg, monkeypatch):
+    # Every replication fails (k_folds above the strata): the same abort
+    # error, raised from the failure, both ways, and no worker left running.
+    errors = {}
+    for workers in (1, 2):
+        _pin_workers(monkeypatch, workers)
+        with pytest.raises(ValidationError) as caught:
+            px.run_monte_carlo(confounded_cfg, 40, 0.5, ("MR",), ("all_correct",),
+                               replications=5, base_seed=0, config=CFG, k_folds=30)
+        assert multiprocessing.active_children() == []
+        cause = caught.value.__cause__
+        errors[workers] = (str(caught.value), type(cause), str(cause))
+    assert errors[1] == errors[2]
+    assert errors[1][0].startswith("1 of 5 replications failed (cap 0); last error: ")
+
+
+def test_one_cpu_runs_in_process(confounded_cfg, monkeypatch):
+    # Pinned to one CPU (as under `taskset -c 0`), the study forks nothing.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert harness._workers(10) == 1
+    drawn = _generate_failing_at(monkeypatch, -1)
+    px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=("MR",),
+                       regimes=("all_correct",), replications=2, base_seed=7, config=CFG,
+                       k_folds=5)
+    assert drawn == [7, 8]

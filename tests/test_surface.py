@@ -10,11 +10,18 @@ tests call stay out of the package.
 The same walk checks that every JSON writer in the package is strict,
 so no report can hold NaN or Infinity, and that records have one JSON
 form: ``Record.to_dict`` writes it and ``_records.from_dict`` reads it.
+
+A fresh interpreter checks that ``import proxate`` leaves the process
+pool's modules unloaded: the Monte Carlo harness imports them when it
+starts workers, so the import stays as cheap as it is.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import proxate
@@ -93,3 +100,13 @@ def test_one_json_form_per_record():
     package_dir = Path(proxate.__file__).parent
     assert _classes_defining(package_dir, "to_dict") == ["MCReport", "Record"]
     assert _classes_defining(package_dir, "from_dict") == []
+
+
+def test_import_leaves_pool_modules_unloaded():
+    src = str(Path(proxate.__file__).parent.parent)
+    code = ("import sys, proxate; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out == "[]\n"
