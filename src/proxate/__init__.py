@@ -5,9 +5,7 @@ confounding."""
 from .basis import BasisSpec, FittedBasis
 from .baselines import (
     DiagnosticReport,
-    RegressionFit,
     diagnose_surrogacy,
-    rct_benchmark,
     surrogate_index_estimate,
 )
 from .bridges import (
@@ -49,7 +47,6 @@ from .harness import (
     MCReport,
     apply_misspec,
     run_monte_carlo,
-    split_and_mask,
 )
 from .nuisance import (
     HBarModel,

@@ -1,9 +1,7 @@
 """Reference estimators and surrogacy diagnostics.
 
-Three comparators frame the proximal estimators:
+Two comparators frame the proximal estimators:
 
-  * the RCT benchmark, an OLS of the (unmasked) long-term outcome on
-    treatment and covariates in the experimental sample;
   * the plain surrogate-index estimator, which regresses y on (1, s, x)
     in the observational sample, carries the prediction over to the
     experimental units, and reads the effect off a regression on
@@ -34,29 +32,6 @@ BASELINE_NAMES = ("SI", "SI-PROX")
 
 
 @dataclass(frozen=True)
-class RegressionFit:
-    coeffs: np.ndarray
-    robust_se: np.ndarray
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.names) != self.coeffs.shape[0] or self.robust_se.shape != self.coeffs.shape:
-            raise ValidationError("coefficient, SE, and name lengths disagree")
-
-    def coef(self, name: str) -> float:
-        return float(self.coeffs[self.names.index(name)])
-
-    def se(self, name: str) -> float:
-        return float(self.robust_se[self.names.index(name)])
-
-    def p_value(self, name: str) -> float:
-        se = self.se(name)
-        if se == 0.0:
-            return 0.0 if self.coef(name) != 0.0 else 1.0
-        return two_sided_p(self.coef(name) / se)
-
-
-@dataclass(frozen=True)
 class DiagnosticReport(Record):
     ols_coef_on_a: float
     ols_se: float
@@ -71,31 +46,20 @@ class DiagnosticReport(Record):
                 raise ValidationError("p-values must be in [0, 1]")
 
 
-def ols_hc0(design: np.ndarray, y: np.ndarray, names: tuple[str, ...]) -> RegressionFit:
-    """OLS with HC0 standard errors; errors out on a collinear design."""
-    coef = ols(design, y)
-    resid = y - design @ coef
-    se = np.sqrt(np.diag(hc0_cov(design, resid)))
-    return RegressionFit(coeffs=coef, robust_se=se, names=names)
-
-
-def _names(prefix: str, dim: int) -> list[str]:
-    return [f"{prefix}{j + 1}" for j in range(dim)]
-
-
-def rct_benchmark(sample: FullyObservedSample) -> RegressionFit:
-    """OLS of y on (1, a, x) in unmasked experimental data.
-
-    The coefficient on the treatment is the experimental benchmark the
-    fused-sample estimators are trying to recover.
-    """
-    design = np.column_stack([np.ones(sample.n), sample.a, sample.x])
-    names = tuple(["intercept", "a"] + _names("x", sample.x.shape[1]))
-    return ols_hc0(design, sample.y, names)
+def _treatment_stats(
+    coef: np.ndarray, design: np.ndarray, resid: np.ndarray
+) -> tuple[float, float, float]:
+    """The treatment's coefficient, HC0 standard error and two-sided
+    normal p-value; the treatment is column 1 of ``design``."""
+    tau = float(coef[1])
+    se = float(np.sqrt(hc0_cov(design, resid)[1, 1]))
+    if se == 0.0:
+        return tau, se, 0.0 if tau != 0.0 else 1.0
+    return tau, se, two_sided_p(tau / se)
 
 
 def surrogate_index_estimate(
-    data: CombinedDataset, include_proxies: bool = False
+    data: CombinedDataset, include_proxies: bool, alpha: float
 ) -> EstimateReport:
     """Plain surrogate-index estimator on a combined dataset.
 
@@ -104,7 +68,8 @@ def surrogate_index_estimate(
     units, and regresses the prediction on (1, a, x) there. Since z is
     never observed on experimental rows, predictions substitute the
     observational z-mean for it, which leaves the treatment coefficient
-    untouched (the substitution is a constant shift).
+    untouched (the substitution is a constant shift). The report has no
+    interval; it carries ``alpha`` so it reads like the proximal ones.
     """
     e_view, o_view = split_by_sample(data)
     o_cols = [np.ones(o_view.n), o_view.role_matrix("s"), o_view.role_matrix("x")]
@@ -123,7 +88,7 @@ def surrogate_index_estimate(
     return EstimateReport(
         estimator="SI-PROX" if include_proxies else "SI",
         tau_hat=tau_hat,
-        alpha=0.05,
+        alpha=alpha,
         k_folds=0,
         seed=None,
         n_e=data.n_e,
@@ -165,10 +130,8 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
         )
 
     ols_design = np.column_stack([np.ones(n), sample.a, sample.s, sample.x])
-    ols_names = tuple(
-        ["intercept", "a"] + _names("s", sample.s.shape[1]) + _names("x", sample.x.shape[1])
-    )
-    ols_fit = ols_hc0(ols_design, sample.y, ols_names)
+    ols_coef = ols(ols_design, sample.y)
+    ols_stats = _treatment_stats(ols_coef, ols_design, sample.y - ols_design @ ols_coef)
 
     fs_design = np.column_stack([np.ones(n), sample.z, sample.a, sample.s, sample.x])
     fs_coef, _, _, _ = np.linalg.lstsq(fs_design, sample.w, rcond=None)
@@ -192,16 +155,4 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
     iv_coef = ols(iv_design, sample.y)
     # 2SLS residuals: the fitted coefficients applied to w itself, not w_hat.
     resid = sample.y - np.column_stack([ols_design, sample.w]) @ iv_coef
-    iv_fit = RegressionFit(
-        coeffs=iv_coef, robust_se=np.sqrt(np.diag(hc0_cov(iv_design, resid))),
-        names=ols_names + tuple(_names("w_hat", dim_w)),
-    )
-
-    return DiagnosticReport(
-        ols_coef_on_a=ols_fit.coef("a"),
-        ols_se=ols_fit.se("a"),
-        ols_p=ols_fit.p_value("a"),
-        iv_coef_on_a=iv_fit.coef("a"),
-        iv_se=iv_fit.se("a"),
-        iv_p=iv_fit.p_value("a"),
-    )
+    return DiagnosticReport(*ols_stats, *_treatment_stats(iv_coef, iv_design, resid))

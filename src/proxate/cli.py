@@ -39,7 +39,7 @@ from .baselines import diagnose_surrogacy
 from .basis import BasisSpec
 from .bridges import check_ridge
 from .data import CsvSchema, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
-from .dgp import DGPConfig, confounded_config, generate
+from .dgp import DGPConfig, confounded_config, generate, generate_full, oracle_for
 from .errors import NumericalError, ProxateError, ValidationError
 from .estimators import ESTIMATOR_NAMES, EstimatorConfig, check_alpha, check_k_folds
 from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes, run_monte_carlo
@@ -253,15 +253,14 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     if args.unmasked:
-        from .dgp import generate_full
-
         sample = generate_full(cfg.dgp, args.n, args.seed)
         write_unmasked_csv(sample, args.out, cfg.schema)
         print(f"wrote {sample.n} unmasked rows to {args.out}")
-        return 0
-    data, oracle = generate(cfg.dgp, args.n, args.pi, args.seed)
-    write_csv(data, args.out, cfg.schema)
-    print(f"wrote {data.n} rows (n_e={data.n_e}, n_o={data.n_o}) to {args.out}")
+        oracle = oracle_for(cfg.dgp)
+    else:
+        data, oracle = generate(cfg.dgp, args.n, args.pi, args.seed)
+        write_csv(data, args.out, cfg.schema)
+        print(f"wrote {data.n} rows (n_e={data.n_e}, n_o={data.n_o}) to {args.out}")
     if args.oracle_out:
         _write_report(args.oracle_out, "gen-data", oracle.to_dict())
     return 0

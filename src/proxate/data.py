@@ -178,8 +178,8 @@ def split_by_sample(data: CombinedDataset) -> tuple[SampleView, SampleView]:
 class FullyObservedSample:
     """An experimental sample before any masking: all roles observed.
 
-    This is the input to the LaLonde-style evaluation design and to the
-    diagnostics that need (y, a) jointly.
+    This is the input to the surrogacy diagnostics, which need (y, a)
+    jointly; ``gen-data --unmasked`` writes one.
     """
 
     y: np.ndarray
@@ -231,7 +231,8 @@ class CsvSchema(Record):
     prefix + ASCII digits (w, w1, w2, ...) in header order, so files stay
     loadable after column reordering; claiming none of the columns that
     start with it is an error. Every name and label must encode as UTF-8,
-    the files' encoding.
+    the files' encoding, and may not start or end with whitespace, which
+    the reader strips from header cells and labels.
     """
 
     y: str = "y"
@@ -255,6 +256,9 @@ class CsvSchema(Record):
                 except UnicodeEncodeError:
                     raise ValidationError(
                         f"{f.name}: {name!r} cannot be written as UTF-8") from None
+                if name != name.strip():
+                    raise ValidationError(f"{f.name}: {name!r} starts or ends with whitespace, "
+                                          "which the CSV reader strips")
 
     def columns_for(self, role: str, header: list[str]) -> list[str]:
         decl = getattr(self, role)
@@ -370,8 +374,6 @@ def _parse_bulk(fh, header: list[str], cols: dict[str, list[str]], schema: CsvSc
     row by row, correctly but slowly.
     """
     labels = {schema.e_label: 1.0, schema.o_label: 0.0} if with_g else {}
-    if any(label != label.strip() for label in labels):
-        return None  # the row reader strips cells, so such a label never matches
     masked = _MASKED_ROLES if with_g else ()
     role_of = {header.index(c): role for role in _ROLES for c in cols[role]}
     converters = {i: _unclaimed for i in range(len(header)) if i not in role_of}

@@ -1,10 +1,4 @@
-"""Evaluation designs: masking splits, misspecification regimes, and
-the Monte Carlo replication engine.
-
-``split_and_mask`` turns a fully observed randomized sample into the
-two-sample structure by masking complementary columns on two random
-halves, so transportability holds by construction and estimator error
-is attributable to the estimators alone.
+"""Misspecification regimes and the Monte Carlo replication engine.
 
 ``run_monte_carlo`` replays synthetic draws against the known truth.
 Its misspecification regimes corrupt fitted nuisances in deterministic,
@@ -39,7 +33,7 @@ import numpy as np
 
 from ._records import Record
 from .baselines import BASELINE_NAMES, surrogate_index_estimate
-from .data import CombinedDataset, FullyObservedSample
+from .data import CombinedDataset
 from .dgp import DGPConfig, check_draw, generate, oracle_for
 from .errors import ProxateError, ValidationError
 from .estimators import (
@@ -54,7 +48,6 @@ from .estimators import (
     make_folds,
 )
 from .nuisance import PropensityModel
-from .stats import seeded_generator
 
 HARNESS_ESTIMATORS = ESTIMATOR_NAMES + BASELINE_NAMES
 
@@ -82,27 +75,6 @@ CORRUPTS = {
     "all_wrong": frozenset({"e", "h", "hbar", "q"}),
 }
 REGIME_NAMES = tuple(CORRUPTS)
-
-
-def split_and_mask(source: FullyObservedSample, e_fraction: float, seed: int) -> CombinedDataset:
-    """Assign each unit to E with probability ``e_fraction`` and mask
-    complementary columns.
-
-    E keeps (a, s, w, x) and loses (y, z); O keeps (y, z, s, w, x) and
-    loses a. Deterministic given the seed.
-    """
-    if not 0.0 < e_fraction < 1.0:
-        raise ValidationError("e_fraction must be in (0, 1)")
-    rng = seeded_generator(seed)
-    is_e = rng.random(source.n) < e_fraction
-    n_e = int(is_e.sum())
-    if n_e == 0 or n_e == source.n:
-        raise ValidationError(
-            f"masking split produced an empty stratum (n_e={n_e} of {source.n})"
-        )
-    return CombinedDataset.masked(
-        y=source.y, w=source.w, z=source.z, s=source.s, a=source.a, x=source.x, is_e=is_e
-    )
 
 
 def apply_misspec(evals: UnitEvals, regime: str, clip_eps: float) -> UnitEvals:
@@ -220,7 +192,7 @@ def estimate_regimes(
     fit no nuisance and read the same under every regime; they run
     first, while no nuisance or evaluation is held.
     """
-    baselines = {e: surrogate_index_estimate(data, include_proxies=(e == "SI-PROX"))
+    baselines = {e: surrogate_index_estimate(data, e == "SI-PROX", config.alpha)
                  for e in estimators if e in BASELINE_NAMES}
     proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
     if not proximal:

@@ -7,49 +7,23 @@ import numpy as np
 import pytest
 
 import proxate as px
-from proxate.baselines import ols_hc0
 from proxate.errors import DegenerateInstrumentError, NumericalError
-from proxate.stats import normal_quantile
+from proxate.stats import hc0_cov, normal_quantile, ols
 
 from conftest import NAIVE_SI_BIAS
 
 
-def test_rct_exact_fit():
-    n = 50
-    a = np.concatenate([np.ones(25), np.zeros(25)])
-    sample = px.FullyObservedSample.from_arrays(
-        y=2.0 * a, a=a,
-        s=np.zeros((n, 1)), x=np.zeros((n, 0)),
-        w=np.zeros((n, 1)), z=np.zeros((n, 1)),
-    )
-    fit = px.rct_benchmark(sample)
-    assert fit.coef("a") == pytest.approx(2.0, abs=1e-12)
-    assert fit.se("a") == pytest.approx(0.0, abs=1e-12)
-
-
-def test_rct_recovers_truth(confounded_cfg):
-    sample = px.generate_full(confounded_cfg, 10_000, seed=31)
-    fit = px.rct_benchmark(sample)
-    assert abs(fit.coef("a") - 1.0) < 3.0 * fit.se("a")
-
-
-def test_rct_collinear_errors():
-    n = 20
-    a = np.concatenate([np.ones(10), np.zeros(10)])
-    sample = px.FullyObservedSample.from_arrays(
-        y=np.arange(n, dtype=float), a=a,
-        s=np.zeros((n, 1)), x=a.reshape(-1, 1),  # x duplicates a
-        w=np.zeros((n, 1)), z=np.zeros((n, 1)),
-    )
-    with pytest.raises(NumericalError):
-        px.rct_benchmark(sample)
+def _treatment_reference(design, y):
+    # OLS with its HC0 standard error, read at column 1 (the treatment).
+    coef = ols(design, y)
+    se = math.sqrt(hc0_cov(design, y - design @ coef)[1, 1])
+    return coef[1], se, math.erfc(abs(coef[1]) / se / math.sqrt(2.0))
 
 
 def test_normal_equations_invariant(confounded_cfg):
     sample = px.generate_full(confounded_cfg, 5000, seed=32)
     design = np.column_stack([np.ones(sample.n), sample.a, sample.x])
-    fit = ols_hc0(design, sample.y, ("intercept", "a", "x1"))
-    resid = sample.y - design @ fit.coeffs
+    resid = sample.y - design @ ols(design, sample.y)
     assert np.abs(design.T @ resid).max() < 1e-8 * sample.n
 
 
@@ -57,7 +31,7 @@ def test_surrogate_index_unconfounded_consistent(unconfounded_cfg):
     taus = []
     for r in range(40):
         data, oracle = px.generate(unconfounded_cfg, 10_000, 0.5, seed=600 + r)
-        taus.append(px.surrogate_index_estimate(data).tau_hat)
+        taus.append(px.surrogate_index_estimate(data, False, 0.05).tau_hat)
     taus = np.array(taus)
     se = taus.std(ddof=1) / np.sqrt(taus.shape[0])
     assert abs(taus.mean() - 1.0) < 3.0 * se
@@ -67,7 +41,7 @@ def test_surrogate_index_confounded_matches_frozen_bias(confounded_cfg):
     taus = []
     for r in range(40):
         data, oracle = px.generate(confounded_cfg, 40_000, 0.5, seed=700 + r)
-        taus.append(px.surrogate_index_estimate(data).tau_hat)
+        taus.append(px.surrogate_index_estimate(data, False, 0.05).tau_hat)
     taus = np.array(taus)
     bias = taus.mean() - 1.0
     assert abs(bias - NAIVE_SI_BIAS) < 0.1 * NAIVE_SI_BIAS
@@ -79,10 +53,9 @@ def test_surrogate_index_constant_outcome(small_data):
         y=np.where(data.is_e, np.nan, 4.0),
         w=data.w, z=data.z, s=data.s, a=data.a, x=data.x, is_e=data.is_e,
     )
-    assert px.surrogate_index_estimate(flat).tau_hat == pytest.approx(0.0, abs=1e-10)
-    assert px.surrogate_index_estimate(flat, include_proxies=True).tau_hat == pytest.approx(
-        0.0, abs=1e-10
-    )
+    for include_proxies in (False, True):
+        tau = px.surrogate_index_estimate(flat, include_proxies, 0.05).tau_hat
+        assert tau == pytest.approx(0.0, abs=1e-10)
 
 
 def test_surrogate_index_proxy_variant_close_when_proxies_uninformative(unconfounded_cfg):
@@ -92,8 +65,8 @@ def test_surrogate_index_proxy_variant_close_when_proxies_uninformative(unconfou
     diffs = []
     for r in range(30):
         data, _ = px.generate(cfg, 8000, 0.5, seed=650 + r)
-        plain = px.surrogate_index_estimate(data).tau_hat
-        prox = px.surrogate_index_estimate(data, include_proxies=True).tau_hat
+        plain = px.surrogate_index_estimate(data, False, 0.05).tau_hat
+        prox = px.surrogate_index_estimate(data, True, 0.05).tau_hat
         diffs.append(prox - plain)
     diffs = np.array(diffs)
     se = diffs.std(ddof=1) / np.sqrt(diffs.shape[0])
@@ -102,10 +75,10 @@ def test_surrogate_index_proxy_variant_close_when_proxies_uninformative(unconfou
 
 def test_surrogate_index_reports(small_data):
     data, _ = small_data
-    rep = px.surrogate_index_estimate(data)
+    rep = px.surrogate_index_estimate(data, False, 0.05)
     assert rep.estimator == "SI" and rep.ci is None and rep.variance_hat is None
-    rep2 = px.surrogate_index_estimate(data, include_proxies=True)
-    assert rep2.estimator == "SI-PROX"
+    rep2 = px.surrogate_index_estimate(data, True, 0.1)
+    assert rep2.estimator == "SI-PROX" and rep2.alpha == 0.1
 
 
 def test_diagnose_confounded_pattern(confounded_cfg):
@@ -114,6 +87,22 @@ def test_diagnose_confounded_pattern(confounded_cfg):
     assert rep.ols_p < 0.05  # surrogacy violated and detected
     assert rep.iv_p > 0.05  # instrumented proxy absorbs the confounder
     assert 0.0 <= rep.ols_p <= 1.0 and 0.0 <= rep.iv_p <= 1.0
+
+
+def test_diagnose_exact_fit(confounded_cfg):
+    # y is exactly linear in (1, a, s): both stages read the treatment's
+    # coefficient with a standard error within rounding of zero and a
+    # zero p-value.
+    sample = px.generate_full(confounded_cfg, 500, seed=30)
+    exact = px.FullyObservedSample.from_arrays(
+        y=2.0 * sample.a + sample.s[:, 0], a=sample.a, s=sample.s, x=sample.x,
+        w=sample.w, z=sample.z,
+    )
+    rep = px.diagnose_surrogacy(exact)
+    assert rep.ols_coef_on_a == pytest.approx(2.0, abs=1e-12)
+    assert rep.iv_coef_on_a == pytest.approx(2.0, abs=1e-12)
+    assert rep.ols_se == pytest.approx(0.0, abs=1e-12) and rep.ols_p == 0.0
+    assert rep.iv_se == pytest.approx(0.0, abs=1e-12) and rep.iv_p == 0.0
 
 
 def test_diagnose_rates(confounded_cfg, unconfounded_cfg):
@@ -141,9 +130,9 @@ def test_iv_with_perfect_proxy_reduces_to_ols(confounded_cfg):
     design = np.column_stack(
         [np.ones(sample.n), sample.a, sample.s, sample.x, sample.w]
     )
-    direct = ols_hc0(design, sample.y, ("intercept", "a", "s1", "x1", "w1"))
-    assert rep.iv_coef_on_a == pytest.approx(direct.coef("a"), abs=1e-10)
-    assert rep.iv_se == pytest.approx(direct.se("a"), rel=1e-8)
+    direct_coef, direct_se, _ = _treatment_reference(design, sample.y)
+    assert rep.iv_coef_on_a == pytest.approx(direct_coef, abs=1e-10)
+    assert rep.iv_se == pytest.approx(direct_se, rel=1e-8)
 
 
 def test_degenerate_instrument(confounded_cfg):
@@ -160,8 +149,6 @@ def test_degenerate_instrument(confounded_cfg):
 # per-column first-stage fits they replaced (Python 3.11, numpy 2.4);
 # iv_se and iv_p refrozen when the IV stage moved to the 2SLS sandwich.
 GOLDEN_SI = {"SI": 1.0370616097637748, "SI-PROX": 0.9717061864390251}
-GOLDEN_RCT_COEFFS = [0.04120161778588769, 0.7599280776545179, 1.4765172940252378]
-GOLDEN_RCT_SE = [0.08091097832617096, 0.1177252914779027, 0.05846075862128348]
 GOLDEN_DIAGNOSE = {
     "ols_coef_on_a": -0.3472058201402428, "ols_se": 0.039004751065018974,
     "ols_p": 5.503299053854459e-19, "iv_coef_on_a": 0.013110411455444448,
@@ -179,12 +166,9 @@ def test_golden_baselines(small_data, confounded_cfg):
 
     data, _ = small_data
     for name, tau in GOLDEN_SI.items():
-        rep = px.surrogate_index_estimate(data, include_proxies=(name == "SI-PROX"))
+        rep = px.surrogate_index_estimate(data, name == "SI-PROX", 0.05)
         assert rep.tau_hat == close(tau), name
     sample = px.generate_full(confounded_cfg, 4000, seed=3001)
-    fit = px.rct_benchmark(sample)
-    assert fit.coeffs.tolist() == close(GOLDEN_RCT_COEFFS)
-    assert fit.robust_se.tolist() == close(GOLDEN_RCT_SE)
     report = px.diagnose_surrogacy(sample).to_dict()
     assert report == {k: close(v) for k, v in GOLDEN_DIAGNOSE.items()}
     for p, ref in GOLDEN_QUANTILES:
@@ -214,15 +198,15 @@ def test_diagnose_two_proxy_columns_matches_per_column_reference():
     w_hat = np.column_stack([
         fs_design @ np.linalg.lstsq(fs_design, sample.w[:, j], rcond=None)[0] for j in range(2)
     ])
-    ols_fit = ols_hc0(np.column_stack(exog), sample.y, ("intercept", "a", "s1", "x1"))
+    ols_coef, ols_se, ols_p = _treatment_reference(np.column_stack(exog), sample.y)
     # 2SLS: coefficients from y on (exog, w_hat), residuals with w itself.
     iv_design = np.column_stack([*exog, w_hat])
     iv_coef = np.linalg.solve(iv_design.T @ iv_design, iv_design.T @ sample.y)
     resid = sample.y - np.column_stack([*exog, sample.w]) @ iv_coef
     bread = np.linalg.inv(iv_design.T @ iv_design)
     iv_se = math.sqrt((bread @ (iv_design.T * resid ** 2) @ iv_design @ bread)[1, 1])
-    reference = {"ols_coef_on_a": ols_fit.coef("a"), "ols_se": ols_fit.se("a"),
-                 "ols_p": ols_fit.p_value("a"), "iv_coef_on_a": iv_coef[1],
+    reference = {"ols_coef_on_a": ols_coef, "ols_se": ols_se,
+                 "ols_p": ols_p, "iv_coef_on_a": iv_coef[1],
                  "iv_se": iv_se, "iv_p": math.erfc(abs(iv_coef[1]) / iv_se / math.sqrt(2.0))}
     assert rep.to_dict() == {k: pytest.approx(v, rel=1e-9) for k, v in reference.items()}
 
@@ -259,4 +243,4 @@ def test_surrogate_index_collinear_covariate_names_the_fit(small_data):
     )
     for include_proxies in (False, True):
         with pytest.raises(NumericalError, match="surrogate-index.*fit"):
-            px.surrogate_index_estimate(twin, include_proxies=include_proxies)
+            px.surrogate_index_estimate(twin, include_proxies, 0.05)

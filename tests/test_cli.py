@@ -269,6 +269,17 @@ def test_gen_data_with_oracle(tmp_path):
     assert data.n == 500
 
 
+def test_gen_data_unmasked_writes_oracle(tmp_path):
+    # The oracle depends only on the config, so both modes write the same one.
+    def oracle(*flags):
+        path = tmp_path / "oracle.json"
+        assert run(["gen-data", "--n", "100", "--seed", "3", "--out", str(tmp_path / "d.csv"),
+                    "--oracle-out", str(path), *flags]) == 0
+        return json.loads(path.read_text())["result"]
+
+    assert oracle("--unmasked") == oracle()
+
+
 def test_gen_data_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run(["gen-data", "--n", "200", "--seed", "9", "--out", str(p1)])
@@ -437,6 +448,21 @@ def test_gen_data_name_not_utf8_exit_1(tmp_path, capsys, schema, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("schema, message", [
+    ({"e_label": " E"}, "error: schema: e_label: ' E' starts or ends with whitespace"),
+    ({"y": "y "}, "error: schema: y: 'y ' starts or ends with whitespace"),
+])
+def test_gen_data_padded_name_exit_1(tmp_path, capsys, schema, message):
+    # The reader strips header cells and labels, so a padded name or label
+    # would be written into a file that the same config cannot read.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"schema": schema}))
+    assert run(["gen-data", "--config", str(cfg), "--n", "100", "--seed", "1",
+                "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, simulate, where", [
     (["estimate", "--estimator", ","], {}, "--estimator"),
     (["simulate", "--estimators", ","], {}, "--estimators"),
@@ -544,16 +570,19 @@ def test_negative_seed_exit_1(tmp_path, data_csv, capsys, argv):
 
 
 def test_alpha_flag_narrows_only_the_interval(data_csv, tmp_path):
-    def mr(*flags):
+    def mr_si(*flags):
         out = tmp_path / "mr.json"
-        assert run(["estimate", "--data", str(data_csv), "--estimator", "mr",
+        assert run(["estimate", "--data", str(data_csv), "--estimator", "mr,si",
                     "--out", str(out), *flags]) == 0
-        return json.loads(out.read_text())["result"]["MR"]
+        result = json.loads(out.read_text())["result"]
+        return result["MR"], result["SI"]
 
-    default, narrow = mr(), mr("--alpha", "0.1")
+    (default, si_default), (narrow, si_narrow) = mr_si(), mr_si("--alpha", "0.1")
     assert default["alpha"] == 0.05 and narrow["alpha"] == 0.1
     assert narrow["tau_hat"] == default["tau_hat"]
     assert default["ci"][0] < narrow["ci"][0] < narrow["ci"][1] < default["ci"][1]
+    # The baseline has no interval, but its report carries the alpha it ran under.
+    assert si_narrow == {**si_default, "alpha": 0.1}
 
 
 def test_config_known_propensity(tmp_path, data_csv):

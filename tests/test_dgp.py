@@ -140,7 +140,7 @@ def test_residual_check_shrinks_with_n(confounded_cfg):
 def test_frozen_naive_bias_regression(confounded_cfg):
     # Single large draw must sit near the frozen brute-force constant.
     data, oracle = px.generate(confounded_cfg, 4 * 10**5, 0.5, seed=901)
-    bias = px.surrogate_index_estimate(data).tau_hat - oracle.true_ate
+    bias = px.surrogate_index_estimate(data, False, 0.05).tau_hat - oracle.true_ate
     assert abs(bias - NAIVE_SI_BIAS) < 0.05
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 import proxate as px
@@ -22,56 +21,6 @@ from proxate.nuisance import PropensityModel
 from conftest import constant_bridge, constant_hbar, estimate_with
 
 CFG = px.EstimatorConfig()
-
-
-def test_split_and_mask_partition(confounded_cfg):
-    full = px.generate_full(confounded_cfg, 100, seed=1)
-    data = px.split_and_mask(full, 0.5, seed=9)
-    assert data.n_e + data.n_o == 100
-    assert np.isnan(data.y[data.is_e]).all()
-    assert np.isnan(data.a[~data.is_e]).all()
-    # shared columns untouched
-    np.testing.assert_array_equal(data.s, full.s)
-    np.testing.assert_array_equal(data.w, full.w)
-
-
-def test_split_and_mask_deterministic(confounded_cfg):
-    full = px.generate_full(confounded_cfg, 100, seed=1)
-    d1 = px.split_and_mask(full, 0.4, seed=5)
-    d2 = px.split_and_mask(full, 0.4, seed=5)
-    np.testing.assert_array_equal(d1.is_e, d2.is_e)
-    np.testing.assert_array_equal(d1.y, d2.y)
-
-
-def test_split_and_mask_empty_stratum(confounded_cfg):
-    full = px.generate_full(confounded_cfg, 10, seed=1)
-    with pytest.raises(ValidationError):
-        # A 0.999 split of 10 units will empty the O stratum for some seed.
-        for seed in range(200):
-            px.split_and_mask(full, 0.999, seed=seed)
-
-
-def _ks_stat(x: np.ndarray, y: np.ndarray) -> float:
-    both = np.concatenate([x, y])
-    both.sort()
-    fx = np.searchsorted(np.sort(x), both, side="right") / x.shape[0]
-    fy = np.searchsorted(np.sort(y), both, side="right") / y.shape[0]
-    return float(np.abs(fx - fy).max())
-
-
-def test_split_preserves_marginals_ks(confounded_cfg):
-    # Two-sample KS below the 1% critical value in >= 95% of seeds.
-    full = px.generate_full(confounded_cfg, 10_000, seed=2)
-    n_pass = 0
-    seeds = range(40)
-    for seed in seeds:
-        data = px.split_and_mask(full, 0.5, seed=seed)
-        e, o = data.is_e, ~data.is_e
-        crit = 1.628 * np.sqrt(data.n / (data.n_e * data.n_o))
-        cols = [data.s[:, 0], data.w[:, 0], data.x[:, 0]]
-        ok = all(_ks_stat(col[e], col[o]) < crit for col in cols)
-        n_pass += ok
-    assert n_pass / len(seeds) >= 0.95
 
 
 def test_regime_validation(small_data):

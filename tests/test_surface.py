@@ -4,8 +4,9 @@ Counted with an ``ast`` walk over ``src/proxate/*.py``: the defaulted
 parameters (positional and keyword-only) of public functions and of
 public methods of public classes, plus the annotated fields with a
 default in public classes. Public means no leading underscore. The
-exported names (``proxate.__all__``) are pinned too, so names that only
-tests call stay out of the package.
+exported names (``proxate.__all__``) are pinned too, and every public
+function, class and method must have a caller in the package or in
+``perfbench/``, so names that only tests call stay out of the package.
 
 The same walk checks that every JSON writer in the package is strict,
 so no report can hold NaN or Infinity, and that records have one JSON
@@ -26,8 +27,8 @@ from pathlib import Path
 
 import proxate
 
-MAX_SETTABLE_VALUES = 56
-MAX_EXPORTED_NAMES = 54
+MAX_SETTABLE_VALUES = 55
+MAX_EXPORTED_NAMES = 51
 
 
 def _public(node) -> bool:
@@ -61,6 +62,45 @@ def test_settable_value_count():
 def test_exported_name_count():
     count = len(proxate.__all__)
     assert count <= MAX_EXPORTED_NAMES, f"{count} exported names > {MAX_EXPORTED_NAMES}"
+
+
+def _public_definitions(package_dir: Path):
+    """(path, node) of each public top-level function or class and of
+    each public method of a public class."""
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _public(node):
+                yield path, node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and _public(item):
+                        yield path, item
+
+
+def _references(paths):
+    """(path, line, name) of each name and attribute read in ``paths``."""
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                yield path, node.lineno, node.id
+            elif isinstance(node, ast.Attribute):
+                yield path, node.lineno, node.attr
+
+
+def test_every_public_name_has_a_caller():
+    # Matched by name: a reference inside the definition itself, or in
+    # __init__.py (which only re-exports), is not a caller.
+    package_dir = Path(proxate.__file__).parent
+    bench_dir = package_dir.parent.parent / "perfbench"
+    sources = [p for p in sorted(package_dir.glob("*.py")) if p.name != "__init__.py"]
+    refs = list(_references(sources + sorted(bench_dir.glob("*.py"))))
+    uncalled = [
+        f"{where.name}:{node.lineno} {node.name}"
+        for where, node in _public_definitions(package_dir)
+        if not any(name == node.name and not (path == where and
+                                              node.lineno <= line <= node.end_lineno)
+                   for path, line, name in refs)
+    ]
+    assert uncalled == []
 
 
 def _json_writes(package_dir: Path):
