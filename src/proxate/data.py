@@ -11,13 +11,17 @@ this pattern.
 One reader and one writer hold the CSV format for both files: the
 combined file, with a g column of sample labels, and the unmasked
 experimental file, without one. Files are UTF-8 text. The reader opens a
-file once and parses its data lines in one bulk ``np.loadtxt`` pass;
-only where the two could differ, which includes every file with a bad
-cell, does it read the file again row by row. Data rows are numbered
-from 1 after the header; parse errors, bytes that are not UTF-8, unknown
-labels and masking or finiteness violations name the first offending row
-by that number. The writer quotes with ``csv.writer`` only the header and
-the two sample labels; data rows are joined from their formatted cells.
+file once and parses its data lines in bulk with ``np.loadtxt``: in one
+pass, or, for a file of at least two 4 MiB chunks cut just after LFs,
+one pass per chunk over ``_fork.ordered_map``, whose forked workers read
+their chunks through the open file. Only where a bulk pass and the row
+reader could differ, which includes every file with a bad cell, does it
+read the whole file again row by row. Data rows are numbered from 1
+after the header; parse errors, bytes that are not UTF-8, unknown labels
+and masking or finiteness violations name the first offending row by
+that number. The writer quotes with ``csv.writer`` only the header and
+the two sample labels; data rows are joined from their formatted cells,
+chunks of them formatted over ``_fork.ordered_map`` and written in order.
 """
 
 from __future__ import annotations
@@ -25,13 +29,16 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings
 from array import array
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ._fork import ordered_map
 from ._records import Record
 from .errors import (
     ParseError,
@@ -44,6 +51,10 @@ MISSING_TOKEN = "NA"
 # Rows per block when the writer formats columns. Small blocks keep the
 # strings of a block from leaving megabytes of freed heap behind.
 _BLOCK_ROWS = 512
+# Rows per writer chunk and bytes per reader chunk, the items that
+# ``_fork.ordered_map`` hands to workers: a few MiB of text each.
+_CHUNK_ROWS = 32 * _BLOCK_ROWS
+_SPLIT_BYTES = 4 << 20
 # Numeric roles in CSV column order; the g column follows "a".
 _ROLES = ("y", "a", "w", "z", "s", "x")
 
@@ -317,9 +328,11 @@ def _parse_cell(raw: str, row_idx: int, col: str) -> float:
 def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[str, np.ndarray]:
     """Read a CSV into one array per role (plus ``is_e`` with g).
 
-    One ``np.loadtxt`` pass parses the data rows. Where its result could
-    differ from the row-wise reader's, the row-wise reader reads the rows
-    again from the header, so each error names its first offending row.
+    ``np.loadtxt`` parses the data rows in bulk: in one pass, or, for a
+    file of at least two ``_SPLIT_BYTES`` chunks, one pass per chunk over
+    ``_fork.ordered_map``. Where its result could differ from the
+    row-wise reader's, the row-wise reader reads the rows again from the
+    header, so each error names its first offending row.
     """
     path = Path(path)
     try:
@@ -337,20 +350,89 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
         if bad := _undecodable(header):
             raise ValidationError(f"{path}: header: {bad}")
         cols = _resolve_columns(schema, header, with_g=with_g)
-        table = _parse_bulk(fh, header, cols, schema, with_g=with_g)
-        if table is None:
+        parse = partial(_parse_bulk, header=header, cols=cols, schema=schema, with_g=with_g)
+        if spans := _spans(fh.fileno()):
+            tables = _parse_spans(fh.fileno(), spans, parse, len(header))
+        else:
+            tables = [parse(fh)]
+        if tables[0] is None:
             fh.seek(0)
             reader = csv.reader(fh)
             next(reader)
-            table = _parse_rows(reader, header, cols, schema, with_g=with_g)
-    if not len(table):
+            tables = [_parse_rows(reader, header, cols, schema, with_g=with_g)]
+    if not sum(map(len, tables)):
         raise ValidationError(f"{path}: no data rows")
-    out = {
-        role: np.ascontiguousarray(table[:, [header.index(c) for c in cols[role]]])
-        for role in _ROLES
-    }
+    out = {role: _gather(tables, [header.index(c) for c in cols[role]]) for role in _ROLES}
     if with_g:
-        out["is_e"] = table[:, header.index(schema.g)] == 1.0
+        out["is_e"] = _gather(tables, [header.index(schema.g)])[:, 0] == 1.0
+    return out
+
+
+def _spans(fd: int) -> list[tuple[int, int]]:
+    """Byte ranges of the data lines of the file open as ``fd``, about
+    ``_SPLIT_BYTES`` each and cut just after an LF, or [] if the file is
+    not split: it holds fewer than two chunks of data, or its first line
+    does not end in LF or holds a quote or another CR, so that line need
+    not be the header ``csv.reader`` read."""
+    size = os.fstat(fd).st_size
+    if size < 2 * _SPLIT_BYTES:
+        return []
+    start = _after_lf(fd, 0, _SPLIT_BYTES)
+    first = os.pread(fd, start, 0)
+    body = first[:-2] if first.endswith(b"\r\n") else first[:-1]
+    if (size - start < 2 * _SPLIT_BYTES or not first.endswith(b"\n")
+            or b'"' in body or b"\r" in body):
+        return []
+    cuts = [start]
+    while cuts[-1] + 2 * _SPLIT_BYTES <= size:
+        cuts.append(_after_lf(fd, cuts[-1] + _SPLIT_BYTES, size))
+    if cuts[-1] < size:
+        cuts.append(size)
+    return list(zip(cuts, cuts[1:]))
+
+
+def _after_lf(fd: int, pos: int, size: int) -> int:
+    """The offset just after the first LF at or after ``pos``, else ``size``."""
+    while pos < size and (window := os.pread(fd, 1 << 16, pos)):
+        if (lf := window.find(b"\n")) >= 0:
+            return pos + lf + 1
+        pos += len(window)
+    return size
+
+
+def _parse_spans(fd: int, spans: list[tuple[int, int]], parse, width: int) -> list:
+    """One table per span from ``parse``, or [None] once it doubts a span."""
+    tables = []
+    with ordered_map(partial(_parse_span, fd, parse), spans) as parts:
+        for part in parts:
+            if not part:
+                return [None]
+            tables.append(np.frombuffer(part).reshape(-1, width))
+    return tables
+
+
+def _parse_span(fd: int, parse, span: tuple[int, int]):
+    """The table of the lines in byte range ``span`` of the file open as
+    ``fd``, as bytes; empty where ``parse`` doubts them or the range is no
+    longer there. The range is decoded as the reader decodes the whole
+    file, a few KiB at a time, and a cut after an LF splits no line and
+    no UTF-8 sequence."""
+    start, end = span
+    raw = os.pread(fd, end - start, start)
+    if len(raw) != end - start:
+        return b""
+    table = parse(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape",
+                                   newline=""))
+    return b"" if table is None else memoryview(table)
+
+
+def _gather(tables: list[np.ndarray], idx: list[int]) -> np.ndarray:
+    """Columns ``idx`` of ``tables`` stacked by row, with no copy of a whole table."""
+    out = np.empty((sum(map(len, tables)), len(idx)))
+    lo = 0
+    for table in tables:
+        out[lo:lo + len(table)] = table[:, idx]
+        lo += len(table)
     return out
 
 
@@ -475,11 +557,8 @@ def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: C
 def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> None:
     """Write the six roles of ``data`` (and its g labels) as one UTF-8 CSV.
 
-    ``csv.writer`` writes the header. Cells are formatted a block of rows
-    at a time, so no column is ever held as a whole list of strings, and
-    each block's rows are joined directly: a number's ``repr`` and NA never
-    need quotes, and each label is quoted once, as ``csv.writer`` would
-    quote it in a data row.
+    ``csv.writer`` writes the header. The rows are formatted in chunks of
+    ``_CHUNK_ROWS`` over ``_fork.ordered_map`` and written in order.
     """
     header, columns = [], []
     for role in _ROLES:
@@ -494,21 +573,42 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
             header.append(schema.g)
             columns.append(data.is_e)
     labels = (_quoted(schema.o_label), _quoted(schema.e_label))
-    try:
-        with Path(path).open("w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerow(header)
-            for lo in range(0, data.n, _BLOCK_ROWS):
-                block = [_cells(col[lo:lo + _BLOCK_ROWS], labels) for col in columns]
-                fh.write("\r\n".join(map(",".join, zip(*block))) + "\r\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}")
+    chunks = range(0, data.n, _CHUNK_ROWS)
+    with ordered_map(partial(_format_rows, columns, labels), chunks) as formatted:
+        try:
+            with Path(path).open("wb") as fh:
+                fh.write(_csv_line(header).encode())
+                for rows in formatted:
+                    fh.write(rows)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}")
+
+
+def _format_rows(columns: list[np.ndarray], labels: tuple[str, str], lo: int) -> bytearray:
+    """Rows ``lo`` to ``lo + _CHUNK_ROWS`` as UTF-8 lines.
+
+    Cells are formatted a block of rows at a time, so no column is ever
+    held as a whole list of strings, and each block's rows are joined
+    directly: a number's ``repr`` and NA never need quotes, and each
+    label is quoted once, as ``csv.writer`` would quote it in a data row.
+    """
+    out = bytearray()
+    for b in range(lo, min(lo + _CHUNK_ROWS, len(columns[0])), _BLOCK_ROWS):
+        block = [_cells(col[b:b + _BLOCK_ROWS], labels) for col in columns]
+        out += ("\r\n".join(map(",".join, zip(*block))) + "\r\n").encode()
+    return out
+
+
+def _csv_line(cells: list[str]) -> str:
+    """``cells`` as the line ``csv.writer`` writes for them."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(cells)
+    return buf.getvalue()
 
 
 def _quoted(label: str) -> str:
     """``label`` as ``csv.writer`` writes it in a row of two or more cells."""
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerow([label, ""])
-    return buf.getvalue()[:-len(",\r\n")]
+    return _csv_line([label, ""])[:-len(",\r\n")]
 
 
 def _cells(col: np.ndarray, labels: tuple[str, str]) -> list[str]:

@@ -15,22 +15,24 @@ substitutes each regime's constants into those evaluations; that is
 all_correct). Each successful replication is one record, its reports
 per regime, and the study aggregates the records once all have run.
 
-Replications are independent and seeded, so a study runs them in forked
-worker processes, one per CPU the process may run on, each with one
-OpenBLAS thread; the parent reads the outcomes in replication order.
-Where that cannot be arranged (one CPU, no ``fork``, no OpenBLAS thread
-setter) the same function runs in-process.
+Replications are independent and seeded, so a study runs them over
+``_fork.ordered_map``: in forked worker processes, one per CPU the
+process may run on, each with one OpenBLAS thread, which send each
+outcome back pickled; the parent reads the outcomes in replication
+order. Where that cannot be arranged (one CPU, no ``fork``, no OpenBLAS
+thread setter) the same function runs in-process. A worker that dies
+without its outcome aborts the study with a ``ProxateError``.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
+import pickle
 from dataclasses import dataclass, replace
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
+from ._fork import ordered_map
 from ._records import Record
 from .baselines import BASELINE_NAMES, surrogate_index_estimate
 from .data import CombinedDataset
@@ -215,81 +217,15 @@ def _attempt(
     estimators: tuple[str, ...],
     regimes: tuple[str, ...],
     seed: int,
-) -> dict[str, dict[str, EstimateReport]] | ProxateError:
-    """The replication at ``seed``: its record, each regime's reports, or
-    the error that failed it; only that outlives the call."""
+) -> bytes:
+    """The replication at ``seed``, pickled: its record, each regime's
+    reports, or the error that failed it; only that outlives the call."""
     try:
         data, _ = generate(dgp, n, pi, seed)
-        return estimate_regimes(data, k_folds, seed, config, estimators, regimes)[0]
+        outcome = estimate_regimes(data, k_folds, seed, config, estimators, regimes)[0]
     except ProxateError as exc:
-        return exc
-
-
-@cache
-def _openblas_set_num_threads():
-    """The loaded OpenBLAS's ``set_num_threads``, or None if none is found."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if setter is not None:
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    return setter
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Each worker's start-up: one OpenBLAS thread, as one worker per CPU
-    already fills the CPUs."""
-    setter = _openblas_set_num_threads()
-    if setter is not None:
-        setter(1)
-
-
-def _workers(replications: int) -> int:
-    """Worker processes for a study: one per CPU this process may run on,
-    at most one per replication. 1 (in-process) where workers cannot be
-    forked or held to one OpenBLAS thread: workers that keep several
-    threads each oversubscribe the CPUs and run slower than one process."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    workers = min(len(os.sched_getaffinity(0)), replications)
-    return workers if workers > 1 and _openblas_set_num_threads() is not None else 1
-
-
-@contextmanager
-def _replication_map(replications: int):
-    """An ordered ``map`` for a study's replications: the builtin one with
-    one worker, else a forked pool's. On exit the pool cancels the
-    replications not yet started and waits for its workers to end."""
-    workers = _workers(replications)
-    if workers == 1:
-        yield map
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned worker imports numpy and proxate again
-    # (about 0.2 s, a third of a 10-replication study at n = 4e4).
-    # OpenBLAS, the one library here that starts threads, stops its own
-    # thread pool around fork.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_one_blas_thread)
-    try:
-        yield pool.map
-    finally:
-        pool.shutdown(cancel_futures=True)
+        outcome = exc
+    return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def run_monte_carlo(
@@ -313,10 +249,10 @@ def run_monte_carlo(
     are listed in ``MCReport.failures``. Once failures exceed
     ``MAX_FAILURE_FRACTION`` of the requested runs the study aborts
     rather than silently reporting on a biased subset; replications
-    already started finish first, and none later starts. Coverage is
-    tracked for MR only, the one estimator with an interval. The
-    arguments, ``generate``'s ``n`` and ``pi`` included, are checked once
-    before replication 0, so an invalid one never reads as failed
+    still running in workers are stopped, and none later starts.
+    Coverage is tracked for MR only, the one estimator with an interval.
+    The arguments, ``generate``'s ``n`` and ``pi`` included, are checked
+    once before replication 0, so an invalid one never reads as failed
     replications.
     """
     check_draw(n, pi)
@@ -338,8 +274,9 @@ def run_monte_carlo(
     failures: list[dict] = []
     attempt = partial(_attempt, dgp, n, pi, k_folds, config, estimators, regimes)
     seeds = range(base_seed, base_seed + replications)
-    with _replication_map(replications) as run:
-        for r, (seed, outcome) in enumerate(zip(seeds, run(attempt, seeds))):
+    with ordered_map(attempt, seeds) as outcomes:
+        for r, (seed, pickled) in enumerate(zip(seeds, outcomes)):
+            outcome = pickle.loads(pickled)
             if not isinstance(outcome, ProxateError):
                 records.append(outcome)
                 continue

@@ -8,15 +8,20 @@ The helpers below are the tests' reference implementations of what
 the package only does inside its two design passes: a basis fitted on a
 view with its design, a fitted nuisance applied to a view (basis design
 times coefficients), estimates from given nuisances, constant
-nuisances, and a bridge's coefficients on the raw inputs.
+nuisances, and a bridge's coefficients on the raw inputs. Two more
+pin the worker count of ``_fork.ordered_map`` and check that no forked
+worker outlives its map.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pytest
 
 import proxate as px
+from proxate import _fork
 from proxate.basis import basis_from_r, raw_features
 from proxate.errors import ValidationError
 from proxate.estimators import ESTIMATOR_NAMES, estimates_from_evals, evaluate_nuisances
@@ -191,3 +196,15 @@ def linear_coefficients(bf):
         return bf.coeffs.copy()
     slopes = bf.coeffs[1:] / bf.basis.scales
     return np.concatenate([[bf.coeffs[0] - float(slopes @ bf.basis.centers)], slopes])
+
+
+def pin_workers(monkeypatch, workers: int) -> None:
+    """Run each ordered map over ``workers`` forked workers (1: in-process),
+    at most one per item, whatever the CPUs."""
+    monkeypatch.setattr(_fork, "_workers", lambda n_items: min(workers, n_items))
+
+
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

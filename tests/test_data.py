@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import math
+import os
+import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +17,13 @@ import proxate as px
 from proxate import data as codec
 from proxate.errors import (
     ParseError,
+    ProxateError,
     RoleUnavailableError,
     SchemaViolationError,
     ValidationError,
 )
+
+from conftest import assert_no_child_left, pin_workers
 
 SCHEMA = px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",))
 
@@ -340,6 +346,140 @@ def test_plain_file_is_opened_once(tmp_path, monkeypatch, reader, ends):
     assert opened == [path]
 
 
+def _lines(text: str) -> list[str]:
+    """``text`` split into lines as the reader splits it, line ends kept."""
+    return io.StringIO(text, newline="").readlines()
+
+
+def _spans(path) -> list[tuple[int, int]]:
+    """The byte ranges the reader splits the file at ``path`` into."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return codec._spans(fd)
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("load,text,schema,expected", EDGE_CASES)
+def test_split_parse_agrees_with_row_reader(tmp_path, monkeypatch, load, text, schema, expected):
+    # Each edge case's rows after a filler of its other rows, so the rows
+    # of the case fall in the second of two chunks, parsed by a second
+    # worker. The outcome is the row reader's: the same error, message
+    # and row, or the same arrays.
+    header, *rows = _lines(text)
+    bad = int(re.match(r"row (\d+):", expected[1]).group(1)) if expected else 0
+    filler = "".join(row for i, row in enumerate(rows, start=1) if i != bad) * 40
+    path = _write(tmp_path, header + filler + "".join(rows))
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", len(filler.encode(errors="surrogateescape")) // 2)
+    pin_workers(monkeypatch, 2)
+    split = _outcome(load, path, schema)
+    assert_no_child_left()
+    with monkeypatch.context() as m:
+        m.setattr(codec, "_parse_bulk", lambda *args, **kwargs: None)
+        assert split == _outcome(load, path, schema)
+    body = header[:-2] if header.endswith("\r\n") else header[:-1]
+    split_file = header.endswith("\n") and "\r" not in body and '"' not in body
+    assert (len(_spans(path)) >= 2) == split_file
+    if expected is not None and isinstance(_outcome(load, _write(tmp_path, header + filler,
+                                                                 "filler.csv"), schema), dict):
+        assert split[:2] == (expected[0], re.sub(r"^row \d+",
+                                                 f"row {len(_lines(filler)) + bad}", expected[1]))
+
+
+def _split_sized(tmp_path, confounded_cfg, ends):
+    """A 3,000-row combined file with line ends ``ends``, and its dataset."""
+    data, _ = px.generate(confounded_cfg, 3_000, 0.5, seed=44)
+    path = tmp_path / "split.csv"
+    px.write_csv(data, path, px.CsvSchema())
+    path.write_bytes(LINE_ENDS[ends](path.read_bytes().decode().replace("\r\n", "\n")).encode())
+    return path, data
+
+
+@pytest.mark.parametrize("ends, spans", [("lf", 11), ("crlf", 11), ("lone_cr", 0)])
+def test_split_sized_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, ends, spans):
+    # A file of many chunks is parsed in chunks, one per worker at a time,
+    # and loads bit-identical with no row reader; a lone-CR file, with no
+    # LF to cut after, is parsed in one bulk pass.
+    path, data = _split_sized(tmp_path, confounded_cfg, ends)
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    assert len(_spans(path)) == spans
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        back = px.load_csv(path, px.CsvSchema())
+        assert_no_child_left()
+        for name, arr in vars(data).items():
+            assert getattr(back, name).tobytes() == arr.tobytes(), (ends, workers, name)
+
+
+def test_split_cut_between_cr_and_lf(tmp_path, monkeypatch, confounded_cfg):
+    # A chunk that would end between the CR and the LF of a CRLF ends
+    # after the LF instead.
+    path, data = _split_sized(tmp_path, confounded_cfg, "crlf")
+    raw = path.read_bytes()
+    start = raw.index(b"\n") + 1
+    lf = raw.index(b"\r\n", start + len(raw) // 3) + 1
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", lf - start)
+    assert _spans(path)[0] == (start, lf + 1)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    pin_workers(monkeypatch, 2)
+    back = px.load_csv(path, px.CsvSchema())
+    for name, arr in vars(data).items():
+        assert getattr(back, name).tobytes() == arr.tobytes(), name
+
+
+def test_one_cpu_forks_nothing(tmp_path, monkeypatch, confounded_cfg):
+    # Pinned to one CPU, a split-sized file is read and a many-chunk file
+    # written in-process.
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    path, data = _split_sized(tmp_path, confounded_cfg, "crlf")
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(codec, "_CHUNK_ROWS", codec._BLOCK_ROWS)
+    back = px.load_csv(path, px.CsvSchema())
+    px.write_csv(back, tmp_path / "again.csv", px.CsvSchema())
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("death, reason", [
+    pytest.param(lambda: os._exit(3), "exit status 3", id="exit_3"),
+    pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), "signal SIGKILL", id="sigkill"),
+])
+def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, death, reason):
+    # A reader or writer worker that dies leaves an error naming how it
+    # ended, never a short table or file taken as whole, and no child.
+    path, data = _split_sized(tmp_path, confounded_cfg, "crlf")
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(codec, "_CHUNK_ROWS", codec._BLOCK_ROWS)
+    pin_workers(monkeypatch, 2)
+    parent = os.getpid()
+
+    def dying(real):
+        def call(*args, **kwargs):
+            if os.getpid() != parent:
+                death()
+            return real(*args, **kwargs)
+        return call
+
+    message = rf"worker process \d+ ended without its result \({reason}\)"
+    with monkeypatch.context() as m:
+        m.setattr(codec, "_parse_bulk", dying(codec._parse_bulk))
+        with pytest.raises(ProxateError, match=message) as caught:
+            px.load_csv(path, px.CsvSchema())
+        assert type(caught.value) is ProxateError
+        assert_no_child_left()
+    with monkeypatch.context() as m:
+        m.setattr(codec, "_cells", dying(codec._cells))
+        with pytest.raises(ProxateError, match=message) as caught:
+            px.write_csv(data, tmp_path / "out.csv", px.CsvSchema())
+        assert type(caught.value) is ProxateError
+        assert_no_child_left()
+
+
 def test_unknown_sample_label_rejected(tmp_path):
     text = MINIMAL.replace("NA,1,E,0.1", "NA,1,Q,0.1", 1)
     with pytest.raises(SchemaViolationError):
@@ -546,6 +686,32 @@ def test_writer_quotes_labels_and_column_names(tmp_path, confounded_cfg, schema)
         back = load(path, schema)
         for role, arr in vars(want).items():
             assert getattr(back, role).tobytes() == arr.tobytes(), (name, role)
+
+
+@pytest.mark.parametrize("schema", [pytest.param(px.CsvSchema(), id="default"),
+                                    *QUOTED_SCHEMAS])
+def test_forked_writer_across_chunk_boundaries(tmp_path, monkeypatch, confounded_cfg, schema):
+    # Three chunks of rows, formatted in-process and by two workers: both
+    # give the one-cell-at-a-time reference bytes, masked with NA and not.
+    n = 2 * codec._CHUNK_ROWS + codec._BLOCK_ROWS + 1
+    data, _ = px.generate(confounded_cfg, n, 0.5, seed=45)
+    full = px.generate_full(confounded_cfg, n, seed=45)
+    labels = [schema.e_label if e else schema.o_label for e in data.is_e.tolist()]
+    names = {r: list(getattr(schema, r)) if isinstance(getattr(schema, r), tuple)
+             else [f"{getattr(schema, r)}1"] for r in "wzsx"}
+    tail = [c for r in "wzsx" for c in names[r]]
+    for name, write, want, cols, header in (
+        ("masked", px.write_csv, data, _columns(data, labels),
+         [schema.y, schema.a, schema.g] + tail),
+        ("unmasked", px.write_unmasked_csv, full, _columns(full), [schema.y, schema.a] + tail),
+    ):
+        reference = _reference_bytes(cols, header)
+        for workers in (1, 2):
+            pin_workers(monkeypatch, workers)
+            path = tmp_path / f"{name}-{workers}.csv"
+            write(want, path, schema)
+            assert_no_child_left()
+            assert path.read_bytes() == reference, (name, workers)
 
 
 # sha256 of both files for fixed draws. Round trips compare values only;

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
-import multiprocessing
 import os
+import re
+import signal
 
 import pytest
 
 import proxate as px
-from proxate import harness
+from proxate import _fork, cli, harness
 from proxate.basis import FittedBasis
-from proxate.errors import NumericalError, ValidationError
+from proxate.errors import NumericalError, ProxateError, ValidationError
 from proxate.estimators import (
     ESTIMATOR_NAMES,
     estimates_from_evals,
@@ -18,7 +19,13 @@ from proxate.estimators import (
 from proxate.harness import CORRUPTS, HARNESS_ESTIMATORS, REGIME_NAMES
 from proxate.nuisance import PropensityModel
 
-from conftest import constant_bridge, constant_hbar, estimate_with
+from conftest import (
+    assert_no_child_left,
+    constant_bridge,
+    constant_hbar,
+    estimate_with,
+    pin_workers,
+)
 
 CFG = px.EstimatorConfig()
 
@@ -120,10 +127,6 @@ def test_substituted_regimes_match_corrupted_nuisances(small_data, config):
         assert fast["MR"].ci == slow["MR"].ci, name
 
 
-def _pin_workers(monkeypatch, workers: int) -> None:
-    monkeypatch.setattr(harness, "_workers", lambda replications: workers)
-
-
 def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
     # Per replication (k = 5, six regimes): no transform to fit (folds
     # fit from cell R factors) and 4 per fold to evaluate, however many
@@ -141,7 +144,7 @@ def test_one_evaluation_per_replication(confounded_cfg, monkeypatch):
 
     monkeypatch.setattr(FittedBasis, "transform", counting_transform)
     monkeypatch.setattr(harness, "generate", generate)
-    _pin_workers(monkeypatch, 1)  # the counts live in this process
+    pin_workers(monkeypatch, 1)  # the counts live in this process
     px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=ESTIMATOR_NAMES,
                        regimes=REGIME_NAMES, replications=2, base_seed=3, config=CFG,
                        k_folds=5)
@@ -225,7 +228,7 @@ def test_failed_replication_commits_no_regime(confounded_cfg, monkeypatch):
 
     monkeypatch.setattr(harness, "estimates_from_evals", flaky)
     monkeypatch.setattr(harness, "MAX_FAILURE_FRACTION", 0.5)
-    _pin_workers(monkeypatch, 1)  # the call count lives in this process
+    pin_workers(monkeypatch, 1)  # the call count lives in this process
     report = px.run_monte_carlo(
         confounded_cfg, n=1500, pi=0.5, estimators=("OB-OR", "MR", "SI"),
         regimes=REGIME_NAMES, replications=3, base_seed=40, config=CFG, k_folds=5,
@@ -266,12 +269,12 @@ def test_workers_match_in_process(confounded_cfg, monkeypatch):
     monkeypatch.setattr(harness, "MAX_FAILURE_FRACTION", 0.5)
     reports = {}
     for workers in (1, 2):
-        _pin_workers(monkeypatch, workers)
+        pin_workers(monkeypatch, workers)
         reports[workers] = px.run_monte_carlo(
             confounded_cfg, n=1500, pi=0.5, estimators=HARNESS_ESTIMATORS,
             regimes=REGIME_NAMES, replications=4, base_seed=60, config=CFG, k_folds=5,
         ).to_dict()
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert drawn == [60, 61, 62, 63]  # the pooled study drew nothing here
     assert reports[1] == reports[2]
     assert reports[2]["failures"] == [{"replication": 1, "seed": 61, "error": "NumericalError",
@@ -284,21 +287,52 @@ def test_workers_abort_as_in_process(confounded_cfg, monkeypatch):
     # error, raised from the failure, both ways, and no worker left running.
     errors = {}
     for workers in (1, 2):
-        _pin_workers(monkeypatch, workers)
+        pin_workers(monkeypatch, workers)
         with pytest.raises(ValidationError) as caught:
             px.run_monte_carlo(confounded_cfg, 40, 0.5, ("MR",), ("all_correct",),
                                replications=5, base_seed=0, config=CFG, k_folds=30)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         cause = caught.value.__cause__
         errors[workers] = (str(caught.value), type(cause), str(cause))
     assert errors[1] == errors[2]
     assert errors[1][0].startswith("1 of 5 replications failed (cap 0); last error: ")
 
 
+@pytest.mark.parametrize("death, reason", [
+    pytest.param(lambda: os._exit(3), "exit status 3", id="exit_3"),
+    pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), "signal SIGKILL", id="sigkill"),
+])
+def test_worker_death_is_an_error(confounded_cfg, monkeypatch, capsys, death, reason):
+    # A worker that dies mid-study is an error naming how it ended, exit
+    # code 1 from the CLI, and the other worker is stopped.
+    real = harness.generate
+
+    def generate(dgp, n, pi, seed):
+        if seed == 61:
+            death()
+        return real(dgp, n, pi, seed)
+
+    monkeypatch.setattr(harness, "generate", generate)
+    pin_workers(monkeypatch, 2)
+    with pytest.raises(ProxateError) as caught:
+        px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=("MR",),
+                           regimes=("all_correct",), replications=4, base_seed=60, config=CFG,
+                           k_folds=5)
+    assert type(caught.value) is ProxateError
+    assert re.fullmatch(rf"worker process \d+ ended without its result \({reason}\)",
+                        str(caught.value))
+    assert_no_child_left()
+    assert cli.main(["simulate", "--n", "1500", "--replications", "4", "--base-seed", "60",
+                     "--estimators", "mr", "--regimes", "all_correct"]) == 1
+    assert re.fullmatch(rf"error: worker process \d+ ended without its result \({reason}\)\n",
+                        capsys.readouterr().err)
+    assert_no_child_left()
+
+
 def test_one_cpu_runs_in_process(confounded_cfg, monkeypatch):
     # Pinned to one CPU (as under `taskset -c 0`), the study forks nothing.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert harness._workers(10) == 1
+    assert _fork._workers(10) == 1
     drawn = _generate_failing_at(monkeypatch, -1)
     px.run_monte_carlo(confounded_cfg, n=1500, pi=0.5, estimators=("MR",),
                        regimes=("all_correct",), replications=2, base_seed=7, config=CFG,

@@ -13,8 +13,9 @@ so no report can hold NaN or Infinity, and that records have one JSON
 form: ``Record.to_dict`` writes it and ``_records.from_dict`` reads it.
 
 A fresh interpreter checks that ``import proxate`` leaves the process
-pool's modules unloaded: the Monte Carlo harness imports them when it
-starts workers, so the import stays as cheap as it is.
+pool's modules unloaded, and the walk checks that the package has one
+fork mechanism: ``_fork`` alone forks, and nothing imports
+``multiprocessing`` or ``concurrent.futures``.
 """
 
 from __future__ import annotations
@@ -150,3 +151,18 @@ def test_import_leaves_pool_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120).stdout
     assert out == "[]\n"
+
+
+def test_one_fork_mechanism():
+    package_dir = Path(proxate.__file__).parent
+    pools, forks = [], []
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            pools += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] in ("multiprocessing", "concurrent")]
+            if isinstance(node, ast.Attribute) and node.attr == "fork":
+                forks.append(path.name)
+    assert pools == []
+    assert forks == ["_fork.py"]
