@@ -13,12 +13,17 @@ Workers are forked, not spawned: a spawned worker imports numpy and
 proxate again (about 0.2 s, a third of a 10-replication study at
 n = 4e4), and a forked one sees the parent's arrays without a copy.
 OpenBLAS, the one library here that starts threads, stops its own
-thread pool around fork, and each worker holds it to one thread, since
-one worker per CPU already fills the CPUs. A worker that ends without
-its result (killed, out of memory, or any exception in ``fn``, whose
-traceback it prints to stderr) is a ``ProxateError`` naming its exit
-status or signal; on any exit from the map, workers still running are
-killed and every worker is reaped.
+thread pool around fork. One worker per CPU already fills the CPUs, so
+the map sets OpenBLAS to one thread in the parent before the first fork,
+and restores the parent's count on every exit; each worker inherits the
+one thread and starts no pool. A worker does not set the count itself:
+after fork the setter re-creates the stopped pool, whose helper thread
+spins for work (tens of milliseconds of CPU) before it sleeps, and would
+make each worker's first item 2-3x slower than its later ones. A worker
+that ends without its result (killed, out of memory, or any exception in
+``fn``, whose traceback it prints to stderr) is a ``ProxateError`` naming
+its exit status or signal; on any exit from the map, workers still
+running are killed and every worker is reaped.
 """
 
 from __future__ import annotations
@@ -37,8 +42,9 @@ _LENGTH_BYTES = 8  # the length in front of each result, little-endian
 
 
 @cache
-def _openblas_set_num_threads():
-    """The loaded OpenBLAS's ``set_num_threads``, or None if none is found."""
+def _openblas_num_threads():
+    """The loaded OpenBLAS's ``get_num_threads`` and ``set_num_threads``,
+    or None if none is found."""
     import ctypes
 
     try:
@@ -53,22 +59,25 @@ def _openblas_set_num_threads():
             continue
         for prefix in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
+                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
                 setter = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if setter is not None:
+                if getter is not None and setter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
                     setter.argtypes, setter.restype = [ctypes.c_int], None
-                    return setter
+                    return getter, setter
     return None
 
 
 def _workers(n_items: int) -> int:
     """Worker processes for a map: one per CPU this process may run on,
     at most one per item. 1 (in-process) where workers cannot be forked
-    or held to one OpenBLAS thread: workers that keep several threads
-    each oversubscribe the CPUs and run slower than one process."""
+    or held to one OpenBLAS thread, which the map sets in the parent before
+    it forks: workers that keep several threads each oversubscribe the
+    CPUs and run slower than one process."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     workers = min(len(os.sched_getaffinity(0)), n_items)
-    return workers if workers > 1 and _openblas_set_num_threads() is not None else 1
+    return workers if workers > 1 and _openblas_num_threads() is not None else 1
 
 
 @contextmanager
@@ -79,6 +88,9 @@ def ordered_map(fn, items):
     if workers == 1:
         yield map(fn, items)
         return
+    # None only where a test pins the workers: then the count is left alone.
+    get_threads, set_threads = _openblas_num_threads() or (None, None)
+    blas_threads = get_threads() if get_threads else None
     pipes, pids, reaped = [], [], set()
 
     def reap(k: int) -> str:
@@ -109,6 +121,8 @@ def ordered_map(fn, items):
             yield read(k, mmap.mmap(-1, size) if size else bytearray())
 
     try:
+        if set_threads:
+            set_threads(1)  # inherited by each worker, which then starts no pool
         for k in range(workers):
             r, w = os.pipe()
             pipes.append(r)
@@ -127,20 +141,21 @@ def ordered_map(fn, items):
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        if set_threads:
+            set_threads(blas_threads)
 
 
 def _serve(fn, items, out: int, pipes: list[int]) -> None:
     """A worker's whole life: write ``fn(item)`` for each item to ``out``,
     then exit. It never returns into the parent's frames it was forked
-    from, so every exception ends here, printed, as exit status 1."""
+    from, so every exception ends here, printed, as exit status 1. It
+    runs with the one OpenBLAS thread the parent set before forking and
+    calls no setter, which would re-create the pool stopped at fork."""
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops workers on Ctrl-C
         for fd in pipes:  # read ends: the parent's alone
             os.close(fd)
-        setter = _openblas_set_num_threads()
-        if setter is not None:
-            setter(1)
         with open(out, "wb") as fh:
             for item in items:
                 result = memoryview(fn(item)).cast("B")

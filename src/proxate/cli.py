@@ -89,9 +89,11 @@ _RANGES = {"ridge_h": check_ridge, "ridge_q": check_ridge, "clip_eps": check_cli
 def _read_config(path: str) -> dict:
     """The settings the config file at ``path`` gives, by field name."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}")
     if not isinstance(raw, dict):

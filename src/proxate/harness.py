@@ -17,10 +17,13 @@ per regime, and the study aggregates the records once all have run.
 
 Replications are independent and seeded, so a study runs them over
 ``_fork.ordered_map``: in forked worker processes, one per CPU the
-process may run on, each with one OpenBLAS thread, which send each
-outcome back pickled; the parent reads the outcomes in replication
-order. Where that cannot be arranged (one CPU, no ``fork``, no OpenBLAS
-thread setter) the same function runs in-process. A worker that dies
+process may run on, which send each outcome back pickled; the parent
+reads the outcomes in replication order. Each worker inherits one
+OpenBLAS thread, set in the parent before the fork (set in the worker,
+it would re-create a pool whose helper thread spins), and the parent's
+count is restored when the study ends. Where that cannot be arranged
+(one CPU, no ``fork``, no OpenBLAS thread setter) the same function
+runs in-process. A worker that dies
 without its outcome aborts the study with a ``ProxateError``.
 """
 

@@ -8,9 +8,10 @@ The helpers below are the tests' reference implementations of what
 the package only does inside its two design passes: a basis fitted on a
 view with its design, a fitted nuisance applied to a view (basis design
 times coefficients), estimates from given nuisances, constant
-nuisances, and a bridge's coefficients on the raw inputs. Two more
-pin the worker count of ``_fork.ordered_map`` and check that no forked
-worker outlives its map.
+nuisances, and a bridge's coefficients on the raw inputs. The rest
+pin the worker count of ``_fork.ordered_map``, check that no forked
+worker outlives its map, and read and set OpenBLAS's thread count, which
+a map must leave as it found it.
 """
 
 from __future__ import annotations
@@ -208,3 +209,24 @@ def assert_no_child_left() -> None:
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def blas_threads() -> int | None:
+    """This process's OpenBLAS thread count; None without OpenBLAS."""
+    blas = _fork._openblas_num_threads()
+    return blas[0]() if blas else None
+
+
+@pytest.fixture
+def blas_at_two():
+    """OpenBLAS at two threads for the test, so that a worker could start a
+    pool and a map that left one thread set would show; the old count
+    after. Yields the count set: 2, or None without OpenBLAS."""
+    blas = _fork._openblas_num_threads()
+    if blas is None:
+        yield None
+        return
+    before = blas[0]()
+    blas[1](2)
+    yield 2
+    blas[1](before)

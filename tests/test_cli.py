@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,30 @@ def test_config_unreadable_exit_1(tmp_path, data_csv, capsys, text, message):
         cfg.write_text(text)
     assert run(["estimate", "--config", str(cfg), "--data", str(data_csv)]) == 1
     assert message in capsys.readouterr().err
+
+
+def _unreadable(cfg):
+    cfg.write_text("{}")
+    cfg.chmod(0)
+    if os.access(cfg, os.R_OK):
+        pytest.skip("file modes do not stop this user reading")
+
+
+@pytest.mark.parametrize("make, message", [
+    pytest.param(lambda cfg: cfg.mkdir(), "Is a directory", id="directory"),
+    pytest.param(_unreadable, "Permission denied", id="unreadable"),
+    pytest.param(lambda cfg: cfg.write_bytes(b'{"k": 5, "note": "\xff"}'),
+                 "'utf-8' codec can't decode byte 0xff", id="not_utf8"),
+])
+def test_config_read_failure_exit_1(tmp_path, data_csv, capsys, make, message):
+    # A config path that cannot be read as UTF-8 text is one error line,
+    # as for --data, never a traceback.
+    cfg = tmp_path / "cfg.json"
+    make(cfg)
+    assert run(["estimate", "--config", str(cfg), "--data", str(data_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {cfg}: ") and err.count("\n") == 1
+    assert message in err
 
 
 _PSI = {"roles": ["w", "s", "x"]}

@@ -23,7 +23,7 @@ from proxate.errors import (
     ValidationError,
 )
 
-from conftest import assert_no_child_left, pin_workers
+from conftest import assert_no_child_left, blas_threads, pin_workers
 
 SCHEMA = px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",))
 
@@ -449,9 +449,11 @@ def test_one_cpu_forks_nothing(tmp_path, monkeypatch, confounded_cfg):
     pytest.param(lambda: os._exit(3), "exit status 3", id="exit_3"),
     pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), "signal SIGKILL", id="sigkill"),
 ])
-def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, death, reason):
+def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, death, reason,
+                                        blas_at_two):
     # A reader or writer worker that dies leaves an error naming how it
-    # ended, never a short table or file taken as whole, and no child.
+    # ended, never a short table or file taken as whole, no child, and
+    # the parent's OpenBLAS thread count restored.
     path, data = _split_sized(tmp_path, confounded_cfg, "crlf")
     monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
     monkeypatch.setattr(codec, "_CHUNK_ROWS", codec._BLOCK_ROWS)
@@ -472,12 +474,14 @@ def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, d
             px.load_csv(path, px.CsvSchema())
         assert type(caught.value) is ProxateError
         assert_no_child_left()
+        assert blas_threads() == blas_at_two
     with monkeypatch.context() as m:
         m.setattr(codec, "_cells", dying(codec._cells))
         with pytest.raises(ProxateError, match=message) as caught:
             px.write_csv(data, tmp_path / "out.csv", px.CsvSchema())
         assert type(caught.value) is ProxateError
         assert_no_child_left()
+        assert blas_threads() == blas_at_two
 
 
 def test_unknown_sample_label_rejected(tmp_path):

@@ -21,6 +21,7 @@ from proxate.nuisance import PropensityModel
 
 from conftest import (
     assert_no_child_left,
+    blas_threads,
     constant_bridge,
     constant_hbar,
     estimate_with,
@@ -282,9 +283,10 @@ def test_workers_match_in_process(confounded_cfg, monkeypatch):
     assert reports[2]["regimes"]["case3"]["MR"]["n_replications"] == 3
 
 
-def test_workers_abort_as_in_process(confounded_cfg, monkeypatch):
+def test_workers_abort_as_in_process(confounded_cfg, monkeypatch, blas_at_two):
     # Every replication fails (k_folds above the strata): the same abort
-    # error, raised from the failure, both ways, and no worker left running.
+    # error, raised from the failure, both ways, no worker left running and
+    # the parent's OpenBLAS thread count restored.
     errors = {}
     for workers in (1, 2):
         pin_workers(monkeypatch, workers)
@@ -292,6 +294,7 @@ def test_workers_abort_as_in_process(confounded_cfg, monkeypatch):
             px.run_monte_carlo(confounded_cfg, 40, 0.5, ("MR",), ("all_correct",),
                                replications=5, base_seed=0, config=CFG, k_folds=30)
         assert_no_child_left()
+        assert blas_threads() == blas_at_two
         cause = caught.value.__cause__
         errors[workers] = (str(caught.value), type(cause), str(cause))
     assert errors[1] == errors[2]
@@ -302,9 +305,11 @@ def test_workers_abort_as_in_process(confounded_cfg, monkeypatch):
     pytest.param(lambda: os._exit(3), "exit status 3", id="exit_3"),
     pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), "signal SIGKILL", id="sigkill"),
 ])
-def test_worker_death_is_an_error(confounded_cfg, monkeypatch, capsys, death, reason):
+def test_worker_death_is_an_error(confounded_cfg, monkeypatch, capsys, death, reason,
+                                  blas_at_two):
     # A worker that dies mid-study is an error naming how it ended, exit
-    # code 1 from the CLI, and the other worker is stopped.
+    # code 1 from the CLI, and the other worker is stopped; the parent's
+    # OpenBLAS thread count is restored.
     real = harness.generate
 
     def generate(dgp, n, pi, seed):
@@ -322,11 +327,13 @@ def test_worker_death_is_an_error(confounded_cfg, monkeypatch, capsys, death, re
     assert re.fullmatch(rf"worker process \d+ ended without its result \({reason}\)",
                         str(caught.value))
     assert_no_child_left()
+    assert blas_threads() == blas_at_two
     assert cli.main(["simulate", "--n", "1500", "--replications", "4", "--base-seed", "60",
                      "--estimators", "mr", "--regimes", "all_correct"]) == 1
     assert re.fullmatch(rf"error: worker process \d+ ended without its result \({reason}\)\n",
                         capsys.readouterr().err)
     assert_no_child_left()
+    assert blas_threads() == blas_at_two
 
 
 def test_one_cpu_runs_in_process(confounded_cfg, monkeypatch):
