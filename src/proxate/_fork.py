@@ -135,12 +135,13 @@ def ordered_map(fn, items):
             pids.append(pid)
         yield results()
     finally:
-        for fd in pipes:
-            os.close(fd)
+        # Kill before closing the pipes: a worker writing to a closed pipe prints a traceback.
         for pid in pids:
             if pid not in reaped:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        for fd in pipes:
+            os.close(fd)
         if set_threads:
             set_threads(blas_threads)
 

@@ -329,13 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_writable([getattr(args, k, None) for k in ("out", "oracle_out", "dump_nuisances")])
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except ProxateError as exc:
+    except ProxateError as exc:  # a ValidationError, or a worker that died
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

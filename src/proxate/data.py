@@ -11,12 +11,13 @@ this pattern.
 One reader and one writer hold the CSV format for both files: the
 combined file, with a g column of sample labels, and the unmasked
 experimental file, without one. Files are UTF-8 text. The reader opens a
-file once and parses its data lines in bulk with ``np.loadtxt``: in one
-pass, or, for a file of at least two 4 MiB chunks cut just after LFs,
-one pass per chunk over ``_fork.ordered_map``, whose forked workers read
-their chunks through the open file. Only where a bulk pass and the row
-reader could differ, which includes every file with a bad cell, does it
-read the whole file again row by row. Data rows are numbered from 1
+file once, reads the header with ``csv.reader`` and parses the data
+lines in bulk with ``np.loadtxt``, one pass per byte span over
+``_fork.ordered_map``, whose forked workers read their spans through the
+open file: under two 4 MiB chunks of data, one span; else spans cut just
+after line ends. Only where a bulk pass and the row reader could differ,
+which includes every file with a bad cell, does the header's reader
+read on row by row. Data rows are numbered from 1
 after the header; parse errors, bytes that are not UTF-8, unknown labels
 and masking or finiteness violations name the first offending row by
 that number. The writer quotes with ``csv.writer`` only the header and
@@ -30,6 +31,7 @@ import csv
 import io
 import math
 import os
+import re
 import warnings
 from array import array
 from dataclasses import dataclass, fields
@@ -328,11 +330,10 @@ def _parse_cell(raw: str, row_idx: int, col: str) -> float:
 def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[str, np.ndarray]:
     """Read a CSV into one array per role (plus ``is_e`` with g).
 
-    ``np.loadtxt`` parses the data rows in bulk: in one pass, or, for a
-    file of at least two ``_SPLIT_BYTES`` chunks, one pass per chunk over
-    ``_fork.ordered_map``. Where its result could differ from the
-    row-wise reader's, the row-wise reader reads the rows again from the
-    header, so each error names its first offending row.
+    ``csv.reader`` reads the header, and ``np.loadtxt`` the data lines
+    after it in byte spans (``_spans``) over ``_fork.ordered_map``. Where
+    its result could differ from the row reader's, the header's reader
+    reads on row by row, so each error names its first offending row.
     """
     path = Path(path)
     try:
@@ -340,25 +341,29 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
     with fh:
-        reader = csv.reader(fh)
+        pulled = []  # the header's lines; None once it is read, so no data line is kept
+
+        def lines():
+            for line in iter(fh.readline, ""):
+                if pulled is not None:
+                    pulled.append(line)
+                yield line
+
+        reader = csv.reader(lines())
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file")
         except csv.Error as exc:
             raise ValidationError(f"{path}: header: {exc}")
+        start = len("".join(pulled).encode(errors="surrogateescape"))
+        pulled = None
         if bad := _undecodable(header):
             raise ValidationError(f"{path}: header: {bad}")
         cols = _resolve_columns(schema, header, with_g=with_g)
         parse = partial(_parse_bulk, header=header, cols=cols, schema=schema, with_g=with_g)
-        if spans := _spans(fh.fileno()):
-            tables = _parse_spans(fh.fileno(), spans, parse, len(header))
-        else:
-            tables = [parse(fh)]
-        if tables[0] is None:
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
+        tables = _parse_spans(fh.fileno(), _spans(fh.fileno(), start), parse, len(header))
+        if tables is None:
             tables = [_parse_rows(reader, header, cols, schema, with_g=with_g)]
     if not sum(map(len, tables)):
         raise ValidationError(f"{path}: no data rows")
@@ -368,45 +373,37 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     return out
 
 
-def _spans(fd: int) -> list[tuple[int, int]]:
-    """Byte ranges of the data lines of the file open as ``fd``, about
-    ``_SPLIT_BYTES`` each and cut just after an LF, or [] if the file is
-    not split: it holds fewer than two chunks of data, or its first line
-    does not end in LF or holds a quote or another CR, so that line need
-    not be the header ``csv.reader`` read."""
+def _spans(fd: int, start: int) -> list[tuple[int, int]]:
+    """Byte ranges of the data lines of the file open as ``fd``, which
+    start at ``start``: one range for fewer than two ``_SPLIT_BYTES``
+    chunks, else ranges of about a chunk each, cut just after a line end."""
     size = os.fstat(fd).st_size
-    if size < 2 * _SPLIT_BYTES:
-        return []
-    start = _after_lf(fd, 0, _SPLIT_BYTES)
-    first = os.pread(fd, start, 0)
-    body = first[:-2] if first.endswith(b"\r\n") else first[:-1]
-    if (size - start < 2 * _SPLIT_BYTES or not first.endswith(b"\n")
-            or b'"' in body or b"\r" in body):
-        return []
     cuts = [start]
     while cuts[-1] + 2 * _SPLIT_BYTES <= size:
-        cuts.append(_after_lf(fd, cuts[-1] + _SPLIT_BYTES, size))
+        cuts.append(_after_line_end(fd, cuts[-1] + _SPLIT_BYTES, size))
     if cuts[-1] < size:
         cuts.append(size)
     return list(zip(cuts, cuts[1:]))
 
 
-def _after_lf(fd: int, pos: int, size: int) -> int:
-    """The offset just after the first LF at or after ``pos``, else ``size``."""
+def _after_line_end(fd: int, pos: int, size: int) -> int:
+    """The offset just after the first line end (LF, CRLF or a lone CR) at
+    or after ``pos``, never between a CR and its LF; else ``size``."""
     while pos < size and (window := os.pread(fd, 1 << 16, pos)):
-        if (lf := window.find(b"\n")) >= 0:
-            return pos + lf + 1
+        if line_end := re.search(rb"\r\n?|\n", window):
+            end = pos + line_end.end()  # a CR last in the window may still have its LF
+            return end + (line_end[0] == b"\r" and os.pread(fd, 1, end) == b"\n")
         pos += len(window)
     return size
 
 
-def _parse_spans(fd: int, spans: list[tuple[int, int]], parse, width: int) -> list:
-    """One table per span from ``parse``, or [None] once it doubts a span."""
+def _parse_spans(fd: int, spans: list[tuple[int, int]], parse, width: int) -> list | None:
+    """One table per span from ``parse``, or None once it doubts a span."""
     tables = []
     with ordered_map(partial(_parse_span, fd, parse), spans) as parts:
         for part in parts:
             if not part:
-                return [None]
+                return None
             tables.append(np.frombuffer(part).reshape(-1, width))
     return tables
 
@@ -415,8 +412,8 @@ def _parse_span(fd: int, parse, span: tuple[int, int]):
     """The table of the lines in byte range ``span`` of the file open as
     ``fd``, as bytes; empty where ``parse`` doubts them or the range is no
     longer there. The range is decoded as the reader decodes the whole
-    file, a few KiB at a time, and a cut after an LF splits no line and
-    no UTF-8 sequence."""
+    file, a few KiB at a time, and a cut after a line end splits no line
+    and no UTF-8 sequence."""
     start, end = span
     raw = os.pread(fd, end - start, start)
     if len(raw) != end - start:

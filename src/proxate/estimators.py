@@ -42,6 +42,7 @@ from .basis import BasisSpec, FittedBasis, basis_from_r, raw_features
 from .bridges import (
     BridgeFunction,
     MomentDiagnostics,
+    check_ridge,
     solve_outcome_bridge,
     solve_surrogate_bridge,
 )
@@ -50,6 +51,8 @@ from .errors import NumericalError, ValidationError
 from .nuisance import (
     HBarModel,
     PropensityModel,
+    check_clip_eps,
+    check_rate,
     fit_hbar,
     fit_propensity,
     require_both_arms,
@@ -90,6 +93,12 @@ def check_k_folds(k_folds: int) -> None:
 def check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must be in (0, 1)")
+
+
+def check_names(names: tuple[str, ...], valid: tuple[str, ...], kind: str) -> None:
+    for name in names:
+        if name not in valid:
+            raise ValidationError(f"unknown {kind} {name!r}; choose from {valid}")
 
 
 def make_folds(data: CombinedDataset, k_folds: int, seed: int) -> FoldAssignment:
@@ -147,6 +156,11 @@ class EstimatorConfig(Record):
     alpha: float = 0.05
 
     def __post_init__(self):
+        check_ridge(self.ridge_h)
+        check_ridge(self.ridge_q)
+        check_clip_eps(self.clip_eps)
+        if self.known_propensity is not None:
+            check_rate(self.known_propensity)
         check_alpha(self.alpha)
 
 
@@ -470,9 +484,7 @@ def estimate_all(
     estimators: tuple[str, ...] = ESTIMATOR_NAMES,
 ) -> dict[str, EstimateReport]:
     """Fit nuisances once and evaluate any subset of the four estimators."""
-    for name in estimators:
-        if name not in ESTIMATOR_NAMES:
-            raise ValidationError(f"unknown estimator {name!r}; choose from {ESTIMATOR_NAMES}")
+    check_names(estimators, ESTIMATOR_NAMES, "estimator")
     nuisance_sets = fit_all_nuisances(data, folds, config)
     evals = evaluate_nuisances(data, folds, nuisance_sets)
     diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]

@@ -16,15 +16,12 @@ all_correct). Each successful replication is one record, its reports
 per regime, and the study aggregates the records once all have run.
 
 Replications are independent and seeded, so a study runs them over
-``_fork.ordered_map``: in forked worker processes, one per CPU the
-process may run on, which send each outcome back pickled; the parent
-reads the outcomes in replication order. Each worker inherits one
-OpenBLAS thread, set in the parent before the fork (set in the worker,
-it would re-create a pool whose helper thread spins), and the parent's
-count is restored when the study ends. Where that cannot be arranged
-(one CPU, no ``fork``, no OpenBLAS thread setter) the same function
-runs in-process. A worker that dies
-without its outcome aborts the study with a ``ProxateError``.
+``_fork.ordered_map``: in forked worker processes, one per CPU, each
+with one OpenBLAS thread, which send each outcome back pickled; the
+parent reads the outcomes in replication order. Where workers cannot be
+forked (one CPU, no ``fork``, no OpenBLAS thread setter) the same
+function runs in-process. A worker that dies without its outcome aborts
+the study with a ``ProxateError``.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from .estimators import (
     EstimatorConfig,
     NuisanceSet,
     UnitEvals,
+    check_names,
     estimates_from_evals,
     evaluate_nuisances,
     fit_all_nuisances,
@@ -91,8 +89,7 @@ def apply_misspec(evals: UnitEvals, regime: str, clip_eps: float) -> UnitEvals:
     propensity is (``clip_eps``). all_correct is the identity (and
     returns the very same object).
     """
-    if regime not in CORRUPTS:
-        raise ValidationError(f"unknown regime {regime!r}; choose from {REGIME_NAMES}")
+    check_names((regime,), REGIME_NAMES, "regime")
     corrupts = CORRUPTS[regime]
     if not corrupts:
         return evals
@@ -197,6 +194,8 @@ def estimate_regimes(
     fit no nuisance and read the same under every regime; they run
     first, while no nuisance or evaluation is held.
     """
+    check_names(estimators, HARNESS_ESTIMATORS, "estimator")
+    check_names(regimes, REGIME_NAMES, "regime")
     baselines = {e: surrogate_index_estimate(data, e == "SI-PROX", config.alpha)
                  for e in estimators if e in BASELINE_NAMES}
     proximal = tuple(e for e in estimators if e in ESTIMATOR_NAMES)
@@ -255,22 +254,16 @@ def run_monte_carlo(
     still running in workers are stopped, and none later starts.
     Coverage is tracked for MR only, the one estimator with an interval.
     The arguments, ``generate``'s ``n`` and ``pi`` included, are checked
-    once before replication 0, so an invalid one never reads as failed
-    replications.
+    once before replication 0 (``config``'s ranges when it is built), so
+    an invalid one never reads as failed replications.
     """
     check_draw(n, pi)
     if replications < 2:
         raise ValidationError("replications must be >= 2")
     if base_seed < 0:
         raise ValidationError(f"base_seed must be a nonnegative integer, got {base_seed}")
-    for name in estimators:
-        if name not in HARNESS_ESTIMATORS:
-            raise ValidationError(
-                f"unknown estimator {name!r}; choose from {HARNESS_ESTIMATORS}"
-            )
-    for name in regimes:
-        if name not in REGIME_NAMES:
-            raise ValidationError(f"unknown regime {name!r}; choose from {REGIME_NAMES}")
+    check_names(estimators, HARNESS_ESTIMATORS, "estimator")
+    check_names(regimes, REGIME_NAMES, "regime")
     true_ate = oracle_for(dgp).true_ate
     max_failures = int(np.floor(MAX_FAILURE_FRACTION * replications))
     records: list[dict[str, dict[str, EstimateReport]]] = []
@@ -295,9 +288,5 @@ def run_monte_carlo(
         rg: {est: _aggregate([rec[rg][est] for rec in records], true_ate) for est in estimators}
         for rg in regimes
     }
-    return MCReport(
-        true_ate=true_ate,
-        n_replications=replications,
-        regimes=tables,
-        failures=failures,
-    )
+    return MCReport(true_ate=true_ate, n_replications=replications, regimes=tables,
+                    failures=failures)

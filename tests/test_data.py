@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -351,36 +352,34 @@ def _lines(text: str) -> list[str]:
     return io.StringIO(text, newline="").readlines()
 
 
-def _spans(path) -> list[tuple[int, int]]:
-    """The byte ranges the reader splits the file at ``path`` into."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        return codec._spans(fd)
-    finally:
-        os.close(fd)
+def _record_spans(monkeypatch) -> list[list[tuple[int, int]]]:
+    """The byte ranges each later load splits its file into, one list per load."""
+    seen, real = [], codec._spans
+    monkeypatch.setattr(codec, "_spans", lambda fd, start: seen.append(real(fd, start)) or seen[-1])
+    return seen
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("load,text,schema,expected", EDGE_CASES)
 def test_split_parse_agrees_with_row_reader(tmp_path, monkeypatch, load, text, schema, expected):
     # Each edge case's rows after a filler of its other rows, so the rows
-    # of the case fall in the second of two chunks, parsed by a second
-    # worker. The outcome is the row reader's: the same error, message
-    # and row, or the same arrays.
+    # of the case fall in the second of at least two spans, parsed by a
+    # second worker, whatever the file's line ends. The outcome is the row
+    # reader's: the same error, message and row, or the same arrays.
     header, *rows = _lines(text)
     bad = int(re.match(r"row (\d+):", expected[1]).group(1)) if expected else 0
     filler = "".join(row for i, row in enumerate(rows, start=1) if i != bad) * 40
     path = _write(tmp_path, header + filler + "".join(rows))
     monkeypatch.setattr(codec, "_SPLIT_BYTES", len(filler.encode(errors="surrogateescape")) // 2)
     pin_workers(monkeypatch, 2)
+    spans = _record_spans(monkeypatch)
     split = _outcome(load, path, schema)
     assert_no_child_left()
+    assert spans[0][0][0] == len(header.encode(errors="surrogateescape"))
+    assert len(spans[0]) >= 2
     with monkeypatch.context() as m:
         m.setattr(codec, "_parse_bulk", lambda *args, **kwargs: None)
         assert split == _outcome(load, path, schema)
-    body = header[:-2] if header.endswith("\r\n") else header[:-1]
-    split_file = header.endswith("\n") and "\r" not in body and '"' not in body
-    assert (len(_spans(path)) >= 2) == split_file
     if expected is not None and isinstance(_outcome(load, _write(tmp_path, header + filler,
                                                                  "filler.csv"), schema), dict):
         assert split[:2] == (expected[0], re.sub(r"^row \d+",
@@ -396,21 +395,46 @@ def _split_sized(tmp_path, confounded_cfg, ends):
     return path, data
 
 
-@pytest.mark.parametrize("ends, spans", [("lf", 11), ("crlf", 11), ("lone_cr", 0)])
+@pytest.mark.parametrize("ends, spans", [("lf", 11), ("crlf", 11), ("lone_cr", 11)])
 def test_split_sized_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, ends, spans):
     # A file of many chunks is parsed in chunks, one per worker at a time,
-    # and loads bit-identical with no row reader; a lone-CR file, with no
-    # LF to cut after, is parsed in one bulk pass.
+    # and loads bit-identical with no row reader; lone CRs are line ends
+    # to cut after like LFs.
     path, data = _split_sized(tmp_path, confounded_cfg, ends)
     monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
     monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
-    assert len(_spans(path)) == spans
+    seen = _record_spans(monkeypatch)
     for workers in (1, 2):
         pin_workers(monkeypatch, workers)
         back = px.load_csv(path, px.CsvSchema())
         assert_no_child_left()
+        assert len(seen[-1]) == spans
         for name, arr in vars(data).items():
             assert getattr(back, name).tobytes() == arr.tobytes(), (ends, workers, name)
+
+
+@pytest.mark.parametrize("y", ["out,come", "out\ncome"], ids=["comma", "line_break"])
+def test_split_sized_file_with_quoted_header_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg,
+                                                           y):
+    # csv.writer quotes a header cell holding a comma or a line break; the
+    # data start where the lines csv.reader pulled for the header end, so
+    # the file is still parsed in spans, with no row reader.
+    data, _ = px.generate(confounded_cfg, 3_000, 0.5, seed=44)
+    schema = px.CsvSchema(y=y)
+    path = tmp_path / "split.csv"
+    px.write_csv(data, path, schema)
+    raw = path.read_bytes()
+    assert raw.startswith(f'"{y}",a,g,'.encode())
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", len(raw) // 12)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    spans = _record_spans(monkeypatch)
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        back = px.load_csv(path, schema)
+        assert_no_child_left()
+        assert spans[-1][0][0] == raw.index(b"\r\n") + 2 and len(spans[-1]) == 11
+        for name, arr in vars(data).items():
+            assert getattr(back, name).tobytes() == arr.tobytes(), (workers, name)
 
 
 def test_split_cut_between_cr_and_lf(tmp_path, monkeypatch, confounded_cfg):
@@ -421,12 +445,21 @@ def test_split_cut_between_cr_and_lf(tmp_path, monkeypatch, confounded_cfg):
     start = raw.index(b"\n") + 1
     lf = raw.index(b"\r\n", start + len(raw) // 3) + 1
     monkeypatch.setattr(codec, "_SPLIT_BYTES", lf - start)
-    assert _spans(path)[0] == (start, lf + 1)
     monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
     pin_workers(monkeypatch, 2)
+    spans = _record_spans(monkeypatch)
     back = px.load_csv(path, px.CsvSchema())
+    assert spans[0][0] == (start, lf + 1)
     for name, arr in vars(data).items():
         assert getattr(back, name).tobytes() == arr.tobytes(), name
+
+
+def test_row_reader_numbers_rows_after_a_quoted_header_record(tmp_path):
+    # The row reader continues the header's csv.reader, so a header cell
+    # spanning two lines does not shift the row numbers.
+    text = MINIMAL.replace("y,", '"y\nb",', 1).replace("0.3,0.9", "x,0.9")
+    with pytest.raises(ParseError, match=r"^row 3: column 'w1': cannot parse 'x' as a number$"):
+        px.load_csv(_write(tmp_path, text), dataclasses.replace(SCHEMA, y="y\nb"))
 
 
 def test_one_cpu_forks_nothing(tmp_path, monkeypatch, confounded_cfg):

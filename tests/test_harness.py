@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import re
 import signal
+import time
 
 import pytest
 
@@ -197,6 +198,36 @@ def test_mc_validation(confounded_cfg):
                            replications=2, base_seed=0, config=CFG, k_folds=5)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"ridge_h": -1.0}, "ridge penalty must be >= 0"),
+    ({"ridge_q": -1.0}, "ridge penalty must be >= 0"),
+    ({"clip_eps": 0.7}, "clip_eps must be in (0, 0.5)"),
+    ({"known_propensity": 1.5}, "known assignment rate must be in (0, 1)"),
+])
+def test_config_ranges_checked_on_construction(bad, message):
+    # An estimation config out of range cannot be built, so a study never
+    # reads it as failed replications.
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        px.EstimatorConfig(**bad)
+
+
+def test_estimate_regimes_rejects_unknown_names(small_data):
+    # The same check and message as run_monte_carlo's: names are exact,
+    # so lower-case "mr" is unknown too.
+    data, _ = small_data
+    for estimators, regimes, message in (
+        (("XX", "mr"), ("all_correct",), "unknown estimator 'XX'; choose from "),
+        (("mr",), ("all_correct",), "unknown estimator 'mr'; choose from "),
+        (("SI",), ("case9",), "unknown regime 'case9'; choose from "),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)) as caught:
+            harness.estimate_regimes(data, 5, 0, CFG, estimators, regimes)
+        with pytest.raises(ValidationError) as in_study:
+            px.run_monte_carlo(px.confounded_config(), 1000, 0.5, estimators, regimes,
+                               replications=2, base_seed=0, config=CFG, k_folds=5)
+        assert str(caught.value) == str(in_study.value)
+
+
 def test_mc_failure_cap(confounded_cfg):
     # k_folds larger than a replication's smaller stratum makes every
     # replication fail; the cap aborts the study instead of averaging nothing.
@@ -299,6 +330,27 @@ def test_workers_abort_as_in_process(confounded_cfg, monkeypatch, blas_at_two):
         errors[workers] = (str(caught.value), type(cause), str(cause))
     assert errors[1] == errors[2]
     assert errors[1][0].startswith("1 of 5 replications failed (cap 0); last error: ")
+
+
+def test_abort_prints_no_worker_traceback(monkeypatch, capfd):
+    # Every replication fails at n = 12 and the first failure aborts the
+    # study while the other worker still runs. Each kill is delayed, so a
+    # worker whose pipe closed before it was killed would have time to hit
+    # the closed pipe and print a BrokenPipeError traceback.
+    real_kill = os.kill
+
+    def slow_kill(pid, sig):
+        time.sleep(0.2)
+        real_kill(pid, sig)
+
+    pin_workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "kill", slow_kill)
+    assert cli.main(["simulate", "--n", "12", "--pi", "0.5", "--replications", "40",
+                     "--k", "5"]) == 1
+    assert_no_child_left()
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: 1 of 40 replications failed (cap 0); last error: ")
 
 
 @pytest.mark.parametrize("death, reason", [
