@@ -147,11 +147,22 @@ def _parse_name_list(
     return tuple(canonical[name.lower()] for name in value)
 
 
-def _check_writable(paths: list[str | None]) -> None:
-    """Raise now the ``cannot write`` error that writing each path would
-    raise later: it is a directory, or its directory is missing or not
-    writable. Creates nothing."""
-    for path in filter(None, paths):
+def _check_paths(args: argparse.Namespace) -> None:
+    """Raise now, before any work, the errors the input and output paths
+    would cause later: two of them naming one file, which writing one
+    output would replace, and the ``cannot write`` error of an output
+    that is a directory, or whose directory is missing or not writable.
+    Creates nothing."""
+    given = [(f"--{key.replace('_', '-')}", path)
+             for key in ("config", "data", "out", "oracle_out", "dump_nuisances")
+             if (path := getattr(args, key, None))]
+    for j, (flag, path) in enumerate(given):
+        for earlier, other in given[:j]:
+            if Path(path).resolve() == Path(other).resolve() or (
+                    os.path.exists(path) and os.path.exists(other) and os.path.samefile(path, other)):
+                raise ValidationError(f"{flag} and {earlier} name the same file: {path}")
+        if flag in ("--config", "--data"):  # read, not written
+            continue
         target, parent = Path(path), Path(path).parent
         if target.is_dir():
             code = errno.EISDIR
@@ -327,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_writable([getattr(args, k, None) for k in ("out", "oracle_out", "dump_nuisances")])
+        _check_paths(args)
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

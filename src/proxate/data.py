@@ -10,14 +10,15 @@ this pattern.
 
 One reader and one writer hold the CSV format for both files: the
 combined file, with a g column of sample labels, and the unmasked
-experimental file, without one. Files are UTF-8 text. The reader opens a
-file once, reads the header with ``csv.reader`` and parses the data
-lines in bulk with ``np.loadtxt``, one pass per byte span over
-``_fork.ordered_map``, whose forked workers read their spans through the
-open file: under two 4 MiB chunks of data, one span; else spans cut just
-after line ends. Only where a bulk pass and the row reader could differ,
-which includes every file with a bad cell, does the header's reader
-read on row by row. Data rows are numbered from 1
+experimental file, without one. Files are UTF-8 text, with or without a
+byte-order mark. The reader opens a file once, reads the header with
+``csv.reader``, resolves the header position of each role once, and
+parses the data lines in bulk with ``np.loadtxt``, one pass per byte
+span over ``_fork.ordered_map``, whose forked workers read their spans
+through the open file: under two 4 MiB chunks of data, one span; else
+spans cut just after line ends. Only where a bulk pass and the row
+reader could differ, which includes every file with a bad cell, does
+the header's reader read on row by row. Data rows are numbered from 1
 after the header; parse errors, bytes that are not UTF-8, unknown labels
 and masking or finiteness violations name the first offending row by
 that number. The writer quotes with ``csv.writer`` only the header and
@@ -36,6 +37,7 @@ import warnings
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -290,7 +292,8 @@ class CsvSchema(Record):
         return list(decl)
 
 
-def _resolve_columns(schema: CsvSchema, header: list[str], *, with_g: bool) -> dict[str, list[str]]:
+def _resolve_columns(schema: CsvSchema, header: list[str], *, with_g: bool) -> dict[str, list[int]]:
+    """The header positions of each role's columns, and of g with ``with_g``."""
     if not with_g and schema.g in header:
         raise ValidationError(f"column {schema.g!r} holds sample labels: this is a combined "
                               "two-sample CSV, which `estimate` reads, not an unmasked sample")
@@ -311,7 +314,7 @@ def _resolve_columns(schema: CsvSchema, header: list[str], *, with_g: bool) -> d
                     f"column {c!r} mapped to both roles {claimed[c]!r} and {role!r}"
                 )
             claimed[c] = role
-    return out
+    return {role: [header.index(c) for c in cols] for role, cols in out.items()}
 
 
 def _parse_cell(raw: str, row_idx: int, col: str) -> float:
@@ -330,10 +333,12 @@ def _parse_cell(raw: str, row_idx: int, col: str) -> float:
 def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[str, np.ndarray]:
     """Read a CSV into one array per role (plus ``is_e`` with g).
 
-    ``csv.reader`` reads the header, and ``np.loadtxt`` the data lines
-    after it in byte spans (``_spans``) over ``_fork.ordered_map``. Where
-    its result could differ from the row reader's, the header's reader
-    reads on row by row, so each error names its first offending row.
+    ``csv.reader`` reads the header, after a byte-order mark if the file
+    starts with one. Each role's header positions are resolved once, and
+    ``_parse_span`` parses the data lines in byte spans (``_spans``)
+    over ``_fork.ordered_map``. Where a span's table could differ from
+    the row reader's, the header's reader reads on row by row, so each
+    error names its first offending row.
     """
     path = Path(path)
     try:
@@ -344,10 +349,10 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
         pulled = []  # the header's lines; None once it is read, so no data line is kept
 
         def lines():
-            for line in iter(fh.readline, ""):
+            for i, line in enumerate(iter(fh.readline, "")):
                 if pulled is not None:
                     pulled.append(line)
-                yield line
+                yield line if i else line.removeprefix("\ufeff")  # a byte-order mark
 
         reader = csv.reader(lines())
         try:
@@ -360,16 +365,20 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
         pulled = None
         if bad := _undecodable(header):
             raise ValidationError(f"{path}: header: {bad}")
-        cols = _resolve_columns(schema, header, with_g=with_g)
-        parse = partial(_parse_bulk, header=header, cols=cols, schema=schema, with_g=with_g)
-        tables = _parse_spans(fh.fileno(), _spans(fh.fileno(), start), parse, len(header))
-        if tables is None:
-            tables = [_parse_rows(reader, header, cols, schema, with_g=with_g)]
+        pos = _resolve_columns(schema, header, with_g=with_g)
+        labels = {schema.e_label: 1.0, schema.o_label: 0.0} if with_g else None
+        spans = _spans(fh.fileno(), start)
+        with ordered_map(partial(_parse_span, fh.fileno(), len(header), pos, labels),
+                         spans) as parts:
+            tables = [np.frombuffer(part).reshape(-1, len(header))
+                      for part in takewhile(len, parts)]
+        if len(tables) < len(spans):  # a span was doubted: the row reader decides
+            tables = [_parse_rows(reader, header, pos, labels)]
     if not sum(map(len, tables)):
         raise ValidationError(f"{path}: no data rows")
-    out = {role: _gather(tables, [header.index(c) for c in cols[role]]) for role in _ROLES}
+    out = {role: _gather(tables, pos[role]) for role in _ROLES}
     if with_g:
-        out["is_e"] = _gather(tables, [header.index(schema.g)])[:, 0] == 1.0
+        out["is_e"] = _gather(tables, pos["g"])[:, 0] == 1.0
     return out
 
 
@@ -397,32 +406,6 @@ def _after_line_end(fd: int, pos: int, size: int) -> int:
     return size
 
 
-def _parse_spans(fd: int, spans: list[tuple[int, int]], parse, width: int) -> list | None:
-    """One table per span from ``parse``, or None once it doubts a span."""
-    tables = []
-    with ordered_map(partial(_parse_span, fd, parse), spans) as parts:
-        for part in parts:
-            if not part:
-                return None
-            tables.append(np.frombuffer(part).reshape(-1, width))
-    return tables
-
-
-def _parse_span(fd: int, parse, span: tuple[int, int]):
-    """The table of the lines in byte range ``span`` of the file open as
-    ``fd``, as bytes; empty where ``parse`` doubts them or the range is no
-    longer there. The range is decoded as the reader decodes the whole
-    file, a few KiB at a time, and a cut after a line end splits no line
-    and no UTF-8 sequence."""
-    start, end = span
-    raw = os.pread(fd, end - start, start)
-    if len(raw) != end - start:
-        return b""
-    table = parse(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape",
-                                   newline=""))
-    return b"" if table is None else memoryview(table)
-
-
 def _gather(tables: list[np.ndarray], idx: list[int]) -> np.ndarray:
     """Columns ``idx`` of ``tables`` stacked by row, with no copy of a whole table."""
     out = np.empty((sum(map(len, tables)), len(idx)))
@@ -433,38 +416,47 @@ def _gather(tables: list[np.ndarray], idx: list[int]) -> np.ndarray:
     return out
 
 
-def _parse_bulk(fh, header: list[str], cols: dict[str, list[str]], schema: CsvSchema,
-                *, with_g: bool) -> np.ndarray | None:
-    """Parse the data lines left in ``fh`` in one ``np.loadtxt`` pass.
+def _parse_span(fd: int, width: int, pos: dict[str, list[int]], labels: dict | None,
+                span: tuple[int, int]):
+    """The data lines in byte range ``span`` of the file open as ``fd``,
+    parsed in one ``np.loadtxt`` pass into a table shaped like the file,
+    as ``_parse_rows`` would shape it, as bytes; empty (doubted) wherever
+    the two could differ or the range is no longer there.
 
-    ``fh``, opened with ``newline=""``, splits lines at CR, LF and CRLF,
-    as ``csv.reader`` does. A filter counts the lines and stops at the
-    first one the two readers could split differently: a bare line end
-    (``np.loadtxt`` skips it, the row reader rejects it), a quote, a NUL
-    or more than ``csv.field_size_limit()`` characters, or a byte that
-    is not UTF-8, which the row reader rejects even in a column no role
-    claims. Returns a table
-    shaped like the file, as ``_parse_rows`` would, or None wherever the
-    two could differ: a stopped line, no data line, a cell ``np.loadtxt``
-    or a converter rejects, a shape other than (lines, header width), or
-    a non-finite value in a column that may not hold NA. Python's
-    ``float`` accepts forms that ``np.loadtxt`` rejects, such as ``1_0``
-    in a column without NA or a padded ``" NA "``; such a file is read
-    row by row, correctly but slowly.
+    The range is decoded as the reader decodes the whole file, a few KiB
+    at a time; a cut after a line end splits no line and no UTF-8
+    sequence. With ``newline=""`` lines split at CR, LF and CRLF, as
+    ``csv.reader`` splits them. A filter counts the lines and stops at
+    the first one the two readers could split differently: a bare line
+    end (``np.loadtxt`` skips it, the row reader rejects it), a quote, a
+    NUL or more than ``csv.field_size_limit()`` characters, or a byte
+    that is not UTF-8, which the row reader rejects even in a column no
+    role claims. The span is doubted at a stopped line, with no data
+    line, at a cell ``np.loadtxt`` or a converter rejects, at a shape
+    other than (lines, ``width``), or at a non-finite value in a column
+    that may not hold NA. Python's ``float`` accepts forms that
+    ``np.loadtxt`` rejects, such as ``1_0`` in a column without NA or a
+    padded ``" NA "``; such a file is read row by row, correctly but
+    slowly.
     """
-    labels = {schema.e_label: 1.0, schema.o_label: 0.0} if with_g else {}
-    masked = _MASKED_ROLES if with_g else ()
-    role_of = {header.index(c): role for role in _ROLES for c in cols[role]}
-    converters = {i: _unclaimed for i in range(len(header)) if i not in role_of}
+    start, end = span
+    raw = os.pread(fd, end - start, start)
+    if len(raw) != end - start:
+        return b""
+    masked = _MASKED_ROLES if labels else ()
+    role_of = {i: role for role in _ROLES for i in pos[role]}
+    converters = {i: _unclaimed for i in range(width) if i not in role_of}
     converters.update({i: _masked_cell for i, role in role_of.items() if role in masked})
-    if with_g:
-        converters[header.index(schema.g)] = labels.__getitem__
+    if labels:
+        converters[pos["g"][0]] = labels.__getitem__
+    strict = [i for i, role in role_of.items() if role not in masked]
     limit = csv.field_size_limit()
     n_lines = 0
 
     def plain_lines():
         nonlocal n_lines
-        for line in fh:
+        for line in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
+                                     errors="surrogateescape", newline=""):
             if (line in ("\n", "\r\n", "\r") or '"' in line or "\0" in line or len(line) > limit
                     or not line.isascii() and _undecodable([line])):
                 n_lines = -1  # stopped: no table can match
@@ -478,13 +470,12 @@ def _parse_bulk(fh, header: list[str], cols: dict[str, list[str]], schema: CsvSc
             table = np.loadtxt(plain_lines(), dtype=float, delimiter=",", comments=None,
                                quotechar=None, converters=converters, ndmin=2, encoding=None)
     except ValueError:  # numpy wraps converter errors in ValueError too
-        return None
-    strict = [i for i, role in role_of.items() if role not in masked]
-    if n_lines < 1 or table.shape != (n_lines, len(header)) or not all(
+        return b""
+    if n_lines < 1 or table.shape != (n_lines, width) or not all(
         np.isfinite(table[:, i]).all() for i in strict
     ):
-        return None
-    return table
+        return b""
+    return memoryview(table)
 
 
 def _masked_cell(cell: str) -> float:
@@ -515,17 +506,18 @@ def _undecodable(cells: list[str]) -> str | None:
     return None
 
 
-def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: CsvSchema,
-                *, with_g: bool) -> np.ndarray:
+def _parse_rows(reader, header: list[str], pos: dict[str, list[int]],
+                labels: dict | None) -> np.ndarray:
     """Parse the data rows one by one; raise on the first bad row.
 
-    Returns a table shaped like the file: claimed cells parsed, g as 1.0
-    for E and 0.0 for O, unclaimed cells 0.0.
+    Returns a table shaped like the file: claimed cells parsed, g (with
+    ``labels``) as its label's value, 1.0 for E and 0.0 for O, unclaimed
+    cells 0.0.
     """
     # Cells are parsed in role order, so the first bad cell of a row is
     # the one reported.
-    numeric = [(header.index(c), c) for role in _ROLES for c in cols[role]]
-    g_pos = header.index(schema.g) if with_g else None
+    numeric = [(i, header[i]) for role in _ROLES for i in pos[role]]
+    g_pos = pos["g"][0] if labels else None
     values = array("d")
     row_idx = 0
     try:
@@ -535,14 +527,13 @@ def _parse_rows(reader, header: list[str], cols: dict[str, list[str]], schema: C
             if bad := _undecodable(row):
                 raise ParseError(row_idx, bad)
             cells = [0.0] * len(header)
-            if with_g:
+            if labels:
                 label = row[g_pos].strip()
-                if label not in (schema.e_label, schema.o_label):
+                if label not in labels:
+                    e, o = labels
                     raise SchemaViolationError(
-                        f"row {row_idx}: sample label {label!r} is neither "
-                        f"{schema.e_label!r} nor {schema.o_label!r}"
-                    )
-                cells[g_pos] = float(label == schema.e_label)
+                        f"row {row_idx}: sample label {label!r} is neither {e!r} nor {o!r}")
+                cells[g_pos] = labels[label]
             for i, c in numeric:
                 cells[i] = _parse_cell(row[i], row_idx, c)
             values.extend(cells)

@@ -80,10 +80,6 @@ class FoldAssignment:
         if self.fold_of.shape[0] != data.n:
             raise ValidationError(f"{self.fold_of.shape[0]} fold labels for {data.n} dataset rows")
 
-    def eval_indices(self, data: CombinedDataset, k: int, sample: str) -> np.ndarray:
-        in_sample = data.is_e if sample == "E" else ~data.is_e
-        return np.flatnonzero(in_sample & (self.fold_of == k))
-
 
 def check_k_folds(k_folds: int) -> None:
     if k_folds < 2:
@@ -336,28 +332,21 @@ class UnitEvals:
         return (self.q1 - self.q0) * (self.y - self.h_o)
 
 
-def _held_out(view: SampleView, pos: np.ndarray, terms: list) -> None:
+def _held_out(view: SampleView, pos: np.ndarray, table: list) -> None:
     """Write ``basis.transform(view) @ coeffs`` into ``out[pos]`` for each
-    ``(basis, coeffs, out)`` term.
+    ``(basis, coeffs, out, name)`` row of ``table`` with a basis (a known
+    propensity has none).
 
     Each distinct basis's design is built once and freed before the
     next; each coefficient vector is its own matrix-vector product,
     since one product over stacked columns rounds differently.
     """
-    by_basis: dict[int, list] = {}
-    for term in terms:
-        by_basis.setdefault(id(term[0]), []).append(term)
-    for group in by_basis.values():
-        design = group[0][0].transform(view)
-        for _, coeffs, out in group:
-            out[pos] = design @ coeffs
+    for basis in {id(row[0]): row[0] for row in table if row[0] is not None}.values():
+        design = basis.transform(view)
+        for row_basis, coeffs, out, _ in table:
+            if row_basis is basis:
+                out[pos] = design @ coeffs
         del design
-
-
-def _require_finite(k: int, pos: np.ndarray, named: tuple) -> None:
-    for name, out in named:
-        if not np.isfinite(out[pos]).all():
-            raise NumericalError(f"fold {k}: non-finite held-out evaluation of {name}")
 
 
 def evaluate_nuisances(
@@ -367,56 +356,44 @@ def evaluate_nuisances(
 ) -> UnitEvals:
     """Evaluate each fold's nuisances on that fold's held-out units.
 
-    Per fold and sample, each distinct fitted basis is expanded once
-    (by default e and hbar share one design on E, and q0 and q1 one on
-    O). Raises ``NumericalError`` naming the fold and the nuisance when
-    an evaluation is not finite.
+    One loop, folds outermost and E before O within a fold, runs a
+    per-sample table of (basis, coefficients, output, nuisance name);
+    each sample's held-out positions come from its own rows' fold
+    labels. Per fold and sample, each distinct fitted basis is expanded
+    once (by default e and hbar share one design on E, and q0 and q1 one
+    on O). Raises ``NumericalError`` naming the fold and the nuisance of
+    the first evaluation, in table order, that is not finite.
     """
     folds.require_rows(data)
     if len(nuisance_sets) != folds.k_folds:  # a fold without one would stay unwritten
         raise ValidationError(f"{len(nuisance_sets)} nuisance sets for {folds.k_folds} folds")
-    idx_e = np.flatnonzero(data.is_e)
-    idx_o = np.flatnonzero(~data.is_e)
-    rank = np.empty(data.n, dtype=np.int64)
-    rank[idx_e] = np.arange(idx_e.shape[0])
-    rank[idx_o] = np.arange(idx_o.shape[0])
-
-    a, y = data.a[idx_e], data.y[idx_o]
-    e_hat, h_e, hbar1, hbar0 = (np.empty(idx_e.shape[0]) for _ in range(4))
-    h_o, q1, q0 = (np.empty(idx_o.shape[0]) for _ in range(3))
+    rows = {"E": np.flatnonzero(data.is_e), "O": np.flatnonzero(~data.is_e)}
+    fold_of = {sample: folds.fold_of[r] for sample, r in rows.items()}
+    e_hat, h_e, hbar1, hbar0 = (np.empty(rows["E"].shape[0]) for _ in range(4))
+    h_o, q1, q0 = (np.empty(rows["O"].shape[0]) for _ in range(3))
     n_clipped = 0
 
     for k, nus in enumerate(nuisance_sets):
-        eidx = folds.eval_indices(data, k, "E")
-        if eidx.shape[0]:
-            ev = SampleView(data, eidx, "E")
-            pos = rank[eidx]
-            terms = [
-                (nus.hbar.basis, nus.hbar.arm1_coeffs, hbar1),
-                (nus.hbar.basis, nus.hbar.arm0_coeffs, hbar0),
-                (nus.h.basis, nus.h.coeffs, h_e),
-            ]
-            fitted_e = nus.e.basis is not None
-            if fitted_e:
-                terms.append((nus.e.basis, nus.e.coeffs, e_hat))  # the logit, mapped below
-            _held_out(ev, pos, terms)
-            e_hat[pos], clipped = nus.e.clipped(e_hat[pos] if fitted_e else None, ev.n)
-            n_clipped += clipped
-            _require_finite(k, pos, (("e", e_hat), ("h", h_e), ("hbar", hbar1), ("hbar", hbar0)))
-        oidx = folds.eval_indices(data, k, "O")
-        if oidx.shape[0]:
-            ov = SampleView(data, oidx, "O")
-            pos = rank[oidx]
-            _held_out(ov, pos, [
-                (nus.h.basis, nus.h.coeffs, h_o),
-                (nus.q1.basis, nus.q1.coeffs, q1),
-                (nus.q0.basis, nus.q0.coeffs, q0),
-            ])
-            _require_finite(k, pos, (("h", h_o), ("q0", q0), ("q1", q1)))
+        tables = {
+            "E": [(nus.e.basis, nus.e.coeffs, e_hat, "e"), (nus.h.basis, nus.h.coeffs, h_e, "h"),
+                  (nus.hbar.basis, nus.hbar.arm1_coeffs, hbar1, "hbar"),
+                  (nus.hbar.basis, nus.hbar.arm0_coeffs, hbar0, "hbar")],
+            "O": [(nus.h.basis, nus.h.coeffs, h_o, "h"), (nus.q0.basis, nus.q0.coeffs, q0, "q0"),
+                  (nus.q1.basis, nus.q1.coeffs, q1, "q1")],
+        }
+        for sample, table in tables.items():
+            pos = np.flatnonzero(fold_of[sample] == k)
+            _held_out(SampleView(data, rows[sample][pos], sample), pos, table)
+            if sample == "E":  # e holds the logit, if fitted: map it to propensities
+                e_hat[pos], clipped = nus.e.clipped(e_hat[pos] if nus.e.basis else None, pos.size)
+                n_clipped += clipped
+            for _, _, out, name in table:
+                if not np.isfinite(out[pos]).all():
+                    raise NumericalError(f"fold {k}: non-finite held-out evaluation of {name}")
 
     return UnitEvals(
-        a=a, e_hat=e_hat, h_e=h_e, hbar1=hbar1, hbar0=hbar0,
-        y=y, h_o=h_o, q1=q1, q0=q0, n_clipped=n_clipped,
+        a=data.a[rows["E"]], e_hat=e_hat, h_e=h_e, hbar1=hbar1, hbar0=hbar0,
+        y=data.y[rows["O"]], h_o=h_o, q1=q1, q0=q0, n_clipped=n_clipped,
     )
 
 

@@ -44,6 +44,7 @@ from .estimators import (
     EstimatorConfig,
     NuisanceSet,
     UnitEvals,
+    check_k_folds,
     check_names,
     estimates_from_evals,
     evaluate_nuisances,
@@ -258,6 +259,7 @@ def run_monte_carlo(
     an invalid one never reads as failed replications.
     """
     check_draw(n, pi)
+    check_k_folds(k_folds)
     if replications < 2:
         raise ValidationError("replications must be >= 2")
     if base_seed < 0:

@@ -554,6 +554,32 @@ def test_output_paths_checked_before_any_work(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, flags", [
+    (["estimate", "--data", "{f}", "--out", "{same}"], "--out and --data"),
+    (["gen-data", "--n", "200", "--seed", "1", "--out", "{f}", "--oracle-out", "{same}"],
+     "--oracle-out and --out"),
+    (["estimate", "--data", "{d}", "--out", "{f}", "--dump-nuisances", "{same}"],
+     "--dump-nuisances and --out"),
+    (["simulate", "--config", "{f}", "--out", "{same}"], "--out and --config"),
+], ids=["data_out", "out_oracle_out", "out_dump_nuisances", "config_out"])
+@pytest.mark.parametrize("exists", [True, False], ids=["file_exists", "new_file"])
+def test_one_file_named_twice_exit_1(tmp_path, data_csv, capsys, argv, flags, exists):
+    # Two of the paths naming one file, spelled differently, are refused
+    # before any work: writing one would replace the input or the other
+    # output. No file is created or changed.
+    d, f = tmp_path / "d.csv", tmp_path / "f.csv"
+    d.write_bytes(data_csv.read_bytes())
+    if exists or argv[2] == "{f}":
+        f.write_bytes(data_csv.read_bytes())
+    same = f"{tmp_path}/./f.csv"
+    before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert run([a.format(d=d, f=f, same=same) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flags} name the same file: {same}\n"
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 @pytest.mark.parametrize("flag, message", [
     (["--pi", "1.5"], "error: pi must be in (0, 1)"),
     (["--n", "5"], "error: n must be >= 10"),

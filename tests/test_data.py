@@ -293,7 +293,7 @@ def _outcome(load, path, schema):
 def test_bulk_parse_agrees_with_row_reader(tmp_path, monkeypatch, load, text, schema, expected):
     path = _write(tmp_path, text)
     bulk = _outcome(load, path, schema)
-    monkeypatch.setattr(codec, "_parse_bulk", lambda *args, **kwargs: None)
+    monkeypatch.setattr(codec, "_parse_span", lambda *args: b"")
     assert bulk == _outcome(load, path, schema)
     if expected is None:
         assert isinstance(bulk, dict)
@@ -378,7 +378,7 @@ def test_split_parse_agrees_with_row_reader(tmp_path, monkeypatch, load, text, s
     assert spans[0][0][0] == len(header.encode(errors="surrogateescape"))
     assert len(spans[0]) >= 2
     with monkeypatch.context() as m:
-        m.setattr(codec, "_parse_bulk", lambda *args, **kwargs: None)
+        m.setattr(codec, "_parse_span", lambda *args: b"")
         assert split == _outcome(load, path, schema)
     if expected is not None and isinstance(_outcome(load, _write(tmp_path, header + filler,
                                                                  "filler.csv"), schema), dict):
@@ -454,6 +454,28 @@ def test_split_cut_between_cr_and_lf(tmp_path, monkeypatch, confounded_cfg):
         assert getattr(back, name).tobytes() == arr.tobytes(), name
 
 
+@pytest.mark.parametrize("ends", ["lf", "crlf"])
+@pytest.mark.parametrize("size", ["small", "split_sized"])
+def test_byte_order_mark_is_dropped(tmp_path, monkeypatch, confounded_cfg, size, ends):
+    # Excel's "CSV UTF-8" export starts the file with the bytes EF BB BF. A
+    # copy with that mark loads bit-identical to the file without it, in
+    # bulk, its data starting after the mark and the header line.
+    if size == "small":
+        path, schema = _write(tmp_path, LINE_ENDS[ends](MINIMAL)), SCHEMA
+    else:
+        (path, _), schema = _split_sized(tmp_path, confounded_cfg, ends), px.CsvSchema()
+        monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    pin_workers(monkeypatch, 2)
+    spans = _record_spans(monkeypatch)
+    plain = _outcome(px.load_csv, path, schema)
+    assert isinstance(plain, dict)
+    assert _outcome(px.load_csv, marked, schema) == plain
+    assert [s[0] + 3 for s in spans[0]] == [s[0] for s in spans[1]]
+
+
 def test_row_reader_numbers_rows_after_a_quoted_header_record(tmp_path):
     # The row reader continues the header's csv.reader, so a header cell
     # spanning two lines does not shift the row numbers.
@@ -502,7 +524,7 @@ def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, d
 
     message = rf"worker process \d+ ended without its result \({reason}\)"
     with monkeypatch.context() as m:
-        m.setattr(codec, "_parse_bulk", dying(codec._parse_bulk))
+        m.setattr(codec, "_parse_span", dying(codec._parse_span))
         with pytest.raises(ProxateError, match=message) as caught:
             px.load_csv(path, px.CsvSchema())
         assert type(caught.value) is ProxateError

@@ -24,6 +24,12 @@ from conftest import (
 CFG = px.EstimatorConfig()
 
 
+def eval_indices(data, folds, k, sample):
+    """The dataset rows of ``sample`` ("E" or "O") held out in fold ``k``."""
+    in_sample = data.is_e if sample == "E" else ~data.is_e
+    return np.flatnonzero(in_sample & (folds.fold_of == k))
+
+
 # ---------------------------------------------------------------- folds
 
 
@@ -31,7 +37,7 @@ def test_fold_sizes_even(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 2, seed=1)
     for sample in ("E", "O"):
-        sizes = [folds.eval_indices(data, k, sample).shape[0] for k in range(2)]
+        sizes = [eval_indices(data, folds, k, sample).shape[0] for k in range(2)]
         assert abs(sizes[0] - sizes[1]) <= 1
 
 
@@ -50,7 +56,7 @@ def test_fold_near_equal_rule():
         is_e=is_e,
     )
     folds = px.make_folds(data, 2, seed=3)
-    e_sizes = sorted(folds.eval_indices(data, k, "E").shape[0] for k in range(2))
+    e_sizes = sorted(eval_indices(data, folds, k, "E").shape[0] for k in range(2))
     assert e_sizes == [2, 3]
 
 
@@ -126,7 +132,7 @@ def test_fold_partition_properties(k, seed):
     )
     folds = px.make_folds(data, k, seed=seed)
     for sample, total in (("E", data.n_e), ("O", data.n_o)):
-        chunks = [folds.eval_indices(data, j, sample) for j in range(k)]
+        chunks = [eval_indices(data, folds, j, sample) for j in range(k)]
         sizes = [c.shape[0] for c in chunks]
         assert sum(sizes) == total
         assert max(sizes) - min(sizes) <= 1
@@ -142,7 +148,7 @@ def test_fit_fold_uses_complement_only(small_data):
     folds = px.make_folds(data, 2, seed=9)
     for k in range(2):
         train_e = train_view(data, folds, k, "E").indices
-        eval_e = folds.eval_indices(data, k, "E")
+        eval_e = eval_indices(data, folds, k, "E")
         assert np.intersect1d(train_e, eval_e).shape[0] == 0
         assert train_e.shape[0] + eval_e.shape[0] == data.n_e
     nus = fit_fold(data, folds, 0, CFG)
@@ -420,8 +426,8 @@ def test_held_out_evaluation_builds_each_design_once(small_data, monkeypatch, cf
     for mask in (data.is_e, ~data.is_e):
         rank[mask] = np.arange(mask.sum())
     for k, n in enumerate(nus):
-        e_view = px.SampleView(data, folds.eval_indices(data, k, "E"), "E")
-        o_view = px.SampleView(data, folds.eval_indices(data, k, "O"), "O")
+        e_view = px.SampleView(data, eval_indices(data, folds, k, "E"), "E")
+        o_view = px.SampleView(data, eval_indices(data, folds, k, "O"), "O")
         pe, po = rank[e_view.indices], rank[o_view.indices]
         assert (ev.e_hat[pe] == propensity(n.e, e_view)[0]).all()
         assert (ev.h_e[pe] == evaluate(n.h, e_view)).all()
@@ -443,6 +449,32 @@ def test_non_finite_evaluation_names_fold_and_nuisance(small_data):
         NumericalError, match="fold 1: non-finite held-out evaluation of q1"
     ):
         evaluate_nuisances(data, folds, nus)
+
+
+def test_first_non_finite_evaluation_is_the_one_reported(small_data):
+    # NaN evaluations in two folds and both samples: the error names the
+    # first in fold order, E before O within a fold, and e, h, hbar on E
+    # and h, q0, q1 on O; mending each in turn reveals the next.
+    data, _ = small_data
+    folds = px.make_folds(data, 3, seed=4)
+    nus = fit_all_nuisances(data, folds, CFG)
+    bad = list(nus)
+
+    def nan(model, field="coeffs"):
+        return replace(model, **{field: np.full_like(getattr(model, field), np.nan)})
+
+    bad[1] = replace(nus[1], hbar=nan(nus[1].hbar, "arm0_coeffs"), q0=nan(nus[1].q0))
+    bad[2] = replace(nus[2], e=nan(nus[2].e), h=nan(nus[2].h))
+    for expected, mend in (("fold 1: non-finite held-out evaluation of hbar", (1, "hbar")),
+                           ("fold 1: non-finite held-out evaluation of q0", (1, "q0")),
+                           ("fold 2: non-finite held-out evaluation of e", (2, "e")),
+                           ("fold 2: non-finite held-out evaluation of h", (2, "h"))):
+        with pytest.raises(NumericalError) as caught:
+            evaluate_nuisances(data, folds, bad)
+        assert str(caught.value) == expected
+        k, name = mend
+        bad[k] = replace(bad[k], **{name: getattr(nus[k], name)})
+    evaluate_nuisances(data, folds, bad)
 
 
 # ------------------------------------------------- estimator reductions

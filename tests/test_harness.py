@@ -198,6 +198,17 @@ def test_mc_validation(confounded_cfg):
                            replications=2, base_seed=0, config=CFG, k_folds=5)
 
 
+@pytest.mark.parametrize("k_folds", [1, 0, -2])
+def test_mc_rejects_bad_k_folds_before_replication_0(monkeypatch, confounded_cfg, k_folds):
+    # An invalid fold count is the study's argument error, never failed
+    # replications: no replication is attempted.
+    monkeypatch.setattr(harness, "_attempt", lambda *args: pytest.fail("a replication ran"))
+    with pytest.raises(ValidationError) as caught:
+        px.run_monte_carlo(confounded_cfg, 400, 0.5, ("MR",), ("all_correct",), 4, 1, CFG,
+                           k_folds=k_folds)
+    assert str(caught.value) == f"k_folds must be >= 2, got {k_folds}"
+
+
 @pytest.mark.parametrize("bad, message", [
     ({"ridge_h": -1.0}, "ridge penalty must be >= 0"),
     ({"ridge_q": -1.0}, "ridge penalty must be >= 0"),
