@@ -17,13 +17,14 @@ parses the data lines in bulk with ``np.loadtxt``, one pass per byte
 span over ``_fork.ordered_map``, whose forked workers read their spans
 through the open file: under two 4 MiB chunks of data, one span; else
 spans cut just after line ends. Only where a bulk pass and the row
-reader could differ, which includes every file with a bad cell, does
-the header's reader read on row by row. Data rows are numbered from 1
-after the header; parse errors, bytes that are not UTF-8, unknown labels
-and masking or finiteness violations name the first offending row by
-that number. The writer quotes with ``csv.writer`` only the header and
-the two sample labels; data rows are joined from their formatted cells,
-chunks of them formatted over ``_fork.ordered_map`` and written in order.
+reader could differ, which includes every file with a bad cell, and in
+a pipe or FIFO, which has no spans, does the header's reader read on
+row by row. Data rows are numbered from 1 after the header; parse
+errors, bytes that are not UTF-8, unknown labels and masking or
+finiteness violations name the first offending row by that number. The
+writer quotes with ``csv.writer`` only the header and the two sample
+labels; data rows are joined from their formatted cells, chunks of them
+formatted over ``_fork.ordered_map`` and written in order.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import io
 import math
 import os
 import re
+import stat
 import warnings
 from array import array
 from dataclasses import dataclass, fields
@@ -245,9 +247,10 @@ class CsvSchema(Record):
     a single string prefix, which claims the columns named prefix or
     prefix + ASCII digits (w, w1, w2, ...) in header order, so files stay
     loadable after column reordering; claiming none of the columns that
-    start with it is an error. Every name and label must encode as UTF-8,
-    the files' encoding, and may not start or end with whitespace, which
-    the reader strips from header cells and labels.
+    start with it is an error, as is a column listed twice in one role.
+    Every name and label must encode as UTF-8, the files' encoding, and
+    may not start or end with whitespace, which the reader strips from
+    header cells and labels.
     """
 
     y: str = "y"
@@ -265,7 +268,10 @@ class CsvSchema(Record):
             raise ValidationError("e_label and o_label must differ")
         for f in fields(self):
             value = getattr(self, f.name)
-            for name in (value,) if isinstance(value, str) else value:
+            names = (value,) if isinstance(value, str) else value
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ValidationError(f"{f.name}: column {name!r} listed twice")
                 try:
                     name.encode("utf-8")
                 except UnicodeEncodeError:
@@ -338,7 +344,8 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     ``_parse_span`` parses the data lines in byte spans (``_spans``)
     over ``_fork.ordered_map``. Where a span's table could differ from
     the row reader's, the header's reader reads on row by row, so each
-    error names its first offending row.
+    error names its first offending row; it reads all of a file that is
+    not a regular file (a pipe or FIFO).
     """
     path = Path(path)
     try:
@@ -367,12 +374,13 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
             raise ValidationError(f"{path}: header: {bad}")
         pos = _resolve_columns(schema, header, with_g=with_g)
         labels = {schema.e_label: 1.0, schema.o_label: 0.0} if with_g else None
-        spans = _spans(fh.fileno(), start)
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        spans = _spans(fh.fileno(), start) if regular else []
         with ordered_map(partial(_parse_span, fh.fileno(), len(header), pos, labels),
                          spans) as parts:
             tables = [np.frombuffer(part).reshape(-1, len(header))
                       for part in takewhile(len, parts)]
-        if len(tables) < len(spans):  # a span was doubted: the row reader decides
+        if not regular or len(tables) < len(spans):  # the row reader decides
             tables = [_parse_rows(reader, header, pos, labels)]
     if not sum(map(len, tables)):
         raise ValidationError(f"{path}: no data rows")
@@ -545,8 +553,9 @@ def _parse_rows(reader, header: list[str], pos: dict[str, list[int]],
 def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> None:
     """Write the six roles of ``data`` (and its g labels) as one UTF-8 CSV.
 
-    ``csv.writer`` writes the header. The rows are formatted in chunks of
-    ``_CHUNK_ROWS`` over ``_fork.ordered_map`` and written in order.
+    ``csv.writer`` writes the header, which the reader must resolve with
+    ``schema`` before any file is made. The rows are formatted in chunks
+    of ``_CHUNK_ROWS`` over ``_fork.ordered_map`` and written in order.
     """
     header, columns = [], []
     for role in _ROLES:
@@ -555,11 +564,12 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
             header.append(getattr(schema, role))
             columns.append(arr)
         else:
-            header += _column_names(getattr(schema, role), arr.shape[1])
+            header += _column_names(role, getattr(schema, role), arr.shape[1])
             columns += list(arr.T)
         if role == "a" and with_g:
             header.append(schema.g)
             columns.append(data.is_e)
+    _resolve_columns(schema, header, with_g=with_g)
     labels = (_quoted(schema.o_label), _quoted(schema.e_label))
     chunks = range(0, data.n, _CHUNK_ROWS)
     with ordered_map(partial(_format_rows, columns, labels), chunks) as formatted:
@@ -634,9 +644,10 @@ def write_unmasked_csv(sample: FullyObservedSample, path: str | Path, schema: Cs
     _write_table(sample, path, schema, with_g=False)
 
 
-def _column_names(decl: tuple[str, ...] | str, dim: int) -> list[str]:
+def _column_names(role: str, decl: tuple[str, ...] | str, dim: int) -> list[str]:
     if isinstance(decl, str):
         return [f"{decl}{j + 1}" for j in range(dim)]
     if len(decl) != dim:
-        raise ValidationError(f"schema lists {len(decl)} columns but data has {dim}")
+        raise ValidationError(f"schema lists {len(decl)} columns for role {role!r} "
+                              f"but data has {dim}")
     return list(decl)

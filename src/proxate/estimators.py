@@ -7,22 +7,18 @@ evaluated on fold k only. Fitting makes one pass over the data: each
 cell (the rows of one sample in one fold, E rows also split by arm)
 keeps only the R factor of its raw columns, and each fold merges its
 training cells' factors (TSQR-style) instead of rebuilding designs on
-its complement. Four estimators share the held-out evaluations:
+its complement. Four estimators share the held-out evaluations: each
+is the sum of the sample means of its per-unit contributions on E and
+on O, its E-part and O-part, which ``_PARTS`` states (OB-OR and OB-IPW
+have only an E-part, SB only an O-part). MR, the one with both, carries
+the plug-in variance of those same parts,
 
-    OB-OR   mean over E of  hbar(1, x) - hbar(0, x)
-    OB-IPW  mean over E of  a h/e(x) - (1 - a) h/(1 - e(x))
-    SB      mean over O of  (q_1 - q_0) y
-    MR      E-part: (a - e)(h - hbar(a, x)) / (e(1 - e)) + hbar contrast,
-            plus O-part: (q_1 - q_0)(y - h)
+    V = (N/N_E^2) sum_E [E-part_i - tau]^2 + (N/N_O^2) sum_O [O-part_i]^2,
 
-Only MR carries the plug-in variance
-
-    V = (N/N_E^2) sum_E [e-part_i - tau]^2 + (N/N_O^2) sum_O [o-part_i]^2
-
-and the normal confidence interval tau -+ z_{1-alpha/2} sqrt(V/N); the
-other estimators report the point estimate alone. All per-unit
-contributions are accumulated in dataset order, so relabeling folds
-leaves every figure bit-identical.
+and its report the normal confidence interval tau -+ z_{1-alpha/2}
+sqrt(V/N); the other estimators report the point estimate alone. All
+per-unit contributions are accumulated in dataset order, so relabeling
+folds leaves every figure bit-identical.
 
 Normalization note: the population identification result weights the
 two samples by the true sampling share; here both parts are normalized
@@ -332,6 +328,17 @@ class UnitEvals:
         return (self.q1 - self.q0) * (self.y - self.h_o)
 
 
+# Each estimator's per-unit (E-part, O-part), None where it has no term
+# from that sample; its estimate is the sum of the parts' sample means.
+_PARTS = {
+    "OB-OR": lambda ev: (ev.hbar1 - ev.hbar0, None),
+    "OB-IPW": lambda ev: (ev.a * ev.h_e / ev.e_hat - (1.0 - ev.a) * ev.h_e / (1.0 - ev.e_hat),
+                          None),
+    "SB": lambda ev: (None, (ev.q1 - ev.q0) * ev.y),
+    "MR": lambda ev: (ev.mr_e_part, ev.mr_o_part),
+}
+
+
 def _held_out(view: SampleView, pos: np.ndarray, table: list) -> None:
     """Write ``basis.transform(view) @ coeffs`` into ``out[pos]`` for each
     ``(basis, coeffs, out, name)`` row of ``table`` with a basis (a known
@@ -399,6 +406,9 @@ def evaluate_nuisances(
 
 @dataclass
 class EstimateReport(Record):
+    """One estimator's figures; ``ci``, not an argument, is the normal
+    interval of ``variance_hat`` over n_e + n_o units (None without it)."""
+
     estimator: str
     tau_hat: float
     alpha: float
@@ -407,7 +417,7 @@ class EstimateReport(Record):
     n_e: int
     n_o: int
     variance_hat: float | None = None
-    ci: tuple[float, float] | None = None
+    ci: tuple[float, float] | None = field(init=False)
     n_propensity_clips: int = 0
     per_fold_diagnostics: list[MomentDiagnostics] = field(default_factory=list)
 
@@ -419,12 +429,8 @@ class EstimateReport(Record):
                 f"{self.estimator}: non-finite estimate "
                 f"(tau_hat={self.tau_hat}, variance_hat={self.variance_hat})"
             )
-        if (self.variance_hat is None) != (self.ci is None):
-            raise ValidationError("ci must be present exactly when variance_hat is")
-        if self.ci is not None:
-            lo, hi = self.ci
-            if not lo <= self.tau_hat <= hi:
-                raise ValidationError("point estimate must lie inside its interval")
+        self.ci = None if self.variance_hat is None else confidence_interval(
+            self.tau_hat, self.variance_hat, self.n_e + self.n_o, self.alpha)
 
 
 def confidence_interval(
@@ -446,26 +452,15 @@ def fit_all_nuisances(data, folds, config) -> list[NuisanceSet]:
     return [fit_fold_nuisances(cells, k, config) for k in range(folds.k_folds)]
 
 
-def _mr_variance_from_evals(evals: UnitEvals, tau_hat: float, n: int) -> float:
-    n_e = evals.a.shape[0]
-    n_o = evals.y.shape[0]
-    e_term = float(np.sum((evals.mr_e_part - tau_hat) ** 2))
-    o_term = float(np.sum(evals.mr_o_part**2))
-    return n / n_e**2 * e_term + n / n_o**2 * o_term
-
-
 def estimate_all(
     data: CombinedDataset,
     folds: FoldAssignment,
     config: EstimatorConfig,
-    estimators: tuple[str, ...] = ESTIMATOR_NAMES,
 ) -> dict[str, EstimateReport]:
-    """Fit nuisances once and evaluate any subset of the four estimators."""
-    check_names(estimators, ESTIMATOR_NAMES, "estimator")
+    """Fit nuisances once and report all four estimators."""
     nuisance_sets = fit_all_nuisances(data, folds, config)
     evals = evaluate_nuisances(data, folds, nuisance_sets)
-    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
-    return estimates_from_evals(data, folds, config, evals, estimators, diagnostics)
+    return estimates_from_evals(data, folds, config, evals, ESTIMATOR_NAMES, nuisance_sets)
 
 
 def estimates_from_evals(
@@ -474,21 +469,29 @@ def estimates_from_evals(
     config: EstimatorConfig,
     evals: UnitEvals,
     estimators: tuple[str, ...],
-    diagnostics: list[MomentDiagnostics],
+    nuisance_sets: list[NuisanceSet],
 ) -> dict[str, EstimateReport]:
-    """The requested estimators' reports from held-out evaluations.
+    """The requested estimators' reports from held-out evaluations, in
+    ``ESTIMATOR_NAMES`` order, each built from its ``_PARTS`` row; each
+    carries every fold's moment diagnostics from ``nuisance_sets``.
 
     The summary step of ``estimate_all``; the misspecification harness
     runs it once per regime on substituted evaluations.
     """
-
-    def report(name: str, tau: float, var: float | None = None) -> EstimateReport:
-        ci = None if var is None else confidence_interval(tau, var, data.n, config.alpha)
-        return EstimateReport(
+    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
+    out: dict[str, EstimateReport] = {}
+    for name in (n for n in ESTIMATOR_NAMES if n in estimators):
+        e_part, o_part = _PARTS[name](evals)
+        if e_part is not None and o_part is not None:
+            tau = float(np.mean(e_part) + np.mean(o_part))
+            var = (data.n / e_part.size**2 * float(np.sum((e_part - tau) ** 2))
+                   + data.n / o_part.size**2 * float(np.sum(o_part**2)))
+        else:
+            tau, var = float(np.mean(o_part if e_part is None else e_part)), None
+        out[name] = EstimateReport(
             estimator=name,
             tau_hat=tau,
             variance_hat=var,
-            ci=ci,
             alpha=config.alpha,
             k_folds=folds.k_folds,
             seed=folds.seed,
@@ -497,19 +500,4 @@ def estimates_from_evals(
             n_propensity_clips=evals.n_clipped,
             per_fold_diagnostics=diagnostics,
         )
-
-    out: dict[str, EstimateReport] = {}
-    if "OB-OR" in estimators:
-        out["OB-OR"] = report("OB-OR", float(np.mean(evals.hbar1 - evals.hbar0)))
-    if "OB-IPW" in estimators:
-        ipw = evals.a * evals.h_e / evals.e_hat - (1.0 - evals.a) * evals.h_e / (
-            1.0 - evals.e_hat
-        )
-        out["OB-IPW"] = report("OB-IPW", float(np.mean(ipw)))
-    if "SB" in estimators:
-        out["SB"] = report("SB", float(np.mean((evals.q1 - evals.q0) * evals.y)))
-    if "MR" in estimators:
-        tau = float(np.mean(evals.mr_e_part) + np.mean(evals.mr_o_part))
-        var = _mr_variance_from_evals(evals, tau, data.n)
-        out["MR"] = report("MR", tau, var)
     return out

@@ -205,9 +205,8 @@ def estimate_regimes(
     folds = make_folds(data, k_folds, seed)
     nuisance_sets = fit_all_nuisances(data, folds, config)
     evals = evaluate_nuisances(data, folds, nuisance_sets)
-    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
     return {rg: {**estimates_from_evals(
-        data, folds, config, apply_misspec(evals, rg, config.clip_eps), proximal, diagnostics,
+        data, folds, config, apply_misspec(evals, rg, config.clip_eps), proximal, nuisance_sets,
     ), **baselines} for rg in regimes}, nuisance_sets
 
 

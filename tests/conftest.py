@@ -10,13 +10,16 @@ view with its design, a fitted nuisance applied to a view (basis design
 times coefficients), estimates from given nuisances, constant
 nuisances, and a bridge's coefficients on the raw inputs. The rest
 pin the worker count of ``_fork.ordered_map``, check that no forked
-worker outlives its map, and read and set OpenBLAS's thread count, which
-a map must leave as it found it.
+worker outlives its map, read and set OpenBLAS's thread count, which
+a map must leave as it found it, and feed bytes to a reader through a
+FIFO.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -96,8 +99,7 @@ def fit_basis(spec, view):
 def estimate_with(data, folds, config, nuisance_sets, estimators=ESTIMATOR_NAMES):
     """``estimate_all``'s reports from the given per-fold nuisance sets."""
     evals = evaluate_nuisances(data, folds, nuisance_sets)
-    diagnostics = [d for nus in nuisance_sets for d in nus.diagnostics]
-    return estimates_from_evals(data, folds, config, evals, estimators, diagnostics)
+    return estimates_from_evals(data, folds, config, evals, estimators, nuisance_sets)
 
 
 def train_view(data, folds, k, sample):
@@ -230,3 +232,21 @@ def blas_at_two():
     blas[1](2)
     yield 2
     blas[1](before)
+
+
+@contextlib.contextmanager
+def fifo_of(directory, data: bytes):
+    """A FIFO in ``directory`` that a writer thread feeds ``data`` to once
+    a reader opens it; the writer must have finished when the block ends."""
+    fifo = directory / "stream.csv"
+    os.mkfifo(fifo)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError):  # a reader that stopped early
+            fifo.write_bytes(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    yield fifo
+    writer.join(timeout=30)
+    assert not writer.is_alive(), "the FIFO's reader never read all of it"

@@ -11,7 +11,7 @@ import proxate as px
 from proxate._records import from_dict
 from proxate.cli import main
 
-from conftest import fit_fold
+from conftest import fifo_of, fit_fold
 
 
 def run(args: list[str]) -> int:
@@ -146,6 +146,24 @@ def test_not_utf8_byte_exit_1(command, fixture, request, tmp_path, capsys):
     bad.write_bytes(b"\r\n".join(lines))
     assert run([command, "--data", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: row 2000: not UTF-8 text: b'\\xff")
+
+
+def test_estimate_reads_a_fifo(data_csv, tmp_path, capsys):
+    # A FIFO, as a shell's <(...) gives, reads as the regular file does.
+    rep_file, rep_fifo = tmp_path / "file.json", tmp_path / "fifo.json"
+    assert run(["estimate", "--data", str(data_csv), "--out", str(rep_file)]) == 0
+    printed = capsys.readouterr().out
+    with fifo_of(tmp_path, data_csv.read_bytes()) as fifo:
+        assert run(["estimate", "--data", str(fifo), "--out", str(rep_fifo)]) == 0
+    assert capsys.readouterr().out == printed
+    assert _strip_timestamp(_load_result(rep_fifo)) == _strip_timestamp(_load_result(rep_file))
+
+
+def test_estimate_out_directory_exit_1(tmp_path, capsys):
+    # Checked before the CSV is read, which does not exist.
+    assert run(["estimate", "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 def test_estimate_missing_file_exit_1(capsys):
@@ -356,8 +374,7 @@ def test_readme_config_drives_every_command(tmp_path):
     rep = json.loads(out.read_text())["result"]["MR"]
     assert rep["k_folds"] == 4 and rep["seed"] == 7
     loaded = px.load_csv(data, from_dict(px.CsvSchema, README_CONFIG["schema"], "schema"))
-    expected = px.estimate_all(loaded, px.make_folds(loaded, 4, 7), px.EstimatorConfig(),
-                               estimators=("MR",))["MR"]
+    expected = px.estimate_all(loaded, px.make_folds(loaded, 4, 7), px.EstimatorConfig())["MR"]
     assert rep["tau_hat"] == expected.tau_hat
 
     sim = tmp_path / "sim.json"
@@ -446,6 +463,9 @@ _DGP = {"beta_a": [0.5], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
     ({"estimation": {"known_propensity": 1.5}}, "estimation.known_propensity: "),
     ({"estimation": {"seed": -3}}, "estimation.seed: "),
     ({"estimation": {"k_folds": 1}}, "estimation.k_folds: "),
+    ({"schema": {"o_label": "E"}}, "schema: e_label and o_label must differ"),
+    ({"schema": {"y": "earn"}}, "column 'earn' for role 'y' not in header"),
+    ({"schema": {"w": ["w9"]}}, "schema columns ['w9'] for role 'w' not in header"),
 ])
 def test_malformed_config_exit_1(tmp_path, data_csv, capsys, config, path):
     # A value of the wrong type is an error naming its key path, never a
@@ -470,6 +490,24 @@ def test_gen_data_name_not_utf8_exit_1(tmp_path, capsys, schema, message):
     assert run(["gen-data", "--config", str(cfg), "--n", "100", "--seed", "1",
                 "--out", str(out)]) == 1
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("schema, flags, message", [
+    ({"y": "w1"}, [], "column 'w1' mapped to both roles 'y' and 'w'"),
+    ({"y": "w1"}, ["--unmasked"], "column 'w1' mapped to both roles 'y' and 'w'"),
+    ({"g": "a"}, [], "column 'a' mapped to both roles 'a' and 'g'"),
+    ({"w": ["w1", "w1"]}, [], "schema: w: column 'w1' listed twice"),
+    ({"w": ["w1", "w2"]}, [], "schema lists 2 columns for role 'w' but data has 1"),
+])
+def test_gen_data_header_it_cannot_read_back_exit_1(tmp_path, capsys, schema, flags, message):
+    # gen-data writes only a header that the same schema reads back; the
+    # reader's own error otherwise, and no file.
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg.write_text(json.dumps({"schema": schema}))
+    assert run(["gen-data", "--config", str(cfg), "--n", "100", "--seed", "1",
+                "--out", str(out), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -24,7 +24,7 @@ from proxate.errors import (
     ValidationError,
 )
 
-from conftest import assert_no_child_left, blas_threads, pin_workers
+from conftest import assert_no_child_left, blas_threads, fifo_of, pin_workers
 
 SCHEMA = px.CsvSchema(s=("s1", "s2"), w=("w1",), z=("z1",), x=("x1",))
 
@@ -484,6 +484,23 @@ def test_row_reader_numbers_rows_after_a_quoted_header_record(tmp_path):
         px.load_csv(_write(tmp_path, text), dataclasses.replace(SCHEMA, y="y\nb"))
 
 
+@pytest.mark.parametrize("unmasked", [False, True], ids=["masked", "unmasked"])
+def test_stream_loads_like_a_regular_file(tmp_path, confounded_cfg, unmasked):
+    # A FIFO has no size and no offsets to read at: the row reader reads
+    # all of it, to the table the bulk parse makes of the same bytes.
+    path, schema = tmp_path / "d.csv", px.CsvSchema()
+    if unmasked:
+        px.write_unmasked_csv(px.generate_full(confounded_cfg, 500, seed=3), path, schema)
+    else:
+        px.write_csv(px.generate(confounded_cfg, 500, 0.5, seed=3)[0], path, schema)
+    load = px.load_unmasked_csv if unmasked else px.load_csv
+    with fifo_of(tmp_path, path.read_bytes()) as fifo:
+        streamed = load(fifo, schema)
+    regular = load(path, schema)
+    for f in dataclasses.fields(regular):
+        assert getattr(streamed, f.name).tobytes() == getattr(regular, f.name).tobytes(), f.name
+
+
 def test_one_cpu_forks_nothing(tmp_path, monkeypatch, confounded_cfg):
     # Pinned to one CPU, a split-sized file is read and a many-chunk file
     # written in-process.
@@ -819,6 +836,20 @@ def test_empty_stratum_rejected():
             x=np.zeros((1, 0)),
             is_e=np.array([True]),
         )
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"y": np.zeros(3)}, "column lengths disagree"),
+    ({"w": np.zeros((3, 1))}, "w must have 4 rows"),
+])
+def test_misshapen_column_rejected(bad, message):
+    is_e = np.array([True, True, False, False])
+    cols = {"y": np.where(is_e, np.nan, 1.0), "w": np.zeros((4, 1)),
+            "z": np.where(is_e[:, None], np.nan, 1.0), "s": np.zeros((4, 1)),
+            "a": np.where(is_e, 1.0, np.nan), "x": np.zeros((4, 0)), "is_e": is_e}
+    px.CombinedDataset.from_arrays(**cols)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        px.CombinedDataset.from_arrays(**{**cols, **bad})
 
 
 def test_records_expose_masking(small_data):

@@ -92,6 +92,11 @@ def test_fold_counts_must_match_data(small_data):
     # A fold without its nuisance set would leave its rows unwritten.
     with pytest.raises(ValidationError, match="2 nuisance sets for 3 folds"):
         evaluate_nuisances(data, folds, nus[:-1])
+    # A fold index outside [0, k) has no held-out fold.
+    cells = px.fold_cells(data, folds, CFG)
+    for k in (3, -1):
+        with pytest.raises(ValidationError, match=f"^fold index {k} out of range$"):
+            px.fit_fold_nuisances(cells, k, CFG)
 
 
 def test_fold_empty_training_complement(small_data):
@@ -645,7 +650,7 @@ def test_ob_estimators_agree_under_known_randomization(confounded_cfg):
         data, _ = px.generate(confounded_cfg, 8000, 0.5, seed=400 + r)
         folds = px.make_folds(data, 2, seed=r)
         cfg = px.EstimatorConfig(known_propensity=confounded_cfg.p_treat)
-        reps = px.estimate_all(data, folds, cfg, estimators=("OB-OR", "OB-IPW"))
+        reps = px.estimate_all(data, folds, cfg)
         taus_or.append(reps["OB-OR"].tau_hat)
         taus_ipw.append(reps["OB-IPW"].tau_hat)
     diff = np.array(taus_or) - np.array(taus_ipw)
@@ -719,7 +724,8 @@ def test_confidence_interval_validation():
 def test_report_invariants(small_data):
     data, _ = small_data
     folds = px.make_folds(data, 2, seed=5)
-    rep = px.estimate_all(data, folds, CFG, estimators=("MR",))["MR"]
+    reps = px.estimate_all(data, folds, CFG)
+    rep = reps["MR"]
     lo, hi = rep.ci
     assert lo <= rep.tau_hat <= hi
     assert rep.variance_hat is not None
@@ -727,17 +733,10 @@ def test_report_invariants(small_data):
     assert width == pytest.approx(
         2.0 * 1.959963985 * np.sqrt(rep.variance_hat / data.n), rel=1e-8
     )
-    other = px.estimate_all(data, folds, CFG, estimators=("OB-OR",))["OB-OR"]
+    other = reps["OB-OR"]
     assert other.variance_hat is None and other.ci is None
     d = rep.to_dict()
     assert d["estimator"] == "MR" and d["k_folds"] == 2 and d["seed"] == 5
-
-
-def test_unknown_estimator_rejected(small_data):
-    data, _ = small_data
-    folds = px.make_folds(data, 2, seed=5)
-    with pytest.raises(ValidationError):
-        px.estimate_all(data, folds, CFG, estimators=("XXX",))
 
 
 # ---------------------------------------------------- regression guards
