@@ -26,9 +26,11 @@ from ._records import Record
 from .data import CombinedDataset, FullyObservedSample, split_by_sample
 from .errors import DegenerateInstrumentError, NumericalError, ValidationError
 from .estimators import EstimateReport
-from .stats import hc0_cov, ols, two_sided_p
+from .stats import _merged, _ols, hc0_cov, ols, two_sided_p
 
 BASELINE_NAMES = ("SI", "SI-PROX")
+# Rows per block in the diagnostics' passes over a sample.
+_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,16 @@ class DiagnosticReport(Record):
                 raise ValidationError("p-values must be in [0, 1]")
 
 
-def _treatment_stats(
-    coef: np.ndarray, design: np.ndarray, resid: np.ndarray
-) -> tuple[float, float, float]:
+def _meat(design: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    return design.T @ (design * resid[:, None] ** 2)
+
+
+def _treatment_stats(coef: np.ndarray, r: np.ndarray, meat: np.ndarray) -> tuple[float, ...]:
     """The treatment's coefficient, HC0 standard error and two-sided
-    normal p-value; the treatment is column 1 of ``design``."""
+    normal p-value, from a design's R factor ``r`` (any ``r`` with
+    ``r.T @ r`` its Gram) and HC0 meat; the treatment is column 1."""
     tau = float(coef[1])
-    se = float(np.sqrt(hc0_cov(design, resid)[1, 1]))
+    se = float(np.sqrt(hc0_cov(r.T @ r, meat)[1, 1]))
     if se == 0.0:
         return tau, se, 0.0 if tau != 0.0 else 1.0
     return tau, se, two_sided_p(tau / se)
@@ -96,17 +101,40 @@ def surrogate_index_estimate(
     )
 
 
+def _blocks(sample: FullyObservedSample):
+    """The columns [1, a, s, x, z, w, y] of each ``_BLOCK_ROWS`` rows of ``sample``."""
+    for lo in range(0, max(sample.n, 1), _BLOCK_ROWS):  # an empty sample is one empty block
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        yield np.column_stack([np.ones(sample.y[rows].shape[0]), sample.a[rows], sample.s[rows],
+                               sample.x[rows], sample.z[rows], sample.w[rows], sample.y[rows]])
+
+
+def _fit(r: np.ndarray, n: int, lead: int, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares coefficients and residual sums of squares of columns
+    ``cols`` on the first ``lead`` columns, off the R factor ``r`` of all
+    of them on ``n`` rows, with numpy's rank cutoff for those rows."""
+    rcond = np.finfo(float).eps * max(n, lead)
+    coef = np.linalg.lstsq(r[:lead, :lead], r[:lead, cols], rcond=rcond)[0]
+    resid = r[:lead, cols] - r[:lead, :lead] @ coef
+    return coef, np.sum(resid ** 2, axis=0) + np.sum(r[lead:, cols] ** 2, axis=0)
+
+
 def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
     """Surrogacy check plus proxy-IV adjustment on unmasked data.
 
     OLS stage: y on (1, a, s, x); a nonzero treatment coefficient means
     the surrogates do not absorb the treatment's effect on the outcome.
-    IV stage: first stage w on (1, z, a, s, x), second stage y on
+    IV stage: first stage w on (1, a, s, x, z), second stage y on
     (1, a, s, x, w_hat); with the instrumented proxy soaking up the
     latent confounder, the treatment coefficient should collapse when
     confounding (and not a direct effect) drove the OLS significance.
     Its standard errors are the 2SLS sandwich: the HC0 bread from
     (1, a, s, x, w_hat), the residuals from y - (1, a, s, x, w) b.
+
+    Two passes over row blocks, neither holding more than one block of
+    columns: the first reduces the blocks of [1, a, s, x, z, w, y] to one
+    R factor, from which every coefficient and sum of squares is read;
+    the second sums the two HC0 meats.
 
     The first stage is fitted once for all proxy columns. Column j's
     instrument strength is F_j = (RSS_r - RSS_f) / dim_z / (RSS_f / dof)
@@ -128,19 +156,17 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
             f"IV stage: {dim_z} instrument column(s) z for {dim_w} proxy column(s) w; "
             "the order condition needs at least as many instruments as proxies"
         )
+    k = 2 + sample.s.shape[1] + sample.x.shape[1]  # (1, a, s, x)
+    m = k + dim_z  # the first stage's (1, a, s, x, z)
+    w_cols = slice(m, m + dim_w)
+    r = _merged([np.linalg.qr(block, mode="r") for block in _blocks(sample)])
 
-    ols_design = np.column_stack([np.ones(n), sample.a, sample.s, sample.x])
-    ols_coef = ols(ols_design, sample.y)
-    ols_stats = _treatment_stats(ols_coef, ols_design, sample.y - ols_design @ ols_coef)
-
-    fs_design = np.column_stack([np.ones(n), sample.z, sample.a, sample.s, sample.x])
-    fs_coef, _, _, _ = np.linalg.lstsq(fs_design, sample.w, rcond=None)
-    w_hat = fs_design @ fs_coef
-    restricted_coef, _, _, _ = np.linalg.lstsq(ols_design, sample.w, rcond=None)
-    floor = np.finfo(float).eps * np.sum(sample.w ** 2, axis=0)
-    sums = np.sum((sample.w - np.stack([w_hat, ols_design @ restricted_coef])) ** 2, axis=1)
+    ols_coef = _ols(r[:k, :k], r[:k, -1], n)
+    fs_coef, rss_full = _fit(r, n, m, w_cols)
+    floor = np.finfo(float).eps * np.sum(r[:, w_cols] ** 2, axis=0)
+    sums = np.stack([rss_full, _fit(r, n, k, w_cols)[1]])
     rss_full, rss_restricted = np.where(sums > floor, sums, 0.0).tolist()
-    dof = max(n - fs_design.shape[1], 1)
+    dof = max(n - m, 1)
     f_min = min(
         (restricted - full) / dim_z / (full / dof) if full > 0.0
         else (np.inf if restricted > full else 0.0)
@@ -151,8 +177,14 @@ def diagnose_surrogacy(sample: FullyObservedSample) -> DiagnosticReport:
             f"first-stage F statistic on the instrument block is {f_min:.3e}"
         )
 
-    iv_design = np.column_stack([ols_design, w_hat])
-    iv_coef = ols(iv_design, sample.y)
-    # 2SLS residuals: the fitted coefficients applied to w itself, not w_hat.
-    resid = sample.y - np.column_stack([ols_design, sample.w]) @ iv_coef
-    return DiagnosticReport(*ols_stats, *_treatment_stats(iv_coef, iv_design, resid))
+    iv_r = np.column_stack([r[:m, :k], r[:m, :m] @ fs_coef])  # (1, a, s, x, w_hat) in R's basis
+    iv_coef = _ols(iv_r, r[:m, -1], n)
+    meat_ols = meat_iv = 0.0
+    for block in _blocks(sample):
+        exog, y = block[:, :k], block[:, -1]
+        meat_ols += _meat(exog, y - exog @ ols_coef)
+        # 2SLS residuals: the fitted coefficients applied to w itself, not w_hat.
+        resid = y - np.column_stack([exog, block[:, w_cols]]) @ iv_coef
+        meat_iv += _meat(np.column_stack([exog, block[:, :m] @ fs_coef]), resid)
+    return DiagnosticReport(*_treatment_stats(ols_coef, r[:k, :k], meat_ols),
+                            *_treatment_stats(iv_coef, iv_r, meat_iv))

@@ -38,8 +38,8 @@ from ._records import from_dict, reject_unknown
 from .baselines import diagnose_surrogacy
 from .basis import BasisSpec
 from .bridges import check_ridge
-from .data import CsvSchema, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
-from .dgp import DGPConfig, confounded_config, generate, generate_full, oracle_for
+from .data import CsvSchema, _header, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
+from .dgp import DGPConfig, _widths, confounded_config, generate, generate_full, oracle_for
 from .errors import NumericalError, ProxateError, ValidationError
 from .estimators import ESTIMATOR_NAMES, EstimatorConfig, check_alpha, check_k_folds
 from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes, run_monte_carlo
@@ -265,6 +265,7 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = load_config(args)
+    _header(cfg.schema, _widths(cfg.dgp), with_g=not args.unmasked)  # fail before the draw
     if args.unmasked:
         sample = generate_full(cfg.dgp, args.n, args.seed)
         write_unmasked_csv(sample, args.out, cfg.schema)

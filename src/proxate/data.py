@@ -16,15 +16,17 @@ byte-order mark. The reader opens a file once, reads the header with
 parses the data lines in bulk with ``np.loadtxt``, one pass per byte
 span over ``_fork.ordered_map``, whose forked workers read their spans
 through the open file: under two 4 MiB chunks of data, one span; else
-spans cut just after line ends. Only where a bulk pass and the row
-reader could differ, which includes every file with a bad cell, and in
-a pipe or FIFO, which has no spans, does the header's reader read on
-row by row. Data rows are numbered from 1 after the header; parse
-errors, bytes that are not UTF-8, unknown labels and masking or
-finiteness violations name the first offending row by that number. The
-writer quotes with ``csv.writer`` only the header and the two sample
-labels; data rows are joined from their formatted cells, chunks of them
-formatted over ``_fork.ordered_map`` and written in order.
+spans cut just after line ends. Each span is copied into the role
+arrays, sized from a count of the lines, as it arrives. Only where a
+bulk pass and the row reader could differ, which includes every file
+with a bad cell, and in a pipe or FIFO, which has no spans, does the
+header's reader read on row by row. Data rows are numbered from 1 after
+the header; parse errors, bytes that are not UTF-8, unknown labels and
+masking or finiteness violations name the first offending row by that
+number. The writer quotes with ``csv.writer`` only the header and the
+two sample labels; data rows are joined from their formatted cells,
+chunks of them formatted over ``_fork.ordered_map`` and written in
+order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import warnings
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,8 @@ _BLOCK_ROWS = 512
 # ``_fork.ordered_map`` hands to workers: a few MiB of text each.
 _CHUNK_ROWS = 32 * _BLOCK_ROWS
 _SPLIT_BYTES = 4 << 20
+# Bytes per read when the reader counts a file's lines.
+_COUNT_BYTES = 1 << 20
 # Numeric roles in CSV column order; the g column follows "a".
 _ROLES = ("y", "a", "w", "z", "s", "x")
 
@@ -109,11 +112,13 @@ class CombinedDataset:
 
     @classmethod
     def masked(cls, y, w, z, s, a, x, is_e) -> "CombinedDataset":
-        """A dataset from fully observed columns: y and z masked on E rows, a on O rows."""
-        return cls.from_arrays(
-            y=np.where(is_e, np.nan, y), w=w, z=np.where(is_e[:, None], np.nan, z), s=s,
-            a=np.where(is_e, a, np.nan), x=x, is_e=is_e,
-        )
+        """A dataset from fully observed columns, masked in place: y and z
+        on E rows, a on O rows. Like ``from_arrays``, it keeps and freezes
+        the arrays it is handed."""
+        np.copyto(y, np.nan, where=is_e)
+        np.copyto(z, np.nan, where=is_e[:, None])
+        np.copyto(a, np.nan, where=~is_e)
+        return cls.from_arrays(y=y, w=w, z=z, s=s, a=a, x=x, is_e=is_e)
 
     def _validate(self) -> None:
         if self.n_e < 1 or self.n_o < 1:
@@ -342,10 +347,13 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     ``csv.reader`` reads the header, after a byte-order mark if the file
     starts with one. Each role's header positions are resolved once, and
     ``_parse_span`` parses the data lines in byte spans (``_spans``)
-    over ``_fork.ordered_map``. Where a span's table could differ from
-    the row reader's, the header's reader reads on row by row, so each
-    error names its first offending row; it reads all of a file that is
-    not a regular file (a pipe or FIFO).
+    over ``_fork.ordered_map``. While the spans are parsed, the parent
+    counts the data's lines and sizes the role arrays; each span's
+    columns are copied into them as the span arrives, and its table is
+    dropped. Where a span's table could differ from the row reader's,
+    or the spans' rows differ from the count, the header's reader reads
+    on row by row, so each error names its first offending row; it
+    reads all of a file that is not a regular file (a pipe or FIFO).
     """
     path = Path(path)
     try:
@@ -378,15 +386,26 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
         spans = _spans(fh.fileno(), start) if regular else []
         with ordered_map(partial(_parse_span, fh.fileno(), len(header), pos, labels),
                          spans) as parts:
-            tables = [np.frombuffer(part).reshape(-1, len(header))
-                      for part in takewhile(len, parts)]
-        if not regular or len(tables) < len(spans):  # the row reader decides
-            tables = [_parse_rows(reader, header, pos, labels)]
-    if not sum(map(len, tables)):
+            n = _count_lines(fh.fileno(), spans[0][0], spans[-1][1]) if spans else 0
+            out = {role: np.empty((n, len(idx)), bool if role == "g" else float)
+                   for role, idx in pos.items()}  # g's 1.0 and 0.0 as True and False
+            lo = 0
+            for part in parts:
+                table = np.frombuffer(part).reshape(-1, len(header))
+                if not 0 < len(table) <= n - lo:  # doubted, or more rows than counted
+                    break
+                for role, idx in pos.items():
+                    out[role][lo:lo + len(table)] = table[:, idx]
+                lo += len(table)
+                del part, table  # unmap the span's table before the next arrives
+        if not spans or lo != n:  # the row reader decides
+            del out
+            table = _parse_rows(reader, header, pos, labels)
+            out = {role: table[:, idx] for role, idx in pos.items()}
+    if not len(out["y"]):
         raise ValidationError(f"{path}: no data rows")
-    out = {role: _gather(tables, pos[role]) for role in _ROLES}
     if with_g:
-        out["is_e"] = _gather(tables, pos["g"])[:, 0] == 1.0
+        out["is_e"] = out.pop("g")[:, 0] == 1.0
     return out
 
 
@@ -403,6 +422,18 @@ def _spans(fd: int, start: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
+def _count_lines(fd: int, start: int, end: int) -> int:
+    """The lines in bytes ``start`` to ``end`` of the file open as ``fd``:
+    its line ends (LF, CRLF or a lone CR), counted in ``_COUNT_BYTES``
+    reads, plus a last line with none."""
+    lines, pos, last = 0, start, b"\n"
+    while pos < end and (chunk := os.pread(fd, min(_COUNT_BYTES, end - pos), pos)):
+        lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+        lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split between two reads
+        pos, last = pos + len(chunk), chunk[-1:]
+    return lines + (last not in (b"\n", b"\r"))
+
+
 def _after_line_end(fd: int, pos: int, size: int) -> int:
     """The offset just after the first line end (LF, CRLF or a lone CR) at
     or after ``pos``, never between a CR and its LF; else ``size``."""
@@ -412,16 +443,6 @@ def _after_line_end(fd: int, pos: int, size: int) -> int:
             return end + (line_end[0] == b"\r" and os.pread(fd, 1, end) == b"\n")
         pos += len(window)
     return size
-
-
-def _gather(tables: list[np.ndarray], idx: list[int]) -> np.ndarray:
-    """Columns ``idx`` of ``tables`` stacked by row, with no copy of a whole table."""
-    out = np.empty((sum(map(len, tables)), len(idx)))
-    lo = 0
-    for table in tables:
-        out[lo:lo + len(table)] = table[:, idx]
-        lo += len(table)
-    return out
 
 
 def _parse_span(fd: int, width: int, pos: dict[str, list[int]], labels: dict | None,
@@ -557,19 +578,10 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
     ``schema`` before any file is made. The rows are formatted in chunks
     of ``_CHUNK_ROWS`` over ``_fork.ordered_map`` and written in order.
     """
-    header, columns = [], []
-    for role in _ROLES:
-        arr = getattr(data, role)
-        if arr.ndim == 1:
-            header.append(getattr(schema, role))
-            columns.append(arr)
-        else:
-            header += _column_names(role, getattr(schema, role), arr.shape[1])
-            columns += list(arr.T)
-        if role == "a" and with_g:
-            header.append(schema.g)
-            columns.append(data.is_e)
-    _resolve_columns(schema, header, with_g=with_g)
+    matrices = _ROLES[2:]  # w, z, s and x: the roles of one or more columns
+    header = _header(schema, {r: getattr(data, r).shape[1] for r in matrices}, with_g=with_g)
+    columns = [data.y, data.a, *([data.is_e] if with_g else []),
+               *(col for r in matrices for col in getattr(data, r).T)]
     labels = (_quoted(schema.o_label), _quoted(schema.e_label))
     chunks = range(0, data.n, _CHUNK_ROWS)
     with ordered_map(partial(_format_rows, columns, labels), chunks) as formatted:
@@ -580,6 +592,19 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
                     fh.write(rows)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc}")
+
+
+def _header(schema: CsvSchema, widths: dict[str, int], *, with_g: bool) -> list[str]:
+    """The header of a file with ``widths[role]`` columns for each role but
+    y and a, checked to resolve with ``schema`` as the reader resolves it."""
+    header = []
+    for role in _ROLES:
+        decl = getattr(schema, role)
+        header += _column_names(role, decl, widths[role]) if role in widths else [decl]
+        if role == "a" and with_g:
+            header.append(schema.g)
+    _resolve_columns(schema, header, with_g=with_g)
+    return header
 
 
 def _format_rows(columns: list[np.ndarray], labels: tuple[str, str], lo: int) -> bytearray:

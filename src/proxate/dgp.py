@@ -131,11 +131,18 @@ def _structural_draw(cfg: DGPConfig, n: int, rng: np.random.Generator):
 
 
 def _outcomes(cfg: DGPConfig, u, x, a, eps_s, eps_y, eps_w, eps_z):
-    s = a[:, None] * cfg.beta_a + u[:, None] * cfg.beta_u + x @ cfg.beta_x.T + eps_s
-    y = s @ cfg.gamma_s + cfg.gamma_u * u + x @ cfg.gamma_x + eps_y
-    w = (cfg.alpha_w * u + eps_w)[:, None]
-    z = (cfg.alpha_z * u + eps_z)[:, None]
-    return s, y, w, z
+    """(s, y, w, z), each computed in place in its noise draw: the noise is
+    added last, so each element has the bits of the sum written out."""
+    eps_s += a[:, None] * cfg.beta_a + u[:, None] * cfg.beta_u + x @ cfg.beta_x.T
+    eps_y += eps_s @ cfg.gamma_s + cfg.gamma_u * u + x @ cfg.gamma_x
+    eps_w += cfg.alpha_w * u
+    eps_z += cfg.alpha_z * u
+    return eps_s, eps_y, eps_w[:, None], eps_z[:, None]
+
+
+def _widths(cfg: DGPConfig) -> dict[str, int]:
+    """The columns of w, z, s and x in a draw from ``cfg``."""
+    return {"w": 1, "z": 1, "s": cfg.dim_s, "x": cfg.dim_x}
 
 
 def check_draw(n: int, pi: float | None) -> None:
@@ -153,15 +160,18 @@ def generate(cfg: DGPConfig, n: int, pi: float, seed: int) -> tuple[CombinedData
     E units get randomized treatment; O units get a latent assignment
     (U-dependent when the config flags it) that shapes (S, Y) and is
     then discarded. Masking follows the two-sample availability
-    pattern: E rows lose (y, z), O rows lose a.
+    pattern: E rows lose (y, z), O rows lose a. The outcomes are computed
+    in place in their noise draws and masked in place, so no draw is
+    copied.
     """
     check_draw(n, pi)
     rng = seeded_generator(seed)
     is_e = rng.random(n) < pi
-    u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n, rng)
-    a = np.where(is_e, a_e, a_o)
-    s, y, w, z = _outcomes(cfg, u, x, a, eps_s, eps_y, eps_w, eps_z)
-    del u, a_e, a_o, eps_s, eps_y, eps_w, eps_z  # free the draws before masking copies y, z, a
+    u, x, a, a_o, *eps = _structural_draw(cfg, n, rng)
+    np.copyto(a, a_o, where=~is_e)  # a_e on E rows, a_o on O rows
+    del a_o
+    s, y, w, z = _outcomes(cfg, u, x, a, *eps)
+    del u, eps
     return CombinedDataset.masked(y=y, w=w, z=z, s=s, a=a, x=x, is_e=is_e), oracle_for(cfg)
 
 
@@ -174,8 +184,10 @@ def generate_full(cfg: DGPConfig, n: int, seed: int) -> FullyObservedSample:
     check_draw(n, None)
     rng = seeded_generator(seed)
     rng.random(n)  # keep the draw sequence aligned with generate()
-    u, x, a_e, _, eps_s, eps_y, eps_w, eps_z = _structural_draw(cfg, n, rng)
-    s, y, w, z = _outcomes(cfg, u, x, a_e, eps_s, eps_y, eps_w, eps_z)
+    u, x, a_e, a_o, *eps = _structural_draw(cfg, n, rng)
+    del a_o
+    s, y, w, z = _outcomes(cfg, u, x, a_e, *eps)
+    del u, eps
     return FullyObservedSample.from_arrays(y=y, a=a_e, s=s, x=x, w=w, z=z)
 
 

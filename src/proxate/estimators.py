@@ -53,7 +53,7 @@ from .nuisance import (
     fit_propensity,
     require_both_arms,
 )
-from .stats import normal_quantile, seeded_generator
+from .stats import _merged, normal_quantile, seeded_generator
 
 ESTIMATOR_NAMES = ("OB-OR", "OB-IPW", "SB", "MR")
 
@@ -180,11 +180,6 @@ class FoldCells:
 
     def design(self, sample: str, basis: FittedBasis, rows: np.ndarray) -> np.ndarray:
         return basis.standardize(rows[:, self.cols[sample, basis.spec]])
-
-
-def _merged(factors: list[np.ndarray]) -> np.ndarray:
-    """The R factor of the stacked rows whose R factors are ``factors``."""
-    return np.linalg.qr(np.vstack(factors), mode="r")
 
 
 def _cell_columns(view: SampleView, specs: list[BasisSpec], cols: dict,

@@ -36,9 +36,17 @@ def two_sided_p(t: float) -> float:
 def ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of ``y`` on ``design``; raises
     ``NumericalError`` on a rank-deficient design."""
+    return _ols(design, y, np.shape(design)[0])
+
+
+def _ols(design: np.ndarray, y: np.ndarray, rows: int) -> np.ndarray:
+    """``ols`` where ``design`` may stand for a design of ``rows`` rows (its R
+    factor, with y's matching rows): singular values below eps * max(rows,
+    columns) times the largest count as zero, numpy's cutoff for the rows."""
     design = np.asarray(design, dtype=float)
     y = np.asarray(y, dtype=float)
-    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    rcond = np.finfo(float).eps * max(rows, design.shape[1])
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=rcond)
     if rank < design.shape[1]:
         raise NumericalError(
             f"rank-deficient design (rank {rank} < {design.shape[1]}); drop collinear columns"
@@ -46,11 +54,18 @@ def ols(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     return coef
 
 
-def hc0_cov(design: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """Heteroskedasticity-consistent (HC0) covariance of OLS coefficients."""
-    xtx_inv = np.linalg.pinv(design.T @ design)
-    meat = design.T @ (design * resid[:, None] ** 2)
-    return xtx_inv @ meat @ xtx_inv
+def hc0_cov(gram: np.ndarray, meat: np.ndarray) -> np.ndarray:
+    """Heteroskedasticity-consistent (HC0) covariance of OLS coefficients,
+    from the design's Gram X'X and the meat X' diag(resid^2) X."""
+    bread = np.linalg.pinv(gram)
+    return bread @ meat @ bread
+
+
+def _merged(factors: list[np.ndarray]) -> np.ndarray:
+    """The R factor of the stacked rows whose R factors are ``factors``:
+    the merge of a tall-skinny QR (Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 2012)."""
+    return np.linalg.qr(np.vstack(factors), mode="r")
 
 
 def check_seed(seed: int) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,17 @@ def pin_workers(monkeypatch, workers: int) -> None:
     """Run each ordered map over ``workers`` forked workers (1: in-process),
     at most one per item, whatever the CPUs."""
     monkeypatch.setattr(_fork, "_workers", lambda n_items: min(workers, n_items))
+
+
+def traced_peak(fn, *args) -> float:
+    """The tracemalloc peak of ``fn(*args)`` in MiB, after one warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def assert_no_child_left() -> None:

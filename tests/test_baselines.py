@@ -2,21 +2,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import proxate as px
+from proxate import baselines
 from proxate.errors import DegenerateInstrumentError, NumericalError
 from proxate.stats import hc0_cov, normal_quantile, ols
 
-from conftest import NAIVE_SI_BIAS
+from conftest import NAIVE_SI_BIAS, traced_peak
 
 
 def _treatment_reference(design, y):
     # OLS with its HC0 standard error, read at column 1 (the treatment).
     coef = ols(design, y)
-    se = math.sqrt(hc0_cov(design, y - design @ coef)[1, 1])
+    meat = design.T @ (design * (y - design @ coef)[:, None] ** 2)
+    se = math.sqrt(hc0_cov(design.T @ design, meat)[1, 1])
     return coef[1], se, math.erfc(abs(coef[1]) / se / math.sqrt(2.0))
 
 
@@ -175,10 +178,10 @@ def test_golden_baselines(small_data, confounded_cfg):
         assert normal_quantile(p) == ref, p
 
 
-def _two_proxy_sample(seed, second_w=None):
+def _two_proxy_sample(seed, second_w=None, n=3000):
     # A second latent factor v drives the second proxy and instrument, so
     # each proxy column has its own instrument.
-    sample = px.generate_full(px.confounded_config(), 3000, seed=seed)
+    sample = px.generate_full(px.confounded_config(), n, seed=seed)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(sample.n)
     w2 = v + rng.standard_normal(sample.n) if second_w is None else second_w(sample)
@@ -189,9 +192,12 @@ def _two_proxy_sample(seed, second_w=None):
     )
 
 
-def test_diagnose_two_proxy_columns_matches_per_column_reference():
-    sample = _two_proxy_sample(35)
-    rep = px.diagnose_surrogacy(sample)
+def _exogenous(sample):
+    # An exact linear function of (1, a, s, x).
+    return 1.0 + 2.0 * sample.a - 0.5 * sample.s[:, 0] + 0.25 * sample.x[:, 0]
+
+
+def _per_column_reference(sample):
     n = sample.n
     exog = [np.ones(n), sample.a, sample.s, sample.x]
     fs_design = np.column_stack([exog[0], sample.z, *exog[1:]])
@@ -208,18 +214,73 @@ def test_diagnose_two_proxy_columns_matches_per_column_reference():
     reference = {"ols_coef_on_a": ols_coef, "ols_se": ols_se,
                  "ols_p": ols_p, "iv_coef_on_a": iv_coef[1],
                  "iv_se": iv_se, "iv_p": math.erfc(abs(iv_coef[1]) / iv_se / math.sqrt(2.0))}
-    assert rep.to_dict() == {k: pytest.approx(v, rel=1e-9) for k, v in reference.items()}
+    return {k: pytest.approx(v, rel=1e-9) for k, v in reference.items()}
+
+
+def test_diagnose_two_proxy_columns_matches_per_column_reference():
+    sample = _two_proxy_sample(35)
+    assert px.diagnose_surrogacy(sample).to_dict() == _per_column_reference(sample)
+
+
+BLOCK_ROWS = 300  # rows per block where tests cut a sample into several
+
+
+def test_diagnose_across_row_blocks_matches_per_column_reference(monkeypatch):
+    # Two full blocks and a short one: both passes merge across blocks.
+    monkeypatch.setattr(baselines, "_BLOCK_ROWS", BLOCK_ROWS)
+    sample = _two_proxy_sample(35, n=2 * BLOCK_ROWS + 17)
+    assert px.diagnose_surrogacy(sample).to_dict() == _per_column_reference(sample)
+
+
+def _zero_instruments(seed):
+    sample = _two_proxy_sample(seed)
+    return px.FullyObservedSample.from_arrays(y=sample.y, a=sample.a, s=sample.s, x=sample.x,
+                                              w=sample.w, z=np.zeros_like(sample.z))
+
+
+def _one_instrument(seed):
+    sample = _two_proxy_sample(seed)
+    return px.FullyObservedSample.from_arrays(y=sample.y, a=sample.a, s=sample.s, x=sample.x,
+                                              w=sample.w, z=sample.z[:, :1])
+
+
+@pytest.mark.parametrize("degenerate", [
+    *(partial(_two_proxy_sample, seed, _exogenous) for seed in (36, 37, 38)),
+    partial(_zero_instruments, 34),
+    partial(_one_instrument, 39),
+], ids=["exogenous-36", "exogenous-37", "exogenous-38", "zero_z", "dim_z_below_dim_w"])
+def test_diagnose_across_row_blocks_rejects_degenerate_instruments(monkeypatch, degenerate):
+    monkeypatch.setattr(baselines, "_BLOCK_ROWS", BLOCK_ROWS)
+    with pytest.raises(DegenerateInstrumentError):
+        px.diagnose_surrogacy(degenerate())
+
+
+@pytest.mark.parametrize("n", [4000, 400_000])
+@pytest.mark.parametrize("covariate", ["a", "s"])
+def test_diagnose_collinear_covariate_is_rank_deficient(confounded_cfg, n, covariate):
+    # The fits read off the R factor count a singular value as zero below
+    # the cutoff of the n-row design it stands for, as a fit on the design
+    # itself does, so a covariate equal to a or s fails the OLS stage.
+    sample = px.generate_full(confounded_cfg, n, seed=1)
+    twin = px.FullyObservedSample.from_arrays(y=sample.y, a=sample.a, s=sample.s,
+                                              x=getattr(sample, covariate), w=sample.w, z=sample.z)
+    with pytest.raises(NumericalError, match=r"rank-deficient design \(rank 3 < 4\)"):
+        px.diagnose_surrogacy(twin)
+
+
+def test_diagnose_memory_does_not_grow_with_n(confounded_cfg):
+    # Each pass holds one block of columns at a time, never an n-row design.
+    small = traced_peak(px.diagnose_surrogacy, px.generate_full(confounded_cfg, 50_000, seed=1))
+    large = traced_peak(px.diagnose_surrogacy, px.generate_full(confounded_cfg, 200_000, seed=1))
+    assert large <= 1.1 * small, f"peak {large:.2f} MiB at n = 2e5, {small:.2f} MiB at n = 5e4"
 
 
 @pytest.mark.parametrize("seed", [36, 37, 38])
 def test_diagnose_exogenous_proxy_column_is_degenerate(seed):
     # The second proxy is an exact linear function of (1, a, s, x): no
     # instrument moves it, whatever rounding leaves in its residuals.
-    def exogenous(sample):
-        return 1.0 + 2.0 * sample.a - 0.5 * sample.s[:, 0] + 0.25 * sample.x[:, 0]
-
     with pytest.raises(DegenerateInstrumentError):
-        px.diagnose_surrogacy(_two_proxy_sample(seed, exogenous))
+        px.diagnose_surrogacy(_two_proxy_sample(seed, _exogenous))
 
 
 def test_diagnose_fewer_instruments_than_proxies_names_the_iv_stage():

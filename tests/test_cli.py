@@ -500,9 +500,15 @@ def test_gen_data_name_not_utf8_exit_1(tmp_path, capsys, schema, message):
     ({"w": ["w1", "w1"]}, [], "schema: w: column 'w1' listed twice"),
     ({"w": ["w1", "w2"]}, [], "schema lists 2 columns for role 'w' but data has 1"),
 ])
-def test_gen_data_header_it_cannot_read_back_exit_1(tmp_path, capsys, schema, flags, message):
+def test_gen_data_header_it_cannot_read_back_exit_1(tmp_path, monkeypatch, capsys, schema, flags,
+                                                    message):
     # gen-data writes only a header that the same schema reads back; the
-    # reader's own error otherwise, and no file.
+    # reader's own error otherwise, before any draw, and no file.
+    def no_draw(*args):
+        raise AssertionError("drew a sample for a header that cannot be written")
+
+    monkeypatch.setattr("proxate.cli.generate", no_draw)
+    monkeypatch.setattr("proxate.cli.generate_full", no_draw)
     cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
     cfg.write_text(json.dumps({"schema": schema}))
     assert run(["gen-data", "--config", str(cfg), "--n", "100", "--seed", "1",

@@ -454,6 +454,67 @@ def test_split_cut_between_cr_and_lf(tmp_path, monkeypatch, confounded_cfg):
         assert getattr(back, name).tobytes() == arr.tobytes(), name
 
 
+def _row_reader_outcome(monkeypatch, path):
+    """What ``load_csv`` gives when every span is doubted."""
+    with monkeypatch.context() as m:
+        m.setattr(codec, "_parse_span", lambda *args: b"")
+        return _outcome(px.load_csv, path, px.CsvSchema())
+
+
+@pytest.mark.parametrize("final_end", [True, False], ids=["final_end", "no_final_end"])
+@pytest.mark.parametrize("ends", ["lf", "crlf", "lone_cr"])
+def test_counted_lines_size_the_bulk_load(tmp_path, monkeypatch, confounded_cfg, ends,
+                                          final_end):
+    # The reader sizes its arrays from the line ends it counts in
+    # _COUNT_BYTES reads before the spans' tables arrive. The first read
+    # ends on a line end's first byte, so a CRLF straddles two reads; the
+    # count matches the spans' rows, or the row reader would run.
+    path, _ = _split_sized(tmp_path, confounded_cfg, ends)
+    raw = path.read_bytes()
+    if not final_end:
+        path.write_bytes(raw := raw.rstrip(b"\r\n"))
+    start = len(_lines(raw.decode())[0])
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", len(raw) // 12)
+    monkeypatch.setattr(codec, "_COUNT_BYTES",
+                        re.compile(rb"\r\n?|\n").search(raw, start + 100).start() + 1 - start)
+    if ends == "crlf":
+        assert raw[start + codec._COUNT_BYTES - 1:][:2] == b"\r\n"
+    want = _row_reader_outcome(monkeypatch, path)
+    assert isinstance(want, dict)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        assert _outcome(px.load_csv, path, px.CsvSchema()) == want, workers
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("case", ["last_span_doubted", "count_low", "count_high"])
+def test_row_reader_reads_a_file_the_spans_cannot_fill(tmp_path, monkeypatch, confounded_cfg,
+                                                       case):
+    # A doubted last span, after the earlier spans' rows are copied, or a
+    # line count that the spans' rows do not match, sends the whole file
+    # to the row reader, which loads it as it loads it alone.
+    path, _ = _split_sized(tmp_path, confounded_cfg, "crlf")
+    raw = path.read_bytes()
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", len(raw) // 12)
+    if case == "last_span_doubted":  # csv.reader unquotes the last row's label
+        last = raw.rindex(b"\r\n", 0, len(raw) - 2) + 2
+        path.write_bytes(raw[:last] + re.sub(rb",([EO]),", rb',"\1",', raw[last:], count=1))
+    else:
+        count = codec._count_lines
+        shift = -1 if case == "count_low" else 1
+        monkeypatch.setattr(codec, "_count_lines", lambda *args: count(*args) + shift)
+    want = _row_reader_outcome(monkeypatch, path)
+    assert isinstance(want, dict)
+    rows_read, parse_rows = [], codec._parse_rows
+    monkeypatch.setattr(codec, "_parse_rows", lambda *a: rows_read.append(1) or parse_rows(*a))
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        assert _outcome(px.load_csv, path, px.CsvSchema()) == want, workers
+        assert_no_child_left()
+    assert len(rows_read) == 2
+
+
 @pytest.mark.parametrize("ends", ["lf", "crlf"])
 @pytest.mark.parametrize("size", ["small", "split_sized"])
 def test_byte_order_mark_is_dropped(tmp_path, monkeypatch, confounded_cfg, size, ends):

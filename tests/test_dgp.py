@@ -10,7 +10,7 @@ from proxate.dgp import oracle_for
 from proxate.errors import ValidationError
 from proxate.stats import seeded_generator
 
-from conftest import NAIVE_SI_BIAS, fit_basis
+from conftest import NAIVE_SI_BIAS, fit_basis, traced_peak
 
 
 def eval_oracle_h(cfg, w, s, x):
@@ -170,3 +170,44 @@ def test_csv_round_trip_of_generated(tmp_path, confounded_cfg):
     back = px.load_csv(path, schema)
     np.testing.assert_array_equal(back.s, data.s)
     np.testing.assert_array_equal(back.y, data.y)
+
+
+def _written_out(cfg, n, seed, pi):
+    """The E labels and the columns (a, s, y, w, z) of a draw, each outcome
+    the model's sum written out, noise last, on the draw's assignment."""
+    rng = seeded_generator(seed)
+    is_e = rng.random(n) < pi
+    u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z = dgp_mod._structural_draw(cfg, n, rng)
+    a = np.where(is_e, a_e, a_o)
+    s = a[:, None] * cfg.beta_a + u[:, None] * cfg.beta_u + x @ cfg.beta_x.T + eps_s
+    y = s @ cfg.gamma_s + cfg.gamma_u * u + x @ cfg.gamma_x + eps_y
+    return is_e, x, a, s, y, cfg.alpha_w * u + eps_w, cfg.alpha_z * u + eps_z
+
+
+def test_generate_matches_the_written_out_model():
+    # The outcomes are computed in place in the noise draws and masked in
+    # place; each element keeps the bits of the written-out model, on a
+    # model with several surrogates and covariates.
+    cfg = px.DGPConfig(beta_a=[0.5, -0.2], beta_u=[1.0, 0.3], gamma_s=[2.0, 0.7], gamma_u=0.8,
+                       gamma_x=[0.5, -0.1, 0.2], beta_x=np.arange(6.0).reshape(2, 3) / 7,
+                       alpha_w=1.3, alpha_z=0.6, dim_x=3, noise_sd_s=0.7, noise_sd_w=0.5,
+                       confound_treatment_in_O=True)
+    is_e, x, a, s, y, w, z = _written_out(cfg, 5000, 9, 0.4)
+    want = {"y": np.where(is_e, np.nan, y), "a": np.where(is_e, a, np.nan), "s": s, "x": x,
+            "w": w[:, None], "z": np.where(is_e, np.nan, z)[:, None], "is_e": is_e}
+    data, _ = px.generate(cfg, 5000, 0.4, seed=9)
+    assert {k: getattr(data, k).tobytes() for k in want} == {k: want[k].tobytes() for k in want}
+    # generate_full: every row is an E row, so the assignment is a_e.
+    _, x, a, s, y, w, z = _written_out(cfg, 5000, 9, 1.0)
+    full = px.generate_full(cfg, 5000, seed=9)
+    want = {"y": y, "a": a, "s": s, "x": x, "w": w[:, None], "z": z[:, None]}
+    assert {k: getattr(full, k).tobytes() for k in want} == {k: want[k].tobytes() for k in want}
+
+
+@pytest.mark.parametrize("draw", ["generate", "generate_full"])
+def test_generate_memory_peak(confounded_cfg, draw):
+    # The outcomes overwrite their noise draws and the masks overwrite
+    # the columns they mask, so no draw is copied.
+    args = (100_000, 0.5, 1) if draw == "generate" else (100_000, 1)
+    peak = traced_peak(getattr(px, draw), confounded_cfg, *args)
+    assert peak <= 7.3, f"peak {peak:.2f} MiB"

@@ -86,7 +86,8 @@ def test_hc0_matches_model_cov_under_homoskedasticity():
     y = design @ np.array([0.5, 2.0]) + rng.normal(size=n)
     coef = ols(design, y)
     resid = y - design @ coef
-    se_hc0 = np.sqrt(np.diag(hc0_cov(design, resid)))
+    meat = design.T @ (design * resid[:, None] ** 2)
+    se_hc0 = np.sqrt(np.diag(hc0_cov(design.T @ design, meat)))
     # Classical homoskedastic reference sigma^2 (X'X)^-1.
     sigma2 = float(resid @ resid) / (n - design.shape[1])
     se_model = np.sqrt(np.diag(sigma2 * np.linalg.inv(design.T @ design)))
