@@ -18,15 +18,15 @@ span over ``_fork.ordered_map``, whose forked workers read their spans
 through the open file: under two 4 MiB chunks of data, one span; else
 spans cut just after line ends. Each span is copied into the role
 arrays, sized from a count of the lines, as it arrives. Only where a
-bulk pass and the row reader could differ, which includes every file
-with a bad cell, and in a pipe or FIFO, which has no spans, does the
-header's reader read on row by row. Data rows are numbered from 1 after
-the header; parse errors, bytes that are not UTF-8, unknown labels and
-masking or finiteness violations name the first offending row by that
-number. The writer quotes with ``csv.writer`` only the header and the
-two sample labels; data rows are joined from their formatted cells,
-chunks of them formatted over ``_fork.ordered_map`` and written in
-order.
+bulk pass and the row reader could differ, which includes every span
+with a bad cell, does the header's reader read on row by row, from the
+first such span; it reads all of a pipe or FIFO, which has no spans.
+Data rows are numbered from 1 after the header; parse errors, bytes
+that are not UTF-8, unknown labels and masking or finiteness violations
+name the first offending row by that number. The writer quotes with
+``csv.writer`` only the header and the two sample labels; data rows are
+joined from their formatted cells, chunks of them formatted over
+``_fork.ordered_map`` and written in order, one chunk held at a time.
 """
 
 from __future__ import annotations
@@ -351,9 +351,11 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     counts the data's lines and sizes the role arrays; each span's
     columns are copied into them as the span arrives, and its table is
     dropped. Where a span's table could differ from the row reader's,
-    or the spans' rows differ from the count, the header's reader reads
-    on row by row, so each error names its first offending row; it
-    reads all of a file that is not a regular file (a pipe or FIFO).
+    the header's reader reads on row by row from that span's first line,
+    numbering its rows on from the rows copied, so each error names its
+    first offending row. It reads all the data where the spans' rows
+    differ from the count, and of a file that is not a regular file (a
+    pipe or FIFO).
     """
     path = Path(path)
     try:
@@ -389,19 +391,28 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
             n = _count_lines(fh.fileno(), spans[0][0], spans[-1][1]) if spans else 0
             out = {role: np.empty((n, len(idx)), bool if role == "g" else float)
                    for role, idx in pos.items()}  # g's 1.0 and 0.0 as True and False
-            lo = 0
-            for part in parts:
+            lo, resume = 0, None  # the rows copied; the first doubted span's start
+            for (begin, _), part in zip(spans, parts):
                 table = np.frombuffer(part).reshape(-1, len(header))
-                if not 0 < len(table) <= n - lo:  # doubted, or more rows than counted
+                if not len(table):  # doubted: the row reader reads on from its first line
+                    resume = begin
+                    break
+                if len(table) > n - lo:  # more rows than counted
                     break
                 for role, idx in pos.items():
                     out[role][lo:lo + len(table)] = table[:, idx]
                 lo += len(table)
                 del part, table  # unmap the span's table before the next arrives
-        if not spans or lo != n:  # the row reader decides
-            del out
-            table = _parse_rows(reader, header, pos, labels)
-            out = {role: table[:, idx] for role, idx in pos.items()}
+        if resume is None and (not spans or lo != n):  # the row reader reads all the data
+            lo, resume = 0, start
+        if resume is not None:
+            if resume != start:  # a line start, where the UTF-8 decoder holds no state
+                fh.seek(resume)
+            kept = {role: arr[:lo].copy() for role, arr in out.items()}
+            del out  # the arrays sized from the count, before the row reader's table grows
+            table = _parse_rows(reader, header, pos, labels, lo)
+            out = {role: np.concatenate((kept[role], table[:, idx])) if lo else table[:, idx]
+                   for role, idx in pos.items()}
     if not len(out["y"]):
         raise ValidationError(f"{path}: no data rows")
     if with_g:
@@ -536,8 +547,9 @@ def _undecodable(cells: list[str]) -> str | None:
 
 
 def _parse_rows(reader, header: list[str], pos: dict[str, list[int]],
-                labels: dict | None) -> np.ndarray:
-    """Parse the data rows one by one; raise on the first bad row.
+                labels: dict | None, before: int = 0) -> np.ndarray:
+    """Parse the data rows one by one, numbered on from the ``before``
+    rows already read; raise on the first bad row.
 
     Returns a table shaped like the file: claimed cells parsed, g (with
     ``labels``) as its label's value, 1.0 for E and 0.0 for O, unclaimed
@@ -548,9 +560,9 @@ def _parse_rows(reader, header: list[str], pos: dict[str, list[int]],
     numeric = [(i, header[i]) for role in _ROLES for i in pos[role]]
     g_pos = pos["g"][0] if labels else None
     values = array("d")
-    row_idx = 0
+    row_idx = before
     try:
-        for row_idx, row in enumerate(reader, start=1):
+        for row_idx, row in enumerate(reader, start=before + 1):
             if len(row) != len(header):
                 raise ParseError(row_idx, f"expected {len(header)} cells, got {len(row)}")
             if bad := _undecodable(row):
@@ -576,7 +588,9 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
 
     ``csv.writer`` writes the header, which the reader must resolve with
     ``schema`` before any file is made. The rows are formatted in chunks
-    of ``_CHUNK_ROWS`` over ``_fork.ordered_map`` and written in order.
+    of ``_CHUNK_ROWS`` over ``_fork.ordered_map`` and written in order by
+    ``writelines``, which drops each chunk before it reads the next, so
+    the parent holds one formatted chunk at a time.
     """
     matrices = _ROLES[2:]  # w, z, s and x: the roles of one or more columns
     header = _header(schema, {r: getattr(data, r).shape[1] for r in matrices}, with_g=with_g)
@@ -588,8 +602,7 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
         try:
             with Path(path).open("wb") as fh:
                 fh.write(_csv_line(header).encode())
-                for rows in formatted:
-                    fh.write(rows)
+                fh.writelines(formatted)
         except OSError as exc:
             raise ValidationError(f"cannot write {path}: {exc}")
 

@@ -15,7 +15,11 @@ ratios are exp-quadratic), so it is validated through the reweighting
 identity instead; see the bridge solver tests.
 
 Generation is a pure function of (config, n, pi, seed) on a counter-based
-Philox stream, so one seed pins the whole dataset.
+Philox stream, so one seed pins the whole dataset. The stream is read in
+one fixed order: the E labels (drawn and discarded by ``generate_full``),
+U, X, the randomized assignment, the latent observational one, then the
+noise of S, Y, W and Z. Each outcome is computed as soon as its noise is
+drawn, so a draw holds at most seven n-vectors: its six columns and U.
 """
 
 from __future__ import annotations
@@ -110,34 +114,49 @@ def oracle_for(cfg: DGPConfig) -> DGPOracle:
     )
 
 
-def _structural_draw(cfg: DGPConfig, n: int, rng: np.random.Generator):
-    """Draw (u, x, a_e, a_o, then s/y/w/z given an assignment).
+def _draw(cfg: DGPConfig, n: int, rng: np.random.Generator, is_e: np.ndarray | None):
+    """The columns (x, a, s, y, w, z) of one draw: a is a_e on the rows
+    of ``is_e`` and a_o on the others, or a_e everywhere if None.
 
-    Returns everything needed by both the masked and unmasked
-    generators; the draw order is fixed so seeds are comparable across
-    call sites.
+    ``rng`` is read in the module docstring's order, so seeds are
+    comparable across call sites. Each outcome is its sum grouped left to
+    right, noise last, as written out (IEEE sums are not associative). y's
+    sum is built before its noise is drawn into one scratch vector, which
+    then holds w's U term, and z's U term overwrites u, so at most the
+    six outputs and u are held at once.
     """
     u = rng.standard_normal(n)
     x = rng.standard_normal((n, cfg.dim_x))
-    a_e = (rng.random(n) < cfg.p_treat).astype(float)
-    kappa = _O_ASSIGNMENT_LOADING if cfg.confound_treatment_in_O else 0.0
-    cut = normal_quantile(cfg.p_treat) * np.sqrt(1.0 + kappa * kappa)
-    a_o = (cut + kappa * u > rng.standard_normal(n)).astype(float)
-    eps_s = rng.standard_normal((n, cfg.dim_s)) * cfg.noise_sd_s
-    eps_y = rng.standard_normal(n) * cfg.noise_sd_y
-    eps_w = rng.standard_normal(n) * cfg.noise_sd_w
-    eps_z = rng.standard_normal(n) * cfg.noise_sd_z
-    return u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z
+    a = rng.random(n)
+    np.less(a, cfg.p_treat, out=a)  # a_e, 1.0 or 0.0
+    a_o = rng.standard_normal(n)
+    if is_e is not None:
+        kappa = _O_ASSIGNMENT_LOADING if cfg.confound_treatment_in_O else 0.0
+        cut = normal_quantile(cfg.p_treat) * np.sqrt(1.0 + kappa * kappa)
+        np.greater(cut + kappa * u, a_o, out=a_o)
+        np.copyto(a, a_o, where=~is_e)
+    del a_o
+    s = _noise(rng, cfg.noise_sd_s, np.empty((n, cfg.dim_s)))
+    s += a[:, None] * cfg.beta_a + u[:, None] * cfg.beta_u + x @ cfg.beta_x.T
+    y = s @ cfg.gamma_s
+    scratch = np.multiply(u, cfg.gamma_u)
+    y += scratch
+    y += np.matmul(x, cfg.gamma_x, out=scratch)
+    y += _noise(rng, cfg.noise_sd_y, scratch)
+    w = _noise(rng, cfg.noise_sd_w, np.empty((n, 1)))
+    w[:, 0] += np.multiply(u, cfg.alpha_w, out=scratch)
+    del scratch
+    z = _noise(rng, cfg.noise_sd_z, np.empty((n, 1)))
+    u *= cfg.alpha_z
+    z[:, 0] += u
+    return x, a, s, y, w, z
 
 
-def _outcomes(cfg: DGPConfig, u, x, a, eps_s, eps_y, eps_w, eps_z):
-    """(s, y, w, z), each computed in place in its noise draw: the noise is
-    added last, so each element has the bits of the sum written out."""
-    eps_s += a[:, None] * cfg.beta_a + u[:, None] * cfg.beta_u + x @ cfg.beta_x.T
-    eps_y += eps_s @ cfg.gamma_s + cfg.gamma_u * u + x @ cfg.gamma_x
-    eps_w += cfg.alpha_w * u
-    eps_z += cfg.alpha_z * u
-    return eps_s, eps_y, eps_w[:, None], eps_z[:, None]
+def _noise(rng: np.random.Generator, sd: float, out: np.ndarray) -> np.ndarray:
+    """``out`` filled with ``rng``'s next normal draws, scaled by ``sd``."""
+    rng.standard_normal(out=out)
+    out *= sd
+    return out
 
 
 def _widths(cfg: DGPConfig) -> dict[str, int]:
@@ -161,17 +180,13 @@ def generate(cfg: DGPConfig, n: int, pi: float, seed: int) -> tuple[CombinedData
     (U-dependent when the config flags it) that shapes (S, Y) and is
     then discarded. Masking follows the two-sample availability
     pattern: E rows lose (y, z), O rows lose a. The outcomes are computed
-    in place in their noise draws and masked in place, so no draw is
-    copied.
+    as their noise is drawn and masked in place, so the draw holds at
+    most seven n-vectors.
     """
     check_draw(n, pi)
     rng = seeded_generator(seed)
     is_e = rng.random(n) < pi
-    u, x, a, a_o, *eps = _structural_draw(cfg, n, rng)
-    np.copyto(a, a_o, where=~is_e)  # a_e on E rows, a_o on O rows
-    del a_o
-    s, y, w, z = _outcomes(cfg, u, x, a, *eps)
-    del u, eps
+    x, a, s, y, w, z = _draw(cfg, n, rng, is_e)
     return CombinedDataset.masked(y=y, w=w, z=z, s=s, a=a, x=x, is_e=is_e), oracle_for(cfg)
 
 
@@ -179,16 +194,15 @@ def generate_full(cfg: DGPConfig, n: int, seed: int) -> FullyObservedSample:
     """Draw a fully observed randomized sample (no masking, no O units).
 
     This is the source material for the masking-design harness and for
-    diagnostics that need (y, a) jointly.
+    diagnostics that need (y, a) jointly. It reads the stream as
+    ``generate`` does, dropping the E labels and a_o, so with one seed
+    the two share u, x, a_e and the noise.
     """
     check_draw(n, None)
     rng = seeded_generator(seed)
     rng.random(n)  # keep the draw sequence aligned with generate()
-    u, x, a_e, a_o, *eps = _structural_draw(cfg, n, rng)
-    del a_o
-    s, y, w, z = _outcomes(cfg, u, x, a_e, *eps)
-    del u, eps
-    return FullyObservedSample.from_arrays(y=y, a=a_e, s=s, x=x, w=w, z=z)
+    x, a, s, y, w, z = _draw(cfg, n, rng, None)
+    return FullyObservedSample.from_arrays(y=y, a=a, s=s, x=x, w=w, z=z)
 
 
 def confounded_config() -> DGPConfig:

@@ -488,31 +488,58 @@ def test_counted_lines_size_the_bulk_load(tmp_path, monkeypatch, confounded_cfg,
         assert_no_child_left()
 
 
-@pytest.mark.parametrize("case", ["last_span_doubted", "count_low", "count_high"])
+@pytest.mark.parametrize("case", ["last_span_doubted", "bad_cell_in_doubted_span", "count_low",
+                                  "count_high"])
 def test_row_reader_reads_a_file_the_spans_cannot_fill(tmp_path, monkeypatch, confounded_cfg,
                                                        case):
-    # A doubted last span, after the earlier spans' rows are copied, or a
-    # line count that the spans' rows do not match, sends the whole file
-    # to the row reader, which loads it as it loads it alone.
+    # A doubted span keeps the rows of the spans before it, and the row
+    # reader reads on from its first line, numbering rows on from them:
+    # the file loads, or fails on the same row, as when the row reader
+    # reads it all. A line count that the spans' rows do not match sends
+    # the whole file to the row reader.
     path, _ = _split_sized(tmp_path, confounded_cfg, "crlf")
     raw = path.read_bytes()
     monkeypatch.setattr(codec, "_SPLIT_BYTES", len(raw) // 12)
+    starts = [m.end() for m in re.finditer(rb"\r\n", raw)]  # each data line's start, then the end
     if case == "last_span_doubted":  # csv.reader unquotes the last row's label
-        last = raw.rindex(b"\r\n", 0, len(raw) - 2) + 2
+        last = starts[-2]
         path.write_bytes(raw[:last] + re.sub(rb",([EO]),", rb',"\1",', raw[last:], count=1))
+    elif case == "bad_cell_in_doubted_span":  # row 1700's w1 cell
+        row = starts[1699]
+        path.write_bytes(raw[:row] + re.sub(rb"^([^,]*,[^,]*,[^,]*,)[^,]*", rb"\1x",
+                                            raw[row:], count=1))
     else:
         count = codec._count_lines
         shift = -1 if case == "count_low" else 1
         monkeypatch.setattr(codec, "_count_lines", lambda *args: count(*args) + shift)
     want = _row_reader_outcome(monkeypatch, path)
-    assert isinstance(want, dict)
-    rows_read, parse_rows = [], codec._parse_rows
-    monkeypatch.setattr(codec, "_parse_rows", lambda *a: rows_read.append(1) or parse_rows(*a))
+    if case == "bad_cell_in_doubted_span":
+        assert want == (ParseError, "row 1700: column 'w1': cannot parse 'x' as a number", 1700)
+    else:
+        assert isinstance(want, dict)
+    spans = _record_spans(monkeypatch)
+    calls, parse_rows = [], codec._parse_rows
+
+    def recorded(*args):
+        """The rows read before the row reader starts, then the rows it reads."""
+        calls.append([args[4], None])
+        calls[-1][1] = len(table := parse_rows(*args))
+        return table
+
+    monkeypatch.setattr(codec, "_parse_rows", recorded)
     for workers in (1, 2):
         pin_workers(monkeypatch, workers)
+        calls.clear()
         assert _outcome(px.load_csv, path, px.CsvSchema()) == want, workers
         assert_no_child_left()
-    assert len(rows_read) == 2
+        if case == "last_span_doubted":  # the row reader reads the last span's rows alone
+            doubted = spans[-1][-1][0]
+            assert calls == [[starts.index(doubted), len(starts) - 1 - starts.index(doubted)]]
+        elif case == "bad_cell_in_doubted_span":  # it fails within the span holding row 1700
+            doubted = max(begin for begin, _ in spans[-1] if begin <= starts[1699])
+            assert calls == [[starts.index(doubted), None]] and starts.index(doubted) > 1_000
+        else:
+            assert calls == [[0, 3_000]]
 
 
 @pytest.mark.parametrize("ends", ["lf", "crlf"])

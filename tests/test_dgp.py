@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import proxate as px
-import proxate.dgp as dgp_mod
 from proxate.basis import BasisSpec
 from proxate.dgp import oracle_for
 from proxate.errors import ValidationError
-from proxate.stats import seeded_generator
+from proxate.stats import normal_quantile, seeded_generator
 
 from conftest import NAIVE_SI_BIAS, fit_basis, traced_peak
 
@@ -17,6 +16,32 @@ def eval_oracle_h(cfg, w, s, x):
     """The closed-form outcome bridge on raw columns."""
     h_w = oracle_for(cfg).true_h_coeffs[1]
     return h_w * w[:, 0] + s @ cfg.gamma_s + x @ cfg.gamma_x
+
+
+def reference_draw(cfg, n, rng):
+    """u, x, a_e, a_o and the noise of s, y, w and z, read from ``rng`` in
+    the model's fixed order. The observational assignment loads U with
+    weight 1 when the config confounds it, scaled to keep P(A = 1) at
+    p_treat."""
+    u = rng.standard_normal(n)
+    x = rng.standard_normal((n, cfg.dim_x))
+    a_e = (rng.random(n) < cfg.p_treat).astype(float)
+    kappa = 1.0 if cfg.confound_treatment_in_O else 0.0
+    cut = normal_quantile(cfg.p_treat) * np.sqrt(1.0 + kappa * kappa)
+    a_o = (cut + kappa * u > rng.standard_normal(n)).astype(float)
+    eps_s = rng.standard_normal((n, cfg.dim_s)) * cfg.noise_sd_s
+    eps_y = rng.standard_normal(n) * cfg.noise_sd_y
+    eps_w = rng.standard_normal(n) * cfg.noise_sd_w
+    eps_z = rng.standard_normal(n) * cfg.noise_sd_z
+    return u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z
+
+
+def written_out_outcomes(cfg, u, x, a, eps_s, eps_y, eps_w, eps_z):
+    """(s, y, w, z) on assignment ``a``, each the model's sum written out,
+    noise last; w and z as one-column matrices."""
+    s = a[:, None] * cfg.beta_a + u[:, None] * cfg.beta_u + x @ cfg.beta_x.T + eps_s
+    y = s @ cfg.gamma_s + cfg.gamma_u * u + x @ cfg.gamma_x + eps_y
+    return s, y, (cfg.alpha_w * u + eps_w)[:, None], (cfg.alpha_z * u + eps_z)[:, None]
 
 
 def residual_moment(cfg, n, seed, h_coeff_shift_w=0.0):
@@ -28,9 +53,8 @@ def residual_moment(cfg, n, seed, h_coeff_shift_w=0.0):
     functions of (z, s, x) up to degree 2 with pairwise interactions.
     Returns max_j |mean(b_j * residual)|.
     """
-    rng = seeded_generator(seed)
-    u, x, _, a_o, eps_s, eps_y, eps_w, eps_z = dgp_mod._structural_draw(cfg, n, rng)
-    s, y, w, z = dgp_mod._outcomes(cfg, u, x, a_o, eps_s, eps_y, eps_w, eps_z)
+    u, x, _, a_o, *eps = reference_draw(cfg, n, seeded_generator(seed))
+    s, y, w, z = written_out_outcomes(cfg, u, x, a_o, *eps)
     resid = y - eval_oracle_h(cfg, w, s, x) - h_coeff_shift_w * w[:, 0]
 
     class _Cols:
@@ -145,12 +169,10 @@ def test_frozen_naive_bias_regression(confounded_cfg):
 
 
 def test_latent_assignment_confounded_before_discard(confounded_cfg, unconfounded_cfg):
-    rng = seeded_generator(55)
-    u, _, _, a_o, *_ = dgp_mod._structural_draw(confounded_cfg, 20_000, rng)
+    u, _, _, a_o, *_ = reference_draw(confounded_cfg, 20_000, seeded_generator(55))
     assert np.corrcoef(u, a_o)[0, 1] > 0.3
 
-    rng = seeded_generator(55)
-    u2, _, _, a_o2, *_ = dgp_mod._structural_draw(unconfounded_cfg, 20_000, rng)
+    u2, _, _, a_o2, *_ = reference_draw(unconfounded_cfg, 20_000, seeded_generator(55))
     assert abs(np.corrcoef(u2, a_o2)[0, 1]) < 0.03
 
 
@@ -173,41 +195,49 @@ def test_csv_round_trip_of_generated(tmp_path, confounded_cfg):
 
 
 def _written_out(cfg, n, seed, pi):
-    """The E labels and the columns (a, s, y, w, z) of a draw, each outcome
-    the model's sum written out, noise last, on the draw's assignment."""
+    """The E labels and the columns (x, a, s, y, w, z) of a draw, each
+    outcome the model's sum written out, noise last, on the draw's
+    assignment."""
     rng = seeded_generator(seed)
     is_e = rng.random(n) < pi
-    u, x, a_e, a_o, eps_s, eps_y, eps_w, eps_z = dgp_mod._structural_draw(cfg, n, rng)
+    u, x, a_e, a_o, *eps = reference_draw(cfg, n, rng)
     a = np.where(is_e, a_e, a_o)
-    s = a[:, None] * cfg.beta_a + u[:, None] * cfg.beta_u + x @ cfg.beta_x.T + eps_s
-    y = s @ cfg.gamma_s + cfg.gamma_u * u + x @ cfg.gamma_x + eps_y
-    return is_e, x, a, s, y, cfg.alpha_w * u + eps_w, cfg.alpha_z * u + eps_z
+    return is_e, x, a, *written_out_outcomes(cfg, u, x, a, *eps)
 
 
 def test_generate_matches_the_written_out_model():
-    # The outcomes are computed in place in the noise draws and masked in
+    # The outcomes are computed as their noise is drawn and masked in
     # place; each element keeps the bits of the written-out model, on a
-    # model with several surrogates and covariates.
-    cfg = px.DGPConfig(beta_a=[0.5, -0.2], beta_u=[1.0, 0.3], gamma_s=[2.0, 0.7], gamma_u=0.8,
-                       gamma_x=[0.5, -0.1, 0.2], beta_x=np.arange(6.0).reshape(2, 3) / 7,
-                       alpha_w=1.3, alpha_z=0.6, dim_x=3, noise_sd_s=0.7, noise_sd_w=0.5,
-                       confound_treatment_in_O=True)
-    is_e, x, a, s, y, w, z = _written_out(cfg, 5000, 9, 0.4)
-    want = {"y": np.where(is_e, np.nan, y), "a": np.where(is_e, a, np.nan), "s": s, "x": x,
-            "w": w[:, None], "z": np.where(is_e, np.nan, z)[:, None], "is_e": is_e}
-    data, _ = px.generate(cfg, 5000, 0.4, seed=9)
-    assert {k: getattr(data, k).tobytes() for k in want} == {k: want[k].tobytes() for k in want}
-    # generate_full: every row is an E row, so the assignment is a_e.
-    _, x, a, s, y, w, z = _written_out(cfg, 5000, 9, 1.0)
-    full = px.generate_full(cfg, 5000, seed=9)
-    want = {"y": y, "a": a, "s": s, "x": x, "w": w[:, None], "z": z[:, None]}
-    assert {k: getattr(full, k).tobytes() for k in want} == {k: want[k].tobytes() for k in want}
+    # model with several surrogates and covariates, confounded in O, and
+    # on one with no covariates and an unconfounded O assignment.
+    several = px.DGPConfig(beta_a=[0.5, -0.2], beta_u=[1.0, 0.3], gamma_s=[2.0, 0.7],
+                           gamma_u=0.8, gamma_x=[0.5, -0.1, 0.2],
+                           beta_x=np.arange(6.0).reshape(2, 3) / 7, alpha_w=1.3, alpha_z=0.6,
+                           dim_x=3, noise_sd_s=0.7, noise_sd_w=0.5, confound_treatment_in_O=True)
+    bare = px.DGPConfig(beta_a=[0.5], beta_u=[1.0], gamma_s=[2.0], gamma_u=1.0, gamma_x=[],
+                        alpha_w=1.0, alpha_z=-0.4, dim_x=0, noise_sd_y=0.3, noise_sd_z=1.7,
+                        p_treat=0.3)
+    for cfg in (several, bare):
+        is_e, x, a, s, y, w, z = _written_out(cfg, 5000, 9, 0.4)
+        want = {"y": np.where(is_e, np.nan, y), "a": np.where(is_e, a, np.nan), "s": s, "x": x,
+                "w": w, "z": np.where(is_e[:, None], np.nan, z), "is_e": is_e}
+        data, _ = px.generate(cfg, 5000, 0.4, seed=9)
+        got = {k: (getattr(data, k).shape, getattr(data, k).tobytes()) for k in want}
+        assert got == {k: (want[k].shape, want[k].tobytes()) for k in want}, cfg
+        # generate_full: every row is an E row, so the assignment is a_e.
+        _, x, a, s, y, w, z = _written_out(cfg, 5000, 9, 1.0)
+        full = px.generate_full(cfg, 5000, seed=9)
+        want = {"y": y, "a": a, "s": s, "x": x, "w": w, "z": z}
+        got = {k: (getattr(full, k).shape, getattr(full, k).tobytes()) for k in want}
+        assert got == {k: (want[k].shape, want[k].tobytes()) for k in want}, cfg
 
 
 @pytest.mark.parametrize("draw", ["generate", "generate_full"])
 def test_generate_memory_peak(confounded_cfg, draw):
-    # The outcomes overwrite their noise draws and the masks overwrite
-    # the columns they mask, so no draw is copied.
+    # Each outcome is computed as its noise is drawn, with one scratch
+    # vector, and the masks overwrite the columns they mask: the draw
+    # holds at most the six output columns and u, seven 0.76 MiB vectors
+    # at n = 1e5, plus the E labels.
     args = (100_000, 0.5, 1) if draw == "generate" else (100_000, 1)
     peak = traced_peak(getattr(px, draw), confounded_cfg, *args)
-    assert peak <= 7.3, f"peak {peak:.2f} MiB"
+    assert peak <= 5.8, f"peak {peak:.2f} MiB"
