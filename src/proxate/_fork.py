@@ -4,8 +4,10 @@ The CSV codec (row chunks to format, byte ranges to parse) and the Monte
 Carlo harness (replications) share it. ``ordered_map(fn, items)`` gives
 ``fn(item)`` for each item in item order, where ``fn`` returns a
 bytes-like object. With W workers, worker k runs items k, k + W, ... and
-writes each result, length first, to its own pipe; the parent reads the
-results in item order, each straight into one buffer. A worker blocks
+writes each result, length first, to its own pipe. The parent reads each
+pipe as a buffered file and the results in item order, each into one
+buffer with one ``readinto``, which comes back short only where the
+worker closed its pipe without writing it all. A worker blocks
 once its pipe is full, so it runs at most one result ahead, and the
 parent queues nothing and starts no thread.
 
@@ -91,25 +93,16 @@ def ordered_map(fn, items):
     # None only where a test pins the workers: then the count is left alone.
     get_threads, set_threads = _openblas_num_threads() or (None, None)
     blas_threads = get_threads() if get_threads else None
-    pipes, pids, reaped = [], [], set()
-
-    def reap(k: int) -> str:
-        """Wait for worker k, which closed its pipe early; describe its end."""
-        _, status = os.waitpid(pids[k], 0)
-        reaped.add(pids[k])
-        code = os.waitstatus_to_exitcode(status)
-        return f"exit status {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
+    pipes, pids = [], []  # each worker's read end, as a buffered file, and its pid
 
     def read(k: int, buf):
-        """Fill ``buf`` from worker k's pipe."""
-        view, got = memoryview(buf), 0
-        while got < len(buf):
-            n = os.readv(pipes[k], [view[got:]])
-            if n == 0:
-                raise ProxateError(
-                    f"worker process {pids[k]} ended without its result ({reap(k)})")
-            got += n
-        return buf
+        """Fill ``buf`` from worker k's pipe; a short read is the worker's end."""
+        if pipes[k].readinto(buf) == len(buf):  # short only at end of file
+            return buf
+        pid = pids.pop(k)  # reaped here, so not killed below
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        end = f"exit status {code}" if code >= 0 else f"signal {signal.Signals(-code).name}"
+        raise ProxateError(f"worker process {pid} ended without its result ({end})")
 
     def results():
         for i in range(len(items)):
@@ -125,7 +118,7 @@ def ordered_map(fn, items):
             set_threads(1)  # inherited by each worker, which then starts no pool
         for k in range(workers):
             r, w = os.pipe()
-            pipes.append(r)
+            pipes.append(open(r, "rb"))
             try:
                 pid = os.fork()
                 if pid == 0:
@@ -137,16 +130,15 @@ def ordered_map(fn, items):
     finally:
         # Kill before closing the pipes: a worker writing to a closed pipe prints a traceback.
         for pid in pids:
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in pipes:
-            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fh in pipes:
+            fh.close()
         if set_threads:
             set_threads(blas_threads)
 
 
-def _serve(fn, items, out: int, pipes: list[int]) -> None:
+def _serve(fn, items, out: int, pipes: list) -> None:
     """A worker's whole life: write ``fn(item)`` for each item to ``out``,
     then exit. It never returns into the parent's frames it was forked
     from, so every exception ends here, printed, as exit status 1. It
@@ -155,8 +147,8 @@ def _serve(fn, items, out: int, pipes: list[int]) -> None:
     status = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops workers on Ctrl-C
-        for fd in pipes:  # read ends: the parent's alone
-            os.close(fd)
+        for fh in pipes:  # read ends: the parent's alone
+            fh.close()
         with open(out, "wb") as fh:
             for item in items:
                 result = memoryview(fn(item)).cast("B")

@@ -37,13 +37,11 @@ from . import __version__
 from ._records import from_dict, reject_unknown
 from .baselines import diagnose_surrogacy
 from .basis import BasisSpec
-from .bridges import check_ridge
 from .data import CsvSchema, _header, load_csv, load_unmasked_csv, write_csv, write_unmasked_csv
 from .dgp import DGPConfig, _widths, confounded_config, generate, generate_full, oracle_for
 from .errors import NumericalError, ProxateError, ValidationError
-from .estimators import ESTIMATOR_NAMES, EstimatorConfig, check_alpha, check_k_folds
+from .estimators import _SETTING_RANGES, ESTIMATOR_NAMES, EstimatorConfig, check_k_folds
 from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes, run_monte_carlo
-from .nuisance import check_clip_eps, check_rate
 from .stats import check_seed
 
 
@@ -81,9 +79,7 @@ _SECTIONS = {
 _SETTINGS = {f.name for f in fields(RunConfig)} | set(_ESTIMATION)
 # The range each estimation setting must lie in, checked by the code that uses
 # it; load_config checks them first, so an error comes before any work.
-_RANGES = {"ridge_h": check_ridge, "ridge_q": check_ridge, "clip_eps": check_clip_eps,
-           "known_propensity": check_rate, "alpha": check_alpha, "seed": check_seed,
-           "k_folds": check_k_folds}
+_RANGES = {**_SETTING_RANGES, "seed": check_seed, "k_folds": check_k_folds}
 
 
 def _read_config(path: str) -> dict:

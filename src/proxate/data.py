@@ -20,7 +20,8 @@ spans cut just after line ends. Each span is copied into the role
 arrays, sized from a count of the lines, as it arrives. Only where a
 bulk pass and the row reader could differ, which includes every span
 with a bad cell, does the header's reader read on row by row, from the
-first such span; it reads all of a pipe or FIFO, which has no spans.
+first such span. A pipe or FIFO is copied into a temporary file first,
+so it too is read in spans.
 Data rows are numbered from 1 after the header; parse errors, bytes
 that are not UTF-8, unknown labels and masking or finiteness violations
 name the first offending row by that number. The writer quotes with
@@ -36,7 +37,9 @@ import io
 import math
 import os
 import re
+import shutil
 import stat
+import tempfile
 import warnings
 from array import array
 from dataclasses import dataclass, fields
@@ -252,7 +255,8 @@ class CsvSchema(Record):
     a single string prefix, which claims the columns named prefix or
     prefix + ASCII digits (w, w1, w2, ...) in header order, so files stay
     loadable after column reordering; claiming none of the columns that
-    start with it is an error, as is a column listed twice in one role.
+    start with it is an error, as are a column listed twice in one role
+    and an empty list for w, z or s (x may have no column).
     Every name and label must encode as UTF-8, the files' encoding, and
     may not start or end with whitespace, which the reader strips from
     header cells and labels.
@@ -274,6 +278,8 @@ class CsvSchema(Record):
         for f in fields(self):
             value = getattr(self, f.name)
             names = (value,) if isinstance(value, str) else value
+            if not names and f.name in ("w", "z", "s"):
+                raise ValidationError(f"{f.name}: lists no column; only x may have none")
             for i, name in enumerate(names):
                 if name in names[:i]:
                     raise ValidationError(f"{f.name}: column {name!r} listed twice")
@@ -354,15 +360,21 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
     the header's reader reads on row by row from that span's first line,
     numbering its rows on from the rows copied, so each error names its
     first offending row. It reads all the data where the spans' rows
-    differ from the count, and of a file that is not a regular file (a
-    pipe or FIFO).
+    differ from the count. A file that is not a regular file (a pipe or
+    FIFO), which has no size to cut and no offsets to read at, is first
+    copied into a temporary file, which is read as a regular file is.
     """
     path = Path(path)
     try:
-        fh = path.open(encoding="utf-8", errors="surrogateescape", newline="")
+        data = path.open("rb")
+        if not stat.S_ISREG(os.fstat(data.fileno()).st_mode):  # a pipe or FIFO: no spans
+            with data as stream:
+                data = tempfile.TemporaryFile()
+                shutil.copyfileobj(stream, data)
+                data.seek(0)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}")
-    with fh:
+    with io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         pulled = []  # the header's lines; None once it is read, so no data line is kept
 
         def lines():
@@ -384,8 +396,7 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
             raise ValidationError(f"{path}: header: {bad}")
         pos = _resolve_columns(schema, header, with_g=with_g)
         labels = {schema.e_label: 1.0, schema.o_label: 0.0} if with_g else None
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        spans = _spans(fh.fileno(), start) if regular else []
+        spans = _spans(fh.fileno(), start)
         with ordered_map(partial(_parse_span, fh.fileno(), len(header), pos, labels),
                          spans) as parts:
             n = _count_lines(fh.fileno(), spans[0][0], spans[-1][1]) if spans else 0
@@ -403,7 +414,7 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
                     out[role][lo:lo + len(table)] = table[:, idx]
                 lo += len(table)
                 del part, table  # unmap the span's table before the next arrives
-        if resume is None and (not spans or lo != n):  # the row reader reads all the data
+        if resume is None and lo != n:  # the row reader reads all the data
             lo, resume = 0, start
         if resume is not None:
             if resume != start:  # a line start, where the UTF-8 decoder holds no state

@@ -47,7 +47,6 @@ class DGPConfig:
     gamma_x: np.ndarray  # (dim_x,) effect X -> Y
     alpha_w: float  # loading U -> W
     alpha_z: float  # loading U -> Z
-    dim_x: int = 0
     beta_x: np.ndarray | None = None  # (dim_s, dim_x) effect X -> S, zeros if None
     noise_sd_s: float = 1.0
     noise_sd_y: float = 1.0
@@ -57,29 +56,18 @@ class DGPConfig:
     confound_treatment_in_O: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "beta_a", np.atleast_1d(np.asarray(self.beta_a, dtype=float)))
-        object.__setattr__(self, "beta_u", np.atleast_1d(np.asarray(self.beta_u, dtype=float)))
-        object.__setattr__(self, "gamma_s", np.atleast_1d(np.asarray(self.gamma_s, dtype=float)))
-        object.__setattr__(self, "gamma_x", np.atleast_1d(np.asarray(self.gamma_x, dtype=float)))
-        bx = self.beta_x
-        if bx is None:
-            bx = np.zeros((self.dim_s, self.dim_x))
-        object.__setattr__(self, "beta_x", np.asarray(bx, dtype=float).reshape(self.dim_s, -1))
-        self.validate()
-
-    @property
-    def dim_s(self) -> int:
-        return self.beta_a.shape[0]
-
-    def validate(self) -> None:
-        if self.dim_x < 0:
-            raise ValidationError("dim_x must be >= 0")
-        if self.beta_u.shape != (self.dim_s,) or self.gamma_s.shape != (self.dim_s,):
-            raise ValidationError("beta_a, beta_u, gamma_s must share one surrogate dimension")
-        if self.gamma_x.shape != (self.dim_x,):
-            raise ValidationError(f"gamma_x must have length dim_x={self.dim_x}")
-        if self.beta_x.shape != (self.dim_s, self.dim_x):
-            raise ValidationError("beta_x must be (dim_s, dim_x)")
+        for name in ("beta_a", "beta_u", "gamma_s", "gamma_x"):
+            value = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if value.ndim != 1:
+                raise ValidationError(f"{name} must be a vector, not of shape {value.shape}")
+            object.__setattr__(self, name, value)
+        if not self.dim_s or {self.beta_u.shape, self.gamma_s.shape} != {(self.dim_s,)}:
+            raise ValidationError("beta_a, beta_u, gamma_s must share one surrogate dimension >= 1")
+        size = self.dim_s * self.dim_x
+        bx = np.zeros(size) if self.beta_x is None else np.asarray(self.beta_x, dtype=float)
+        if bx.size != size:
+            raise ValidationError(f"beta_x must hold dim_s*dim_x = {size} values, not {bx.size}")
+        object.__setattr__(self, "beta_x", bx.reshape(self.dim_s, self.dim_x))
         for name in ("noise_sd_s", "noise_sd_y", "noise_sd_w", "noise_sd_z"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
@@ -89,6 +77,14 @@ class DGPConfig:
             raise ValidationError(
                 "alpha_w must be nonzero when gamma_u is nonzero (no bridge exists otherwise)"
             )
+
+    @property
+    def dim_s(self) -> int:
+        return self.beta_a.shape[0]
+
+    @property
+    def dim_x(self) -> int:
+        return self.gamma_x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,6 @@ def confounded_config() -> DGPConfig:
         gamma_x=[0.5],
         alpha_w=1.0,
         alpha_z=1.0,
-        dim_x=1,
         p_treat=0.5,
         confound_treatment_in_O=True,
     )

@@ -87,6 +87,12 @@ def check_alpha(alpha: float) -> None:
         raise ValidationError("alpha must be in (0, 1)")
 
 
+# The range each setting of EstimatorConfig must lie in, by field name; None
+# (known_propensity's default) is in range. The CLI checks these first.
+_SETTING_RANGES = {"ridge_h": check_ridge, "ridge_q": check_ridge, "clip_eps": check_clip_eps,
+                   "known_propensity": check_rate, "alpha": check_alpha}
+
+
 def check_names(names: tuple[str, ...], valid: tuple[str, ...], kind: str) -> None:
     for name in names:
         if name not in valid:
@@ -96,9 +102,9 @@ def check_names(names: tuple[str, ...], valid: tuple[str, ...], kind: str) -> No
 def make_folds(data: CombinedDataset, k_folds: int, seed: int) -> FoldAssignment:
     """Deterministic stratified fold assignment.
 
-    Each stratum is permuted with a counter-based generator and chopped
-    into K nearly equal parts; remainder units go to the lowest-index
-    folds.
+    Each stratum is permuted with a counter-based generator and cut by
+    ``np.array_split`` into K nearly equal parts; remainder units go to
+    the lowest-index folds.
     """
     check_k_folds(k_folds)
     if k_folds > min(data.n_e, data.n_o):
@@ -109,13 +115,8 @@ def make_folds(data: CombinedDataset, k_folds: int, seed: int) -> FoldAssignment
     rng = seeded_generator(seed)
     fold_of = np.empty(data.n, dtype=np.int64)
     for mask in (data.is_e, ~data.is_e):
-        idx = rng.permutation(np.flatnonzero(mask))
-        base, rem = divmod(idx.shape[0], k_folds)
-        start = 0
-        for k in range(k_folds):
-            size = base + (1 if k < rem else 0)
-            fold_of[idx[start : start + size]] = k
-            start += size
+        for k, part in enumerate(np.array_split(rng.permutation(np.flatnonzero(mask)), k_folds)):
+            fold_of[part] = k
     return FoldAssignment(k_folds=k_folds, fold_of=fold_of, seed=seed)
 
 
@@ -148,12 +149,9 @@ class EstimatorConfig(Record):
     alpha: float = 0.05
 
     def __post_init__(self):
-        check_ridge(self.ridge_h)
-        check_ridge(self.ridge_q)
-        check_clip_eps(self.clip_eps)
-        if self.known_propensity is not None:
-            check_rate(self.known_propensity)
-        check_alpha(self.alpha)
+        for key, check in _SETTING_RANGES.items():
+            if getattr(self, key) is not None:
+                check(getattr(self, key))
 
 
 # A cell: its fold, arm (-1 on O), row count, the R factor of its columns,

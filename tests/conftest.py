@@ -49,7 +49,7 @@ def unconfounded_cfg() -> px.DGPConfig:
     """The confounded model's shape with the U edges removed."""
     return px.DGPConfig(
         beta_a=[0.5], beta_u=[0.0], beta_x=[[0.5]], gamma_s=[2.0], gamma_u=0.0,
-        gamma_x=[0.5], alpha_w=1.0, alpha_z=1.0, dim_x=1, p_treat=0.5,
+        gamma_x=[0.5], alpha_w=1.0, alpha_z=1.0, p_treat=0.5,
         confound_treatment_in_O=False,
     )
 

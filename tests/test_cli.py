@@ -350,7 +350,7 @@ README_CONFIG = {
                    "bases": {"psi": {"roles": ["w", "s", "x"], "degree": 1,
                                      "standardize": True}}},
     "dgp": {"beta_a": [0.4], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
-            "gamma_x": [0.5], "alpha_w": 1.0, "alpha_z": 1.0, "dim_x": 1},
+            "gamma_x": [0.5], "alpha_w": 1.0, "alpha_z": 1.0},
     "simulate": {"n": 1500, "replications": 3, "base_seed": 50,
                  "estimators": ["MR", "SI"], "regimes": ["all_correct", "all_wrong"]},
 }
@@ -429,7 +429,7 @@ def test_config_read_failure_exit_1(tmp_path, data_csv, capsys, make, message):
 
 _PSI = {"roles": ["w", "s", "x"]}
 _DGP = {"beta_a": [0.5], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
-        "gamma_x": [0.5], "alpha_w": 1.0, "alpha_z": 1.0, "dim_x": 1}
+        "gamma_x": [0.5], "alpha_w": 1.0, "alpha_z": 1.0}
 
 
 @pytest.mark.parametrize("config, path", [
@@ -466,6 +466,10 @@ _DGP = {"beta_a": [0.5], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
     ({"schema": {"o_label": "E"}}, "schema: e_label and o_label must differ"),
     ({"schema": {"y": "earn"}}, "column 'earn' for role 'y' not in header"),
     ({"schema": {"w": ["w9"]}}, "schema columns ['w9'] for role 'w' not in header"),
+    ({"schema": {"w": []}}, "schema: w: lists no column; only x may have none"),
+    ({"schema": {"z": []}}, "schema: z: lists no column; only x may have none"),
+    ({"schema": {"s": []}}, "schema: s: lists no column; only x may have none"),
+    ({"dgp": {**_DGP, "dim_x": 1}}, "unknown dgp keys: ['dim_x']"),
 ])
 def test_malformed_config_exit_1(tmp_path, data_csv, capsys, config, path):
     # A value of the wrong type is an error naming its key path, never a
@@ -476,6 +480,33 @@ def test_malformed_config_exit_1(tmp_path, data_csv, capsys, config, path):
     assert run(["estimate", "--config", str(cfg), "--data", str(data_csv)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--n", "100", "--seed", "1"],
+    ["gen-data", "--n", "100", "--seed", "1", "--unmasked"],
+    ["simulate", "--n", "100", "--replications", "1"],
+], ids=["gen_data", "unmasked", "simulate"])
+@pytest.mark.parametrize("dgp, message", [
+    ({"beta_a": [0.5, 0.5], "beta_x": [0.1, 0.2, 0.3]},
+     "beta_a, beta_u, gamma_s must share one surrogate dimension >= 1"),
+    ({"beta_a": [0.5, 0.5], "beta_u": [1.0, 1.0], "gamma_s": [2.0, 2.0],
+      "beta_x": [0.1, 0.2, 0.3]}, "beta_x must hold dim_s*dim_x = 2 values, not 3"),
+    ({"beta_a": [[0.5]]}, "beta_a must be a vector, not of shape (1, 1)"),
+], ids=["beta_a_longer", "beta_x_count", "beta_a_2d"])
+def test_dgp_shape_error_exit_1(tmp_path, monkeypatch, capsys, argv, dgp, message):
+    # A coefficient of the wrong shape is a config error naming it, before
+    # any draw and with no file, never a reshape or oracle traceback.
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a sample from a model that is not valid")
+
+    for name in ("generate", "generate_full", "run_monte_carlo"):
+        monkeypatch.setattr(f"proxate.cli.{name}", no_draw)
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({"dgp": {**_DGP, **dgp}}))
+    assert run([*argv, "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: dgp: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("schema, message", [

@@ -413,6 +413,22 @@ def test_split_sized_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, e
             assert getattr(back, name).tobytes() == arr.tobytes(), (ends, workers, name)
 
 
+def test_split_sized_stream_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg):
+    # A FIFO is copied into a temporary file first, so it is parsed in
+    # the regular file's spans by forked workers, with no row reader.
+    path, data = _split_sized(tmp_path, confounded_cfg, "crlf")
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    seen = _record_spans(monkeypatch)
+    pin_workers(monkeypatch, 2)
+    with fifo_of(tmp_path, path.read_bytes()) as fifo:
+        back = px.load_csv(fifo, px.CsvSchema())
+    assert_no_child_left()
+    assert len(seen[-1]) == 11
+    for name, arr in vars(data).items():
+        assert getattr(back, name).tobytes() == arr.tobytes(), name
+
+
 @pytest.mark.parametrize("y", ["out,come", "out\ncome"], ids=["comma", "line_break"])
 def test_split_sized_file_with_quoted_header_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg,
                                                            y):
@@ -574,8 +590,8 @@ def test_row_reader_numbers_rows_after_a_quoted_header_record(tmp_path):
 
 @pytest.mark.parametrize("unmasked", [False, True], ids=["masked", "unmasked"])
 def test_stream_loads_like_a_regular_file(tmp_path, confounded_cfg, unmasked):
-    # A FIFO has no size and no offsets to read at: the row reader reads
-    # all of it, to the table the bulk parse makes of the same bytes.
+    # A FIFO has no size and no offsets to read at: it is copied into a
+    # temporary file, whose spans give the regular file's table.
     path, schema = tmp_path / "d.csv", px.CsvSchema()
     if unmasked:
         px.write_unmasked_csv(px.generate_full(confounded_cfg, 500, seed=3), path, schema)

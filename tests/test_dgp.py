@@ -95,7 +95,7 @@ def test_treated_share(confounded_cfg):
 def test_true_ate_formula():
     cfg = px.DGPConfig(
         beta_a=[0.5], beta_u=[1.0], gamma_s=[2.0], gamma_u=1.0,
-        gamma_x=[], alpha_w=1.0, alpha_z=1.0, dim_x=0,
+        gamma_x=[], alpha_w=1.0, alpha_z=1.0,
     )
     oracle = oracle_for(cfg)
     assert oracle.true_ate == pytest.approx(1.0)
@@ -112,13 +112,13 @@ def test_unconfounded_oracle(unconfounded_cfg):
 def test_config_validation():
     with pytest.raises(ValidationError):
         px.DGPConfig(beta_a=[1.0], beta_u=[1.0], gamma_s=[1.0], gamma_u=1.0,
-                     gamma_x=[], alpha_w=0.0, alpha_z=1.0, dim_x=0)
+                     gamma_x=[], alpha_w=0.0, alpha_z=1.0)
     with pytest.raises(ValidationError):
         px.DGPConfig(beta_a=[1.0], beta_u=[1.0, 2.0], gamma_s=[1.0], gamma_u=0.0,
-                     gamma_x=[], alpha_w=1.0, alpha_z=1.0, dim_x=0)
+                     gamma_x=[], alpha_w=1.0, alpha_z=1.0)
     with pytest.raises(ValidationError):
         px.DGPConfig(beta_a=[1.0], beta_u=[1.0], gamma_s=[1.0], gamma_u=0.0,
-                     gamma_x=[], alpha_w=1.0, alpha_z=1.0, dim_x=0, p_treat=1.5)
+                     gamma_x=[], alpha_w=1.0, alpha_z=1.0, p_treat=1.5)
     with pytest.raises(ValidationError):
         px.generate(px.confounded_config(), n=5, pi=0.5, seed=1)
 
@@ -127,7 +127,7 @@ def test_oracle_h_closed_form_point():
     # h(w=1, s=1, x absent) = 2*1 + (1/1)*1 = 3 for gamma_s=2, gamma_u=1, alpha_w=1
     cfg = px.DGPConfig(
         beta_a=[0.5], beta_u=[1.0], gamma_s=[2.0], gamma_u=1.0,
-        gamma_x=[], alpha_w=1.0, alpha_z=1.0, dim_x=0,
+        gamma_x=[], alpha_w=1.0, alpha_z=1.0,
     )
     val = eval_oracle_h(cfg, np.array([[1.0]]), np.array([[1.0]]), np.zeros((1, 0)))
     assert val[0] == pytest.approx(3.0)
@@ -213,9 +213,9 @@ def test_generate_matches_the_written_out_model():
     several = px.DGPConfig(beta_a=[0.5, -0.2], beta_u=[1.0, 0.3], gamma_s=[2.0, 0.7],
                            gamma_u=0.8, gamma_x=[0.5, -0.1, 0.2],
                            beta_x=np.arange(6.0).reshape(2, 3) / 7, alpha_w=1.3, alpha_z=0.6,
-                           dim_x=3, noise_sd_s=0.7, noise_sd_w=0.5, confound_treatment_in_O=True)
+                           noise_sd_s=0.7, noise_sd_w=0.5, confound_treatment_in_O=True)
     bare = px.DGPConfig(beta_a=[0.5], beta_u=[1.0], gamma_s=[2.0], gamma_u=1.0, gamma_x=[],
-                        alpha_w=1.0, alpha_z=-0.4, dim_x=0, noise_sd_y=0.3, noise_sd_z=1.7,
+                        alpha_w=1.0, alpha_z=-0.4, noise_sd_y=0.3, noise_sd_z=1.7,
                         p_treat=0.3)
     for cfg in (several, bare):
         is_e, x, a, s, y, w, z = _written_out(cfg, 5000, 9, 0.4)

@@ -15,6 +15,7 @@ from proxate.errors import (
 )
 from proxate.estimators import evaluate_nuisances, fit_all_nuisances
 from proxate.nuisance import PropensityModel
+from proxate.stats import seeded_generator
 
 from conftest import (
     constant_bridge, constant_hbar, estimate_with, evaluate, fit_basis, fit_fold, propensity,
@@ -143,6 +144,17 @@ def test_fold_partition_properties(k, seed):
         assert max(sizes) - min(sizes) <= 1
         merged = np.concatenate(chunks)
         assert np.unique(merged).shape[0] == total
+    # The reference: each stratum's permutation chopped by hand, its
+    # remainder to the lowest folds.
+    rng, want = seeded_generator(seed), np.empty(n, dtype=np.int64)
+    for mask in (is_e, ~is_e):
+        idx = rng.permutation(np.flatnonzero(mask))
+        base, rem = divmod(idx.shape[0], k)
+        start = 0
+        for j in range(k):
+            want[idx[start:start + base + (j < rem)]] = j
+            start += base + (j < rem)
+    assert folds.fold_of.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------- fold nuisances

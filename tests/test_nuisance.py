@@ -205,7 +205,7 @@ def test_hbar_contrast_recovers_effect_without_covariates():
     # of the oracle bridge, a consistent effect estimate.
     cfg = px.DGPConfig(
         beta_a=[0.5], beta_u=[1.0], gamma_s=[2.0], gamma_u=1.0,
-        gamma_x=[], alpha_w=1.0, alpha_z=1.0, dim_x=0,
+        gamma_x=[], alpha_w=1.0, alpha_z=1.0,
     )
     data, oracle = px.generate(cfg, 2 * 10**4, 0.5, seed=21)
     e_view, o_view = px.split_by_sample(data)

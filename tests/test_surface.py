@@ -28,7 +28,7 @@ from pathlib import Path
 
 import proxate
 
-MAX_SETTABLE_VALUES = 54
+MAX_SETTABLE_VALUES = 53
 MAX_EXPORTED_NAMES = 51
 
 
