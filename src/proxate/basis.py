@@ -27,7 +27,7 @@ import numpy as np
 from ._records import Record
 from .errors import NumericalError, ValidationError
 
-VALID_ROLES = ("w", "z", "s", "x", "a")
+VALID_ROLES = ("w", "z", "s", "x")
 MAX_DEGREE = 3
 
 

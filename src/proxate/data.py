@@ -16,12 +16,12 @@ byte-order mark. The reader opens a file once, reads the header with
 parses the data lines in bulk with ``np.loadtxt``, one pass per byte
 span over ``_fork.ordered_map``, whose forked workers read their spans
 through the open file: under two 4 MiB chunks of data, one span; else
-spans cut just after line ends. Each span is copied into the role
-arrays, sized from a count of the lines, as it arrives. Only where a
-bulk pass and the row reader could differ, which includes every span
-with a bad cell, does the header's reader read on row by row, from the
-first such span. A pipe or FIFO is copied into a temporary file first,
-so it too is read in spans.
+spans cut just after line ends, each read once and checked as bytes.
+Each span is copied into the role arrays, sized from a count of the
+lines, as it arrives. Only where a bulk pass and the row reader could
+differ, which includes every span with a bad cell, does the header's
+reader read on row by row, from the first such span. A pipe or FIFO
+is copied into a temporary file first, so it too is read in spans.
 Data rows are numbered from 1 after the header; parse errors, bytes
 that are not UTF-8, unknown labels and masking or finiteness violations
 name the first offending row by that number. The writer quotes with
@@ -40,7 +40,6 @@ import re
 import shutil
 import stat
 import tempfile
-import warnings
 from array import array
 from dataclasses import dataclass, fields
 from functools import partial
@@ -65,8 +64,8 @@ _BLOCK_ROWS = 512
 # ``_fork.ordered_map`` hands to workers: a few MiB of text each.
 _CHUNK_ROWS = 32 * _BLOCK_ROWS
 _SPLIT_BYTES = 4 << 20
-# Bytes per read when the reader counts a file's lines.
-_COUNT_BYTES = 1 << 20
+# A field quoted whole, whose content holds no quote, comma or line end.
+_QUOTED_WHOLE = re.compile(rb'(?<![^,\r\n])"([^",\r\n]*)"(?![^,\r\n])')
 # Numeric roles in CSV column order; the g column follows "a".
 _ROLES = ("y", "a", "w", "z", "s", "x")
 
@@ -310,7 +309,8 @@ class CsvSchema(Record):
 
 
 def _resolve_columns(schema: CsvSchema, header: list[str], *, with_g: bool) -> dict[str, list[int]]:
-    """The header positions of each role's columns, and of g with ``with_g``."""
+    """The header positions of each role's columns, and of g with ``with_g``;
+    each column a role claims must be in the header once."""
     if not with_g and schema.g in header:
         raise ValidationError(f"column {schema.g!r} holds sample labels: this is a combined "
                               "two-sample CSV, which `estimate` reads, not an unmasked sample")
@@ -326,11 +326,12 @@ def _resolve_columns(schema: CsvSchema, header: list[str], *, with_g: bool) -> d
     claimed: dict[str, str] = {}
     for role, cols in out.items():
         for c in cols:
-            if c in claimed:
+            if claimed.setdefault(c, role) != role:
                 raise ValidationError(
                     f"column {c!r} mapped to both roles {claimed[c]!r} and {role!r}"
                 )
-            claimed[c] = role
+    if twice := [c for c in claimed if header.count(c) > 1]:
+        raise ValidationError(f"header names column {twice[0]!r} twice")
     return {role: [header.index(c) for c in cols] for role, cols in out.items()}
 
 
@@ -399,7 +400,7 @@ def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[st
         spans = _spans(fh.fileno(), start)
         with ordered_map(partial(_parse_span, fh.fileno(), len(header), pos, labels),
                          spans) as parts:
-            n = _count_lines(fh.fileno(), spans[0][0], spans[-1][1]) if spans else 0
+            n = _count_lines(fh.fileno(), spans)
             out = {role: np.empty((n, len(idx)), bool if role == "g" else float)
                    for role, idx in pos.items()}  # g's 1.0 and 0.0 as True and False
             lo, resume = 0, None  # the rows copied; the first doubted span's start
@@ -444,16 +445,16 @@ def _spans(fd: int, start: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _count_lines(fd: int, start: int, end: int) -> int:
-    """The lines in bytes ``start`` to ``end`` of the file open as ``fd``:
-    its line ends (LF, CRLF or a lone CR), counted in ``_COUNT_BYTES``
-    reads, plus a last line with none."""
-    lines, pos, last = 0, start, b"\n"
-    while pos < end and (chunk := os.pread(fd, min(_COUNT_BYTES, end - pos), pos)):
-        lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-        lines -= last == b"\r" and chunk[:1] == b"\n"  # a CRLF split between two reads
-        pos, last = pos + len(chunk), chunk[-1:]
-    return lines + (last not in (b"\n", b"\r"))
+def _count_lines(fd: int, spans: list[tuple[int, int]]) -> int:
+    """The lines in byte ranges ``spans`` of the file open as ``fd``: the
+    line ends (LF, CRLF or a lone CR) of each range, read whole and cut
+    just after a line end, plus a last line with none."""
+    lines = 0
+    for start, end in spans:
+        raw = os.pread(fd, end - start, start)
+        lines += raw.count(b"\n") + raw.count(b"\r") - raw.count(b"\r\n")
+        lines += not raw.endswith((b"\n", b"\r"))
+    return lines
 
 
 def _after_line_end(fd: int, pos: int, size: int) -> int:
@@ -474,25 +475,34 @@ def _parse_span(fd: int, width: int, pos: dict[str, list[int]], labels: dict | N
     as ``_parse_rows`` would shape it, as bytes; empty (doubted) wherever
     the two could differ or the range is no longer there.
 
-    The range is decoded as the reader decodes the whole file, a few KiB
-    at a time; a cut after a line end splits no line and no UTF-8
-    sequence. With ``newline=""`` lines split at CR, LF and CRLF, as
-    ``csv.reader`` splits them. A filter counts the lines and stops at
-    the first one the two readers could split differently: a bare line
-    end (``np.loadtxt`` skips it, the row reader rejects it), a quote, a
-    NUL or more than ``csv.field_size_limit()`` characters, or a byte
-    that is not UTF-8, which the row reader rejects even in a column no
-    role claims. The span is doubted at a stopped line, with no data
-    line, at a cell ``np.loadtxt`` or a converter rejects, at a shape
-    other than (lines, ``width``), or at a non-finite value in a column
-    that may not hold NA. Python's ``float`` accepts forms that
-    ``np.loadtxt`` rejects, such as ``1_0`` in a column without NA or a
-    padded ``" NA "``; such a file is read row by row, correctly but
-    slowly.
+    The range is read once and split with ``bytes.splitlines``, which
+    breaks lines at LF, CRLF and a lone CR, as the row reader's
+    ``newline=""`` file does; a cut after a line end splits no line and
+    no UTF-8 sequence. A field quoted whole, whose content holds no
+    quote, comma or line end, is replaced by its content, as
+    ``csv.reader`` reads it. The span is doubted where the readers could
+    split its lines differently: with no line, a blank line (``np.loadtxt``
+    skips it, the row reader rejects it), any quote left or NUL, or a
+    line of ``csv.field_size_limit()`` bytes or more. It is doubted too at
+    a byte that is not UTF-8 (the decoder raises), which the row reader
+    rejects even in a column no role claims, at a cell ``np.loadtxt`` or a
+    converter rejects, at a shape other than (lines, ``width``), or at a
+    non-finite value in a column that may not hold NA. Python's ``float``
+    accepts forms that ``np.loadtxt`` rejects, such as ``1_0`` in a column
+    without NA or a padded ``" NA "``; such a file is read row by row,
+    correctly but slowly.
     """
     start, end = span
     raw = os.pread(fd, end - start, start)
     if len(raw) != end - start:
+        return b""
+    if b'"' in raw:
+        raw = _QUOTED_WHOLE.sub(rb"\1", raw)
+    if b'"' in raw or b"\0" in raw:
+        return b""
+    lines = raw.splitlines()
+    del raw  # the lines copy its bytes: free them before np.loadtxt makes the table
+    if not lines or b"" in lines or max(map(len, lines)) >= csv.field_size_limit():
         return b""
     masked = _MASKED_ROLES if labels else ()
     role_of = {i: role for role in _ROLES for i in pos[role]}
@@ -501,28 +511,12 @@ def _parse_span(fd: int, width: int, pos: dict[str, list[int]], labels: dict | N
     if labels:
         converters[pos["g"][0]] = labels.__getitem__
     strict = [i for i, role in role_of.items() if role not in masked]
-    limit = csv.field_size_limit()
-    n_lines = 0
-
-    def plain_lines():
-        nonlocal n_lines
-        for line in io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8",
-                                     errors="surrogateescape", newline=""):
-            if (line in ("\n", "\r\n", "\r") or '"' in line or "\0" in line or len(line) > limit
-                    or not line.isascii() and _undecodable([line])):
-                n_lines = -1  # stopped: no table can match
-                return
-            n_lines += 1
-            yield line
-
     try:
-        with warnings.catch_warnings():  # no data lines: the count below decides
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(plain_lines(), dtype=float, delimiter=",", comments=None,
-                               quotechar=None, converters=converters, ndmin=2, encoding=None)
-    except ValueError:  # numpy wraps converter errors in ValueError too
+        table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, quotechar=None,
+                           converters=converters, ndmin=2, encoding="utf-8")
+    except ValueError:  # also a converter's error, which numpy wraps, and a byte not UTF-8
         return b""
-    if n_lines < 1 or table.shape != (n_lines, width) or not all(
+    if table.shape != (len(lines), width) or not all(
         np.isfinite(table[:, i]).all() for i in strict
     ):
         return b""

@@ -470,6 +470,10 @@ _DGP = {"beta_a": [0.5], "beta_u": [1.0], "gamma_s": [2.0], "gamma_u": 1.0,
     ({"schema": {"z": []}}, "schema: z: lists no column; only x may have none"),
     ({"schema": {"s": []}}, "schema: s: lists no column; only x may have none"),
     ({"dgp": {**_DGP, "dim_x": 1}}, "unknown dgp keys: ['dim_x']"),
+    ({"estimation": {"bases": {"hbar_basis": {"roles": ["a"]}}}},
+     "estimation.bases.hbar_basis: unknown role 'a'"),
+    ({"estimation": {"bases": {"e_basis": {"roles": ["x", "a"]}}}},
+     "estimation.bases.e_basis: unknown role 'a'"),
 ])
 def test_malformed_config_exit_1(tmp_path, data_csv, capsys, config, path):
     # A value of the wrong type is an error naming its key path, never a

@@ -111,6 +111,8 @@ MALFORMED = {
     "trailing_blank": (lambda t: t + "\n", ParseError, 5, "expected {width} cells, got 0"),
     "empty": (lambda t: "", ValidationError, None, "empty file"),
     "header_only": (lambda t: t.splitlines(keepends=True)[0], ValidationError, None, "no data rows"),
+    "claimed_twice": (lambda t: _with_note(t).replace("note", "s1", 1), ValidationError, None,
+                      "header names column 's1' twice"),
 }
 
 
@@ -191,6 +193,12 @@ def _non_finite_cases():
                            id=f"{v}_in_unmasked_column")
 
 
+def _r_style(text):
+    """``text`` as R's ``write.csv`` writes it: header cells and sample labels quoted."""
+    header, rows = text.split("\n", 1)
+    return re.sub(r"[^,\r]+", r'"\g<0>"', header) + "\n" + re.sub(r",([EO]),", r',"\1",', rows)
+
+
 # Edge cases of the CSV format, with the outcome the row-wise reader has
 # always given (None: the file loads). The bulk parse must give the same.
 EDGE_CASES = [
@@ -220,6 +228,16 @@ EDGE_CASES = [
                  id="quoted_cell"),
     pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", '"a,b"', "k3", "k4")), SCHEMA, None,
                  id="quoted_unclaimed_comma"),
+    pytest.param(px.load_csv, _r_style(MINIMAL), SCHEMA, None, id="r_style_quoted"),
+    pytest.param(px.load_csv, MINIMAL.replace("NA,1,E", 'NA,1,1"E"5'), SCHEMA,
+                 (SchemaViolationError, """row 1: sample label '1"E"5' is neither 'E' nor 'O'"""),
+                 id="quote_inside_label"),
+    pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", '"a""b"', "k3", "k4")), SCHEMA, None,
+                 id="escaped_quote_unclaimed"),
+    pytest.param(px.load_csv, _with_note(MINIMAL, ("k1", '"a\nb"', "k3", "k4")), SCHEMA, None,
+                 id="quoted_line_break_unclaimed"),
+    pytest.param(px.load_csv, MINIMAL.replace("3.0,NA,O", '3.0,NA,"O" '), SCHEMA, None,
+                 id="quoted_label_trailing_space"),
     pytest.param(px.load_csv, MINIMAL.replace("\n", ',"a,b"\n').replace('x1,"a,b"', "x1,n1,n2"),
                  SCHEMA, (ParseError, "row 1: expected 10 cells, got 9"),
                  id="quoted_comma_on_every_row"),
@@ -413,6 +431,24 @@ def test_split_sized_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, e
             assert getattr(back, name).tobytes() == arr.tobytes(), (ends, workers, name)
 
 
+@pytest.mark.parametrize("ends", ["lf", "crlf"])
+def test_split_sized_r_style_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, ends):
+    # R's write.csv quotes the header cells and every label. csv.reader
+    # reads a field quoted whole as its content, and so do the spans: the
+    # file loads bit-identical with no row reader.
+    path, data = _split_sized(tmp_path, confounded_cfg, ends)
+    path.write_bytes(_r_style(path.read_bytes().decode()).encode())
+    assert path.read_bytes().count(b',"E",') > 1_000
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        back = px.load_csv(path, px.CsvSchema())
+        assert_no_child_left()
+        for name, arr in vars(data).items():
+            assert getattr(back, name).tobytes() == arr.tobytes(), (ends, workers, name)
+
+
 def test_split_sized_stream_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg):
     # A FIFO is copied into a temporary file first, so it is parsed in
     # the regular file's spans by forked workers, with no row reader.
@@ -481,20 +517,14 @@ def _row_reader_outcome(monkeypatch, path):
 @pytest.mark.parametrize("ends", ["lf", "crlf", "lone_cr"])
 def test_counted_lines_size_the_bulk_load(tmp_path, monkeypatch, confounded_cfg, ends,
                                           final_end):
-    # The reader sizes its arrays from the line ends it counts in
-    # _COUNT_BYTES reads before the spans' tables arrive. The first read
-    # ends on a line end's first byte, so a CRLF straddles two reads; the
-    # count matches the spans' rows, or the row reader would run.
+    # The reader sizes its arrays from the line ends it counts in each
+    # span before the spans' tables arrive; the count matches the spans'
+    # rows, or the row reader would run.
     path, _ = _split_sized(tmp_path, confounded_cfg, ends)
     raw = path.read_bytes()
     if not final_end:
         path.write_bytes(raw := raw.rstrip(b"\r\n"))
-    start = len(_lines(raw.decode())[0])
     monkeypatch.setattr(codec, "_SPLIT_BYTES", len(raw) // 12)
-    monkeypatch.setattr(codec, "_COUNT_BYTES",
-                        re.compile(rb"\r\n?|\n").search(raw, start + 100).start() + 1 - start)
-    if ends == "crlf":
-        assert raw[start + codec._COUNT_BYTES - 1:][:2] == b"\r\n"
     want = _row_reader_outcome(monkeypatch, path)
     assert isinstance(want, dict)
     monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
@@ -517,9 +547,9 @@ def test_row_reader_reads_a_file_the_spans_cannot_fill(tmp_path, monkeypatch, co
     raw = path.read_bytes()
     monkeypatch.setattr(codec, "_SPLIT_BYTES", len(raw) // 12)
     starts = [m.end() for m in re.finditer(rb"\r\n", raw)]  # each data line's start, then the end
-    if case == "last_span_doubted":  # csv.reader unquotes the last row's label
+    if case == "last_span_doubted":  # csv.reader strips the last row's padded label
         last = starts[-2]
-        path.write_bytes(raw[:last] + re.sub(rb",([EO]),", rb',"\1",', raw[last:], count=1))
+        path.write_bytes(raw[:last] + re.sub(rb",([EO]),", rb", \1,", raw[last:], count=1))
     elif case == "bad_cell_in_doubted_span":  # row 1700's w1 cell
         row = starts[1699]
         path.write_bytes(raw[:row] + re.sub(rb"^([^,]*,[^,]*,[^,]*,)[^,]*", rb"\1x",
@@ -711,11 +741,22 @@ def _four_rows(header: str) -> str:
 
 @pytest.mark.parametrize("header", [
     "y,a,g,w1,z1,s1,x1,sex", "y,a,g,w1,z1,s1,x", "y,a,g,w,z,s,x1", "y,a,g,w1,z1,s1,x1,x_id",
+    "y,a,g,w1,z1,s1,x1,sex,sex",
 ])
 def test_prefix_claims_bare_and_indexed_columns(tmp_path, header):
-    # Prefix "s" claims s and s1, never an unrelated "sex" column.
+    # Prefix "s" claims s and s1, never an unrelated "sex" column, which
+    # may repeat.
     data = px.load_csv(_write(tmp_path, _four_rows(header)), px.CsvSchema())
     assert [getattr(data, r).shape[1] for r in "wzsx"] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("header", ["y,a,g,w1,z1,s1,x1,s1", "y,a,g,w1,z1,s1,x1,y"])
+def test_header_naming_a_claimed_column_twice_rejected(tmp_path, header):
+    # Which of the two columns a role reads is not for the reader to guess,
+    # under a prefix as under a column list (test_malformed_file_rejected).
+    with pytest.raises(ValidationError) as err:
+        px.load_csv(_write(tmp_path, _four_rows(header)), px.CsvSchema())
+    assert str(err.value) == f"header names column {header.rsplit(',', 1)[1]!r} twice"
 
 
 @pytest.mark.parametrize("header, schema", [

@@ -213,8 +213,8 @@ def test_single_arm_complement_raises_with_fold_index():
 
 @pytest.mark.parametrize("cfg, fit", [
     (replace(CFG, e_basis=px.BasisSpec(roles=("z",))), "propensity fit"),
-    (replace(CFG, psi=px.BasisSpec(roles=("a",))), "propensity fit"),
-    (replace(CFG, psi=px.BasisSpec(roles=("a",)), known_propensity=0.5),
+    (replace(CFG, psi=px.BasisSpec(roles=("z",))), "propensity fit"),
+    (replace(CFG, psi=px.BasisSpec(roles=("z",)), known_propensity=0.5),
      "pseudo-outcome regression"),
 ])
 def test_single_arm_error_precedes_basis_fits(cfg, fit):
