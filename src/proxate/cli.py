@@ -41,7 +41,8 @@ from .data import CsvSchema, _header, load_csv, load_unmasked_csv, write_csv, wr
 from .dgp import DGPConfig, _widths, confounded_config, generate, generate_full, oracle_for
 from .errors import NumericalError, ProxateError, ValidationError
 from .estimators import _SETTING_RANGES, ESTIMATOR_NAMES, EstimatorConfig, check_k_folds
-from .harness import HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes, run_monte_carlo
+from .harness import (_STUDY_RANGES, HARNESS_ESTIMATORS, REGIME_NAMES, estimate_regimes,
+                      run_monte_carlo)
 from .stats import check_seed
 
 
@@ -77,9 +78,9 @@ _SECTIONS = {
         "estimators": tuple[str, ...] | str, "regimes": tuple[str, ...] | str}, total=False),
 }
 _SETTINGS = {f.name for f in fields(RunConfig)} | set(_ESTIMATION)
-# The range each estimation setting must lie in, checked by the code that uses
-# it; load_config checks them first, so an error comes before any work.
-_RANGES = {**_SETTING_RANGES, "seed": check_seed, "k_folds": check_k_folds}
+# The range each estimation and study setting must lie in, checked by the code
+# that uses it; load_config checks them first, so an error comes before any work.
+_RANGES = {**_SETTING_RANGES, "seed": check_seed, "k_folds": check_k_folds, **_STUDY_RANGES}
 
 
 def _read_config(path: str) -> dict:
@@ -114,12 +115,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             except ValidationError as exc:
                 if getattr(args, key, None) is not None:
                     raise
-                raise ValidationError(f"estimation.{key}: {exc}") from exc
+                section = "simulate" if key in _STUDY_RANGES else "estimation"
+                raise ValidationError(f"{section}.{key}: {exc}") from exc
     for key, valid in (("estimators", HARNESS_ESTIMATORS), ("regimes", REGIME_NAMES)):
         if key in given:
             where = f"--{key}" if getattr(args, key, None) is not None else f"simulate.{key}"
             given[key] = _parse_name_list(given[key], valid, valid, key[:-1], where)
-    estimation = EstimatorConfig(**{k: given.pop(k) for k in _ESTIMATION if k in given})
+    try:
+        estimation = EstimatorConfig(**{k: given.pop(k) for k in _ESTIMATION if k in given})
+    except ValidationError as exc:  # a basis, which only the config file sets
+        raise ValidationError(f"estimation.bases.{exc}") from exc
     return RunConfig(**given, estimation=estimation)
 
 
@@ -222,8 +227,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         data, cfg.k_folds, cfg.seed, cfg.estimation, requested, ("all_correct",)
     )
     reports = by_regime["all_correct"]
-
-    print(_estimate_table(reports))
     _write_report(
         args.out, "estimate", {name: rep.to_dict() for name, rep in reports.items()}
     )
@@ -233,6 +236,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                            for name in ("e", "h", "hbar", "q0", "q1")}}
             for k, nus in enumerate(nuisance_sets)
         ])
+    print(_estimate_table(reports))
     return 0
 
 
@@ -242,8 +246,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg.dgp, cfg.n, cfg.pi, cfg.estimators, cfg.regimes, cfg.replications,
         cfg.base_seed, config=cfg.estimation, k_folds=cfg.k_folds,
     )
-    print(report.format_table())
     _write_report(args.out, "simulate", report.to_dict())
+    print(report.format_table())
     return 0
 
 
@@ -251,11 +255,11 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     cfg = load_config(args)
     sample = load_unmasked_csv(args.data, cfg.schema)
     report = diagnose_surrogacy(sample)
+    _write_report(args.out, "diagnose", report.to_dict())
     print(f"{'stage':<6} {'coef_on_a':>12} {'se':>12} {'p':>10}")
     print("-" * 42)
     print(f"{'OLS':<6} {report.ols_coef_on_a:>12.6f} {report.ols_se:>12.6f} {report.ols_p:>10.6f}")
     print(f"{'IV':<6} {report.iv_coef_on_a:>12.6f} {report.iv_se:>12.6f} {report.iv_p:>10.6f}")
-    _write_report(args.out, "diagnose", report.to_dict())
     return 0
 
 
@@ -265,14 +269,14 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.unmasked:
         sample = generate_full(cfg.dgp, args.n, args.seed)
         write_unmasked_csv(sample, args.out, cfg.schema)
-        print(f"wrote {sample.n} unmasked rows to {args.out}")
-        oracle = oracle_for(cfg.dgp)
+        wrote, oracle = f"{sample.n} unmasked rows", oracle_for(cfg.dgp)
     else:
         data, oracle = generate(cfg.dgp, args.n, args.pi, args.seed)
         write_csv(data, args.out, cfg.schema)
-        print(f"wrote {data.n} rows (n_e={data.n_e}, n_o={data.n_o}) to {args.out}")
+        wrote = f"{data.n} rows (n_e={data.n_e}, n_o={data.n_o})"
     if args.oracle_out:
         _write_report(args.oracle_out, "gen-data", oracle.to_dict())
+    print(f"wrote {wrote} to {args.out}")
     return 0
 
 
@@ -336,12 +340,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_paths(args)
-        return args.func(args)
+        code = args.func(args)  # which writes its files before it prints
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return code
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except ProxateError as exc:  # a ValidationError, or a worker that died
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:  # stdout was closed, as by `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit's flush
         return 1
 
 

@@ -18,10 +18,11 @@ span over ``_fork.ordered_map``, whose forked workers read their spans
 through the open file: under two 4 MiB chunks of data, one span; else
 spans cut just after line ends, each read once and checked as bytes.
 Each span is copied into the role arrays, sized from a count of the
-lines, as it arrives. Only where a bulk pass and the row reader could
+lines, as it arrives. Both parsers read each label and each cell that
+may hold NA with one function, padding and all. Only where the two could
 differ, which includes every span with a bad cell, does the header's
-reader read on row by row, from the first such span. A pipe or FIFO
-is copied into a temporary file first, so it too is read in spans.
+reader read on row by row, from the first such span. A pipe or FIFO is
+copied into a temporary file first, so it too is read in spans.
 Data rows are numbered from 1 after the header; parse errors, bytes
 that are not UTF-8, unknown labels and masking or finiteness violations
 name the first offending row by that number. The writer quotes with
@@ -64,8 +65,8 @@ _BLOCK_ROWS = 512
 # ``_fork.ordered_map`` hands to workers: a few MiB of text each.
 _CHUNK_ROWS = 32 * _BLOCK_ROWS
 _SPLIT_BYTES = 4 << 20
-# A field quoted whole, whose content holds no quote, comma or line end.
-_QUOTED_WHOLE = re.compile(rb'(?<![^,\r\n])"([^",\r\n]*)"(?![^,\r\n])')
+# A field quoted whole (no quote, comma or line end inside); tried only at quotes.
+_QUOTED_WHOLE = re.compile(rb'"(?<![^,\r\n]")([^",\r\n]*)"(?![^,\r\n])')
 # Numeric roles in CSV column order; the g column follows "a".
 _ROLES = ("y", "a", "w", "z", "s", "x")
 
@@ -335,19 +336,6 @@ def _resolve_columns(schema: CsvSchema, header: list[str], *, with_g: bool) -> d
     return {role: [header.index(c) for c in cols] for role, cols in out.items()}
 
 
-def _parse_cell(raw: str, row_idx: int, col: str) -> float:
-    text = raw.strip()
-    if text == "" or text == MISSING_TOKEN:
-        return float("nan")
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(row_idx, f"column {col!r}: cannot parse {raw!r} as a number")
-    if not math.isfinite(value):
-        raise ParseError(row_idx, f"column {col!r}: non-finite value {raw!r}")
-    return value
-
-
 def _read_table(path: str | Path, schema: CsvSchema, *, with_g: bool) -> dict[str, np.ndarray]:
     """Read a CSV into one array per role (plus ``is_e`` with g).
 
@@ -487,10 +475,10 @@ def _parse_span(fd: int, width: int, pos: dict[str, list[int]], labels: dict | N
     a byte that is not UTF-8 (the decoder raises), which the row reader
     rejects even in a column no role claims, at a cell ``np.loadtxt`` or a
     converter rejects, at a shape other than (lines, ``width``), or at a
-    non-finite value in a column that may not hold NA. Python's ``float``
-    accepts forms that ``np.loadtxt`` rejects, such as ``1_0`` in a column
-    without NA or a padded ``" NA "``; such a file is read row by row,
-    correctly but slowly.
+    non-finite value in a column that may not hold NA. The cells of a
+    column that may hold NA and the labels are read as the row reader
+    reads them, by ``_cell`` and ``_label``; the other columns keep
+    ``np.loadtxt``'s parse, which rejects some forms ``float`` takes (``1_0``).
     """
     start, end = span
     raw = os.pread(fd, end - start, start)
@@ -504,13 +492,11 @@ def _parse_span(fd: int, width: int, pos: dict[str, list[int]], labels: dict | N
     del raw  # the lines copy its bytes: free them before np.loadtxt makes the table
     if not lines or b"" in lines or max(map(len, lines)) >= csv.field_size_limit():
         return b""
-    masked = _MASKED_ROLES if labels else ()
-    role_of = {i: role for role in _ROLES for i in pos[role]}
-    converters = {i: _unclaimed for i in range(width) if i not in role_of}
-    converters.update({i: _masked_cell for i, role in role_of.items() if role in masked})
-    if labels:
-        converters[pos["g"][0]] = labels.__getitem__
-    strict = [i for i, role in role_of.items() if role not in masked]
+    role_of = {i: role for role, idx in pos.items() for i in idx}
+    read = {"g": partial(_label, labels), **dict.fromkeys(_MASKED_ROLES, _cell)} if labels else {}
+    converters = {i: read[role] for i, role in role_of.items() if role in read}
+    converters.update({i: _unclaimed for i in range(width) if i not in role_of})
+    strict = [i for i, role in role_of.items() if role not in read]
     try:
         table = np.loadtxt(lines, dtype=float, delimiter=",", comments=None, quotechar=None,
                            converters=converters, ndmin=2, encoding="utf-8")
@@ -523,14 +509,27 @@ def _parse_span(fd: int, width: int, pos: dict[str, list[int]], labels: dict | N
     return memoryview(table)
 
 
-def _masked_cell(cell: str) -> float:
-    """Converter for a column that may hold NA: NA or empty is NaN, else a finite float."""
+def _cell(cell: str) -> float:
+    """A numeric cell: NaN for NA or empty, padded or not, else a finite float."""
     if cell == MISSING_TOKEN or cell == "":
         return math.nan
-    value = float(cell)
+    try:
+        value = float(cell)
+    except ValueError:  # padded NA, padding float keeps (U+001C to U+001F), or no number
+        if (text := cell.strip()) == MISSING_TOKEN or text == "":
+            return math.nan
+        try:
+            value = float(text)
+        except ValueError:
+            raise ValueError(f"cannot parse {cell!r} as a number") from None
     if value - value != 0.0:  # inf or nan
         raise ValueError(f"non-finite value {cell!r}")
     return value
+
+
+def _label(labels: dict, cell: str) -> float:
+    """A sample label's value, padding stripped: 1.0 for E, 0.0 for O."""
+    return labels[cell.strip()]
 
 
 def _unclaimed(cell: str) -> float:
@@ -556,12 +555,10 @@ def _parse_rows(reader, header: list[str], pos: dict[str, list[int]],
     """Parse the data rows one by one, numbered on from the ``before``
     rows already read; raise on the first bad row.
 
-    Returns a table shaped like the file: claimed cells parsed, g (with
-    ``labels``) as its label's value, 1.0 for E and 0.0 for O, unclaimed
-    cells 0.0.
+    Returns a table shaped like the file: claimed cells read by ``_cell``,
+    g (with ``labels``) by ``_label``, unclaimed cells 0.0; a row's first
+    bad cell, g first and then in role order, is the one reported.
     """
-    # Cells are parsed in role order, so the first bad cell of a row is
-    # the one reported.
     numeric = [(i, header[i]) for role in _ROLES for i in pos[role]]
     g_pos = pos["g"][0] if labels else None
     values = array("d")
@@ -573,15 +570,18 @@ def _parse_rows(reader, header: list[str], pos: dict[str, list[int]],
             if bad := _undecodable(row):
                 raise ParseError(row_idx, bad)
             cells = [0.0] * len(header)
-            if labels:
-                label = row[g_pos].strip()
-                if label not in labels:
-                    e, o = labels
-                    raise SchemaViolationError(
-                        f"row {row_idx}: sample label {label!r} is neither {e!r} nor {o!r}")
-                cells[g_pos] = labels[label]
-            for i, c in numeric:
-                cells[i] = _parse_cell(row[i], row_idx, c)
+            try:
+                if labels:
+                    cells[g_pos] = _label(labels, row[g_pos])
+                for i, c in numeric:
+                    cells[i] = _cell(row[i])
+            except KeyError as exc:
+                e, o = labels
+                raise SchemaViolationError(
+                    f"row {row_idx}: sample label {exc.args[0]!r} is neither {e!r} nor {o!r}"
+                ) from None
+            except ValueError as exc:  # the cell of column c
+                raise ParseError(row_idx, f"column {c!r}: {exc}") from None
             values.extend(cells)
     except csv.Error as exc:  # raised while reading the row after row_idx
         raise ParseError(row_idx + 1, str(exc))

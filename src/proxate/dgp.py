@@ -160,10 +160,10 @@ def _widths(cfg: DGPConfig) -> dict[str, int]:
     return {"w": 1, "z": 1, "s": cfg.dim_s, "x": cfg.dim_x}
 
 
-def check_draw(n: int, pi: float | None) -> None:
-    """Raise ``ValidationError`` unless ``n`` rows (and an E share ``pi``,
-    unless None) can be drawn."""
-    if n < 10:
+def check_draw(n: int | None, pi: float | None) -> None:
+    """Raise ``ValidationError`` unless ``n`` rows (unless None) with an E
+    share ``pi`` (unless None) can be drawn."""
+    if n is not None and n < 10:
         raise ValidationError("n must be >= 10")
     if pi is not None and not 0.0 < pi < 1.0:
         raise ValidationError("pi must be in (0, 1)")

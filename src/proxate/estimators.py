@@ -152,6 +152,11 @@ class EstimatorConfig(Record):
         for key, check in _SETTING_RANGES.items():
             if getattr(self, key) is not None:
                 check(getattr(self, key))
+        fitted_e = ("e_basis",) if self.known_propensity is None else ()
+        for name in ("psi", "g", "hbar_basis", *fitted_e):  # the bases evaluated on E rows
+            if "z" in getattr(self, name).roles:
+                raise ValidationError(f"{name}: role 'z' unavailable on E rows, where "
+                                      f"{name} is evaluated")
 
 
 # A cell: its fold, arm (-1 on O), row count, the R factor of its columns,

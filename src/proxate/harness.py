@@ -230,6 +230,22 @@ def _attempt(
     return pickle.dumps(outcome, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def _check_replications(replications: int) -> None:
+    if replications < 2:
+        raise ValidationError("replications must be >= 2")
+
+
+def _check_base_seed(base_seed: int) -> None:
+    if base_seed < 0:
+        raise ValidationError(f"base_seed must be a nonnegative integer, got {base_seed}")
+
+
+# The range each study setting of run_monte_carlo must lie in, by name;
+# it checks them before replication 0. The CLI checks these first.
+_STUDY_RANGES = {"n": partial(check_draw, pi=None), "pi": partial(check_draw, None),
+                 "replications": _check_replications, "base_seed": _check_base_seed}
+
+
 def run_monte_carlo(
     dgp: DGPConfig,
     n: int,
@@ -259,10 +275,8 @@ def run_monte_carlo(
     """
     check_draw(n, pi)
     check_k_folds(k_folds)
-    if replications < 2:
-        raise ValidationError("replications must be >= 2")
-    if base_seed < 0:
-        raise ValidationError(f"base_seed must be a nonnegative integer, got {base_seed}")
+    _check_replications(replications)
+    _check_base_seed(base_seed)
     check_names(estimators, HARNESS_ESTIMATORS, "estimator")
     check_names(regimes, REGIME_NAMES, "regime")
     true_ate = oracle_for(dgp).true_ate

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -672,6 +674,70 @@ def test_simulate_draw_arguments_checked_once(monkeypatch, capsys, flag, message
     monkeypatch.setattr(px.harness, "generate", never)
     assert run(["simulate", "--replications", "2", *flag]) == 1
     assert capsys.readouterr().err == message + "\n"
+
+
+def _on_e(name):
+    return f"estimation.bases.{name}: role 'z' unavailable on E rows, where {name} is evaluated"
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize("config, message", [
+    ({"estimation": {"bases": {"e_basis": {"roles": ["z"]}}}}, _on_e("e_basis")),
+    ({"estimation": {"bases": {"g": {"roles": ["z", "s", "x"]}}}}, _on_e("g")),
+    ({"estimation": {"bases": {"psi": {"roles": ["w", "z"]}}}}, _on_e("psi")),
+    ({"estimation": {"known_propensity": 0.5, "bases": {"hbar_basis": {"roles": ["z"]}}}},
+     _on_e("hbar_basis")),
+    ({"simulate": {"n": 5}}, "simulate.n: n must be >= 10"),
+    ({"simulate": {"pi": 1.0}}, "simulate.pi: pi must be in (0, 1)"),
+    ({"simulate": {"replications": 1}}, "simulate.replications: replications must be >= 2"),
+    ({"simulate": {"base_seed": -1}},
+     "simulate.base_seed: base_seed must be a nonnegative integer, got -1"),
+], ids=["e_basis_z", "g_z", "psi_z", "hbar_basis_z", "n", "pi", "replications", "base_seed"])
+def test_bad_setting_names_its_key_before_any_work(tmp_path, data_csv, monkeypatch, capsys,
+                                                   command, config, message):
+    # A basis evaluated on E rows that reads z, or a study setting out of
+    # range, is one error naming its config key, before any load or draw,
+    # never a study of failed replications.
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked under a setting that is not valid")
+
+    for name in ("load_csv", "generate", "run_monte_carlo"):
+        monkeypatch.setattr(f"proxate.cli.{name}", no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    data = ["--data", str(data_csv)] if command == "estimate" else []
+    assert run([command, "--config", str(cfg), *data]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, written, unbuffered", [
+    (["estimate", "--data", "{data}", "--out", "{tmp}/r.json", "--dump-nuisances", "{tmp}/n.json"],
+     ["r.json", "n.json"], False),
+    (["estimate", "--data", "{data}", "--out", "{tmp}/r.json"], ["r.json"], True),
+    (["simulate", "--n", "300", "--out", "{tmp}/r.json"], ["r.json"], False),
+    (["diagnose", "--data", "{full}", "--out", "{tmp}/r.json"], ["r.json"], False),
+    (["gen-data", "--n", "100", "--seed", "1", "--out", "{tmp}/d.csv",
+      "--oracle-out", "{tmp}/o.json"], ["d.csv", "o.json"], False),
+], ids=["estimate", "estimate_unbuffered", "simulate", "diagnose", "gen_data"])
+def test_closed_stdout_still_writes_every_file(tmp_path, data_csv, unmasked_csv, argv, written,
+                                               unbuffered):
+    # A reader that closes the pipe (`| head`) loses the printed table, not
+    # the files: each is written before anything is printed, and the run
+    # ends with exit 1 and no traceback, whether stdout is buffered or not.
+    argv = [a.format(data=data_csv, full=unmasked_csv, tmp=tmp_path) for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(px.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "proxate.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
 
 
 def test_estimate_si_collinear_covariate_exit_2(tmp_path, small_data, capsys):

@@ -267,6 +267,20 @@ EDGE_CASES = [
                  (SchemaViolationError, "row 1: sample label 'Q' is neither 'E' nor 'O'"),
                  id="unknown_label"),
     pytest.param(px.load_csv, MINIMAL.replace("NA,1,E", " NA ,1,E"), SCHEMA, None, id="padded_na"),
+    pytest.param(px.load_csv, MINIMAL.replace("0.1,NA", "0.1, NA"), SCHEMA, None,
+                 id="space_then_na"),
+    pytest.param(px.load_csv, MINIMAL.replace(",E,", ", E,", 1), SCHEMA, None,
+                 id="space_then_label"),
+    pytest.param(px.load_csv, MINIMAL.replace(",O,", ",O ,", 1), SCHEMA, None,
+                 id="label_then_space"),
+    pytest.param(px.load_csv, _edit_row(MINIMAL, 3, lambda ln: ln.replace(",", ", ")), SCHEMA,
+                 None, id="comma_space_row"),
+    pytest.param(px.load_csv, MINIMAL.replace(",", ", "), SCHEMA, None, id="comma_space_file"),
+    pytest.param(px.load_csv, MINIMAL.replace("3.0,NA,O", " x,NA,O"), SCHEMA,
+                 (ParseError, "row 3: column 'y': cannot parse ' x' as a number"),
+                 id="space_then_text_in_na_column"),
+    pytest.param(px.load_csv, MINIMAL.replace("3.0,NA,O", "\x1c3.0,NA,O"), SCHEMA, None,
+                 id="padding_float_keeps_in_na_column"),
     pytest.param(px.load_csv, MINIMAL.replace("0.3,0.9", " 0.3 ,0.9"), SCHEMA, None,
                  id="padded_number"),
     pytest.param(px.load_csv, MINIMAL.replace("\n", "\r"), SCHEMA, None, id="lone_cr"),
@@ -431,6 +445,19 @@ def test_split_sized_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, e
             assert getattr(back, name).tobytes() == arr.tobytes(), (ends, workers, name)
 
 
+def _assert_loads_in_bulk(monkeypatch, path, data):
+    """``path`` loads as ``data``, bit-identical, in about 12 spans at 1 and
+    2 workers, with no row reader."""
+    monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
+    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
+    for workers in (1, 2):
+        pin_workers(monkeypatch, workers)
+        back = px.load_csv(path, px.CsvSchema())
+        assert_no_child_left()
+        for name, arr in vars(data).items():
+            assert getattr(back, name).tobytes() == arr.tobytes(), (workers, name)
+
+
 @pytest.mark.parametrize("ends", ["lf", "crlf"])
 def test_split_sized_r_style_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, ends):
     # R's write.csv quotes the header cells and every label. csv.reader
@@ -439,14 +466,28 @@ def test_split_sized_r_style_file_loads_in_bulk(tmp_path, monkeypatch, confounde
     path, data = _split_sized(tmp_path, confounded_cfg, ends)
     path.write_bytes(_r_style(path.read_bytes().decode()).encode())
     assert path.read_bytes().count(b',"E",') > 1_000
-    monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
-    monkeypatch.setattr(codec, "_parse_rows", _refuse_row_reader)
-    for workers in (1, 2):
-        pin_workers(monkeypatch, workers)
-        back = px.load_csv(path, px.CsvSchema())
-        assert_no_child_left()
-        for name, arr in vars(data).items():
-            assert getattr(back, name).tobytes() == arr.tobytes(), (ends, workers, name)
+    _assert_loads_in_bulk(monkeypatch, path, data)
+
+
+@pytest.mark.parametrize("ends", ["lf", "crlf"])
+def test_split_sized_comma_space_file_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg, ends):
+    # A file with a space after each comma: np.loadtxt reads the padded
+    # numbers, and the spans read padded NA and labels as the row reader
+    # does, so the file loads bit-identical with no row reader.
+    path, data = _split_sized(tmp_path, confounded_cfg, ends)
+    path.write_bytes(path.read_bytes().replace(b",", b", "))
+    assert path.read_bytes().count(b", E, ") > 1_000 and path.read_bytes().count(b", NA, ") > 1_000
+    _assert_loads_in_bulk(monkeypatch, path, data)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet='"a, ', min_size=1, max_size=12))
+def test_fields_quoted_whole_read_as_csv_reader_reads_them(line):
+    # Where the substitution leaves no quote, the line's cells are those
+    # csv.reader reads from the line as written.
+    unquoted = codec._QUOTED_WHOLE.sub(rb"\1", line.encode())
+    if b'"' not in unquoted:
+        assert unquoted.decode().split(",") == next(csv.reader([line]))
 
 
 def test_split_sized_stream_loads_in_bulk(tmp_path, monkeypatch, confounded_cfg):
@@ -547,9 +588,9 @@ def test_row_reader_reads_a_file_the_spans_cannot_fill(tmp_path, monkeypatch, co
     raw = path.read_bytes()
     monkeypatch.setattr(codec, "_SPLIT_BYTES", len(raw) // 12)
     starts = [m.end() for m in re.finditer(rb"\r\n", raw)]  # each data line's start, then the end
-    if case == "last_span_doubted":  # csv.reader strips the last row's padded label
+    if case == "last_span_doubted":  # csv.reader reads the last row's label "E" , as E
         last = starts[-2]
-        path.write_bytes(raw[:last] + re.sub(rb",([EO]),", rb", \1,", raw[last:], count=1))
+        path.write_bytes(raw[:last] + re.sub(rb",([EO]),", rb',"\1" ,', raw[last:], count=1))
     elif case == "bad_cell_in_doubted_span":  # row 1700's w1 cell
         row = starts[1699]
         path.write_bytes(raw[:row] + re.sub(rb"^([^,]*,[^,]*,[^,]*,)[^,]*", rb"\1x",

@@ -211,19 +211,30 @@ def test_single_arm_complement_raises_with_fold_index():
     assert f"fold {treated_fold}" in str(err.value)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("cfg, fit", [
-    (replace(CFG, e_basis=px.BasisSpec(roles=("z",))), "propensity fit"),
-    (replace(CFG, psi=px.BasisSpec(roles=("z",))), "propensity fit"),
-    (replace(CFG, psi=px.BasisSpec(roles=("z",)), known_propensity=0.5),
-     "pseudo-outcome regression"),
+    (CFG, "propensity fit"),
+    (replace(CFG, e_basis=px.BasisSpec(roles=("s",), standardize=True)), "propensity fit"),
+    (replace(CFG, known_propensity=0.5), "pseudo-outcome regression"),
 ])
 def test_single_arm_error_precedes_basis_fits(cfg, fit):
-    # Each config also names a role its sample masks; the arms check
-    # still reports first, before any basis is fitted.
+    # The data's s column has a non-finite sd, so fitting any basis that
+    # standardizes s fails; the arms check still reports first, before
+    # any basis is fitted.
     data, folds, treated_fold = _one_treated_unit_data()
     with pytest.raises(DegenerateTreatmentError,
                        match=f"fold {treated_fold}: {fit} needs both arms"):
-        fit_fold(data, folds, treated_fold, cfg)
+        fit_fold(_with_huge_s(data), folds, treated_fold, cfg)
+
+
+@pytest.mark.parametrize("name", ["psi", "g", "hbar_basis", "e_basis"])
+def test_basis_evaluated_on_e_rows_may_not_read_z(name):
+    # z is masked on E rows, where these bases are evaluated; an e_basis
+    # is unused, and so accepted, under a known propensity.
+    with pytest.raises(ValidationError, match=f"^{name}: role 'z' unavailable on E rows"):
+        px.EstimatorConfig(**{name: px.BasisSpec(roles=("s", "z"))})
+    if name == "e_basis":
+        px.EstimatorConfig(e_basis=px.BasisSpec(roles=("z",)), known_propensity=0.5)
 
 
 def _with_huge_s(data):
