@@ -26,13 +26,19 @@ copied into a temporary file first, so it too is read in spans.
 Data rows are numbered from 1 after the header; parse errors, bytes
 that are not UTF-8, unknown labels and masking or finiteness violations
 name the first offending row by that number. The writer quotes with
-``csv.writer`` only the header and the two sample labels; data rows are
-joined from their formatted cells, chunks of them formatted over
-``_fork.ordered_map`` and written in order, one chunk held at a time.
+``csv.writer`` only the header and the two sample labels. It writes
+each number as ``repr`` does, NA where not finite, with a numpy kernel
+over a block of rows at once: a number ``repr`` writes in fixed
+notation (1e-4 <= |x| < 1e16) gets its shortest digits from exact
+interval tests, and every other one (exponent form, subnormals) is
+written by ``repr`` itself. Chunks of rows are formatted over
+``_fork.ordered_map`` and written in order, one chunk held at a time;
+a write that fails removes the file it was writing, if a regular file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -43,7 +49,7 @@ import stat
 import tempfile
 from array import array
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +64,13 @@ from .errors import (
 )
 
 MISSING_TOKEN = "NA"
-# Rows per block when the writer formats columns. Small blocks keep the
-# strings of a block from leaving megabytes of freed heap behind.
-_BLOCK_ROWS = 512
 # Rows per writer chunk and bytes per reader chunk, the items that
-# ``_fork.ordered_map`` hands to workers: a few MiB of text each.
-_CHUNK_ROWS = 32 * _BLOCK_ROWS
+# ``_fork.ordered_map`` hands to workers: a few MiB of text each. The
+# writer formats a chunk in blocks of rows, whose arrays come to about
+# 130 bytes a cell (its 40-byte template among them), so a write on one
+# CPU holds little more than one chunk's text.
+_BLOCK_ROWS = 2048
+_CHUNK_ROWS = 8 * _BLOCK_ROWS
 _SPLIT_BYTES = 4 << 20
 # A field quoted whole (no quote, comma or line end inside); tried only at quotes.
 _QUOTED_WHOLE = re.compile(rb'"(?<![^,\r\n]")([^",\r\n]*)"(?![^,\r\n])')
@@ -595,21 +602,31 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
     ``schema`` before any file is made. The rows are formatted in chunks
     of ``_CHUNK_ROWS`` over ``_fork.ordered_map`` and written in order by
     ``writelines``, which drops each chunk before it reads the next, so
-    the parent holds one formatted chunk at a time.
+    the parent holds one formatted chunk at a time. A write that fails
+    once the path is open (an ``OSError``, a worker that dies, Ctrl-C)
+    removes the file if it is a regular file, so no short file is left
+    to load as a smaller sample; a FIFO or ``/dev/stdout`` is left alone.
     """
     matrices = _ROLES[2:]  # w, z, s and x: the roles of one or more columns
     header = _header(schema, {r: getattr(data, r).shape[1] for r in matrices}, with_g=with_g)
     columns = [data.y, data.a, *([data.is_e] if with_g else []),
                *(col for r in matrices for col in getattr(data, r).T)]
-    labels = (_quoted(schema.o_label), _quoted(schema.e_label))
+    labels = (_quoted(schema.o_label).encode(), _quoted(schema.e_label).encode())
     chunks = range(0, data.n, _CHUNK_ROWS)
     with ordered_map(partial(_format_rows, columns, labels), chunks) as formatted:
+        regular = False  # whether the open path is a regular file, to remove on failure
         try:
             with Path(path).open("wb") as fh:
+                regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
                 fh.write(_csv_line(header).encode())
                 fh.writelines(formatted)
-        except OSError as exc:
-            raise ValidationError(f"cannot write {path}: {exc}")
+        except BaseException as exc:
+            if regular:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
+            if isinstance(exc, OSError):
+                raise ValidationError(f"cannot write {path}: {exc}")
+            raise
 
 
 def _header(schema: CsvSchema, widths: dict[str, int], *, with_g: bool) -> list[str]:
@@ -625,18 +642,26 @@ def _header(schema: CsvSchema, widths: dict[str, int], *, with_g: bool) -> list[
     return header
 
 
-def _format_rows(columns: list[np.ndarray], labels: tuple[str, str], lo: int) -> bytearray:
+def _format_rows(columns: list[np.ndarray], labels: tuple[bytes, bytes], lo: int) -> bytearray:
     """Rows ``lo`` to ``lo + _CHUNK_ROWS`` as UTF-8 lines.
 
-    Cells are formatted a block of rows at a time, so no column is ever
-    held as a whole list of strings, and each block's rows are joined
-    directly: a number's ``repr`` and NA never need quotes, and each
-    label is quoted once, as ``csv.writer`` would quote it in a data row.
+    ``_format_block`` formats the rows ``_BLOCK_ROWS`` at a time, with a
+    mark byte for each label (the bool column, g) and line end; the
+    marks are then replaced by the labels, quoted once as ``csv.writer``
+    would quote them in a data row, and by CRLF. The marks are bytes
+    UTF-8 never holds, so a label keeps any character, NUL included; a
+    number or NA never needs quotes.
     """
+    end = min(lo + _CHUNK_ROWS, len(columns[0]))
+    labeled = [j for j, col in enumerate(columns) if col.dtype == bool]
     out = bytearray()
-    for b in range(lo, min(lo + _CHUNK_ROWS, len(columns[0])), _BLOCK_ROWS):
-        block = [_cells(col[b:b + _BLOCK_ROWS], labels) for col in columns]
-        out += ("\r\n".join(map(",".join, zip(*block))) + "\r\n").encode()
+    for b in range(lo, end, _BLOCK_ROWS):
+        text = _format_block(np.column_stack([col[b:min(b + _BLOCK_ROWS, end)]
+                                              for col in columns]), labeled)
+        text = text.replace(_LINE_END, b"\r\n")
+        for mark, label in zip(_LABEL_MARKS, labels):
+            text = text.replace(mark, label)
+        out += text
     return out
 
 
@@ -652,14 +677,173 @@ def _quoted(label: str) -> str:
     return _csv_line([label, ""])[:-len(",\r\n")]
 
 
-def _cells(col: np.ndarray, labels: tuple[str, str]) -> list[str]:
-    """Format a block of one column: g as its labels, numbers as ``repr``, NA if not finite."""
-    if col.dtype == bool:
-        return [labels[e] for e in col.tolist()]
-    cells = list(map(repr, col.tolist()))
-    for i in np.flatnonzero(~np.isfinite(col)).tolist():
-        cells[i] = MISSING_TOKEN
-    return cells
+# The writer's number format. Python's ``repr`` writes a finite float x
+# with 1e-4 <= |x| < 1e16 in fixed notation: the shortest digits that read
+# back as x (of those, the nearest to x, ties to even), with a point and
+# at least one digit after it. ``_shortest_digits`` finds those digits for
+# a whole array with Schubfach's interval tests (R. Giulietti, "The
+# Schubfach way to render doubles", 2020); ``_format_block`` lays each
+# cell out in 40 bytes: the sign, "0." and up to three zeros, then 17
+# (digit, point) byte pairs, NUL wherever a character is absent. The
+# last pair's point byte, which never holds a point, holds the cell's
+# separator, a comma or the line-end mark. One ``bytes.translate``
+# deletes the NULs of a block. NA, 0.0 and -0.0 are laid out whole; every
+# other value (exponent form, subnormals) is written by ``repr`` itself.
+_CELL = 40
+_LINE_END = b"\xfd"  # marks, all bytes that UTF-8 never holds
+_LABEL_MARKS = (b"\xfe", b"\xff")  # the labels of O and E rows
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each float into two halves of 26 bits, hi + lo."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+@cache  # built at the first write, not at import
+def _quads() -> tuple[np.ndarray, np.ndarray]:
+    """Each group of four digits (0000 to 9999) as four (digit, NUL) byte
+    pairs in one uint64, and its count of trailing zero digits (4 for 0000)."""
+    quads = np.arange(10_000, dtype=np.int16)  # int16 keeps the temporaries small
+    pairs = np.zeros((quads.size, 8), np.uint8)
+    for i, place in enumerate((1000, 100, 10, 1)):
+        pairs[:, 2 * i] = quads // place % 10 + ord("0")
+    zeros = sum((quads % 10**i == 0).view(np.int8) for i in range(1, 5))
+    return pairs.view(np.uint64).ravel(), zeros
+
+
+_POW10 = np.array([float(10**i) for i in range(21)])  # each one exact
+_POW10_HI, _POW10_LO = _split(_POW10)
+# Templates: one per sign, point position (-3 to 16) and count of digits
+# written (1 to 17), then NA, 0.0, -0.0, a cell for repr, and the O and E marks.
+_NA = 2 * 20 * 17
+_ZERO, _REPR, _LABEL = _NA + 1, _NA + 3, _NA + 4
+
+
+@cache
+def _templates() -> np.ndarray:
+    """The template of each cell, which ``_format_block`` XORs with the
+    digit pairs of its five groups: it holds the characters the digits
+    do not, and cancels the digits that are not written, the three zeros
+    that lead the first group and the zeros after the last digit written.
+    A value without digits of its own carries the digits of 1.0."""
+    neg, point, written = (a.reshape(-1, 1) for a in np.meshgrid(
+        [0, 1], np.arange(-3, 17), np.arange(1, 18), indexing="ij"))
+    pairs = np.arange(17)
+    fixed = np.zeros((neg.size, _CELL), np.uint8)
+    fixed[:, :1] = np.where(neg, ord("-"), 0)
+    fixed[:, 1:3] = np.where(point <= 0, np.frombuffer(b"0.", np.uint8), 0)
+    fixed[:, 3:6] = np.where(np.arange(3) < -point, ord("0"), 0)
+    fixed[:, 6::2] = np.where(pairs < written, 0, ord("0"))
+    fixed[:, 7::2] = np.where(pairs == point - 1, ord("."), 0)
+    fixed[:, :6] ^= np.frombuffer(b"0\0" * 3, np.uint8)
+    other = np.zeros((6, _CELL), np.uint8)
+    for row, text in zip(other, (MISSING_TOKEN.encode(), b"0.0", b"-0.0", b"", *_LABEL_MARKS)):
+        row[:len(text)] = np.frombuffer(text, np.uint8)
+    other ^= _quads()[0][[1, 0, 0, 0, 0]].view(np.uint8)  # the digits of 1.0
+    cells = np.concatenate([fixed, other])
+    cells[:, -1] = ord(",")
+    return cells.view(np.uint64)
+
+
+def _format_block(table: np.ndarray, labeled: list[int]) -> bytearray:
+    """The rows of ``table`` as CSV text: each number as ``repr`` writes
+    it, NA where it is not finite; the columns ``labeled`` (1.0 for E,
+    0.0 for O) as ``_LABEL_MARKS`` and each line end as ``_LINE_END``."""
+    x = table.ravel()
+    kind, groups = _cell_parts(x)
+    for j in labeled:
+        kind.reshape(table.shape)[:, j] = _LABEL + (table[:, j] == 1)
+    buf = bytearray(x.size * _CELL)
+    cells = np.frombuffer(buf, np.uint64).reshape(x.size, -1)
+    _templates().take(kind, axis=0, out=cells)
+    pairs = _quads()[0]
+    for i, group in enumerate(groups):
+        cells[:, i] ^= pairs[group]
+    text = cells.view(np.uint8)
+    text.reshape(len(table), -1)[:, -1] = ord(_LINE_END)  # the last cell's separator
+    if (by_repr := np.flatnonzero(kind == _REPR)).size:
+        reprs = np.array(list(map(repr, x[by_repr].tolist())), "S24")  # a float's repr: <= 24 bytes
+        text[by_repr, :24] = reprs.view(np.uint8).reshape(-1, 24)
+    return buf.translate(None, b"\0")
+
+
+def _cell_parts(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The template of each number in ``x`` (an index into ``_templates()``)
+    and its 17 digits in five groups, the first of one digit, the others
+    of four; a number ``repr`` writes in exponent form, NA and a zero
+    carry the digits of 1.0."""
+    neg = np.signbit(x)
+    v = np.abs(x)
+    fixed = (v >= 1e-4) & (v < 1e16)
+    v[~fixed] = 1.0
+    digits, point = _shortest_digits(v)
+    high, low = digits // 10**8, digits % 10**8
+    groups = (high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4)
+    t1, t2, t3, t4 = (_quads()[1][g] for g in groups[1:])
+    zeros = t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1))
+    written = 17 - zeros  # the significant digits, then zeros up to the point and one after
+    written = np.where(point >= 1, np.maximum(written, point + 1), written)
+    kind = np.where(np.isfinite(x), np.where(x == 0, _ZERO + neg, _REPR), _NA)
+    return np.where(fixed, (neg * 20 + point + 3) * 17 + written - 1, kind), groups
+
+
+def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits ``repr`` writes for each float 1e-4 <= v < 1e16, as a
+    17-digit integer (zeros appended), and the number of digits before
+    the point (-3 to 16; -3 is "0.000").
+
+    Of the numbers that read back as v, X - ``down`` to X + ``up`` with
+    X = v 10^-k (``_scaled``), the digits are a multiple of 10 where one
+    is among them (a digit shorter; the span is under 10 wide, so there
+    is at most one), else floor(X) or floor(X) + 1, the nearer to X (ties
+    to even) where both are. X = hi + lo exactly, with hi an integer, so
+    each test compares lo with a bound less a small integer, an exact
+    double: no test rounds. Whether the span holds its bounds (it does
+    where v's significand c is even) never decides here: with v = c 2^q,
+    a bound X +- up is (2c +- 1) 2^(q-1) 10^-k, an integer only at q = 1,
+    k = 0, and then odd, so no multiple of 10 and of floor(X) = X and
+    X + 1 only the second, which is farther; X - down at c = 2^52 is
+    never an integer.
+    """
+    hi, lo, down, up, k = _scaled(v)
+    floor_lo = np.floor(lo)
+    s = hi.astype(np.int64) + floor_lo.astype(np.int64)  # floor(X)
+    r = s % 10
+    shorter = floor_lo - r  # X - (s - r) = lo - shorter
+    down10, up10 = lo <= down + shorter, lo >= shorter + 10 - up
+    mid = floor_lo + 0.5
+    up1 = (lo > down + floor_lo) | (
+        (lo >= floor_lo + 1 - up) & ((lo > mid) | ((lo == mid) & (s % 2 == 1))))
+    d = np.where(down10 | up10, s - r + 10 * up10, s + up1)
+    short = d < 10**16
+    return np.where(short, 10 * d, d), k + 17 - short
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """X = v 10^-k for each float 1e-4 <= v < 1e16, exactly, as hi + lo;
+    the half-gaps to the floats below and above v, scaled alike; and k.
+
+    With v = c 2^q (c the 53-bit significand), k = floor(log10 2^q), or
+    floor(log10 (3/4) 2^q) where c = 2^52, whose gap below is half the
+    gap above, sets the half-gaps' sum (2^q 10^-k or 3/4 of it) in [1,
+    10), and X >= 2^52, so hi is an integer. 10^-k, k in [-20, 0], is an
+    exact double, and Dekker's product gives the rounding error lo of
+    hi = v 10^-k exactly (T. J. Dekker, Numer. Math. 18, 1971).
+    """
+    bits = v.view(np.int64)
+    frac = bits & ((1 << 52) - 1)
+    q = (bits >> 52) - 1075
+    regular = frac != 0
+    k = (q * 661971961083 - ~regular * 274743187321) >> 41  # Schubfach's integer logs
+    p = _POW10[-k]
+    hi = v * p
+    v_hi, v_lo = _split(v)
+    p_hi, p_lo = _POW10_HI[-k], _POW10_LO[-k]
+    lo = ((v_hi * p_hi - hi) + v_hi * p_lo + v_lo * p_hi) + v_lo * p_lo
+    up = p * ((q + 1022) << 52).view(np.float64)  # 2^(q-1) 10^-k
+    return hi, lo, np.where(regular, up, 0.5 * up), up, k
 
 
 def load_csv(path: str | Path, schema: CsvSchema) -> CombinedDataset:

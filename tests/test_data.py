@@ -686,7 +686,7 @@ def test_one_cpu_forks_nothing(tmp_path, monkeypatch, confounded_cfg):
     monkeypatch.setattr(os, "fork", no_fork)
     path, data = _split_sized(tmp_path, confounded_cfg, "crlf")
     monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
-    monkeypatch.setattr(codec, "_CHUNK_ROWS", codec._BLOCK_ROWS)
+    monkeypatch.setattr(codec, "_CHUNK_ROWS", 512)  # six chunks, each one short block
     back = px.load_csv(path, px.CsvSchema())
     px.write_csv(back, tmp_path / "again.csv", px.CsvSchema())
     assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
@@ -699,11 +699,12 @@ def test_one_cpu_forks_nothing(tmp_path, monkeypatch, confounded_cfg):
 def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, death, reason,
                                         blas_at_two):
     # A reader or writer worker that dies leaves an error naming how it
-    # ended, never a short table or file taken as whole, no child, and
-    # the parent's OpenBLAS thread count restored.
+    # ended, never a short table or file taken as whole (the writer's
+    # file is removed), no child, and the parent's OpenBLAS thread count
+    # restored.
     path, data = _split_sized(tmp_path, confounded_cfg, "crlf")
     monkeypatch.setattr(codec, "_SPLIT_BYTES", path.stat().st_size // 12)
-    monkeypatch.setattr(codec, "_CHUNK_ROWS", codec._BLOCK_ROWS)
+    monkeypatch.setattr(codec, "_CHUNK_ROWS", 512)
     pin_workers(monkeypatch, 2)
     parent = os.getpid()
 
@@ -723,10 +724,11 @@ def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, d
         assert_no_child_left()
         assert blas_threads() == blas_at_two
     with monkeypatch.context() as m:
-        m.setattr(codec, "_cells", dying(codec._cells))
+        m.setattr(codec, "_format_block", dying(codec._format_block))
         with pytest.raises(ProxateError, match=message) as caught:
             px.write_csv(data, tmp_path / "out.csv", px.CsvSchema())
         assert type(caught.value) is ProxateError
+        assert not (tmp_path / "out.csv").exists()
         assert_no_child_left()
         assert blas_threads() == blas_at_two
 
@@ -924,6 +926,7 @@ QUOTED_SCHEMAS = [
     pytest.param(px.CsvSchema(e_label="E,1", o_label='say "O"', w=("w,1",)), id="comma_quote"),
     pytest.param(px.CsvSchema(e_label="o\r\nx", o_label="é", z=("z\n1",)), id="crlf_non_ascii"),
     pytest.param(px.CsvSchema(e_label=""), id="empty_label"),
+    pytest.param(px.CsvSchema(e_label="E\x00"), id="nul_label"),
 ]
 
 
@@ -954,10 +957,15 @@ def test_writer_quotes_labels_and_column_names(tmp_path, confounded_cfg, schema)
                                     *QUOTED_SCHEMAS])
 def test_forked_writer_across_chunk_boundaries(tmp_path, monkeypatch, confounded_cfg, schema):
     # Three chunks of rows, formatted in-process and by two workers: both
-    # give the one-cell-at-a-time reference bytes, masked with NA and not.
+    # give the one-cell-at-a-time reference bytes, masked with NA and not,
+    # and for a sample whose every role but a holds, every seventh row,
+    # numbers that only repr writes or that border them.
     n = 2 * codec._CHUNK_ROWS + codec._BLOCK_ROWS + 1
     data, _ = px.generate(confounded_cfg, n, 0.5, seed=45)
     full = px.generate_full(confounded_cfg, n, seed=45)
+    odd = px.FullyObservedSample.from_arrays(**{
+        role: np.array(arr) if role == "a" else _with_repr_only(arr, offset)
+        for offset, (role, arr) in enumerate(vars(full).items())})
     labels = [schema.e_label if e else schema.o_label for e in data.is_e.tolist()]
     names = {r: list(getattr(schema, r)) if isinstance(getattr(schema, r), tuple)
              else [f"{getattr(schema, r)}1"] for r in "wzsx"}
@@ -966,6 +974,7 @@ def test_forked_writer_across_chunk_boundaries(tmp_path, monkeypatch, confounded
         ("masked", px.write_csv, data, _columns(data, labels),
          [schema.y, schema.a, schema.g] + tail),
         ("unmasked", px.write_unmasked_csv, full, _columns(full), [schema.y, schema.a] + tail),
+        ("repr_only", px.write_unmasked_csv, odd, _columns(odd), [schema.y, schema.a] + tail),
     ):
         reference = _reference_bytes(cols, header)
         for workers in (1, 2):
@@ -974,6 +983,56 @@ def test_forked_writer_across_chunk_boundaries(tmp_path, monkeypatch, confounded
             write(want, path, schema)
             assert_no_child_left()
             assert path.read_bytes() == reference, (name, workers)
+
+
+# Finite numbers that repr writes in exponent form (a subnormal among
+# them), -0.0, and the floats at either end of fixed notation.
+REPR_ONLY = [1e-05, -2.5e-07, 5e-324, -2.2250738585072014e-308, 1e+16, -3.5e+22,
+             1.7976931348623157e+308, -0.0, np.nextafter(1e-4, 0), 1e-4,
+             -np.nextafter(1e16, 0), np.nextafter(1e16, np.inf)]
+
+
+def _with_repr_only(arr: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of ``arr`` with rows ``offset``, ``offset`` + 7, ... cycling through REPR_ONLY."""
+    out = np.array(arr)
+    rows = out[offset % 7::7]
+    rows[...] = np.resize(REPR_ONLY, len(rows)).reshape(len(rows), *([1] * (rows.ndim - 1)))
+    return out
+
+
+def test_cell_formatter_matches_repr():
+    # The writer's cells, one row of eight at a time, against repr (NA
+    # where not finite): random bit patterns over the exponents of fixed
+    # notation (1e-4 <= |x| < 1e16) and one beyond each end, both signs,
+    # with significands of 0 (a power of two, whose gap below is half the
+    # gap above) and near 2^52 - 1 among them; the neighbours of 1e-4,
+    # 1e16 and each power of two and of ten between; integers up to 2^53;
+    # and values at the edges of the format.
+    rng = np.random.default_rng(20)
+    n = 1 << 20
+    frac = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    frac[: n // 16] = 0
+    frac[n // 16: n // 8] = (1 << 52) - 1 - rng.integers(0, 8, n // 16, dtype=np.uint64)
+    exponent = rng.integers(1023 - 15, 1023 + 55, n, dtype=np.uint64)  # 2^-15 to 2^54
+    sign = rng.integers(0, 2, n, dtype=np.uint64)
+    patterns = ((sign << np.uint64(63)) | (exponent << np.uint64(52)) | frac).view(np.float64)
+    ends = [1e-4, 1e16] + [2.0**e for e in range(-14, 54)] + [10.0**e for e in range(-4, 17)]
+    near = np.concatenate([ends, np.nextafter(ends, 0), np.nextafter(ends, np.inf),
+                           np.nextafter(np.nextafter(ends, 0), 0),
+                           np.nextafter(np.nextafter(ends, np.inf), np.inf)])
+    integers = np.concatenate([np.arange(1000), rng.integers(0, 2**53, 10_000), [2**52, 2**53]])
+    edges = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1e-05,
+             1e+16, 1.7976931348623157e+308]
+    x = np.concatenate([patterns, near, -near, integers, -integers.astype(float), edges])
+    x = np.concatenate([x, np.zeros(-len(x) % 8)]).reshape(-1, 8)
+    bad = []
+    for block in np.array_split(x, 16):
+        got = bytes(codec._format_block(block, [])).split(codec._LINE_END)[:-1]
+        want = [",".join(repr(v) if math.isfinite(v) else "NA" for v in row).encode()
+                for row in block.tolist()]
+        bad += [(row, g) for row, g, w in zip(block.tolist(), got, want) if g != w]
+        assert len(got) == len(want)
+    assert not bad, bad[:5]
 
 
 # sha256 of both files for fixed draws. Round trips compare values only;
