@@ -33,7 +33,8 @@ notation (1e-4 <= |x| < 1e16) gets its shortest digits from exact
 interval tests, and every other one (exponent form, subnormals) is
 written by ``repr`` itself. Chunks of rows are formatted over
 ``_fork.ordered_map`` and written in order, one chunk held at a time;
-a write that fails removes the file it was writing, if a regular file.
+a write that fails removes the file it was writing, if the path names
+that regular file itself.
 """
 
 from __future__ import annotations
@@ -604,8 +605,9 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
     ``writelines``, which drops each chunk before it reads the next, so
     the parent holds one formatted chunk at a time. A write that fails
     once the path is open (an ``OSError``, a worker that dies, Ctrl-C)
-    removes the file if it is a regular file, so no short file is left
-    to load as a smaller sample; a FIFO or ``/dev/stdout`` is left alone.
+    removes the file, so no short file is left to load as a smaller
+    sample, if ``path`` names that regular file itself: a symlink (such
+    as ``/dev/stdout``), a FIFO or a device is left as it is.
     """
     matrices = _ROLES[2:]  # w, z, s and x: the roles of one or more columns
     header = _header(schema, {r: getattr(data, r).shape[1] for r in matrices}, with_g=with_g)
@@ -614,16 +616,17 @@ def _write_table(data, path: str | Path, schema: CsvSchema, *, with_g: bool) -> 
     labels = (_quoted(schema.o_label).encode(), _quoted(schema.e_label).encode())
     chunks = range(0, data.n, _CHUNK_ROWS)
     with ordered_map(partial(_format_rows, columns, labels), chunks) as formatted:
-        regular = False  # whether the open path is a regular file, to remove on failure
+        opened = None  # the file written, to remove on failure
         try:
             with Path(path).open("wb") as fh:
-                regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                opened = os.fstat(fh.fileno())
                 fh.write(_csv_line(header).encode())
                 fh.writelines(formatted)
         except BaseException as exc:
-            if regular:
+            if opened and stat.S_ISREG(opened.st_mode):
                 with contextlib.suppress(OSError):
-                    os.unlink(path)
+                    if os.path.samestat(opened, os.lstat(path)):
+                        os.unlink(path)
             if isinstance(exc, OSError):
                 raise ValidationError(f"cannot write {path}: {exc}")
             raise
@@ -688,7 +691,8 @@ def _quoted(label: str) -> str:
 # last pair's point byte, which never holds a point, holds the cell's
 # separator, a comma or the line-end mark. One ``bytes.translate``
 # deletes the NULs of a block. NA, 0.0 and -0.0 are laid out whole; every
-# other value (exponent form, subnormals) is written by ``repr`` itself.
+# other value (exponent form, subnormals) is written by ``repr`` itself,
+# and a block of mostly such values by ``repr`` alone (``_repr_rows``).
 _CELL = 40
 _LINE_END = b"\xfd"  # marks, all bytes that UTF-8 never holds
 _LABEL_MARKS = (b"\xfe", b"\xff")  # the labels of O and E rows
@@ -747,14 +751,26 @@ def _templates() -> np.ndarray:
     return cells.view(np.uint64)
 
 
-def _format_block(table: np.ndarray, labeled: list[int]) -> bytearray:
+def _format_block(table: np.ndarray, labeled: list[int]) -> bytes | bytearray:
     """The rows of ``table`` as CSV text: each number as ``repr`` writes
     it, NA where it is not finite; the columns ``labeled`` (1.0 for E,
-    0.0 for O) as ``_LABEL_MARKS`` and each line end as ``_LINE_END``."""
+    0.0 for O) as ``_LABEL_MARKS`` and each line end as ``_LINE_END``.
+
+    A block most of whose cells ``repr`` must write (exponent form) is
+    joined from ``repr`` of every cell: the kernel's templates and digit
+    search would only add to the cost of ``repr``.
+    """
     x = table.ravel()
-    kind, groups = _cell_parts(x)
+    kind = np.where(np.isfinite(x), np.where(x == 0, _ZERO + np.signbit(x), _REPR), _NA)
     for j in labeled:
         kind.reshape(table.shape)[:, j] = _LABEL + (table[:, j] == 1)
+    v = np.abs(x)
+    fixed = (kind == _REPR) & (v >= 1e-4) & (v < 1e16)
+    if 2 * (np.count_nonzero(kind == _REPR) - np.count_nonzero(fixed)) > x.size:
+        return _repr_rows(table, labeled)
+    v[~fixed] = 1.0  # its template cancels the digits of 1.0
+    fixed_kind, groups = _cell_parts(v, np.signbit(x))
+    kind = np.where(fixed, fixed_kind, kind)
     buf = bytearray(x.size * _CELL)
     cells = np.frombuffer(buf, np.uint64).reshape(x.size, -1)
     _templates().take(kind, axis=0, out=cells)
@@ -769,15 +785,26 @@ def _format_block(table: np.ndarray, labeled: list[int]) -> bytearray:
     return buf.translate(None, b"\0")
 
 
-def _cell_parts(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The template of each number in ``x`` (an index into ``_templates()``)
-    and its 17 digits in five groups, the first of one digit, the others
-    of four; a number ``repr`` writes in exponent form, NA and a zero
-    carry the digits of 1.0."""
-    neg = np.signbit(x)
-    v = np.abs(x)
-    fixed = (v >= 1e-4) & (v < 1e16)
-    v[~fixed] = 1.0
+def _repr_rows(table: np.ndarray, labeled: list[int]) -> bytes:
+    """``_format_block``'s text for ``table``, joined from ``repr`` of each cell."""
+    marks = [mark.decode("latin-1") for mark in _LABEL_MARKS]
+    columns = []
+    for j, col in enumerate(table.T):
+        if j in labeled:
+            columns.append([marks[e] for e in (col == 1).tolist()])
+            continue
+        cells = list(map(repr, col.tolist()))
+        for i in np.flatnonzero(~np.isfinite(col)).tolist():
+            cells[i] = MISSING_TOKEN
+        columns.append(cells)
+    end = _LINE_END.decode("latin-1")
+    return (end.join(map(",".join, zip(*columns))) + end).encode("latin-1")
+
+
+def _cell_parts(v: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The template of each float 1e-4 <= v < 1e16, of sign ``neg``, in
+    fixed notation (an index into ``_templates()``) and its 17 digits in
+    five groups, the first of one digit, the others of four."""
     digits, point = _shortest_digits(v)
     high, low = digits // 10**8, digits % 10**8
     groups = (high // 10**8, high // 10**4 % 10**4, high % 10**4, low // 10**4, low % 10**4)
@@ -785,8 +812,7 @@ def _cell_parts(x: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     zeros = t4 + (t4 == 4) * (t3 + (t3 == 4) * (t2 + (t2 == 4) * t1))
     written = 17 - zeros  # the significant digits, then zeros up to the point and one after
     written = np.where(point >= 1, np.maximum(written, point + 1), written)
-    kind = np.where(np.isfinite(x), np.where(x == 0, _ZERO + neg, _REPR), _NA)
-    return np.where(fixed, (neg * 20 + point + 3) * 17 + written - 1, kind), groups
+    return (neg * 20 + point + 3) * 17 + written - 1, groups
 
 
 def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -729,6 +729,13 @@ def test_codec_worker_death_is_an_error(tmp_path, monkeypatch, confounded_cfg, d
             px.write_csv(data, tmp_path / "out.csv", px.CsvSchema())
         assert type(caught.value) is ProxateError
         assert not (tmp_path / "out.csv").exists()
+        # Written through a symlink, the file is not removed, nor the link.
+        (tmp_path / "target.csv").write_bytes(b"")
+        (tmp_path / "link.csv").symlink_to(tmp_path / "target.csv")
+        with pytest.raises(ProxateError, match=message):
+            px.write_csv(data, tmp_path / "link.csv", px.CsvSchema())
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "target.csv").exists()
         assert_no_child_left()
         assert blas_threads() == blas_at_two
 
@@ -935,6 +942,10 @@ def test_writer_quotes_labels_and_column_names(tmp_path, confounded_cfg, schema)
     n = 2 * codec._BLOCK_ROWS + 1
     data, _ = px.generate(confounded_cfg, n, 0.5, seed=43)
     full = px.generate_full(confounded_cfg, n, seed=43)
+    scale = np.where(np.arange(n) // codec._BLOCK_ROWS % 2 == 0, 1e-6, 1.0)
+    small = px.CombinedDataset.from_arrays(**{
+        role: arr if role in ("a", "is_e") else (arr.T * scale).T
+        for role, arr in vars(data).items()})
     labels = [schema.e_label if e else schema.o_label for e in data.is_e.tolist()]
     names = {r: list(getattr(schema, r)) if isinstance(getattr(schema, r), tuple)
              else [f"{getattr(schema, r)}1"] for r in "wzsx"}
@@ -958,14 +969,19 @@ def test_writer_quotes_labels_and_column_names(tmp_path, confounded_cfg, schema)
 def test_forked_writer_across_chunk_boundaries(tmp_path, monkeypatch, confounded_cfg, schema):
     # Three chunks of rows, formatted in-process and by two workers: both
     # give the one-cell-at-a-time reference bytes, masked with NA and not,
-    # and for a sample whose every role but a holds, every seventh row,
-    # numbers that only repr writes or that border them.
+    # for a sample whose every role but a holds, every seventh row,
+    # numbers that only repr writes or that border them, and for a masked
+    # sample whose every other block of rows is in exponent form.
     n = 2 * codec._CHUNK_ROWS + codec._BLOCK_ROWS + 1
     data, _ = px.generate(confounded_cfg, n, 0.5, seed=45)
     full = px.generate_full(confounded_cfg, n, seed=45)
     odd = px.FullyObservedSample.from_arrays(**{
         role: np.array(arr) if role == "a" else _with_repr_only(arr, offset)
         for offset, (role, arr) in enumerate(vars(full).items())})
+    scale = np.where(np.arange(n) // codec._BLOCK_ROWS % 2 == 0, 1e-6, 1.0)
+    small = px.CombinedDataset.from_arrays(**{
+        role: arr if role in ("a", "is_e") else (arr.T * scale).T
+        for role, arr in vars(data).items()})
     labels = [schema.e_label if e else schema.o_label for e in data.is_e.tolist()]
     names = {r: list(getattr(schema, r)) if isinstance(getattr(schema, r), tuple)
              else [f"{getattr(schema, r)}1"] for r in "wzsx"}
@@ -975,6 +991,8 @@ def test_forked_writer_across_chunk_boundaries(tmp_path, monkeypatch, confounded
          [schema.y, schema.a, schema.g] + tail),
         ("unmasked", px.write_unmasked_csv, full, _columns(full), [schema.y, schema.a] + tail),
         ("repr_only", px.write_unmasked_csv, odd, _columns(odd), [schema.y, schema.a] + tail),
+        ("exponent", px.write_csv, small, _columns(small, labels),
+         [schema.y, schema.a, schema.g] + tail),
     ):
         reference = _reference_bytes(cols, header)
         for workers in (1, 2):
@@ -1007,7 +1025,8 @@ def test_cell_formatter_matches_repr():
     # with significands of 0 (a power of two, whose gap below is half the
     # gap above) and near 2^52 - 1 among them; the neighbours of 1e-4,
     # 1e16 and each power of two and of ten between; integers up to 2^53;
-    # and values at the edges of the format.
+    # and values at the edges of the format; and a block of them scaled
+    # by 1e-20, mostly in exponent form.
     rng = np.random.default_rng(20)
     n = 1 << 20
     frac = rng.integers(0, 1 << 52, n, dtype=np.uint64)
@@ -1026,7 +1045,7 @@ def test_cell_formatter_matches_repr():
     x = np.concatenate([patterns, near, -near, integers, -integers.astype(float), edges])
     x = np.concatenate([x, np.zeros(-len(x) % 8)]).reshape(-1, 8)
     bad = []
-    for block in np.array_split(x, 16):
+    for block in [*np.array_split(x, 16), x[:2048] * 1e-20]:
         got = bytes(codec._format_block(block, [])).split(codec._LINE_END)[:-1]
         want = [",".join(repr(v) if math.isfinite(v) else "NA" for v in row).encode()
                 for row in block.tolist()]
